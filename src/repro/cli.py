@@ -47,6 +47,7 @@ from repro import obs
 from repro.apps import DeliveryLocationStore
 from repro.core import DLInfMA, DLInfMAConfig
 from repro.core.persistence import load_locations, save_locations
+from repro.durable import write_text
 from repro.eval import Workload, evaluate, metrics_table, run_methods
 from repro.geo import BBox, LocalProjection
 from repro.synth import (
@@ -638,14 +639,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             # Persist the in-process provenance ring so `repro explain
             # --obs-dir <snapshot-dir>/obs` works for the thread backend
             # too (process workers already persisted theirs at stop()).
-            ring = obs.get_provenance_ring()
-            if len(ring) > 0:
-                obs_path = pathlib.Path(args.snapshot_dir) / "obs"
-                try:
-                    obs_path.mkdir(parents=True, exist_ok=True)
-                    ring.write_jsonl(str(obs_path / "provenance-server.jsonl"))
-                except OSError:
-                    pass
+            obs.get_provenance_ring().persist(
+                pathlib.Path(args.snapshot_dir) / "obs" / "provenance-server.jsonl"
+            )
     bench_config = {
         "command": "serve-bench", "workload": args.workload,
         "backend": args.backend,
@@ -664,9 +660,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         "fleet": fleet,
     }
     if args.out:
-        out = pathlib.Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -839,9 +833,7 @@ def _cmd_stream_bench(args: argparse.Namespace) -> int:
                                             **payload["config"]})
     payload["fleet"] = fleet
     if args.out:
-        out = pathlib.Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

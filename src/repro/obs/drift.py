@@ -25,6 +25,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence, Union
 
+from repro.durable import write_text
 from repro.obs.events import event
 from repro.obs.metrics import get_registry
 
@@ -338,11 +339,8 @@ def save_drift_report(
     reports: Iterable[DriftReport], path: PathLike
 ) -> pathlib.Path:
     """Write drift reports as one JSON document (CI artifact shape)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "reports": [r.to_dict() for r in reports],
     }
     payload["drifted"] = any(r["drifted"] for r in payload["reports"])
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
+    return write_text(path, json.dumps(payload, indent=2) + "\n")

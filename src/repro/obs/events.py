@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 import logging
 import pathlib
-import threading
 import time
-from typing import Any, TextIO, Union
+from typing import Any, Union
+
+from repro.durable import LineAppender, read_jsonl, to_jsonable
 
 from .recorder import get_recorder
 
@@ -40,21 +41,16 @@ class EventLog:
 
     def __init__(self, path: PathLike | None = None, level: str = "info") -> None:
         self.level = LEVELS[level]
-        self._lock = threading.Lock()
-        self._fh: TextIO | None = None
-        if path is not None:
-            path = pathlib.Path(path)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = path.open("a", encoding="utf-8")
+        self._sink = LineAppender(path) if path is not None else None
 
     def emit(self, level: str, event: str, component: str = "core", **fields: Any) -> None:
         levelno = LEVELS.get(level, 20)
-        if levelno < self.level and self._fh is None:
+        if levelno < self.level and self._sink is None:
             return
         logger = logging.getLogger(f"{_ROOT_LOGGER}.{component}")
         if logger.isEnabledFor(levelno):
             logger.log(levelno, "%s %s", event, fields if fields else "")
-        if self._fh is None or levelno < self.level:
+        if self._sink is None or levelno < self.level:
             return
         record = {
             "ts_unix": time.time(),
@@ -62,28 +58,12 @@ class EventLog:
             "component": component,
             "event": event,
         }
-        record.update({k: _safe(v) for k, v in fields.items()})
-        line = json.dumps(record, separators=(",", ":"), sort_keys=False)
-        with self._lock:
-            if self._fh is not None:
-                self._fh.write(line + "\n")
-                self._fh.flush()
+        record.update({k: to_jsonable(v) for k, v in fields.items()})
+        self._sink.append(json.dumps(record, separators=(",", ":")))
 
     def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-
-def _safe(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [_safe(v) for v in value]
-    return repr(value)
+        if self._sink is not None:
+            self._sink.close()
 
 
 _EVENT_LOG = EventLog()
@@ -117,10 +97,7 @@ def event(name: str, level: str = "info", component: str = "core", **fields: Any
 
 
 def read_events(path: PathLike) -> list[dict[str, Any]]:
-    """Parse a JSON-lines event file back into dicts (file order)."""
-    out = []
-    for line in pathlib.Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            out.append(json.loads(line))
-    return out
+    """Parse a JSON-lines event file back into dicts (file order),
+    skipping a line a crash truncated (see :func:`repro.durable.read_jsonl`)."""
+    events, _ = read_jsonl(path)
+    return events

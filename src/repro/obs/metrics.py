@@ -22,6 +22,8 @@ import pathlib
 import threading
 from typing import Any, Iterable, Mapping, Optional, Union
 
+from repro.durable import write_text
+
 from .exemplar import Exemplar, exemplars_enabled, pick_latest
 
 PathLike = Union[str, pathlib.Path]
@@ -419,15 +421,13 @@ def export_metrics(
     """Write the registry to ``path`` — Prometheus text when the suffix is
     ``.prom``/``.txt``, the JSON document otherwise.  ``exemplars=True``
     adds OpenMetrics exemplar suffixes to Prometheus bucket lines (the
-    JSON document always carries exemplars when present)."""
+    JSON document always carries exemplars when present).  The file is
+    replaced atomically."""
     registry = registry or get_registry()
     path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if path.suffix in (".prom", ".txt"):
-        path.write_text(registry.to_prometheus(exemplars=exemplars), encoding="utf-8")
-    else:
-        path.write_text(registry.to_json(meta) + "\n", encoding="utf-8")
-    return path
+        return write_text(path, registry.to_prometheus(exemplars=exemplars))
+    return write_text(path, registry.to_json(meta) + "\n")
 
 
 def load_metrics(path: PathLike) -> dict[str, Any]:

@@ -31,6 +31,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Union
 
+from repro.durable import write_text
+
 PathLike = Union[str, pathlib.Path]
 
 #: Default sampling frequency (samples per second).
@@ -136,14 +138,9 @@ class StackProfile:
         """Write the profile — collapsed text for ``.txt``/``.collapsed``
         suffixes, speedscope JSON otherwise."""
         path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         if path.suffix in (".txt", ".collapsed"):
-            path.write_text(self.to_collapsed(), encoding="utf-8")
-        else:
-            path.write_text(
-                json.dumps(self.to_speedscope(name)) + "\n", encoding="utf-8"
-            )
-        return path
+            return write_text(path, self.to_collapsed())
+        return write_text(path, json.dumps(self.to_speedscope(name)) + "\n")
 
 
 class SamplingProfiler:
@@ -349,12 +346,7 @@ class MemoryProfiler:
         }
 
     def save(self, path: PathLike) -> pathlib.Path:
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.report(), indent=2) + "\n", encoding="utf-8"
-        )
-        return path
+        return write_text(path, json.dumps(self.report(), indent=2) + "\n")
 
 
 # ----------------------------------------------------------------------

@@ -28,14 +28,15 @@ merges span files.  ``repro explain <address-id>`` renders the result.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import threading
 import time
 import zlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence, Union
+
+from repro.durable import read_jsonl, write_jsonl
 
 from .metrics import MetricsRegistry, get_registry
 
@@ -58,7 +59,6 @@ __all__ = [
     "put_evidence",
     "pop_evidence",
     "read_provenance",
-    "iter_jsonl_tolerant",
     "merge_provenance",
     "render_record",
 ]
@@ -157,7 +157,9 @@ class ProvenanceRing:
     errors / unknown ids / low-confidence answers.  Both counters in
     ``provenance_records_total{result=kept|sampled_out}`` are
     pre-seeded at zero so the fail-closed SLO engine sees the family
-    from tick one.
+    from tick one.  :meth:`counts` reports this ring's own outcomes,
+    not the registry's process-wide totals (a forked worker inherits
+    its parent's registry).
     """
 
     def __init__(
@@ -178,6 +180,7 @@ class ProvenanceRing:
         self._seen = 0  # routine records offered to the reservoir
         self._seq = 0
         self._kept: deque[ProvenanceRecord] = deque(maxlen=int(keep_capacity))
+        self._counts = {"kept": 0, "sampled_out": 0}
         registry = registry or get_registry()
         self._records_total = registry.counter(
             "provenance_records_total",
@@ -217,25 +220,28 @@ class ProvenanceRing:
         """Retain ``record``; returns whether it was kept right now."""
 
         with self._lock:
-            if self._always_keep(record):
-                self._kept.append(record)
-                self._records_total.inc(1, result="kept")
-                return True
-            i = self._seen
-            self._seen += 1
-            if len(self._reservoir) < self.capacity:
-                self._reservoir.append(record)
-                self._records_total.inc(1, result="kept")
-                return True
-            # Algorithm R with a deterministic draw: same stream of keys
-            # -> same retained sample, run after run.
-            j = zlib.crc32(record.key.encode("utf-8")) % (i + 1)
-            if j < self.capacity:
-                self._reservoir[j] = record
-                self._records_total.inc(1, result="kept")
-                return True
-            self._records_total.inc(1, result="sampled_out")
-            return False
+            kept = self._retain(record)
+            result = "kept" if kept else "sampled_out"
+            self._counts[result] += 1
+            self._records_total.inc(1, result=result)
+            return kept
+
+    def _retain(self, record: ProvenanceRecord) -> bool:
+        if self._always_keep(record):
+            self._kept.append(record)
+            return True
+        i = self._seen
+        self._seen += 1
+        if len(self._reservoir) < self.capacity:
+            self._reservoir.append(record)
+            return True
+        # Algorithm R with a deterministic draw: same stream of keys
+        # -> same retained sample, run after run.
+        j = zlib.crc32(record.key.encode("utf-8")) % (i + 1)
+        if j < self.capacity:
+            self._reservoir[j] = record
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # Retrieval
@@ -258,12 +264,10 @@ class ProvenanceRing:
         with self._lock:
             return len(self._reservoir) + len(self._kept)
 
-    def counts(self) -> dict[str, float]:
-        """Cumulative retention-outcome counts (mirrors the counter)."""
-        return {
-            "kept": self._records_total.value(result="kept"),
-            "sampled_out": self._records_total.value(result="sampled_out"),
-        }
+    def counts(self) -> dict[str, int]:
+        """This ring's cumulative retention-outcome counts."""
+        with self._lock:
+            return dict(self._counts)
 
     def clear(self) -> None:
         with self._lock:
@@ -275,19 +279,18 @@ class ProvenanceRing:
     # Persistence
     # ------------------------------------------------------------------
     def write_jsonl(self, path: PathLike) -> pathlib.Path:
-        """Atomically persist the ring (tmp + fsync + rename)."""
+        """Atomically persist the ring (see :func:`repro.durable.atomic_write`)."""
 
-        path = pathlib.Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        records = self.records()
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        return path
+        return write_jsonl(path, (r.to_dict() for r in self.records()))
+
+    def persist(self, path: PathLike) -> None:
+        """Best-effort :meth:`write_jsonl` of a non-empty ring: forensics
+        must never take the serving process down."""
+        if len(self) > 0:
+            try:
+                self.write_jsonl(path)
+            except OSError:
+                pass
 
 
 # ----------------------------------------------------------------------
@@ -345,40 +348,12 @@ def reset_provenance_ring() -> None:
 
 
 # ----------------------------------------------------------------------
-# Torn-tolerant JSONL reading + merge
+# Reading + merge
 # ----------------------------------------------------------------------
-def iter_jsonl_tolerant(path: PathLike) -> "tuple[list[dict], int]":
-    """Read a JSON-lines file, skipping unparsable lines.
-
-    A process killed mid-flush leaves a truncated final line; the same
-    contract as the ``updates.log`` reader applies — stop trusting the
-    tail, count it, keep everything before it.  Returns
-    ``(docs, n_torn_lines)``.
-    """
-
-    docs: list[dict] = []
-    n_torn = 0
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                n_torn += 1
-                continue
-            if isinstance(doc, dict):
-                docs.append(doc)
-            else:
-                n_torn += 1
-    return docs, n_torn
-
-
 def read_provenance(path: PathLike) -> tuple[list[ProvenanceRecord], int]:
     """Load one provenance JSONL file -> ``(records, n_torn_lines)``."""
 
-    docs, n_torn = iter_jsonl_tolerant(path)
+    docs, n_torn = read_jsonl(path)
     records = []
     for doc in docs:
         if doc.get("version", PROVENANCE_VERSION) > PROVENANCE_VERSION:
@@ -417,15 +392,7 @@ def merge_provenance(
     )
     stats["n_records"] = len(records)
     if out is not None:
-        out = pathlib.Path(out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        tmp = out.with_name(out.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, out)
+        write_jsonl(out, (r.to_dict() for r in records))
     return records, stats
 
 

@@ -6,8 +6,8 @@ append under a lock).  When something goes wrong — a
 :class:`~repro.stream.scheduler.RefreshScheduler` gate refusal, an
 ``slo_violation`` / ``drift_flagged`` event, a worker crash — the
 recorder :meth:`~FlightRecorder.trigger`\\ s and writes an **atomic
-black-box dump**: tmp + fsync + rename, so a reader never sees a torn
-file, exactly the contract of the publisher's ``updates.log``.
+black-box dump** through :func:`repro.durable.atomic_write`, so a reader
+never sees a torn file.
 
 The dump bundles everything a post-mortem needs in one artifact: the
 ring contents, the merged fleet metrics registry, the SLO verdicts at
@@ -23,11 +23,13 @@ usage — a flapping gate cannot fill the volume.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import threading
 import time
+from collections import deque
 from typing import Any, Mapping, Optional, Union
+
+from repro.durable import to_jsonable, write_text
 
 from .metrics import MetricsRegistry, get_registry
 
@@ -71,8 +73,7 @@ class FlightRecorder:
         self.dump_dir = pathlib.Path(dump_dir) if dump_dir is not None else None
         self.max_dumps = int(max_dumps)
         self._lock = threading.Lock()
-        self._ring: list[dict[str, Any]] = []
-        self._head = 0  # next write slot once the ring is full
+        self._ring: deque[dict[str, Any]] = deque(maxlen=self.capacity)
         self._n_seen = 0
         self._dump_seq = 0
         registry = registry or get_registry()
@@ -89,11 +90,7 @@ class FlightRecorder:
     def _note(self, entry: dict[str, Any]) -> None:
         entry.setdefault("ts_unix", time.time())
         with self._lock:
-            if len(self._ring) < self.capacity:
-                self._ring.append(entry)
-            else:
-                self._ring[self._head] = entry
-                self._head = (self._head + 1) % self.capacity
+            self._ring.append(entry)
             self._n_seen += 1
 
     def note_span(self, span_doc: Mapping[str, Any]) -> None:
@@ -148,9 +145,7 @@ class FlightRecorder:
         """Ring contents, oldest first."""
 
         with self._lock:
-            if len(self._ring) < self.capacity:
-                return list(self._ring)
-            return self._ring[self._head :] + self._ring[: self._head]
+            return list(self._ring)
 
     def __len__(self) -> int:
         with self._lock:
@@ -164,7 +159,6 @@ class FlightRecorder:
     def clear(self) -> None:
         with self._lock:
             self._ring.clear()
-            self._head = 0
 
     # ------------------------------------------------------------------
     # The black box
@@ -199,34 +193,14 @@ class FlightRecorder:
             "ts_unix": time.time(),
             "context": dict(context or {}),
             "ring": self.entries(),
-            "registry": dict(registry_doc) if registry_doc is not None else None,
-            "slo": _jsonable(slo),
-            "provenance": _jsonable(provenance),
+            "registry": registry_doc,
+            "slo": slo,
+            "provenance": provenance,
         }
-        self.dump_dir.mkdir(parents=True, exist_ok=True)
         path = self.dump_dir / f"blackbox-{trigger}-{seq:04d}.json"
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, default=str)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        return path
-
-
-def _jsonable(value: Any) -> Any:
-    """Best-effort conversion of verdicts/records to JSON shapes."""
-
-    if value is None:
-        return None
-    if hasattr(value, "to_dict"):
-        return value.to_dict()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+        return write_text(
+            path, json.dumps(to_jsonable(payload), sort_keys=True) + "\n"
+        )
 
 
 # ----------------------------------------------------------------------

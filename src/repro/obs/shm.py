@@ -51,6 +51,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.durable import atomic_write
 from repro.obs.exemplar import (
     EXEMPLAR_KEY_BYTES,
     EXEMPLAR_TRACE_ID_BYTES,
@@ -283,15 +284,8 @@ class MetricsPlane:
                 fh = open(path, "r+b")
                 mm = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_WRITE)
                 return cls(path, specs, meta, mm, fh, writable=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-            f.truncate(size)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
+        head = MAGIC + struct.pack("<I", len(blob)) + blob
+        atomic_write(path, lambda f: f.write(head.ljust(size, b"\0")))
         fh = open(path, "r+b")
         mm = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_WRITE)
         return cls(path, specs, meta, mm, fh, writable=True)

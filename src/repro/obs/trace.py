@@ -20,11 +20,12 @@ import atexit
 import contextvars
 import json
 import pathlib
-import threading
 import time
 import uuid
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, TextIO, Union
+from typing import Any, Iterable, Iterator, Union
+
+from repro.durable import LineAppender, read_jsonl, to_jsonable, write_jsonl
 
 from .recorder import get_recorder
 
@@ -90,51 +91,18 @@ class Span:
             "end_unix": self.end_unix,
             "duration_s": self.duration_s,
             "status": self.status,
-            "attributes": _jsonable(self.attributes),
+            "attributes": to_jsonable(self.attributes),
         }
         if self.error is not None:
             out["error"] = self.error
         return out
 
 
-def _jsonable(obj: Any) -> Any:
-    """Best-effort conversion of attribute values to JSON-safe types."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in obj]
-    return repr(obj)
-
-
-class JsonlTraceSink:
+class JsonlTraceSink(LineAppender):
     """Appends finished spans to a JSON-lines file (one object per line)."""
 
-    def __init__(self, path: PathLike) -> None:
-        self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._fh: TextIO | None = self.path.open("a", encoding="utf-8")
-
     def write(self, span: Span) -> None:
-        line = json.dumps(span.to_dict(), separators=(",", ":"))
-        with self._lock:
-            if self._fh is None:
-                return
-            self._fh.write(line + "\n")
-            self._fh.flush()
-
-    def flush(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+        self.append(json.dumps(span.to_dict(), separators=(",", ":")))
 
 
 #: Sentinel: inherit the parent span from the ambient contextvar.
@@ -302,28 +270,10 @@ def read_trace_stats(path: PathLike) -> tuple[list[dict[str, Any]], int]:
     """Parse a JSON-lines trace file -> ``(spans, n_torn_lines)``.
 
     A worker killed mid-flush leaves a truncated final line; the reader
-    skips such torn lines and counts them instead of raising — the same
-    contract the publisher's ``updates.log`` reader honours.  A non-dict
-    line (hand-edited file) counts as torn too.
+    skips such torn lines and counts them instead of raising (see
+    :func:`repro.durable.read_jsonl`).
     """
-    out: list[dict[str, Any]] = []
-    n_torn = 0
-    for line in pathlib.Path(path).read_text(
-        encoding="utf-8", errors="replace"
-    ).splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError:
-            n_torn += 1
-            continue
-        if isinstance(doc, dict):
-            out.append(doc)
-        else:
-            n_torn += 1
-    return out, n_torn
+    return read_jsonl(path)
 
 
 def read_trace(path: PathLike) -> list[dict[str, Any]]:
@@ -359,7 +309,7 @@ def merge_traces(
     decision the router stamped on the route span).  Kept spans are
     written to ``out`` ordered by start time, and a stats dict describes
     what the sampler did — tail-based sampling must be auditable or the
-    missing traces look like lost data.
+    missing traces look like lost data.  ``out`` is replaced atomically.
     """
     spans: list[dict[str, Any]] = []
     n_files = 0
@@ -416,11 +366,7 @@ def merge_traces(
 
     kept.sort(key=lambda sp: (float(sp.get("start_unix") or 0.0),
                               str(sp.get("span_id"))))
-    out_path = pathlib.Path(out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w", encoding="utf-8") as fh:
-        for sp in kept:
-            fh.write(json.dumps(sp, separators=(",", ":")) + "\n")
+    write_jsonl(out, kept)
     return {
         "n_files": n_files,
         "n_torn_lines": n_torn_lines,

@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from repro.apps.store import QueryResult, QuerySource, UnknownAddressError
+from repro.durable import atomic_write
 from repro.geo import Point
 from repro.geo.geohash import GeohashSpatialIndex
 from repro.trajectory import Address
@@ -223,11 +224,10 @@ def write_snapshot(
 ) -> SnapshotInfo:
     """Serialize the store's current snapshot; publish is atomic.
 
-    The file is written to ``<path>.tmp.<pid>``, fsynced, and renamed
-    into place, so a concurrent :func:`load_snapshot` of ``path`` sees
-    either the previous complete file or the new complete file — never a
-    torn one.  The containing directory is fsynced too so the rename
-    survives a crash.
+    The file goes through :func:`repro.durable.atomic_write`, so a
+    concurrent :func:`load_snapshot` of ``path`` sees either the previous
+    complete file or the new complete file — never a torn one — and the
+    rename survives a crash.
     """
     arrays, meta = build_columnar_arrays(store, confidences)
     path = os.fspath(path)
@@ -255,8 +255,7 @@ def write_snapshot(
     data_start = len(MAGIC) + 8 + len(header_bytes)
     data_start = (data_start + _ALIGN - 1) // _ALIGN * _ALIGN
 
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as f:
+    def write(f) -> int:
         f.write(MAGIC)
         f.write(len(header_bytes).to_bytes(8, "little"))
         f.write(header_bytes)
@@ -267,16 +266,9 @@ def write_snapshot(
         # extend the file to the full laid-out size so every header
         # offset (even an empty array's) is inside the mapping.
         f.truncate(max(data_start + offset, f.tell()))
-        f.seek(0, os.SEEK_END)
-        f.flush()
-        os.fsync(f.fileno())
-        nbytes = f.tell()
-    os.replace(tmp, path)
-    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+        return f.seek(0, os.SEEK_END)
+
+    nbytes = atomic_write(path, write)
     return SnapshotInfo(
         path=path,
         version=meta["version"],

@@ -56,6 +56,7 @@ from multiprocessing import get_context
 from typing import Any, Sequence
 
 from repro.apps.store import QueryResult, QuerySource, UnknownAddressError
+from repro.durable import append_record, atomic_write
 from repro.geo import Point
 from repro.obs import MetricsRegistry, get_registry
 from repro.obs.exemplar import Exemplar, exemplars_enabled
@@ -197,22 +198,17 @@ def router_plane_specs(n_workers: int) -> list[SlotSpec]:
 class VersionCounter:
     """8 bytes of shared truth: which snapshot version is current.
 
-    The file is created atomically (tmp + rename); the value is a single
-    aligned little-endian uint64 store through ``mmap``, which x86-64 and
-    aarch64 both make atomic for readers on the same page.  Workers poll
-    it between requests — no pipes, no locks, no syscalls on the read
-    path once mapped.
+    The file is created atomically (:func:`repro.durable.atomic_write`);
+    the value is a single aligned little-endian uint64 store through
+    ``mmap``, which x86-64 and aarch64 both make atomic for readers on
+    the same page.  Workers poll it between requests — no pipes, no
+    locks, no syscalls on the read path once mapped.
     """
 
     def __init__(self, path: str, create: bool = False) -> None:
         self.path = path
         if create and not os.path.exists(path):
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "wb") as f:
-                f.write(struct.pack("<Q", 0))
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
+            atomic_write(path, lambda f: f.write(struct.pack("<Q", 0)))
         self._f = open(path, "r+b" if create else "rb")
         access = mmap.ACCESS_WRITE if create else mmap.ACCESS_READ
         self._mm = mmap.mmap(self._f.fileno(), 8, access=access)
@@ -249,21 +245,23 @@ def append_log_record(
         },
         separators=(",", ":"),
     ).encode("utf-8")
-    record = (
+    append_record(
+        path,
         struct.pack("<II", len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-        + payload
+        + payload,
     )
-    with open(path, "ab") as f:
-        f.write(record)
-        f.flush()
-        os.fsync(f.fileno())
 
 
 def read_log_records(path: str) -> list[tuple[int, dict[str, Point]]]:
     """All intact ``(version, locations)`` records; stops at a torn tail."""
+    return _scan_log(path)[0]
+
+
+def _scan_log(path: str) -> tuple[list[tuple[int, dict[str, Point]]], int, int]:
+    """``(intact records, byte offset after the last one, file size)``."""
     out: list[tuple[int, dict[str, Point]]] = []
     if not os.path.exists(path):
-        return out
+        return out, 0, 0
     with open(path, "rb") as f:
         data = f.read()
     pos = 0
@@ -287,7 +285,7 @@ def read_log_records(path: str) -> list[tuple[int, dict[str, Point]]]:
             )
         )
         pos = end
-    return out
+    return out, pos, len(data)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +300,7 @@ class SnapshotPublisher:
         self.keep = max(1, keep)
         self._counter: VersionCounter | None = None
         self._reader: VersionCounter | None = None
+        self._log_trimmed = False
 
     # -- paths ----------------------------------------------------------
     def path_for(self, version: int) -> str:
@@ -331,6 +330,13 @@ class SnapshotPublisher:
 
     def log_update(self, locations: dict[str, Point], version: int) -> None:
         """Durable intent record for the refresh producing ``version``."""
+        if not self._log_trimmed:
+            # A writer killed mid-append may have left a torn tail; records
+            # appended after it would be invisible to read_log_records.
+            _, end, size = _scan_log(self.log_path)
+            if end < size:
+                os.truncate(self.log_path, end)
+            self._log_trimmed = True
         append_log_record(self.log_path, version, locations)
 
     def publish(
@@ -458,7 +464,6 @@ def _worker_main(
     slots: dict[str, Any] = {}
     if obs_dir:
         try:
-            os.makedirs(obs_dir, exist_ok=True)
             plane = MetricsPlane.create(
                 os.path.join(obs_dir, f"metrics-worker-{worker_id}.shm"),
                 worker_plane_specs(worker_id),
@@ -504,17 +509,11 @@ def _worker_main(
     # shutdown so the router can merge `provenance-worker-*.jsonl` files
     # exactly like trace files.
     ring = ProvenanceRing(capacity=256, origin=f"w{worker_id}")
-    prev_prov = [0.0, 0.0]  # kept, sampled_out already folded into the plane
+    prev_prov = [0, 0]  # kept, sampled_out already folded into the plane
 
     def persist_ring() -> None:
-        if not obs_dir or len(ring) == 0:
-            return
-        try:
-            ring.write_jsonl(
-                os.path.join(obs_dir, f"provenance-worker-{worker_id}.jsonl")
-            )
-        except OSError:
-            pass  # forensics must never take the worker down
+        if obs_dir:
+            ring.persist(os.path.join(obs_dir, f"provenance-worker-{worker_id}.jsonl"))
 
     def publish_versions() -> None:
         if plane is None:
@@ -1398,14 +1397,9 @@ class ProcessRouter:
         :func:`repro.obs.provenance.merge_provenance`.
         """
         if include_local:
-            local = get_provenance_ring()
-            if len(local) > 0:
-                try:
-                    local.write_jsonl(
-                        os.path.join(self.obs_dir, "provenance-router.jsonl")
-                    )
-                except OSError:
-                    pass  # merge whatever the workers already persisted
+            get_provenance_ring().persist(
+                os.path.join(self.obs_dir, "provenance-router.jsonl")
+            )
         paths = sorted(_glob.glob(
             os.path.join(self.obs_dir, "provenance-*.jsonl")
         ))

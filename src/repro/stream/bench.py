@@ -395,16 +395,7 @@ def run_stream_bench(
         # files so post-run `repro explain` sees thread-backend answers too.
         from repro.obs import get_provenance_ring
 
-        ring = get_provenance_ring()
-        if len(ring) > 0:
-            try:
-                import os as _os
-
-                ring.write_jsonl(
-                    _os.path.join(obs_dir, "provenance-router.jsonl")
-                )
-            except OSError:
-                pass
+        get_provenance_ring().persist(f"{obs_dir}/provenance-router.jsonl")
     metrics.close()
     close_backend()
     return payload

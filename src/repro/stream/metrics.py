@@ -152,7 +152,6 @@ class StreamMetrics:
         self._slots: dict[str, Any] = {}
         if obs_dir:
             try:
-                os.makedirs(obs_dir, exist_ok=True)
                 self._plane = MetricsPlane.create(
                     os.path.join(obs_dir, _PLANE_FILE),
                     stream_plane_specs(),

@@ -50,6 +50,13 @@ class TestEventSink:
         configure_events(None)
         event("into.the.void", n=1)  # must not raise
 
+    def test_torn_tail_is_skipped(self, event_file):
+        event("first", n=1)
+        event("second", n=2)
+        with open(event_file, "a", encoding="utf-8") as fh:
+            fh.write('{"ts_unix": 1.0, "level": "in')  # killed mid-line
+        assert [r["event"] for r in read_events(event_file)] == ["first", "second"]
+
 
 class TestStdlibBridge:
     def test_events_forward_to_stdlib_logging(self, event_file, caplog):

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.obs.drift import Fingerprint
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import (
@@ -11,7 +9,6 @@ from repro.obs.provenance import (
     ProvenanceRecord,
     ProvenanceRing,
     fingerprint_digest,
-    iter_jsonl_tolerant,
     merge_provenance,
     pop_evidence,
     put_evidence,
@@ -164,13 +161,6 @@ class TestPersistence:
             fh.write(json.dumps(doc) + "\n")
         records, n_torn = read_provenance(path)
         assert len(records) == 2
-        assert n_torn == 1
-
-    def test_iter_jsonl_tolerant_on_binary_garbage(self, tmp_path):
-        path = tmp_path / "g.jsonl"
-        path.write_bytes(b'{"a": 1}\n\xff\xfe\x00garbage\n{"b": 2}\n')
-        docs, n_torn = iter_jsonl_tolerant(path)
-        assert docs == [{"a": 1}, {"b": 2}]
         assert n_torn == 1
 
 

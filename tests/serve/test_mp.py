@@ -18,6 +18,7 @@ from repro.apps import QuerySource, UnknownAddressError
 from repro.geo import Point
 from repro.obs import configure_tracing, disable_tracing, merge_traces, read_trace
 from repro.obs.health import SLO
+from repro.obs.provenance import ProvenanceRing
 from repro.serve import (
     GeohashShardStrategy,
     ProcessRouter,
@@ -107,6 +108,16 @@ class TestUpdateLog:
 
     def test_missing_log_is_empty(self, tmp_path):
         assert read_log_records(str(tmp_path / "nope.log")) == []
+
+    def test_append_after_torn_tail_is_not_lost(self, tmp_path):
+        # A writer killed mid-append leaves junk; a restarted publisher
+        # must trim it, or every later record hides behind the tear.
+        path = str(tmp_path / "updates.log")
+        append_log_record(path, 1, {"a": Point(1.0, 2.0)})
+        with open(path, "ab") as f:
+            f.write(b"\x07" * 6)
+        SnapshotPublisher(str(tmp_path)).log_update({"b": Point(3.0, 4.0)}, 2)
+        assert [v for v, _ in read_log_records(path)] == [1, 2]
 
 
 class TestCrashRecovery:
@@ -282,6 +293,24 @@ class TestFleetObservability:
         ).total() == 0
         # Per-worker cache hit ratio gauges exist (no cache -> 0.0).
         assert registry.gauge("serve_worker_cache_hit_ratio") is not None
+
+    def test_forked_worker_counts_only_its_own_provenance(self, store, tmp_path):
+        # The parent's registry already holds 500 outcomes; a fork-started
+        # worker inherits it, but its plane must report only its own 5.
+        parent_ring = ProvenanceRing()
+        for i in range(500):
+            parent_ring.mint(f"p{i}", "ok", confidence=0.9)
+        ids = list(store.address_book)[:5]
+        with ProcessRouter.from_store(
+            store, str(tmp_path), n_workers=1, config=CONFIG,
+            start_method="fork",
+        ) as router:
+            router.query_batch(ids)
+            router.stop()
+            registry = router.metrics()
+        counter = registry.counter("provenance_records_total")
+        assert counter.value(result="kept", worker="0") == 5
+        assert counter.value(result="sampled_out", worker="0") == 0
 
     def test_fleet_verdict_over_merged_planes(self, store, tmp_path):
         ids = list(store.address_book)
