@@ -3,8 +3,8 @@
 Load-tests :mod:`repro.serve` over the DowntownBJ-scale synthetic city:
 a closed loop for saturated QPS across cache configurations, an open loop
 (Poisson arrivals) for tail latency at a controlled rate, and a refresh
-churning the sharded store mid-load to demonstrate the copy-on-write
-atomic swap serves zero errors during rebuilds.  A ``multiprocess``
+churning the store mid-load to demonstrate the one-reference snapshot
+swap serves zero errors during rebuilds.  A ``multiprocess``
 section then benches the mmap'd-columnar-snapshot worker pool
 (:mod:`repro.serve.mp`) at 1/2/4 workers — per-request and batched cold
 paths, refresh churn through the durable publish protocol, and
@@ -30,6 +30,7 @@ from repro.serve import (
     ServerConfig,
     ShardedLocationStore,
     SnapshotPublisher,
+    load_snapshot,
 )
 
 #: Cold worker-pool config: no result cache, generous deadline (the
@@ -160,16 +161,17 @@ def _multiprocess_section(workload, locations, snapshot_dir,
         )
         churn_stats = router.stats()
 
-    # Ring-search parity: the geohash spatial index must agree with the
-    # exhaustive linear scan on every probe.
+    # Ring-search parity: the published snapshot's geohash spatial index
+    # must agree with the exhaustive linear scan on every probe.
+    index = load_snapshot(publisher.path_for(store.version)).spatial_index()
     rng = random.Random(5)
     parity = True
     for _ in range(40):
         aid = address_ids[rng.randrange(len(address_ids))]
         probe = workload.addresses[aid].geocode
-        ring = store.nearest(probe.lng, probe.lat)
-        linear = store.nearest(probe.lng, probe.lat, linear=True)
-        if ring is None or linear is None or abs(ring[2] - linear[2]) > 1e-6:
+        ring = index.nearest(probe.lng, probe.lat)
+        linear = index.nearest_linear(probe.lng, probe.lat)
+        if ring is None or linear is None or abs(ring[1] - linear[1]) > 1e-6:
             parity = False
             break
 

@@ -13,10 +13,11 @@ from collections import Counter
 
 import numpy as np
 
-from repro.apps import DeliveryLocationStore, QuerySource
+from repro.apps import QuerySource
 from repro.core import DLInfMA, DLInfMAConfig, infer_building_locations
 from repro.eval import Workload, evaluate
 from repro.geo import haversine_m
+from repro.serve import ShardedLocationStore
 from repro.synth import downbj_config, generate_dataset
 from repro.trajectory import Address
 
@@ -50,7 +51,7 @@ def main() -> None:
     truth = building_ground_truth(dataset)
 
     # (a) store aggregation: mode of member addresses' inferred locations.
-    store = DeliveryLocationStore(address_locations, workload.addresses)
+    store = ShardedLocationStore(address_locations, workload.addresses)
     store_locations = {
         b: p for b, p in store.building_locations.items() if b in truth
     }

@@ -12,9 +12,10 @@ Run:  python examples/route_planning.py
 
 import numpy as np
 
-from repro.apps import DeliveryLocationStore, RoutePlanner, route_length
+from repro.apps import RoutePlanner, route_length
 from repro.core import DLInfMA, DLInfMAConfig
 from repro.eval import Workload
+from repro.serve import ShardedLocationStore
 from repro.synth import downbj_config, generate_dataset
 
 
@@ -42,11 +43,11 @@ def main() -> None:
         workload.train_ids, workload.val_ids, projection=workload.projection,
     )
     delivered = dataset.delivered_address_ids
-    inferred_store = DeliveryLocationStore(model.predict(delivered), workload.addresses)
-    geocode_store = DeliveryLocationStore(
+    inferred_store = ShardedLocationStore(model.predict(delivered), workload.addresses)
+    geocode_store = ShardedLocationStore(
         {a: workload.addresses[a].geocode for a in delivered}, workload.addresses
     )
-    oracle_store = DeliveryLocationStore(
+    oracle_store = ShardedLocationStore(
         {a: workload.ground_truth[a] for a in delivered}, workload.addresses
     )
 

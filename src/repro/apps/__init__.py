@@ -1,7 +1,6 @@
 """Deployment store, query service and the two downstream applications."""
 
 from repro.apps.store import (
-    DeliveryLocationStore,
     QueryResult,
     QuerySource,
     UnknownAddressError,
@@ -28,7 +27,6 @@ __all__ = [
     "estimate_courier_speed",
     "AssignmentResult",
     "ParcelAllocator",
-    "DeliveryLocationStore",
     "QueryResult",
     "QuerySource",
     "UnknownAddressError",

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.apps.routing import plan_route, route_length
-from repro.apps.store import DeliveryLocationStore
 from repro.geo import LocalProjection
+from repro.serve.shard import ShardedLocationStore
 from repro.trajectory import Address
 
 
@@ -43,7 +43,7 @@ class ParcelAllocator:
 
     def __init__(
         self,
-        store: DeliveryLocationStore,
+        store: ShardedLocationStore,
         projection: LocalProjection,
         max_rounds: int = 30,
     ) -> None:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.store import DeliveryLocationStore
 from repro.geo import LocalProjection
+from repro.serve.shard import ShardedLocationStore
 from repro.trajectory import Address, DeliveryTrip, speeds_mps
 
 
@@ -48,7 +48,7 @@ class ETAEstimator:
 
     def __init__(
         self,
-        store: DeliveryLocationStore,
+        store: ShardedLocationStore,
         projection: LocalProjection,
         speed_mps: float = 3.0,
         dwell_s_by_address: dict[str, float] | None = None,

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.store import DeliveryLocationStore
 from repro.geo import LocalProjection
+from repro.serve.shard import ShardedLocationStore
 from repro.trajectory import Address
 
 
@@ -69,7 +69,7 @@ def plan_route(points: np.ndarray, start: tuple[float, float]) -> list[int]:
 class RoutePlanner:
     """Plans delivery tours for a batch of addresses using the store."""
 
-    def __init__(self, store: DeliveryLocationStore, projection: LocalProjection) -> None:
+    def __init__(self, store: ShardedLocationStore, projection: LocalProjection) -> None:
         self.store = store
         self.projection = projection
 

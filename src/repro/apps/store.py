@@ -1,16 +1,15 @@
-"""Delivery-location store with the deployed system's query fallback.
+"""Query vocabulary of the deployed system's delivery-location store.
 
 Section VI-A: inference results are stored address-keyed; a building-keyed
 table holds each building's *most used* delivery location so addresses
 never seen in history still get a sensible answer; the geocode is the last
 resort.  Queries report which tier answered.
 
-The store is read-mostly: refreshes land "in a bi-weekly manner" while
-queries keep flowing, so :meth:`DeliveryLocationStore.update` builds the
-new tables off to the side and swaps the references in — readers only
-ever see a fully-built table, never one mid-mutation.  The sharded,
-lock-free variant used by the online serving tier lives in
-:mod:`repro.serve.shard`.
+This module holds the types every store speaks — :class:`QueryResult`,
+:class:`QuerySource`, :class:`UnknownAddressError` — and the building vote
+(:func:`aggregate_building_locations`).  The one in-process store is
+:class:`repro.serve.shard.ShardedLocationStore`; its columnar file form,
+mapped by worker processes, is :mod:`repro.serve.columnar`.
 """
 
 from __future__ import annotations
@@ -71,9 +70,9 @@ def aggregate_building_locations(
 ) -> dict[str, Point]:
     """Most frequently used location per building (mode over addresses).
 
-    Shared by the single-table store here and the sharded serving store,
-    which aggregates across *all* shards so the building fallback sees the
-    global vote, not a per-shard slice.
+    Ties break on the larger rounded ``(lng, lat)``, so the vote is
+    deterministic.  Locations keyed by ids outside ``addresses`` do not
+    vote.
     """
     votes: dict[str, Counter] = defaultdict(Counter)
     for address_id, point in address_locations.items():
@@ -86,68 +85,3 @@ def aggregate_building_locations(
         building: Point(*max(counter.items(), key=lambda kv: (kv[1], kv[0]))[0])
         for building, counter in votes.items()
     }
-
-
-class DeliveryLocationStore:
-    """Two-tier key-value store: address -> location, building -> location."""
-
-    def __init__(
-        self,
-        address_locations: dict[str, Point],
-        addresses: dict[str, Address],
-    ) -> None:
-        self._by_address = dict(address_locations)
-        self._addresses = dict(addresses)
-        self._by_building = aggregate_building_locations(
-            self._by_address, self._addresses
-        )
-
-    # ------------------------------------------------------------------
-    def query(self, address: Address) -> QueryResult:
-        """Resolve a delivery location: address -> building -> geocode."""
-        point = self._by_address.get(address.address_id)
-        if point is not None:
-            return QueryResult(point, QuerySource.ADDRESS)
-        point = self._by_building.get(address.building_id)
-        if point is not None:
-            return QueryResult(point, QuerySource.BUILDING)
-        return QueryResult(address.geocode, QuerySource.GEOCODE)
-
-    def query_id(self, address_id: str) -> QueryResult:
-        """Resolve by id; the address must be in the store's address book.
-
-        Raises :class:`UnknownAddressError` (a :class:`KeyError` subclass)
-        for ids outside the address book.
-        """
-        address = self._addresses.get(address_id)
-        if address is None:
-            raise UnknownAddressError(address_id)
-        return self.query(address)
-
-    def update(self, address_locations: dict[str, Point]) -> None:
-        """Merge a fresh inference batch (periodic refresh, Section VI-A).
-
-        Snapshot-then-swap: the merged address table and the re-aggregated
-        building table are built as *new* dicts and then bound in two
-        atomic reference assignments, so a concurrent :meth:`query` always
-        reads a complete table (it may briefly pair the new address table
-        with the old building table, which only affects which fallback a
-        cold address hits, never correctness of a served location).
-        """
-        merged = {**self._by_address, **address_locations}
-        rebuilt = aggregate_building_locations(merged, self._addresses)
-        self._by_address = merged
-        self._by_building = rebuilt
-
-    def __len__(self) -> int:
-        return len(self._by_address)
-
-    @property
-    def address_locations(self) -> dict[str, Point]:
-        """The address-level table (read-only copy)."""
-        return dict(self._by_address)
-
-    @property
-    def building_locations(self) -> dict[str, Point]:
-        """The building-level fallback table (read-only copy)."""
-        return dict(self._by_building)

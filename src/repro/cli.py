@@ -44,7 +44,6 @@ import pathlib
 import sys
 
 from repro import obs
-from repro.apps import DeliveryLocationStore
 from repro.core import DLInfMA, DLInfMAConfig
 from repro.core.persistence import load_locations, save_locations
 from repro.durable import write_text
@@ -82,8 +81,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     save_trips(dataset.trips, out / "trips.jsonl")
     save_addresses(dataset.addresses, out / "addresses.json")
     save_ground_truth(dataset.ground_truth, out / "ground_truth.json")
-    (out / "split.json").write_text(
-        json.dumps({"train": split.train, "val": split.val, "test": split.test})
+    write_text(
+        out / "split.json",
+        json.dumps({"train": split.train, "val": split.val, "test": split.test}),
     )
     stats = dataset.stats()
     print(f"generated {dataset.name}-like dataset into {out}/")
@@ -1029,10 +1029,12 @@ def _cmd_blackbox(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
+    from repro.serve import ShardedLocationStore
+
     data_dir = pathlib.Path(args.data)
     addresses = load_addresses(data_dir / "addresses.json")
     locations = load_locations(args.locations)
-    store = DeliveryLocationStore(locations, addresses)
+    store = ShardedLocationStore(locations, addresses)
     address = addresses.get(args.address_id)
     if address is None:
         print(f"unknown address id: {args.address_id}", file=sys.stderr)
@@ -1170,8 +1172,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="admission queue capacity (backpressure bound)")
     p_serve.add_argument("--timeout", type=float, default=1.0,
                          help="per-request deadline in seconds")
-    p_serve.add_argument("--shards", type=int, default=4)
-    p_serve.add_argument("--strategy", choices=("hash", "geohash"), default="hash")
+    p_serve.add_argument("--shards", type=int, default=4,
+                         help="shard count: groups the columnar snapshot's "
+                              "rows and routes ids to worker processes")
+    p_serve.add_argument("--strategy", choices=("hash", "geohash"), default="hash",
+                         help="shard key (address-id hash or geocode geohash) "
+                              "for the snapshot's row grouping and the "
+                              "process routing")
     p_serve.add_argument("--cache-size", type=int, default=2048,
                          help="result-cache capacity (0 disables)")
     p_serve.add_argument("--cache-ttl", type=float, default=30.0)
@@ -1180,7 +1187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--batch-max", type=int, default=32)
     p_serve.add_argument("--refresh-every", type=float, default=0.0,
                          help="re-apply the locations table every N seconds "
-                              "mid-run (exercises the atomic shard swap)")
+                              "mid-run (exercises the atomic snapshot swap)")
     p_serve.add_argument("--seed", type=int, default=0,
                          help="loadgen rng seed (schedules are deterministic)")
     p_serve.add_argument("--json", action="store_true",

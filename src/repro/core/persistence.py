@@ -3,7 +3,8 @@
 The deployed system (Section VI-A) separates offline inference from online
 queries; persistence is the seam: a fitted pipeline's pool, profiles and
 LocMatcher weights go to disk as ``.npz`` + JSON, and the inferred
-address→location table as plain JSON for the query store.
+address→location table as plain JSON for the query store.  JSON files are
+replaced atomically (:func:`repro.durable.write_text`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from repro.core.candidates import CandidatePool, LocationCandidate, LocationProfile, TIME_BINS
 from repro.core.locmatcher import LocMatcherSelector
+from repro.durable import write_text
 from repro.geo import LocalProjection, Point
 from repro.trajectory import StayPoint
 
@@ -31,7 +33,7 @@ def save_stay_points(stay_points_by_trip: dict[str, list[StayPoint]], path: Path
         ]
         for trip_id, stays in stay_points_by_trip.items()
     }
-    pathlib.Path(path).write_text(json.dumps(payload))
+    write_text(path, json.dumps(payload))
 
 
 def load_stay_points(path: PathLike) -> dict[str, list[StayPoint]]:
@@ -62,7 +64,7 @@ def save_candidate_pool(pool: CandidatePool, path: PathLike) -> None:
             for c in pool.candidates
         ],
     }
-    pathlib.Path(path).write_text(json.dumps(payload))
+    write_text(path, json.dumps(payload))
 
 
 def load_candidate_pool(path: PathLike) -> CandidatePool:
@@ -142,7 +144,7 @@ def load_locmatcher_into(selector: LocMatcherSelector, path: PathLike) -> LocMat
 def save_locations(locations: dict[str, Point], path: PathLike) -> None:
     """Write an address→location table as JSON (the store's payload)."""
     payload = {a: p.as_tuple() for a, p in sorted(locations.items())}
-    pathlib.Path(path).write_text(json.dumps(payload))
+    write_text(path, json.dumps(payload))
 
 
 def load_locations(path: PathLike) -> dict[str, Point]:

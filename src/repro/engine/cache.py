@@ -22,6 +22,7 @@ from typing import Any, Callable, Union
 
 import numpy as np
 
+from repro.durable import write_text
 from repro.obs import get_registry
 
 PathLike = Union[str, pathlib.Path]
@@ -163,4 +164,4 @@ class ArtifactCache:
             path = self._artifact_path(stage_name, key, output, codec.suffix)
             codec.save(outputs[output], path)
         manifest = {"stage": stage_name, "key": key, "outputs": sorted(codecs)}
-        self._manifest_path(stage_name, key).write_text(json.dumps(manifest))
+        write_text(self._manifest_path(stage_name, key), json.dumps(manifest))

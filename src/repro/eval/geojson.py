@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
+from repro.durable import write_text
 from repro.geo import Point
 
 
@@ -90,6 +91,5 @@ def predictions_to_geojson(
 
 
 def write_geojson(payload: dict, path) -> None:
-    """Write a FeatureCollection to disk."""
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
+    """Write a FeatureCollection to disk (atomic replace)."""
+    write_text(path, json.dumps(payload))

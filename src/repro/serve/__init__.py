@@ -3,9 +3,12 @@
 Turns the offline pipeline's address→location table into a servable
 system (the online half of the paper's Figure 14 deployment):
 
-* :class:`ShardedLocationStore` — the table partitioned by a pluggable
-  :class:`ShardStrategy` (address-id hash or geohash prefix), refreshed
-  by copy-on-write atomic snapshot swap so readers never take a lock.
+* :class:`ShardedLocationStore` — the in-process store: one immutable
+  :class:`StoreSnapshot` (address table, building vote, version) per
+  generation, refreshed by a one-reference swap so readers never take a
+  lock.  Its :class:`ShardStrategy` (address-id hash or geohash prefix)
+  is the key that groups columnar snapshot rows and routes ids to worker
+  processes.
 * :class:`QueryServer` — thread-pool workers behind a *bounded* admission
   queue (explicit ``REJECTED`` backpressure), per-request deadlines, and
   full :mod:`repro.obs` instrumentation.
@@ -62,8 +65,8 @@ from repro.serve.shard import (
     GeohashShardStrategy,
     HashShardStrategy,
     ShardedLocationStore,
-    ShardSnapshot,
     ShardStrategy,
+    StoreSnapshot,
 )
 
 __all__ = [
@@ -100,6 +103,6 @@ __all__ = [
     "GeohashShardStrategy",
     "HashShardStrategy",
     "ShardedLocationStore",
-    "ShardSnapshot",
     "ShardStrategy",
+    "StoreSnapshot",
 ]

@@ -1,10 +1,10 @@
-"""Columnar snapshot files: the sharded store as flat numpy arrays.
+"""Columnar snapshot files: the location store as flat numpy arrays.
 
-The in-process :class:`~repro.serve.shard.ShardSnapshot` is a tuple of
-python dicts — perfect for lock-free swaps inside one interpreter, but it
-cannot cross a process boundary without pickling the world, and every
-lookup walks per-address python objects.  This module serializes one
-snapshot generation into a single file of flat arrays:
+The in-process :class:`~repro.serve.shard.StoreSnapshot` is two python
+dicts — the fastest per-id lookup inside one interpreter and a one-reference
+swap on refresh, but it cannot cross a process boundary without pickling
+the world.  This module serializes one store generation into a single
+file of flat arrays, which is what the worker processes map:
 
 * an address-id hash table (``hash_sorted``/``hash_row``: blake2b-64 of
   the id, sorted, plus the row permutation) for O(log n) vectorized id
@@ -13,8 +13,8 @@ snapshot generation into a single file of flat arrays:
   the address has no inferred location), geocode, confidence (float32,
   NaN when unscored), building-row link, POI category, and the raw id /
   address-text bytes as offset-indexed blobs;
-* rows grouped by shard (``shard_offsets``) so a worker owning shard *k*
-  touches one contiguous slice;
+* rows grouped by the store's shard key (``shard_offsets``) so a worker
+  owning shard *k* touches one contiguous slice;
 * the global building fallback table (``bld_*``);
 * a packed-geohash spatial index over the inferred locations
   (``sp_*``), the same cells the
@@ -146,8 +146,7 @@ def build_columnar_arrays(
     poi = np.empty(n, dtype=np.int16)
     for i, address_id in enumerate(ids):
         address = addresses[address_id]
-        shard = snapshot.shards[strategy.shard_of(address_id, address)]
-        point = shard.get(address_id)
+        point = snapshot.by_address.get(address_id)
         if point is not None:
             loc_lng[i] = point.lng
             loc_lat[i] = point.lat

@@ -1,8 +1,8 @@
 """Multi-process serving: worker pool over mmap'd columnar snapshots.
 
 The thread-pool :class:`~repro.serve.server.QueryServer` is GIL-bound —
-every shard lookup walks python dicts, so adding threads never buys a
-second core.  This module promotes the same copy-on-write snapshot design
+every lookup walks python dicts, so adding threads never buys a second
+core.  This module promotes the same build-then-swap snapshot design
 across process boundaries:
 
 * A :class:`SnapshotPublisher` owns a directory of versioned columnar
@@ -51,7 +51,6 @@ import threading
 import time
 import zlib
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Any, Sequence
 

@@ -1,31 +1,32 @@
-"""Sharded, copy-on-write delivery-location store for online serving.
+"""The in-process delivery-location store for online serving.
 
-The deployed system (Figure 14) answers location queries for a whole
-city's worth of addresses; one flat dict per process stops being a
-sensible unit of refresh and capacity planning long before that.  This
-module partitions the address-level table into N shards under a pluggable
-:class:`ShardStrategy` — address-id hash by default, geohash-prefix of the
-geocode for spatial locality — while keeping the building-level fallback
-*global*, because the "most used location in this building" vote must run
-over every address of the building regardless of which shard it landed in.
+The deployed system (Figure 14) resolves address -> building -> geocode
+and takes a refresh every two weeks (Section VI-A).  In one process that
+is :class:`ShardedLocationStore`: one immutable :class:`StoreSnapshot`
+per generation holding the address table, the building vote over all of
+it, and a version.  A refresh builds the next generation off to the side
+and then flips one reference; a reader grabbed the reference once at
+query start, so it sees the whole old generation or the whole new one.
+Readers take no lock — only writers serialize, on a writer-only mutex.
 
-Refresh never mutates live state.  A refresh builds a complete new
-:class:`ShardSnapshot` off to the side and then flips one reference; a
-concurrent reader grabbed the snapshot reference once at query start, so
-it either sees the whole old world or the whole new world.  Readers take
-no lock at all — only writers serialize (on a writer-only mutex), which
-is what makes ``refresh()`` invisible to the query path.
+A per-id dict lookup here is more than ten times cheaper than a per-id
+lookup on the memory-mapped :class:`~repro.serve.columnar.ColumnarSnapshot`,
+which is why the dict generation, not the columnar file, is what an
+in-process server reads on a cache miss.
+
+The :class:`ShardStrategy` (address-id hash, or geohash prefix of the
+geocode for spatial locality) does not split these tables.  It keeps one
+job: the key that groups columnar snapshot rows and routes ids to worker
+processes (:class:`~repro.serve.mp.ProcessRouter`).
 """
 
 from __future__ import annotations
 
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
-
-import numpy as np
 
 from repro.apps.store import (
     QueryResult,
@@ -34,7 +35,7 @@ from repro.apps.store import (
     aggregate_building_locations,
 )
 from repro.geo import Point
-from repro.geo.geohash import GeohashSpatialIndex, geohash_encode
+from repro.geo.geohash import geohash_encode
 from repro.trajectory import Address
 
 
@@ -76,10 +77,9 @@ class GeohashShardStrategy(ShardStrategy):
     """Partition by geohash prefix of the geocode (spatial locality).
 
     Addresses in the same geohash-``precision`` cell land on the same
-    shard, so a refresh that only touches one district only rebuilds the
-    shards covering it, and a shard's working set is geographically
-    compact — the Ping2Hex-style layout.  Falls back to the id hash for
-    addresses outside the address book.
+    shard, so a worker process's slice of the snapshot is geographically
+    compact — the Ping2Hex-style spatial key as routing key.  Falls back
+    to the id hash for addresses outside the address book.
     """
 
     def __init__(self, n_shards: int, precision: int = 5) -> None:
@@ -91,7 +91,7 @@ class GeohashShardStrategy(ShardStrategy):
     def cell_of(self, address: Address) -> str:
         """The geohash cell that routes this address.
 
-        The *same* cells back the snapshot's spatial index
+        The *same* cells back the columnar snapshot's spatial index
         (:class:`repro.geo.geohash.GeohashSpatialIndex` at this
         precision), so shard routing and nearest-candidate ring search
         agree on the space partition — one index, two consumers.
@@ -107,49 +107,44 @@ class GeohashShardStrategy(ShardStrategy):
 
 
 @dataclass(frozen=True)
-class ShardSnapshot:
+class StoreSnapshot:
     """One immutable generation of the serving tables.
 
-    ``shards[i]`` is the address->location dict of shard ``i``;
-    ``by_building`` is the global building fallback.  Queries resolve
-    entirely against one snapshot, so a mid-query swap is harmless.
+    ``by_address`` is the address->location table and ``by_building`` the
+    building fallback voted over all of it.  Neither dict is mutated after
+    construction, so a query that read the snapshot reference once
+    resolves entirely against one generation.
     """
 
-    shards: tuple[dict[str, Point], ...]
+    by_address: dict[str, Point]
     by_building: dict[str, Point]
     version: int
 
     @property
     def size(self) -> int:
-        return sum(len(s) for s in self.shards)
+        return len(self.by_address)
 
-    def shard_sizes(self) -> list[int]:
-        return [len(s) for s in self.shards]
-
-
-@dataclass
-class SwapStats:
-    """Writer-side bookkeeping (how many swaps, last swap size)."""
-
-    swaps: int = 0
-    last_merged: int = 0
-    rebuilt_shards: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def record(self, merged: int, rebuilt: int) -> None:
-        with self._lock:
-            self.swaps += 1
-            self.last_merged = merged
-            self.rebuilt_shards += rebuilt
+    def resolve(self, address: Address) -> QueryResult:
+        """Three-tier fallback: address -> building -> geocode."""
+        point = self.by_address.get(address.address_id)
+        if point is not None:
+            return QueryResult(point, QuerySource.ADDRESS)
+        point = self.by_building.get(address.building_id)
+        if point is not None:
+            return QueryResult(point, QuerySource.BUILDING)
+        return QueryResult(address.geocode, QuerySource.GEOCODE)
 
 
 class ShardedLocationStore:
-    """Drop-in serving replacement for :class:`DeliveryLocationStore`.
+    """The in-process delivery-location store.
 
-    Same query contract (``query`` / ``query_id`` / three-tier fallback /
-    :class:`UnknownAddressError`), but reads are lock-free against an
-    immutable :class:`ShardSnapshot` and every write path is
-    copy-on-write + atomic swap.
+    Query contract: ``query`` / ``query_id`` / ``query_ids_batch`` with the
+    three-tier fallback and :class:`UnknownAddressError` for ids outside
+    the address book.  Reads are lock-free against an immutable
+    :class:`StoreSnapshot`; ``update`` and ``replace`` build the next
+    generation off to the side and swap one reference.  The
+    :class:`ShardStrategy` does not partition the tables: it is the key
+    that groups columnar snapshot rows and routes ids to worker processes.
     """
 
     def __init__(
@@ -163,104 +158,60 @@ class ShardedLocationStore:
         self._addresses = dict(addresses)
         self._strategy = strategy or HashShardStrategy(n_shards)
         self._write_lock = threading.Lock()
-        self.swap_stats = SwapStats()
-        self._snapshot = self._build_snapshot(
-            dict(address_locations), version=initial_version
+        self._snapshot = self._generation(
+            dict(address_locations), initial_version
         )
-        #: (snapshot version, row ids, index) — rebuilt lazily per generation.
-        self._spatial: tuple[int, list[str], GeohashSpatialIndex] | None = None
 
     # ------------------------------------------------------------------
     # Construction of immutable generations (writer side)
     # ------------------------------------------------------------------
-    def _shard_of(self, address_id: str) -> int:
-        return self._strategy.shard_of(address_id, self._addresses.get(address_id))
+    def _generation(
+        self, by_address: dict[str, Point], version: int
+    ) -> StoreSnapshot:
+        by_building = aggregate_building_locations(by_address, self._addresses)
+        return StoreSnapshot(by_address, by_building, version)
 
-    def _build_snapshot(
-        self, address_locations: dict[str, Point], version: int
-    ) -> ShardSnapshot:
-        shards: list[dict[str, Point]] = [
-            {} for _ in range(self._strategy.n_shards)
-        ]
-        for address_id, point in address_locations.items():
-            shards[self._shard_of(address_id)][address_id] = point
-        by_building = aggregate_building_locations(
-            address_locations, self._addresses
-        )
-        return ShardSnapshot(tuple(shards), by_building, version)
-
-    def update(self, address_locations: dict[str, Point]) -> ShardSnapshot:
+    def update(self, address_locations: dict[str, Point]) -> StoreSnapshot:
         """Merge a refresh batch and atomically swap the snapshot in.
 
-        Only the shards an updated address maps to are copied; untouched
-        shard dicts are carried into the new snapshot by reference (they
-        are never mutated, so sharing is safe).  The building table is
-        re-aggregated globally.  Returns the new snapshot.
+        The merged address table and the re-voted building table form a
+        new generation; the old one is never mutated.  Returns the new
+        snapshot (the current one, unchanged, for an empty batch).
         """
         if not address_locations:
             return self._snapshot
         with self._write_lock:
             old = self._snapshot
-            touched: dict[int, dict[str, Point]] = {}
-            for address_id, point in address_locations.items():
-                idx = self._shard_of(address_id)
-                if idx not in touched:
-                    touched[idx] = dict(old.shards[idx])
-                touched[idx][address_id] = point
-            shards = tuple(
-                touched.get(i, old.shards[i]) for i in range(len(old.shards))
+            self._snapshot = self._generation(
+                {**old.by_address, **address_locations}, old.version + 1
             )
-            merged: dict[str, Point] = {}
-            for shard in shards:
-                merged.update(shard)
-            snapshot = ShardSnapshot(
-                shards,
-                aggregate_building_locations(merged, self._addresses),
-                old.version + 1,
-            )
-            self._snapshot = snapshot
-            self.swap_stats.record(len(address_locations), len(touched))
-            return snapshot
+            return self._snapshot
 
-    def replace(self, address_locations: dict[str, Point]) -> ShardSnapshot:
-        """Rebuild every shard from scratch and swap (full refresh)."""
+    def replace(self, address_locations: dict[str, Point]) -> StoreSnapshot:
+        """Rebuild both tables from scratch and swap (full refresh)."""
         with self._write_lock:
-            snapshot = self._build_snapshot(
+            self._snapshot = self._generation(
                 dict(address_locations), self._snapshot.version + 1
             )
-            self._snapshot = snapshot
-            self.swap_stats.record(len(address_locations), len(snapshot.shards))
-            return snapshot
+            return self._snapshot
 
     # ------------------------------------------------------------------
     # Lock-free read path
     # ------------------------------------------------------------------
-    def snapshot(self) -> ShardSnapshot:
+    def snapshot(self) -> StoreSnapshot:
         """The current immutable generation (one atomic reference read)."""
         return self._snapshot
 
-    def _resolve(self, snapshot: ShardSnapshot, address: Address) -> QueryResult:
-        shard = snapshot.shards[
-            self._strategy.shard_of(address.address_id, address)
-        ]
-        point = shard.get(address.address_id)
-        if point is not None:
-            return QueryResult(point, QuerySource.ADDRESS)
-        point = snapshot.by_building.get(address.building_id)
-        if point is not None:
-            return QueryResult(point, QuerySource.BUILDING)
-        return QueryResult(address.geocode, QuerySource.GEOCODE)
-
     def query(self, address: Address) -> QueryResult:
         """Three-tier fallback resolution against one snapshot."""
-        return self._resolve(self._snapshot, address)
+        return self._snapshot.resolve(address)
 
     def query_id(self, address_id: str) -> QueryResult:
         """Resolve by id; raises :class:`UnknownAddressError` on a miss."""
         address = self._addresses.get(address_id)
         if address is None:
             raise UnknownAddressError(address_id)
-        return self._resolve(self._snapshot, address)
+        return self._snapshot.resolve(address)
 
     def query_ids_batch(
         self, address_ids: list[str]
@@ -279,50 +230,8 @@ class ShardedLocationStore:
             if address is None:
                 out[address_id] = UnknownAddressError(address_id)
             else:
-                out[address_id] = self._resolve(snapshot, address)
+                out[address_id] = snapshot.resolve(address)
         return out
-
-    # ------------------------------------------------------------------
-    # Spatial retrieval (shares the geohash cells that route shards)
-    # ------------------------------------------------------------------
-    def _spatial_index(self) -> tuple[list[str], GeohashSpatialIndex]:
-        """The current generation's geohash index over inferred locations."""
-        snapshot = self._snapshot
-        cached = self._spatial
-        if cached is not None and cached[0] == snapshot.version:
-            return cached[1], cached[2]
-        ids: list[str] = []
-        lngs: list[float] = []
-        lats: list[float] = []
-        for shard in snapshot.shards:
-            for address_id, point in shard.items():
-                ids.append(address_id)
-                lngs.append(point.lng)
-                lats.append(point.lat)
-        precision = getattr(self._strategy, "precision", 6)
-        index = GeohashSpatialIndex.build(
-            np.asarray(lngs), np.asarray(lats), precision
-        )
-        self._spatial = (snapshot.version, ids, index)
-        return ids, index
-
-    def nearest(
-        self, lng: float, lat: float, linear: bool = False
-    ) -> tuple[str, Point, float] | None:
-        """Closest inferred delivery location to a coordinate.
-
-        Returns ``(address_id, location, distance_m)`` or ``None`` on an
-        empty store.  The production path is the geohash ring search of
-        :class:`~repro.geo.geohash.GeohashSpatialIndex` — the same cells
-        a :class:`GeohashShardStrategy` routes by; ``linear=True`` forces
-        the exact reference scan (parity oracle for tests/benches).
-        """
-        ids, index = self._spatial_index()
-        hit = index.nearest_linear(lng, lat) if linear else index.nearest(lng, lat)
-        if hit is None:
-            return None
-        row, dist = hit
-        return ids[row], Point(float(index.lngs[row]), float(index.lats[row])), dist
 
     # ------------------------------------------------------------------
     # Durability (columnar snapshot + update log)
@@ -369,14 +278,14 @@ class ShardedLocationStore:
         return store
 
     # ------------------------------------------------------------------
-    # Introspection / compatibility
+    # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._snapshot.size
 
     @property
     def address_book(self) -> Mapping[str, Address]:
-        """Read-only view of the address book (columnar serialization)."""
+        """Read-only view of the address book (columnar rows, routing)."""
         return MappingProxyType(self._addresses)
 
     @property
@@ -393,11 +302,8 @@ class ShardedLocationStore:
 
     @property
     def address_locations(self) -> dict[str, Point]:
-        """Merged address-level table (read-only copy, all shards)."""
-        merged: dict[str, Point] = {}
-        for shard in self._snapshot.shards:
-            merged.update(shard)
-        return merged
+        """The address-level table (read-only copy)."""
+        return dict(self._snapshot.by_address)
 
     @property
     def building_locations(self) -> dict[str, Point]:

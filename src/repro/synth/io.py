@@ -1,7 +1,9 @@
 """Dataset serialization: trips, addresses and ground truth as JSON lines.
 
 Lets generated worlds be shared between processes (e.g. the CLI's
-``generate`` then ``evaluate`` commands) without re-simulating.
+``generate`` then ``evaluate`` commands) without re-simulating.  Every
+writer replaces its file atomically (:mod:`repro.durable`), so a crash
+mid-save leaves the previous file, never a truncated one.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import json
 import pathlib
 from typing import Union
 
+from repro.durable import atomic_write, write_text
 from repro.geo import Point
 from repro.trajectory import Address, DeliveryTrip, TrajPoint, Trajectory, Waybill
 
@@ -52,10 +55,13 @@ def trip_from_dict(payload: dict) -> DeliveryTrip:
 
 
 def save_trips(trips: list[DeliveryTrip], path: PathLike) -> None:
-    """Write trips as JSON lines."""
-    with open(path, "w") as handle:
+    """Write trips as JSON lines, streamed one trip at a time."""
+
+    def write(handle) -> None:
         for trip in trips:
-            handle.write(json.dumps(trip_to_dict(trip)) + "\n")
+            handle.write((json.dumps(trip_to_dict(trip)) + "\n").encode("utf-8"))
+
+    atomic_write(path, write)
 
 
 def load_trips(path: PathLike) -> list[DeliveryTrip]:
@@ -80,7 +86,7 @@ def save_addresses(addresses: dict[str, Address], path: PathLike) -> None:
         }
         for a in addresses.values()
     }
-    pathlib.Path(path).write_text(json.dumps(payload))
+    write_text(path, json.dumps(payload))
 
 
 def load_addresses(path: PathLike) -> dict[str, Address]:
@@ -101,7 +107,7 @@ def load_addresses(path: PathLike) -> dict[str, Address]:
 def save_ground_truth(ground_truth: dict[str, Point], path: PathLike) -> None:
     """Write ground-truth delivery locations as JSON."""
     payload = {a: p.as_tuple() for a, p in sorted(ground_truth.items())}
-    pathlib.Path(path).write_text(json.dumps(payload))
+    write_text(path, json.dumps(payload))
 
 
 def load_ground_truth(path: PathLike) -> dict[str, Point]:

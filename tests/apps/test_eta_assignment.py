@@ -3,11 +3,11 @@ import pytest
 
 from repro.apps import (
     AssignmentResult,
-    DeliveryLocationStore,
     ETAEstimator,
     ParcelAllocator,
     estimate_courier_speed,
 )
+from repro.serve import ShardedLocationStore
 from tests.core.helpers import PROJ, make_address, make_trip, point_at
 
 
@@ -17,7 +17,7 @@ def line_store():
         f"a{i}": make_address(f"a{i}", f"b{i}", (100.0 * (i + 1), 0.0)) for i in range(4)
     }
     locations = {f"a{i}": point_at(100.0 * (i + 1), 0.0) for i in range(4)}
-    return DeliveryLocationStore(locations, addresses), addresses
+    return ShardedLocationStore(locations, addresses), addresses
 
 
 class TestETAEstimator:
@@ -78,7 +78,7 @@ class TestParcelAllocator:
             aid = f"a{i}"
             addresses[aid] = make_address(aid, f"b{i}", (x, y))
             locations[aid] = point_at(x, y)
-        return DeliveryLocationStore(locations, addresses), list(addresses.values())
+        return ShardedLocationStore(locations, addresses), list(addresses.values())
 
     def test_balanced_two_couriers(self):
         store, addresses = self._spread_store()

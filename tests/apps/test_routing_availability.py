@@ -3,7 +3,6 @@ import pytest
 
 from repro.apps import (
     AvailabilityModel,
-    DeliveryLocationStore,
     RoutePlanner,
     actual_delivery_times,
     nearest_neighbor_order,
@@ -12,6 +11,7 @@ from repro.apps import (
     two_opt,
 )
 from repro.core import extract_trip_stay_points
+from repro.serve import ShardedLocationStore
 from tests.core.helpers import PROJ, make_address, make_trip, point_at
 
 
@@ -52,7 +52,7 @@ class TestTSP:
             "a1": make_address("a1", "b1", (0.0, 0.0)),
             "a2": make_address("a2", "b2", (0.0, 0.0)),
         }
-        store = DeliveryLocationStore(
+        store = ShardedLocationStore(
             {"a1": point_at(100.0, 0.0), "a2": point_at(50.0, 0.0)}, addresses
         )
         planner = RoutePlanner(store, PROJ)
@@ -61,7 +61,7 @@ class TestTSP:
         assert length == pytest.approx(100.0, abs=1.0)
 
     def test_route_planner_empty(self):
-        store = DeliveryLocationStore({}, {})
+        store = ShardedLocationStore({}, {})
         order, length = RoutePlanner(store, PROJ).plan([], (0.0, 0.0))
         assert order == [] and length == 0.0
 

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.apps import DeliveryLocationStore, QuerySource
-from repro.geo import Point
+from repro.apps import QuerySource
+from repro.serve import ShardedLocationStore
 from tests.core.helpers import make_address, point_at
 
 
 class TestStoreEdges:
     def test_empty_store_geocodes_everything(self):
-        store = DeliveryLocationStore({}, {})
+        store = ShardedLocationStore({}, {})
         probe = make_address("x", "bX", (0.0, 0.0))
         result = store.query(probe)
         assert result.source == QuerySource.GEOCODE
@@ -17,7 +17,7 @@ class TestStoreEdges:
 
     def test_location_for_unknown_address_ignored_in_building_table(self):
         # A location keyed by an address missing from the book cannot vote.
-        store = DeliveryLocationStore(
+        store = ShardedLocationStore(
             {"ghost": point_at(0.0, 0.0)},
             {"a1": make_address("a1", "b1", (0.0, 0.0))},
         )
@@ -31,19 +31,19 @@ class TestStoreEdges:
             "a1": make_address("a1", "b1", (0.0, 0.0)),
             "a2": make_address("a2", "b1", (1.0, 0.0)),
         }
-        store = DeliveryLocationStore(
+        store = ShardedLocationStore(
             {"a1": point_at(10.0, 0.0), "a2": point_at(50.0, 0.0)}, addresses
         )
         first = store.building_locations["b1"]
         for _ in range(5):
-            again = DeliveryLocationStore(
+            again = ShardedLocationStore(
                 {"a1": point_at(10.0, 0.0), "a2": point_at(50.0, 0.0)}, addresses
             ).building_locations["b1"]
             assert again == first
 
     def test_update_with_new_address(self):
         addresses = {"a1": make_address("a1", "b1", (0.0, 0.0))}
-        store = DeliveryLocationStore({}, addresses)
+        store = ShardedLocationStore({}, addresses)
         assert store.query_id("a1").source == QuerySource.GEOCODE
         store.update({"a1": point_at(25.0, 0.0)})
         assert store.query_id("a1").source == QuerySource.ADDRESS

@@ -8,12 +8,9 @@ queries flow through the service facade.
 
 import pytest
 
-from repro.apps import (
-    DeliveryLocationService,
-    DeliveryLocationStore,
-    QuerySource,
-)
+from repro.apps import DeliveryLocationService, QuerySource
 from repro.obs import MetricsRegistry, get_registry, set_registry
+from repro.serve import ShardedLocationStore
 from tests.core.helpers import PROJ, make_address, point_at
 
 
@@ -45,7 +42,7 @@ def tiers():
 class TestTierLabels:
     def test_address_tier_label(self, tiers):
         addresses, locations = tiers
-        store = DeliveryLocationStore(locations, addresses)
+        store = ShardedLocationStore(locations, addresses)
         result = store.query(addresses["hit"])
         assert result.source == QuerySource.ADDRESS
         assert result.source.value == "address"
@@ -53,7 +50,7 @@ class TestTierLabels:
 
     def test_building_tier_label(self, tiers):
         addresses, locations = tiers
-        store = DeliveryLocationStore(locations, addresses)
+        store = ShardedLocationStore(locations, addresses)
         # "cold" was never inferred, but its building has located
         # siblings: the modal sibling location answers.
         result = store.query(addresses["cold"])
@@ -65,7 +62,7 @@ class TestTierLabels:
 
     def test_geocode_tier_label(self, tiers):
         addresses, locations = tiers
-        store = DeliveryLocationStore(locations, addresses)
+        store = ShardedLocationStore(locations, addresses)
         # "orphan" has neither an inferred location nor located
         # building-mates: the raw geocode is the last resort.
         result = store.query(addresses["orphan"])

@@ -1,17 +1,21 @@
-"""Sharded store: partitioning, copy-on-write swap, concurrent safety."""
+"""The in-process store: shard keys, one-reference swap, concurrent safety."""
 
 import random
 import threading
+import time
 
 import pytest
 
-from repro.apps import DeliveryLocationStore, QuerySource, UnknownAddressError
+from repro.apps import QuerySource, UnknownAddressError
+from repro.apps.store import aggregate_building_locations
 from repro.serve import (
     GeohashShardStrategy,
     HashShardStrategy,
     ProcessRouter,
     ShardedLocationStore,
     SnapshotPublisher,
+    load_snapshot,
+    write_snapshot,
 )
 from repro.serve.shard import _stable_hash
 from tests.core.helpers import make_address, point_at
@@ -63,21 +67,17 @@ class TestStrategies:
 
 
 class TestQueryParity:
-    """The sharded store answers exactly like the flat store."""
+    """Every strategy answers the same three-tier fallback."""
 
     @pytest.mark.parametrize("strategy_cls", [HashShardStrategy, GeohashShardStrategy])
-    def test_all_tiers_match_flat_store(self, world, strategy_cls):
+    def test_three_tiers(self, world, strategy_cls):
         addresses, locations = world
-        flat = DeliveryLocationStore(locations, addresses)
-        sharded = ShardedLocationStore(
-            locations, addresses, strategy=strategy_cls(3)
-        )
-        probes = list(addresses.values()) + [
-            make_address("new", "b1", (2.0, 2.0)),       # building tier
-            make_address("s", "nowhere", (42.0, 0.0)),    # geocode tier
-        ]
-        for probe in probes:
-            assert sharded.query(probe) == flat.query(probe), probe.address_id
+        store = ShardedLocationStore(locations, addresses, strategy=strategy_cls(3))
+        assert store.query(addresses["a1"]).source == QuerySource.ADDRESS
+        newcomer = make_address("new", "b1", (2.0, 2.0))
+        assert store.query(newcomer).source == QuerySource.BUILDING
+        stranger = make_address("s", "nowhere", (42.0, 0.0))
+        assert store.query(stranger).location == stranger.geocode
 
     def test_query_id_and_unknown(self, world):
         addresses, locations = world
@@ -107,21 +107,9 @@ class TestCopyOnWrite:
         assert after is not before
         assert after.version == before.version + 1
         # The old generation is untouched.
-        assert "a4" not in {k for shard in before.shards for k in shard}
+        assert "a4" not in before.by_address
+        assert "b2" not in before.by_building
         assert store.query_id("a4").source == QuerySource.ADDRESS
-
-    def test_untouched_shards_are_shared_not_copied(self, world):
-        addresses, locations = world
-        store = ShardedLocationStore(locations, addresses, n_shards=4)
-        before = store.snapshot()
-        store.update({"a4": point_at(510.0, 0.0)})
-        after = store.snapshot()
-        idx = store._strategy.shard_of("a4", addresses["a4"])
-        shared = [
-            i for i in range(4)
-            if i != idx and after.shards[i] is before.shards[i]
-        ]
-        assert len(shared) == 3
 
     def test_empty_update_is_a_noop(self, world):
         addresses, locations = world
@@ -139,18 +127,19 @@ class TestCopyOnWrite:
 
     def test_building_fallback_is_global_across_shards(self, world):
         addresses, locations = world
-        # Many shards: b1's addresses scatter, yet the building vote
-        # still aggregates across all of them.
+        # Many shards: b1's addresses fall on different shard keys, yet
+        # the building vote still runs over all of them.
         store = ShardedLocationStore(locations, addresses, n_shards=16)
-        flat = DeliveryLocationStore(locations, addresses)
-        assert store.building_locations == flat.building_locations
+        assert store.building_locations == aggregate_building_locations(
+            locations, addresses
+        )
 
     def test_merged_views(self, world):
         addresses, locations = world
         store = ShardedLocationStore(locations, addresses, n_shards=4)
         assert store.address_locations == locations
         assert len(store) == len(locations)
-        assert sum(store.snapshot().shard_sizes()) == len(locations)
+        assert store.snapshot().by_address == locations
 
 
 class TestShardAssignmentStability:
@@ -200,9 +189,10 @@ class TestShardAssignmentStability:
 
 
 class TestNearestParity:
-    """The geohash ring search must agree with the exact linear scan."""
+    """The columnar snapshot's geohash ring search agrees with the exact
+    linear scan (nearest-location retrieval lives on the snapshot file)."""
 
-    def test_ring_matches_linear_scan(self):
+    def test_ring_matches_linear_scan(self, tmp_path):
         rng = random.Random(7)
         addresses, locations = {}, {}
         for i in range(150):
@@ -213,58 +203,96 @@ class TestNearestParity:
         store = ShardedLocationStore(
             locations, addresses, strategy=GeohashShardStrategy(4, precision=6)
         )
+        path = str(tmp_path / "snap.rsnap")
+        write_snapshot(path, store)
+        snap = load_snapshot(path)
+        index = snap.spatial_index()
         for _ in range(60):
             probe = point_at(rng.uniform(-4000, 4000), rng.uniform(-4000, 4000))
-            ring = store.nearest(probe.lng, probe.lat)
-            linear = store.nearest(probe.lng, probe.lat, linear=True)
+            ring = snap.nearest(probe.lng, probe.lat)
+            linear = index.nearest_linear(probe.lng, probe.lat)
             assert ring is not None and linear is not None
             rid, rpt, rdist = ring
-            lid, lpt, ldist = linear
+            row, ldist = linear
             assert rdist == pytest.approx(ldist, abs=1e-6)
-            assert rid == lid
+            assert rpt.lng == pytest.approx(float(index.lngs[row]), abs=1e-12)
+            assert rpt.lat == pytest.approx(float(index.lats[row]), abs=1e-12)
+            assert rpt == locations[rid]
 
-    def test_empty_store_returns_none(self):
+    def test_empty_store_returns_none(self, tmp_path):
         store = ShardedLocationStore({}, {}, n_shards=2)
-        assert store.nearest(0.0, 0.0) is None
+        path = str(tmp_path / "empty.rsnap")
+        write_snapshot(path, store)
+        assert load_snapshot(path).nearest(0.0, 0.0) is None
 
 
 class TestAtomicSwapUnderLoad:
-    """Acceptance: a refresh mid-load causes zero query errors."""
+    """Acceptance: a refresh mid-load causes zero query errors, and every
+    answer comes whole from one generation."""
 
-    def test_concurrent_queries_during_refresh(self, world):
-        addresses, locations = world
-        store = ShardedLocationStore(locations, addresses, n_shards=4)
+    def test_concurrent_queries_during_refresh(self):
+        n_addresses = 64
+        addresses = {
+            f"a{i}": make_address(
+                f"a{i}", "b-cold" if i >= 60 else f"b{i // 2 % 8}", (float(i), 0.0)
+            )
+            for i in range(n_addresses)
+        }
+        # Generation A (``replace(base)``): even ids below 60 located; odd
+        # ids fall back to their building's vote, and "b-cold" members to
+        # the geocode.  Generation B (``update(moved)`` on top of A): every
+        # id located, at a different spot — so ids move between tiers on
+        # each swap.
+        base = {f"a{i}": point_at(float(i), 10.0) for i in range(0, 60, 2)}
+        moved = {f"a{i}": point_at(float(i), 90.0) for i in range(n_addresses)}
+        store = ShardedLocationStore(base, addresses, n_shards=4)
+        gen_a = {aid: store.query_id(aid) for aid in addresses}
+        gen_b = {
+            aid: ShardedLocationStore({**base, **moved}, addresses).query_id(aid)
+            for aid in addresses
+        }
+        tiers = {(gen_a[a].source, gen_b[a].source) for a in addresses}
+        assert tiers == {
+            (QuerySource.ADDRESS, QuerySource.ADDRESS),
+            (QuerySource.BUILDING, QuerySource.ADDRESS),
+            (QuerySource.GEOCODE, QuerySource.ADDRESS),
+        }
+        assert all(gen_a[a] != gen_b[a] for a in addresses)
+
         ids = list(addresses)
         errors: list[BaseException] = []
         stop = threading.Event()
 
-        def reader() -> None:
+        def reader(by_object: bool) -> None:
             i = 0
             while not stop.is_set():
+                aid = ids[i % len(ids)]
                 try:
-                    result = store.query_id(ids[i % len(ids)])
-                    assert result.location is not None
-                    assert result.source in (
-                        QuerySource.ADDRESS, QuerySource.BUILDING,
-                        QuerySource.GEOCODE,
-                    )
+                    if by_object:
+                        result = store.query(addresses[aid])
+                    else:
+                        result = store.query_id(aid)
+                    # Either generation is fine; a torn one is not.
+                    assert result in (gen_a[aid], gen_b[aid]), (aid, result)
                 except BaseException as exc:  # noqa: BLE001
                     errors.append(exc)
                     return
                 i += 1
 
-        readers = [threading.Thread(target=reader) for _ in range(8)]
+        readers = [
+            threading.Thread(target=reader, args=(k % 2 == 0,)) for k in range(8)
+        ]
         for thread in readers:
             thread.start()
-        moved = {aid: point_at(700.0 + i, 0.0) for i, aid in enumerate(ids)}
         for round_no in range(200):
             if round_no % 2 == 0:
                 store.update(moved)
             else:
-                store.replace(locations)
+                store.replace(base)
+            time.sleep(0.0002)  # let readers run between swaps
         stop.set()
         for thread in readers:
             thread.join()
         assert errors == []
-        assert store.swap_stats.swaps == 200
         assert store.version == 201
+        assert {aid: store.query_id(aid) for aid in ids} == gen_a
