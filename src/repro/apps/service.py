@@ -21,7 +21,7 @@ from repro.geo import LocalProjection, Point
 from repro.obs import event, get_registry
 from repro.obs import span as obs_span
 from repro.obs.drift import DriftMonitor, matcher_fingerprint, pool_fingerprint
-from repro.serve.shard import ShardedLocationStore, ShardStrategy
+from repro.serve.shard import ShardedLocationStore
 from repro.trajectory import Address, DeliveryTrip
 
 
@@ -52,15 +52,11 @@ class DeliveryLocationService:
         addresses: dict[str, Address],
         projection: LocalProjection,
         config: DLInfMAConfig | None = None,
-        n_shards: int = 4,
-        shard_strategy: ShardStrategy | None = None,
     ) -> None:
         self.addresses = dict(addresses)
         self.projection = projection
         self.config = config or DLInfMAConfig()
-        self.store = ShardedLocationStore(
-            {}, self.addresses, n_shards=n_shards, strategy=shard_strategy
-        )
+        self.store = ShardedLocationStore({}, self.addresses)
         self.pipeline: DLInfMA | None = None
         self.last_refresh: ServiceStats | None = None
         #: Fingerprints every refresh; compares each against the previous
@@ -191,7 +187,7 @@ class DeliveryLocationService:
     def server(self, server_config=None, live_scoring: bool = False):
         """A :class:`~repro.serve.server.QueryServer` over this store.
 
-        The server shares the service's sharded store by reference, so a
+        The server shares the service's store by reference, so a
         later :meth:`refresh` becomes visible to the serving tier at the
         next snapshot swap (callers should also drop the server's result
         cache via ``QueryServer.apply_refresh`` or ``router.on_refresh``

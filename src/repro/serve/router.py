@@ -1,8 +1,8 @@
-"""Request routing: cache in front, micro-batcher behind, shards below.
+"""Request routing: cache in front, micro-batcher behind, store below.
 
 The router is the single synchronous resolution path the server's workers
 call: check the LRU+TTL cache, and on a cold miss either go straight to
-the sharded store or ride the micro-batcher so concurrent misses share
+the store or ride the micro-batcher so concurrent misses share
 one snapshot pass.  It tags every answer with its cache state, which the
 server folds into the latency histogram labels — cache hits and fallback
 tiers have very different latency floors and must not share a bucket
@@ -35,7 +35,7 @@ class RoutedResult:
 
 
 class QueryRouter:
-    """Cache → (micro-batcher →) sharded store resolution chain."""
+    """Cache → (micro-batcher →) store resolution chain."""
 
     def __init__(
         self,
