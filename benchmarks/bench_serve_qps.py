@@ -198,7 +198,7 @@ def _multiprocess_section(workload, locations, snapshot_dir,
         "note": (
             "Cold path resolves batches against the mmap'd columnar "
             "snapshot (vectorized lookup) vs. the single-process "
-            "micro-batched cold scenario above (per-object dict walk). "
+            "uncached cold scenario above (per-object dict walk). "
             f"On a {os.cpu_count()}-core runner the worker count buys "
             "isolation and page-cache sharing, not CPU parallelism; "
             "per-worker scaling numbers are reported unmassaged."
@@ -288,8 +288,6 @@ def test_serve_qps(dow_workload, write_result, write_json, tmp_path):
         ("cached", ServerConfig(n_workers=4, queue_capacity=256)),
         ("uncached", ServerConfig(n_workers=4, queue_capacity=256,
                                   cache_capacity=0)),
-        ("batched", ServerConfig(n_workers=4, queue_capacity=256,
-                                 cache_capacity=0, batch_window_s=0.0005)),
     ]
     for name, config in configs:
         store = ShardedLocationStore(locations, workload.addresses, n_shards=8)
@@ -318,7 +316,7 @@ def test_serve_qps(dow_workload, write_result, write_json, tmp_path):
 
     multiprocess = _multiprocess_section(
         workload, locations, str(tmp_path / "snapshots"),
-        single_process_cold_qps=scenarios["batched"]["throughput_rps"],
+        single_process_cold_qps=scenarios["uncached"]["throughput_rps"],
     )
     observability = _observability_section(
         workload, locations, str(tmp_path / "obs-snapshots"),

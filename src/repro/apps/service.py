@@ -193,12 +193,11 @@ class DeliveryLocationService:
         cache via ``QueryServer.apply_refresh`` or ``router.on_refresh``
         for immediate visibility).
 
-        With ``live_scoring=True`` cold cache misses are answered by
-        running LocMatcher in the serving path: the micro-batcher
-        coalesces concurrent misses and a
-        :class:`~repro.serve.scoring.ModelScoringTier` scores all
-        example-backed ids of the batch in one padded masked forward pass
-        (store fallback for the rest).  Requires a fitted pipeline.
+        With ``live_scoring=True`` each cold cache miss is answered by
+        running LocMatcher in the serving path: the router's lookup is a
+        :class:`~repro.serve.scoring.ModelScoringTier`, which scores an
+        example-backed id with the model and falls back to the store for
+        the rest.  Requires a fitted pipeline.
         """
         from repro.serve.server import QueryServer, ServerConfig
         from repro.serve.router import QueryRouter
@@ -212,12 +211,9 @@ class DeliveryLocationService:
 
             tier = ModelScoringTier(self.pipeline, self.store)
             router = QueryRouter.build(
-                self.store,
+                tier,
                 cache_capacity=config.cache_capacity,
                 cache_ttl_s=config.cache_ttl_s,
-                batch_window_s=config.batch_window_s,
-                batch_max=config.batch_max,
-                batch_fn=tier.query_ids_batch,
             )
         return QueryServer(self.store, config=config, router=router)
 

@@ -530,8 +530,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"cannot load SLO spec {args.slo}: {exc}", file=sys.stderr)
             return 2
-    if args.no_exemplars:
-        obs.set_exemplars_enabled(False)
     _begin_observability(args)
     data_dir = pathlib.Path(args.data)
     addresses = load_addresses(data_dir / "addresses.json")
@@ -547,8 +545,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         default_timeout_s=args.timeout,
         cache_capacity=args.cache_size,
         cache_ttl_s=args.cache_ttl,
-        batch_window_s=args.batch_window,
-        batch_max=args.batch_max,
     )
     rng = random.Random(args.seed)
     with contextlib.ExitStack() as stack:
@@ -648,7 +644,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         "seed": args.seed, "shards": args.shards,
         "strategy": args.strategy, "workers": args.workers,
         "queue": args.queue, "cache_size": args.cache_size,
-        "batch_window_s": args.batch_window,
         "refresh_every_s": args.refresh_every,
     }
     payload = {
@@ -1182,9 +1177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--cache-size", type=int, default=2048,
                          help="result-cache capacity (0 disables)")
     p_serve.add_argument("--cache-ttl", type=float, default=30.0)
-    p_serve.add_argument("--batch-window", type=float, default=0.0,
-                         help="micro-batch window in seconds (0 disables)")
-    p_serve.add_argument("--batch-max", type=int, default=32)
     p_serve.add_argument("--refresh-every", type=float, default=0.0,
                          help="re-apply the locations table every N seconds "
                               "mid-run (exercises the atomic snapshot swap)")
@@ -1204,10 +1196,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="with --backend process: merge router + "
                               "per-worker span files into one tail-sampled "
                               "trace at PATH")
-    p_serve.add_argument("--no-exemplars", action="store_true",
-                         help="skip attaching exemplars (trace id + "
-                              "provenance key) to latency histogram "
-                              "observations — the overhead escape hatch")
     _add_obs_flags(p_serve)
     p_serve.set_defaults(func=_cmd_serve_bench)
 

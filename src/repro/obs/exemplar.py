@@ -4,13 +4,8 @@ An exemplar ties one concrete observation back to the trace and
 provenance record that produced it: a latency histogram bucket stops
 being an anonymous count and becomes a pivot point into the evidence
 chain for a real request.  The model mirrors OpenMetrics: at most one
-exemplar per bucket, the most recent observation wins.
-
-Exemplars are on by default but cheap to disable globally
-(``set_exemplars_enabled(False)`` or ``serve-bench --no-exemplars``):
-when disabled, ``Histogram.observe(..., exemplar=...)`` drops the
-exemplar without touching the per-bucket store, so the hot path pays
-one boolean check.
+exemplar per bucket, the most recent observation wins.  An exemplar
+passed to ``Histogram.observe`` is always stored.
 """
 
 from __future__ import annotations
@@ -21,8 +16,6 @@ from typing import Optional
 
 __all__ = [
     "Exemplar",
-    "exemplars_enabled",
-    "set_exemplars_enabled",
     "EXEMPLAR_TRACE_ID_BYTES",
     "EXEMPLAR_KEY_BYTES",
 ]
@@ -32,22 +25,6 @@ __all__ = [
 # "<origin>:<seq:08d>" and comfortably fit 24 bytes.
 EXEMPLAR_TRACE_ID_BYTES = 32
 EXEMPLAR_KEY_BYTES = 24
-
-_enabled = True
-
-
-def exemplars_enabled() -> bool:
-    """Whether exemplar capture is globally enabled."""
-
-    return _enabled
-
-
-def set_exemplars_enabled(enabled: bool) -> None:
-    """Globally enable/disable exemplar capture (the escape hatch)."""
-
-    global _enabled
-    _enabled = bool(enabled)
-
 
 @dataclass(frozen=True)
 class Exemplar:

@@ -24,7 +24,7 @@ from typing import Any, Iterable, Mapping, Optional, Union
 
 from repro.durable import write_text
 
-from .exemplar import Exemplar, exemplars_enabled, pick_latest
+from .exemplar import Exemplar, pick_latest
 
 PathLike = Union[str, pathlib.Path]
 
@@ -153,7 +153,7 @@ class Histogram(_Metric):
             counts[idx] += 1
             self._sums[key] += float(value)
             self._totals[key] += 1
-            if exemplar is not None and exemplars_enabled():
+            if exemplar is not None:
                 slots = self._exemplars.get(key)
                 if slots is None:
                     slots = self._exemplars[key] = [None] * (len(self.bounds) + 1)

@@ -56,7 +56,6 @@ from repro.obs.exemplar import (
     EXEMPLAR_KEY_BYTES,
     EXEMPLAR_TRACE_ID_BYTES,
     Exemplar,
-    exemplars_enabled,
 )
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 
@@ -382,7 +381,7 @@ class MetricsPlane:
             struct.pack_into("<d", self._mm, sum_off, total + float(value))
             (n,) = struct.unpack_from("<Q", self._mm, sum_off + 8)
             struct.pack_into("<Q", self._mm, sum_off + 8, n + 1)
-            if spec.exemplars and exemplar is not None and exemplars_enabled():
+            if spec.exemplars and exemplar is not None:
                 # Same epoch guards the exemplar bytes: a reader either
                 # sees the whole (counts + exemplar) update or retries.
                 ex_off = sum_off + 16 + _EXEMPLAR_BYTES * bucket

@@ -12,9 +12,9 @@ system (the online half of the paper's Figure 14 deployment):
 * :class:`QueryServer` — thread-pool workers behind a *bounded* admission
   queue (explicit ``REJECTED`` backpressure), per-request deadlines, and
   full :mod:`repro.obs` instrumentation.
-* :class:`TTLLRUCache` / :class:`MicroBatcher` / :class:`QueryRouter` —
-  the per-request resolution chain: recency cache, cold-miss coalescing,
-  single-snapshot batched fallback-chain evaluation.
+* :class:`TTLLRUCache` / :class:`QueryRouter` — the per-request
+  resolution chain: a recency cache, then the store's (or the model
+  tier's) ``query_id`` on a cold miss.
 * :class:`LoadGenerator` — seeded closed-loop and open-loop (Poisson)
   workloads producing p50/p95/p99 + throughput + rejection reports
   (``repro serve-bench``).
@@ -26,7 +26,6 @@ system (the online half of the paper's Figure 14 deployment):
   (``repro serve-bench --backend process``).
 """
 
-from repro.serve.batching import BatchStats, MicroBatcher
 from repro.serve.cache import CacheStats, TTLLRUCache
 from repro.serve.columnar import (
     ColumnarSnapshot,
@@ -70,8 +69,6 @@ from repro.serve.shard import (
 )
 
 __all__ = [
-    "BatchStats",
-    "MicroBatcher",
     "CacheStats",
     "TTLLRUCache",
     "ColumnarSnapshot",

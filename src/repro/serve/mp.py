@@ -23,12 +23,11 @@ across process boundaries:
   like the in-process snapshot swap.
 * A front-end :class:`ProcessRouter` dispatches by shard key over pipes
   (shard → ``shard % n_workers``, so the worker count never changes
-  *shard* assignment), coalesces concurrent single queries through the
-  :class:`~repro.serve.batching.MicroBatcher`, heartbeats the pool, and
-  restarts dead workers automatically.  Every worker maps the *full*
-  snapshot, so shard routing is a cache-locality policy, not a
-  correctness requirement — a stale routing table misroutes to a worker
-  that still answers correctly.
+  *shard* assignment), answers a single query as a one-id batch,
+  heartbeats the pool, and restarts dead workers automatically.  Every
+  worker maps the *full* snapshot, so shard routing is a cache-locality
+  policy, not a correctness requirement — a stale routing table
+  misroutes to a worker that still answers correctly.
 
 Failure semantics across the process boundary mirror the in-process
 tier: unknown ids come back as ``UNKNOWN_ADDRESS`` (and re-raise as
@@ -58,7 +57,7 @@ from repro.apps.store import QueryResult, QuerySource, UnknownAddressError
 from repro.durable import append_record, atomic_write
 from repro.geo import Point
 from repro.obs import MetricsRegistry, get_registry
-from repro.obs.exemplar import Exemplar, exemplars_enabled
+from repro.obs.exemplar import Exemplar
 from repro.obs.health import SLO, HealthReport, RequestWindows, evaluate_slos
 from repro.obs.provenance import (
     ProvenanceRing,
@@ -85,7 +84,6 @@ from repro.obs.trace import (
     span,
     tracing_enabled,
 )
-from repro.serve.batching import MicroBatcher
 from repro.serve.cache import TTLLRUCache
 from repro.serve.columnar import (
     ColumnarSnapshot,
@@ -557,7 +555,6 @@ def _worker_main(
     def record_rows(rows: list[tuple], elapsed: float,
                     trace_id: str = "") -> None:
         """Mint provenance and fold one answered sub-batch into the plane."""
-        attach = exemplars_enabled()
         for row in rows:
             record = ring.mint(
                 row[0],
@@ -575,13 +572,10 @@ def _worker_main(
                 plane.inc(slots["status"][row[1]])
                 if (row[1] == ServeStatus.OK.value
                         and row[6] in slots["latency"]):
-                    exemplar = (
-                        Exemplar.now(elapsed, trace_id=trace_id,
-                                     provenance_key=record.key)
-                        if attach else None
-                    )
                     plane.observe(slots["latency"][row[6]], elapsed,
-                                  exemplar=exemplar)
+                                  exemplar=Exemplar.now(
+                                      elapsed, trace_id=trace_id,
+                                      provenance_key=record.key))
         if plane is None:
             return
         counts = ring.counts()
@@ -912,11 +906,6 @@ class ProcessRouter:
         self.restarts = 0
         self.heartbeat_misses = 0
         self.health = RequestWindows()
-        self._batcher = MicroBatcher(
-            self._batch_resolve,
-            max_batch=self.config.batch_max,
-            max_wait_s=self.config.batch_window_s,
-        )
         registry = get_registry()
         self._requests_total = registry.counter(
             "serve_requests_total", "Served requests by terminal status"
@@ -1253,27 +1242,11 @@ class ProcessRouter:
             for a in ids
         ]
 
-    def _batch_resolve(self, address_ids: Sequence[str]) -> dict[str, Any]:
-        responses = self.query_batch(list(address_ids))
-        return {r.address_id: r for r in responses}
-
     def query(
         self, address_id: str, timeout_s: float | None = None
     ) -> ServeResponse:
-        """Resolve one id; concurrent callers coalesce into pipe batches."""
-        if timeout_s is not None and timeout_s != self.config.default_timeout_s:
-            return self.query_batch([address_id], timeout_s)[0]
-        wait = self.config.default_timeout_s * 2 + _GRACE_S
-        try:
-            return self._batcher.submit(address_id, timeout_s=wait)
-        except TimeoutError:
-            response = ServeResponse(
-                address_id, ServeStatus.TIMED_OUT, None, None,
-                self.config.default_timeout_s,
-                error="batch result never arrived",
-            )
-            self._count(response)
-            return response
+        """Resolve one id: a one-id :meth:`query_batch`."""
+        return self.query_batch([address_id], timeout_s)[0]
 
     def submit(
         self, address_id: str, timeout_s: float | None = None
@@ -1451,7 +1424,6 @@ class ProcessRouter:
                 "max": (load_seconds[-1] * 1e3) if load_seconds else 0.0,
             },
             "workers": workers,
-            "batch": self._batcher.stats().to_dict(),
         }
 
     def verdict(self, slos: list[SLO]) -> HealthReport:

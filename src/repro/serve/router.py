@@ -1,12 +1,11 @@
-"""Request routing: cache in front, micro-batcher behind, store below.
+"""Request routing: cache in front, a lookup behind.
 
 The router is the single synchronous resolution path the server's workers
-call: check the LRU+TTL cache, and on a cold miss either go straight to
-the store or ride the micro-batcher so concurrent misses share
-one snapshot pass.  It tags every answer with its cache state, which the
-server folds into the latency histogram labels — cache hits and fallback
-tiers have very different latency floors and must not share a bucket
-family.
+call: check the LRU+TTL cache, and on a cold miss ask the lookup — the
+location store, or the live model-scoring tier — with ``query_id``.  It
+tags every answer with its cache state, which the server folds into the
+latency histogram labels — cache hits and fallback tiers have very
+different latency floors and must not share a bucket family.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.apps.store import QueryResult, UnknownAddressError
 from repro.obs import get_registry
-from repro.serve.batching import BatchStats, MicroBatcher
 from repro.serve.cache import CacheStats, TTLLRUCache
 from repro.serve.shard import ShardedLocationStore
 
@@ -35,17 +33,21 @@ class RoutedResult:
 
 
 class QueryRouter:
-    """Cache → (micro-batcher →) store resolution chain."""
+    """Cache → ``store.query_id`` resolution chain.
+
+    ``store`` is anything with ``query_id(address_id) -> QueryResult``
+    that raises :class:`UnknownAddressError` on a bad id: a
+    :class:`ShardedLocationStore` or a
+    :class:`~repro.serve.scoring.ModelScoringTier`.
+    """
 
     def __init__(
         self,
         store: ShardedLocationStore,
         cache: TTLLRUCache | None = None,
-        batcher: MicroBatcher | None = None,
     ) -> None:
         self.store = store
         self.cache = cache
-        self.batcher = batcher
         registry = get_registry()
         self._cache_events = registry.counter(
             "serve_cache_events_total", "Result-cache lookups by outcome"
@@ -60,27 +62,12 @@ class QueryRouter:
         store: ShardedLocationStore,
         cache_capacity: int = 1024,
         cache_ttl_s: float = 30.0,
-        batch_window_s: float = 0.0,
-        batch_max: int = 32,
-        batch_fn=None,
     ) -> "QueryRouter":
-        """Assemble the standard chain; zero/negative knobs disable a part.
-
-        ``batch_fn`` replaces the store's snapshot pass as the batched
-        cold-miss evaluator (e.g. a
-        :class:`~repro.serve.scoring.ModelScoringTier`); passing one
-        enables the micro-batcher even at a zero batching window, since a
-        custom evaluator is useless without the batcher in front of it.
-        """
+        """Assemble the standard chain; a zero capacity disables the cache."""
         cache = (
             TTLLRUCache(cache_capacity, cache_ttl_s) if cache_capacity > 0 else None
         )
-        batcher = (
-            MicroBatcher(batch_fn or store.query_ids_batch, batch_max, batch_window_s)
-            if batch_window_s > 0 or batch_fn is not None
-            else None
-        )
-        return cls(store, cache=cache, batcher=batcher)
+        return cls(store, cache=cache)
 
     def resolve(self, address_id: str) -> RoutedResult:
         """Resolve one id; raises :class:`UnknownAddressError` on bad ids."""
@@ -92,10 +79,7 @@ class QueryRouter:
                 return RoutedResult(address_id, cached, CACHE_HIT)
             self._cache_events.inc(event="miss")
             self._note_hit_ratio()
-        if self.batcher is not None:
-            result = self.batcher.submit(address_id)
-        else:
-            result = self.store.query_id(address_id)
+        result = self.store.query_id(address_id)
         if self.cache is not None:
             self.cache.put(address_id, result)
             state = CACHE_MISS
@@ -117,6 +101,3 @@ class QueryRouter:
 
     def cache_stats(self) -> CacheStats | None:
         return self.cache.stats() if self.cache is not None else None
-
-    def batch_stats(self) -> BatchStats | None:
-        return self.batcher.stats() if self.batcher is not None else None

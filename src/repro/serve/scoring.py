@@ -1,11 +1,11 @@
-"""Live model scoring behind the micro-batcher (the serving model tier).
+"""Live model scoring on the serving path (the serving model tier).
 
 The table-backed store answers from the last offline refresh.  This tier
 instead answers *example-backed* addresses by running LocMatcher right in
-the serving path: the micro-batcher coalesces a burst of cold cache
-misses into one key list, and :class:`ModelScoringTier` scores every
-example-backed id in that list with a single padded, masked
-``scores_batch`` forward pass (the JIT-compiled batched path in
+the serving path: the router hands it each cold cache miss
+(:meth:`ModelScoringTier.query_id`), and a key list given to
+:meth:`ModelScoringTier.query_ids_batch` is scored with a single padded,
+masked ``scores_batch`` forward pass (the JIT-compiled batched path in
 :mod:`repro.core.locmatcher`).  Ids without a feature example fall back
 to the store's usual address -> building -> geocode chain, so one batch
 can mix both kinds and every key still gets an answer.
@@ -34,9 +34,12 @@ _MAX_EVIDENCE_CANDIDATES = 32
 class ModelScoringTier:
     """Batched LocMatcher scoring with store fallback for non-scorable ids.
 
-    Drop-in for the micro-batcher's ``batch_fn`` slot: takes a
-    deduplicated key list, returns ``key -> QueryResult`` (or an
-    :class:`UnknownAddressError` value for bad ids, never a raise).
+    Drop-in for the store behind a
+    :class:`~repro.serve.router.QueryRouter`: :meth:`query_id` answers
+    one id and raises :class:`UnknownAddressError` for a bad one;
+    :meth:`query_ids_batch` takes a key list and returns
+    ``key -> QueryResult`` (or an :class:`UnknownAddressError` value for
+    bad ids, never a raise).
 
     Every scored id also publishes its *evidence* — per-candidate scores
     and ranks, the contributing stay evidence aggregated per candidate,
@@ -187,3 +190,10 @@ class ModelScoringTier:
             out.update(self.store.query_ids_batch(list(rest)))
             self._fallback.inc(len(rest))
         return out
+
+    def query_id(self, address_id: str) -> QueryResult:
+        """Resolve one id; raises :class:`UnknownAddressError` on a bad id."""
+        result = self.query_ids_batch([address_id])[address_id]
+        if isinstance(result, UnknownAddressError):
+            raise result
+        return result

@@ -29,7 +29,7 @@ from repro.apps.store import QueryResult, UnknownAddressError
 from repro.geo import Point
 from repro.obs import current_span, event, get_registry
 from repro.obs import span as obs_span
-from repro.obs.exemplar import Exemplar, exemplars_enabled
+from repro.obs.exemplar import Exemplar
 from repro.obs.health import SLO, HealthReport, RequestWindows
 from repro.obs.provenance import get_provenance_ring, pop_evidence
 from repro.obs.recorder import get_recorder
@@ -72,8 +72,6 @@ class ServerConfig:
     default_timeout_s: float = 1.0
     cache_capacity: int = 2048
     cache_ttl_s: float = 30.0
-    batch_window_s: float = 0.0      # > 0 enables the micro-batcher
-    batch_max: int = 32
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -97,7 +95,7 @@ class PendingQuery:
         address_id: str,
         t_submit: float,
         deadline: float,
-        on_finish: Callable[[ServeResponse], None],
+        on_finish: Callable[[ServeResponse, str | None], None],
     ) -> None:
         self.address_id = address_id
         self.t_submit = t_submit
@@ -110,13 +108,19 @@ class PendingQuery:
         self._response: ServeResponse | None = None
         self._on_finish = on_finish
 
-    def finish(self, response: ServeResponse) -> bool:
-        """Install the terminal response; first writer wins."""
+    def finish(self, response: ServeResponse, trace_id: str | None = None) -> bool:
+        """Install the terminal response; first writer wins.
+
+        Only the winner is accounted (``on_finish``), and before the
+        waiter wakes: a worker answer that arrives after the client gave
+        up leaves no trace in the metrics or the provenance ring.
+        ``trace_id`` is set for a response a worker evaluated.
+        """
         with self._lock:
             if self._response is not None:
                 return False
             self._response = response
-        self._on_finish(response)
+        self._on_finish(response, trace_id)
         self._event.set()
         return True
 
@@ -151,7 +155,7 @@ _STOP = object()
 
 
 class QueryServer:
-    """Thread-pool server over the location store, a cache, and a batcher."""
+    """Thread-pool server over the location store and a result cache."""
 
     def __init__(
         self,
@@ -165,8 +169,6 @@ class QueryServer:
             store,
             cache_capacity=self.config.cache_capacity,
             cache_ttl_s=self.config.cache_ttl_s,
-            batch_window_s=self.config.batch_window_s,
-            batch_max=self.config.batch_max,
         )
         self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_capacity)
         self._threads: list[threading.Thread] = []
@@ -185,11 +187,6 @@ class QueryServer:
             "serve_request_latency_seconds",
             "End-to-end request latency by answering tier and cache state",
         )
-        self._exemplars_attached = registry.counter(
-            "exemplars_attached_total",
-            "Histogram observations that carried an exemplar",
-        )
-        self._exemplars_attached.inc(0)
         #: Per-query evidence chains (the `repro explain` data source).
         self.provenance = get_provenance_ring()
 
@@ -234,9 +231,27 @@ class QueryServer:
     # ------------------------------------------------------------------
     # Client surface
     # ------------------------------------------------------------------
-    def _count(self, response: ServeResponse) -> None:
+    def _account(self, response: ServeResponse, trace_id: str | None) -> None:
+        """Count the one terminal response of a request.
+
+        Every response counts by status and feeds the health windows.  A
+        response a worker evaluated (``trace_id`` is not None) also mints
+        its provenance record and, when OK, observes the latency
+        histogram with an exemplar pointing at that record.
+        """
         self._requests_total.inc(status=response.status.value)
         self.health.record(response.status.value, response.latency_s)
+        if trace_id is None:
+            return
+        record = self._mint(response, trace_id)
+        if response.result is not None:
+            self._latency.observe(
+                response.latency_s,
+                exemplar=Exemplar.now(response.latency_s, trace_id=trace_id,
+                                      provenance_key=record.key),
+                source=response.result.source.value,
+                cache=response.cache_state,
+            )
 
     def submit(self, address_id: str, timeout_s: float | None = None) -> PendingQuery:
         """Enqueue one request; rejects immediately when the queue is full."""
@@ -245,7 +260,7 @@ class QueryServer:
         now = time.monotonic()
         deadline = now + (timeout_s if timeout_s is not None else
                           self.config.default_timeout_s)
-        pending = PendingQuery(address_id, now, deadline, self._count)
+        pending = PendingQuery(address_id, now, deadline, self._account)
         try:
             self._queue.put_nowait(pending)
         except queue.Full:
@@ -326,45 +341,30 @@ class QueryServer:
                         None, time.monotonic() - pending.t_submit,
                         error=str(exc),
                     )
-                    self._mint(pending.address_id, response, None, trace_id)
                 except Exception as exc:  # noqa: BLE001 — keep workers alive
                     response = ServeResponse(
                         pending.address_id, ServeStatus.ERROR, None, None,
                         time.monotonic() - pending.t_submit,
                         error=f"{type(exc).__name__}: {exc}",
                     )
-                    self._mint(pending.address_id, response, None, trace_id)
                 else:
-                    latency = time.monotonic() - pending.t_submit
                     response = ServeResponse(
                         pending.address_id, ServeStatus.OK, routed.result,
-                        routed.cache_state, latency,
-                    )
-                    record = self._mint(
-                        pending.address_id, response, routed, trace_id
-                    )
-                    exemplar = None
-                    if exemplars_enabled():
-                        exemplar = Exemplar.now(
-                            latency, trace_id=trace_id,
-                            provenance_key=record.key,
-                        )
-                        self._exemplars_attached.inc()
-                    self._latency.observe(
-                        latency,
-                        exemplar=exemplar,
-                        source=routed.result.source.value,
-                        cache=routed.cache_state,
+                        routed.cache_state,
+                        time.monotonic() - pending.t_submit,
                     )
                 if sp is not None:
                     sp.set("status", response.status.value)
                     if response.cache_state is not None:
                         sp.set("cache", response.cache_state)
-            pending.finish(response)
+            if not pending.finish(response, trace_id):
+                # The client already timed out: drop this answer's
+                # scoring evidence so no later record cites it.
+                pop_evidence(pending.address_id)
 
-    def _mint(self, address_id: str, response: ServeResponse, routed,
-              trace_id: str):
+    def _mint(self, response: ServeResponse, trace_id: str):
         """Build the provenance record for one terminal response."""
+        address_id = response.address_id
         evidence = pop_evidence(address_id) or {}
         result = response.result
         record = self.provenance.mint(
@@ -373,8 +373,7 @@ class QueryServer:
             lng=result.location.lng if result is not None else None,
             lat=result.location.lat if result is not None else None,
             source=result.source.value if result is not None else "",
-            cache_state=(routed.cache_state if routed is not None else "")
-            or "",
+            cache_state=response.cache_state or "",
             confidence=result.confidence if result is not None else None,
             candidates=evidence.get("candidates", []),
             stays=evidence.get("stays", []),
@@ -409,9 +408,6 @@ class QueryServer:
         cache_stats = self.router.cache_stats()
         if cache_stats is not None:
             out["cache"] = cache_stats.to_dict()
-        batch_stats = self.router.batch_stats()
-        if batch_stats is not None:
-            out["batch"] = batch_stats.to_dict()
         return out
 
     def verdict(self, slos: list[SLO]) -> HealthReport:

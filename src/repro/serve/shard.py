@@ -218,10 +218,10 @@ class ShardedLocationStore:
     ) -> dict[str, QueryResult | UnknownAddressError]:
         """Resolve many ids in one pass over a single snapshot.
 
-        This is the micro-batcher's fallback-chain evaluation: every id in
-        the batch is answered from the *same* generation, and unknown ids
-        come back as :class:`UnknownAddressError` values (not raises) so
-        one bad id cannot fail its batch-mates.
+        Every id in the batch is answered from the *same* generation, and
+        unknown ids come back as :class:`UnknownAddressError` values (not
+        raises) so one bad id cannot fail its batch-mates.  The model tier
+        answers the ids it cannot score through this.
         """
         snapshot = self._snapshot
         out: dict[str, QueryResult | UnknownAddressError] = {}

@@ -2,20 +2,8 @@
 
 import pytest
 
-from repro.obs.exemplar import (
-    Exemplar,
-    exemplars_enabled,
-    pick_latest,
-    set_exemplars_enabled,
-)
+from repro.obs.exemplar import Exemplar, pick_latest
 from repro.obs.metrics import Histogram, MetricsRegistry
-
-
-@pytest.fixture(autouse=True)
-def _exemplars_on():
-    set_exemplars_enabled(True)
-    yield
-    set_exemplars_enabled(True)
 
 
 class TestExemplar:
@@ -52,13 +40,6 @@ class TestHistogramExemplars:
         h.observe(5.0, exemplar=Exemplar.now(5.0, "t3", "k3"))
         stored = h.exemplars()
         assert [e.trace_id for e in stored] == ["t1", "t2", "t3"]
-
-    def test_disabled_flag_skips_storage(self):
-        h = self._hist()
-        set_exemplars_enabled(False)
-        assert not exemplars_enabled()
-        h.observe(0.05, exemplar=Exemplar.now(0.05, "t1", "k1"))
-        assert h.exemplars() == [None, None, None]
 
     def test_samples_include_exemplars_only_when_present(self):
         h = self._hist()

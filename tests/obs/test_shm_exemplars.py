@@ -9,9 +9,7 @@ must be caught by the same seqlock that guards the bucket counts.
 import json
 import struct
 
-import pytest
-
-from repro.obs.exemplar import Exemplar, set_exemplars_enabled
+from repro.obs.exemplar import Exemplar
 from repro.obs.shm import (
     MAGIC,
     MetricsPlane,
@@ -28,13 +26,6 @@ WITH_EX = (
     SlotSpec("histogram", "lat_seconds", buckets=(0.1, 1.0),
              exemplars=True),
 )
-
-
-@pytest.fixture(autouse=True)
-def _exemplars_on():
-    set_exemplars_enabled(True)
-    yield
-    set_exemplars_enabled(True)
 
 
 class TestSchemaEvolution:
@@ -110,20 +101,6 @@ class TestSchemaEvolution:
         assert hist.exemplars()[0].trace_id == "tr"
         text = registry.to_prometheus(exemplars=True)
         assert 'trace_id="tr"' in text
-        plane.close()
-
-    def test_disabled_exemplars_leave_slots_empty(self, tmp_path):
-        set_exemplars_enabled(False)
-        path = str(tmp_path / "metrics-w0.shm")
-        plane = MetricsPlane.create(path, WITH_EX)
-        plane.observe(plane.slot("lat_seconds"), 0.05,
-                      exemplar=Exemplar.now(0.05, "tr", "pk"))
-        snap = plane.read()
-        hist = next(
-            s for s in snap.slots if s.spec.name == "lat_seconds"
-        )
-        assert sum(hist.bucket_counts) == 1  # the observation itself lands
-        assert all(e is None for e in hist.exemplars)
         plane.close()
 
 

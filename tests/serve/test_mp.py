@@ -196,6 +196,39 @@ class TestProcessRouter:
             for aid in ("missing-a", "missing-b"):
                 assert by_id[aid].status is ServeStatus.UNKNOWN_ADDRESS
 
+    def test_concurrent_single_queries_keep_their_own_answers(
+        self, store, tmp_path
+    ):
+        ids = sorted(store.address_book) + ["missing-a"]
+        answers: list[list] = [[] for _ in range(4)]
+
+        def client(k: int) -> None:
+            for address_id in ids[k:] + ids[:k]:
+                answers[k].append((address_id, router.query(address_id)))
+
+        with ProcessRouter.from_store(
+            store, str(tmp_path), n_workers=2, config=CONFIG
+        ) as router:
+            threads = [threading.Thread(target=client, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            counts = router.stats()["requests_by_status"]
+        pairs = [pair for per_thread in answers for pair in per_thread]
+        assert len(pairs) == 4 * len(ids)
+        for address_id, response in pairs:
+            assert response.address_id == address_id
+            if address_id == "missing-a":
+                assert response.status is ServeStatus.UNKNOWN_ADDRESS
+                assert response.result is None
+            else:
+                assert response.status is ServeStatus.OK, address_id
+                assert (response.result.location
+                        == store.query_id(address_id).location), address_id
+        assert sum(counts.values()) == len(pairs)
+
     def test_start_requires_published_snapshot(self, tmp_path):
         router = ProcessRouter(str(tmp_path / "empty"), n_workers=1)
         with pytest.raises(FileNotFoundError):

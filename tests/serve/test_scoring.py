@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.apps import DeliveryLocationService, QuerySource
+from repro.apps import DeliveryLocationService, QuerySource, UnknownAddressError
 from repro.core import DLInfMAConfig
 from repro.geo import Point
-from repro.serve import ModelScoringTier, QueryRouter, ServerConfig
+from repro.serve import ModelScoringTier, QueryRouter, ServerConfig, TTLLRUCache
 from repro.serve.shard import ShardedLocationStore
 from tests.core.helpers import make_address, point_at
 
@@ -70,17 +70,27 @@ class TestModelScoringTier:
         assert out["a3"].source == QuerySource.ADDRESS
         assert isinstance(out["missing"], KeyError)
 
-    def test_router_batch_fn_enables_batcher(self, stub_world):
+    def test_query_id_scores_one_id_and_raises_on_unknown(self, stub_world):
         pipeline, store = stub_world
         tier = ModelScoringTier(pipeline, store)
-        router = QueryRouter.build(
-            store, batch_window_s=0.0, batch_fn=tier.query_ids_batch
-        )
-        assert router.batcher is not None
+        assert tier.query_id("a1").location == Point(9.0, 0.0)
+        assert tier.query_id("a3").source == QuerySource.ADDRESS
+        with pytest.raises(UnknownAddressError):
+            tier.query_id("missing")
+        assert pipeline.selector.batch_calls == [1]
+
+    def test_router_over_tier_scores_cold_misses_only(self, stub_world):
+        pipeline, store = stub_world
+        router = QueryRouter(ModelScoringTier(pipeline, store),
+                             cache=TTLLRUCache(8, 30.0))
         routed = router.resolve("a0")
         assert routed.result.source == QuerySource.MODEL
+        assert routed.cache_state == "miss"
+        assert pipeline.selector.batch_calls == [1]
         # A cache hit must not re-invoke the model.
-        router.resolve("a0")
+        again = router.resolve("a0")
+        assert again.cache_state == "hit"
+        assert again.result == routed.result
         assert pipeline.selector.batch_calls == [1]
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps import QuerySource
 from repro.obs import get_registry
+from repro.obs.provenance import ProvenanceRing, set_provenance_ring
 from repro.serve import (
     QueryRouter,
     QueryServer,
@@ -112,6 +113,31 @@ class TestBackpressure:
         counts = server.stats()["requests_by_status"]
         assert counts["timed_out"] == 1
 
+    def test_late_worker_answer_is_not_accounted(self, served_world):
+        # The worker finishes resolving a0 after its client timed out:
+        # only the TIMED_OUT the client saw may be counted, observed or
+        # minted — `repro explain a0` must not report it served.
+        _, _, store = served_world
+        ring = ProvenanceRing(capacity=16)
+        previous = set_provenance_ring(ring)
+        try:
+            router = GatedRouter(store)
+            config = ServerConfig(n_workers=1, queue_capacity=4)
+            with QueryServer(store, config, router=router) as server:
+                pending = server.submit("a0", timeout_s=0.05)
+                assert router.entered.wait(5.0)
+                assert pending.result().status is ServeStatus.TIMED_OUT
+                router.release.set()
+            # stop() joined the worker, so its late answer was handled.
+        finally:
+            set_provenance_ring(previous)
+        counts = server.stats()["requests_by_status"]
+        assert counts["ok"] == 0
+        assert counts["timed_out"] == 1
+        latency = get_registry().histogram("serve_request_latency_seconds")
+        assert latency.count(source="address", cache="bypass") == 0
+        assert ring.find("a0") == []
+
     def test_worker_discards_expired_queued_work(self, served_world):
         _, _, store = served_world
         router = GatedRouter(store)
@@ -194,8 +220,7 @@ class TestObservability:
 
     def test_stats_snapshot_shape(self, served_world):
         _, _, store = served_world
-        config = ServerConfig(n_workers=3, queue_capacity=7,
-                              batch_window_s=0.001)
+        config = ServerConfig(n_workers=3, queue_capacity=7)
         with QueryServer(store, config) as server:
             server.query("a0")
             stats = server.stats()
@@ -204,7 +229,7 @@ class TestObservability:
         assert stats["store_version"] == 1
         assert stats["store_size"] == len(store)
         assert stats["requests_by_status"]["ok"] == 1
-        assert "cache" in stats and "batch" in stats
+        assert "cache" in stats
 
     def test_request_spans_are_emitted(self, served_world, tmp_path):
         from repro.obs import configure_tracing, disable_tracing, read_trace
@@ -224,22 +249,25 @@ class TestObservability:
         assert serve_spans[0]["attributes"]["status"] == "ok"
 
 
-class TestMicroBatchedServing:
-    def test_batched_server_answers_correctly_under_concurrency(
+class TestConcurrentServing:
+    def test_direct_path_answers_correctly_under_concurrency(
         self, served_world
     ):
         addresses, _, store = served_world
         config = ServerConfig(n_workers=4, queue_capacity=256,
-                              cache_capacity=0, batch_window_s=0.002)
+                              cache_capacity=0)
         ids = sorted(addresses)
+        asked = [ids[i % len(ids)] for i in range(64)]
         with QueryServer(store, config) as server:
-            pendings = [server.submit(ids[i % len(ids)], timeout_s=5.0)
-                        for i in range(64)]
+            pendings = [server.submit(a, timeout_s=5.0) for a in asked]
             responses = [p.result() for p in pendings]
-        assert all(r.ok for r in responses)
-        stats = server.router.batch_stats()
-        assert stats is not None
-        assert stats.submitted == 64
+        for address_id, response in zip(asked, responses):
+            assert response.ok, response
+            assert response.address_id == address_id
+            assert response.cache_state == "bypass"
+            assert (response.result.location
+                    == store.query_id(address_id).location), address_id
+        assert server.stats()["requests_by_status"]["ok"] == 64
 
 
 class TestServerHealth:

@@ -77,10 +77,9 @@ class TestBlackboxCommand:
 
 class TestObsExportExemplars:
     def test_prom_export_carries_exemplars(self, tmp_path, capsys):
-        from repro.obs.exemplar import Exemplar, set_exemplars_enabled
+        from repro.obs.exemplar import Exemplar
         from repro.obs.shm import MetricsPlane, SlotSpec
 
-        set_exemplars_enabled(True)
         plane = MetricsPlane.create(
             str(tmp_path / "metrics-w0.shm"),
             [SlotSpec("histogram", "lat_seconds", buckets=(0.1, 1.0),
