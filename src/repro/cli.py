@@ -42,6 +42,7 @@ import argparse
 import json
 import pathlib
 import sys
+from collections import defaultdict
 
 from repro import obs
 from repro.core import DLInfMA, DLInfMAConfig
@@ -503,6 +504,15 @@ def _cmd_export_geojson(args: argparse.Namespace) -> int:
     return 0
 
 
+def _counter_totals(registry: obs.MetricsRegistry) -> dict[str, float]:
+    """Each counter family's samples summed, by name (0.0 when absent)."""
+    totals: dict[str, float] = defaultdict(float)
+    for family in registry.to_dict()["metrics"]:
+        if family["type"] == "counter":
+            totals[family["name"]] = sum(s["value"] for s in family["samples"])
+    return totals
+
+
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     import contextlib
     import random
@@ -518,7 +528,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         QueryServer,
         ServerConfig,
         ShardedLocationStore,
-        SnapshotPublisher,
     )
 
     slos = []
@@ -555,20 +564,11 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             snapshot_dir = args.snapshot_dir or stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="serve-bench-snap-")
             )
-            publisher = SnapshotPublisher(snapshot_dir)
-            publisher.publish(store)
-            server = stack.enter_context(
-                ProcessRouter(snapshot_dir, n_workers=args.workers,
-                              config=config)
-            )
-
-            def apply_refresh() -> None:
-                publisher.refresh(store, locations)
+            server = stack.enter_context(ProcessRouter.from_store(
+                store, snapshot_dir, n_workers=args.workers, config=config
+            ))
         else:
             server = stack.enter_context(QueryServer(store, config))
-
-            def apply_refresh() -> None:
-                server.apply_refresh(locations)
 
         generator = LoadGenerator(server, sorted(addresses), rng)
         stop_churn = threading.Event()
@@ -577,7 +577,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         if args.refresh_every > 0:
             def churn() -> None:
                 while not stop_churn.wait(args.refresh_every):
-                    apply_refresh()
+                    server.apply_refresh(locations)
                     refreshes[0] += 1
 
             churn_thread = threading.Thread(target=churn, name="serve-churn")
@@ -603,26 +603,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             # (zero IPC — and the snapshot tempdir is still alive here).
             server.stop()
             fleet_registry = server.metrics()
-            fleet_doc = fleet_registry.to_dict()
-            families = {m["name"]: m for m in fleet_doc["metrics"]}
-
-            def _family_total(name: str) -> float:
-                return sum(
-                    s["value"]
-                    for s in families.get(name, {}).get("samples", [])
-                )
-
+            totals = _counter_totals(fleet_registry)
             fleet = {
-                "requests_total": _family_total("serve_requests_total"),
-                "worker_requests_total": _family_total(
-                    "serve_worker_requests_total"
-                ),
-                "worker_restarts": _family_total(
-                    "serve_worker_restarts_total"
-                ),
-                "heartbeat_misses": _family_total(
-                    "serve_worker_heartbeat_misses_total"
-                ),
+                "requests_total": totals["serve_requests_total"],
+                "worker_requests_total": totals["serve_worker_requests_total"],
+                "worker_restarts": totals["serve_worker_restarts_total"],
+                "heartbeat_misses": totals["serve_worker_heartbeat_misses_total"],
                 "slo": None,
                 "trace": None,
             }
@@ -717,13 +703,6 @@ def _cmd_stream_bench(args: argparse.Namespace) -> int:
     import contextlib
     import tempfile
 
-    from repro.serve import (
-        ProcessRouter,
-        QueryServer,
-        ServerConfig,
-        ShardedLocationStore,
-        SnapshotPublisher,
-    )
     from repro.stream.bench import StreamBenchConfig, run_stream_bench
 
     slos = []
@@ -766,38 +745,7 @@ def _cmd_stream_bench(args: argparse.Namespace) -> int:
             snapshot_dir=snapshot_dir,
             blackbox_dir=args.blackbox_dir,
         )
-
-        def factory(dataset, geocodes):
-            store = ShardedLocationStore(geocodes, dataset.addresses)
-            server_config = ServerConfig(n_workers=args.workers)
-            if args.backend == "process":
-                # The streaming metrics plane lands in the same obs/
-                # directory as the router and worker planes, so the
-                # ingest tier is scrape-able alongside the serving fleet.
-                publisher = SnapshotPublisher(snapshot_dir)
-                publisher.publish(store)
-                router = ProcessRouter(
-                    snapshot_dir, n_workers=args.workers,
-                    config=server_config,
-                ).start()
-
-                def promote(locations) -> int:
-                    return publisher.refresh(store, locations).version
-
-                def close() -> None:
-                    router.stop()
-                    publisher.close()
-
-                return promote, publisher.current_version, close, router
-            server = QueryServer(store, server_config).start()
-            return (
-                server.apply_refresh,
-                lambda: server.store.version,
-                server.stop,
-                server,
-            )
-
-        payload = run_stream_bench(cfg, slos=slos, promote_factory=factory)
+        payload = run_stream_bench(cfg, slos=slos)
         if args.backend == "process":
             # Post-mortem fleet scrape: the shared-memory planes outlive
             # the worker processes, and metrics-stream.shm sits next to
@@ -807,23 +755,13 @@ def _cmd_stream_bench(args: argparse.Namespace) -> int:
 
             obs_dir = str(pathlib.Path(snapshot_dir) / "obs")
             snapshots = scrape_planes(obs_dir)
-            fleet_doc = merge_snapshots(snapshots).to_dict()
-            families = {m["name"]: m for m in fleet_doc["metrics"]}
-
-            def _family_total(name: str) -> float:
-                return sum(
-                    s["value"]
-                    for s in families.get(name, {}).get("samples", [])
-                )
-
+            totals = _counter_totals(merge_snapshots(snapshots))
             fleet = {
-                "stream_events_total": _family_total("stream_events_total"),
-                "stream_promotions_total": _family_total(
-                    "stream_promotions_total"
-                ),
-                "serve_requests_total": _family_total("serve_requests_total"),
-                "n_planes": len(snapshots),
+                name: totals[name]
+                for name in ("stream_events_total", "stream_promotions_total",
+                             "serve_requests_total")
             }
+            fleet["n_planes"] = len(snapshots)
     payload["run_meta"] = obs.run_metadata({"command": "stream-bench",
                                             **payload["config"]})
     payload["fleet"] = fleet

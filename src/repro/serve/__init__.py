@@ -12,9 +12,10 @@ system (the online half of the paper's Figure 14 deployment):
 * :class:`QueryServer` — thread-pool workers behind a *bounded* admission
   queue (explicit ``REJECTED`` backpressure), per-request deadlines, and
   full :mod:`repro.obs` instrumentation.
-* :class:`TTLLRUCache` / :class:`QueryRouter` — the per-request
-  resolution chain: a recency cache, then the store's (or the model
-  tier's) ``query_id`` on a cold miss.
+* :class:`TTLLRUCache` / :class:`QueryRouter` — the one serving core
+  under both backends: a recency cache, then the lookup (store, model
+  tier or columnar snapshot) on a cold miss — ``resolve`` per request on
+  the thread tier, ``resolve_batch`` per sub-batch in a worker process.
 * :class:`LoadGenerator` — seeded closed-loop and open-loop (Poisson)
   workloads producing p50/p95/p99 + throughput + rejection reports
   (``repro serve-bench``).
@@ -23,7 +24,8 @@ system (the online half of the paper's Figure 14 deployment):
   snapshot files loaded zero-copy via ``np.memmap``, an append-only
   update log with crash recovery (:meth:`ShardedLocationStore.restore`),
   and a shard-routed worker-process pool with heartbeat + restart
-  (``repro serve-bench --backend process``).
+  (``repro serve-bench --backend process``).  Both servers take a
+  refresh as ``apply_refresh(locations) -> version``.
 """
 
 from repro.serve.cache import CacheStats, TTLLRUCache

@@ -361,8 +361,8 @@ class ColumnarSnapshot:
     def resolve_batch(
         self, address_ids: list[str]
     ) -> dict[str, QueryResult | UnknownAddressError]:
-        """Vectorized three-tier resolution, same contract as
-        :meth:`repro.serve.shard.ShardedLocationStore.query_ids_batch`."""
+        """Vectorized three-tier resolution (contract:
+        :meth:`repro.serve.shard.ShardedLocationStore.resolve_batch`)."""
         rows = self.lookup_rows(address_ids)
         a = self._a
         safe = np.maximum(rows, 0)

@@ -1,16 +1,19 @@
 """Request routing: cache in front, a lookup behind.
 
-The router is the single synchronous resolution path the server's workers
-call: check the LRU+TTL cache, and on a cold miss ask the lookup — the
-location store, or the live model-scoring tier — with ``query_id``.  It
-tags every answer with its cache state, which the server folds into the
-latency histogram labels — cache hits and fallback tiers have very
-different latency floors and must not share a bucket family.
+The router is the one resolution core under both serving backends: check
+the LRU+TTL cache, and on a cold miss ask the lookup — the location
+store, the live model-scoring tier, or a worker's columnar snapshot.
+Thread workers call :meth:`QueryRouter.resolve` per request, process
+workers :meth:`QueryRouter.resolve_batch` per sub-batch.  Every answer
+is tagged with its cache state, which the servers fold into the latency
+histogram labels — cache hits and fallback tiers have very different
+latency floors and must not share a bucket family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.apps.store import QueryResult, UnknownAddressError
 from repro.obs import get_registry
@@ -21,24 +24,29 @@ from repro.serve.shard import ShardedLocationStore
 CACHE_HIT = "hit"
 CACHE_MISS = "miss"
 CACHE_BYPASS = "bypass"  # router configured without a cache
+CACHE_STATES = (CACHE_HIT, CACHE_MISS, CACHE_BYPASS)
 
 
 @dataclass(frozen=True)
 class RoutedResult:
-    """A resolved query plus how the serving tier answered it."""
+    """A resolved query plus how the serving tier answered it
+    (:meth:`QueryRouter.resolve_batch` returns unknown ids as errors)."""
 
     address_id: str
-    result: QueryResult
+    result: QueryResult | UnknownAddressError
     cache_state: str
 
 
 class QueryRouter:
-    """Cache → ``store.query_id`` resolution chain.
+    """Cache → lookup resolution chain.
 
     ``store`` is anything with ``query_id(address_id) -> QueryResult``
-    that raises :class:`UnknownAddressError` on a bad id: a
-    :class:`ShardedLocationStore` or a
-    :class:`~repro.serve.scoring.ModelScoringTier`.
+    (raising :class:`UnknownAddressError` on a bad id) and the batch
+    contract of :meth:`ShardedLocationStore.resolve_batch`: a
+    :class:`ShardedLocationStore`, a
+    :class:`~repro.serve.scoring.ModelScoringTier` or a
+    :class:`~repro.serve.columnar.ColumnarSnapshot`.  Swap ``store`` and
+    call :meth:`on_refresh` to serve a new generation.
     """
 
     def __init__(
@@ -86,6 +94,43 @@ class QueryRouter:
         else:
             state = CACHE_BYPASS
         return RoutedResult(address_id, result, state)
+
+    def resolve_batch(self, address_ids: Sequence[str]) -> list[RoutedResult]:
+        """Resolve many ids: one answer per input id, in order.
+
+        Each id probes the cache once; the misses go to the store in one
+        ``resolve_batch`` call (each distinct id once), and the known ones
+        fill the cache.  An unknown id comes back with an
+        :class:`UnknownAddressError` as its result instead of raising, so
+        it cannot fail its batch-mates.
+        """
+        cache = self.cache
+        if cache is None:
+            resolved = self.store.resolve_batch(list(dict.fromkeys(address_ids)))
+            return [RoutedResult(a, resolved[a], CACHE_BYPASS) for a in address_ids]
+        hits = {}
+        n_hits = 0
+        for address_id in address_ids:
+            cached = cache.get(address_id)
+            if cached is not None:
+                hits[address_id] = cached
+                n_hits += 1
+        self._cache_events.inc(n_hits, event="hit")
+        self._cache_events.inc(len(address_ids) - n_hits, event="miss")
+        self._note_hit_ratio()
+        resolved = self.store.resolve_batch(
+            [a for a in dict.fromkeys(address_ids) if a not in hits]
+        )
+        out = []
+        for address_id in address_ids:
+            if address_id in hits:
+                out.append(RoutedResult(address_id, hits[address_id], CACHE_HIT))
+                continue
+            result = resolved[address_id]
+            if not isinstance(result, UnknownAddressError):
+                cache.put(address_id, result)
+            out.append(RoutedResult(address_id, result, CACHE_MISS))
+        return out
 
     def _note_hit_ratio(self) -> None:
         hits = self._cache_events.value(event="hit")

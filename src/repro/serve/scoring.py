@@ -4,7 +4,7 @@ The table-backed store answers from the last offline refresh.  This tier
 instead answers *example-backed* addresses by running LocMatcher right in
 the serving path: the router hands it each cold cache miss
 (:meth:`ModelScoringTier.query_id`), and a key list given to
-:meth:`ModelScoringTier.query_ids_batch` is scored with a single padded,
+:meth:`ModelScoringTier.resolve_batch` is scored with a single padded,
 masked ``scores_batch`` forward pass (the JIT-compiled batched path in
 :mod:`repro.core.locmatcher`).  Ids without a feature example fall back
 to the store's usual address -> building -> geocode chain, so one batch
@@ -37,9 +37,8 @@ class ModelScoringTier:
     Drop-in for the store behind a
     :class:`~repro.serve.router.QueryRouter`: :meth:`query_id` answers
     one id and raises :class:`UnknownAddressError` for a bad one;
-    :meth:`query_ids_batch` takes a key list and returns
-    ``key -> QueryResult`` (or an :class:`UnknownAddressError` value for
-    bad ids, never a raise).
+    :meth:`resolve_batch` keeps the store's batch-lookup contract
+    (:meth:`ShardedLocationStore.resolve_batch`).
 
     Every scored id also publishes its *evidence* — per-candidate scores
     and ranks, the contributing stay evidence aggregated per candidate,
@@ -148,7 +147,7 @@ class ModelScoringTier:
             },
         )
 
-    def query_ids_batch(
+    def resolve_batch(
         self, address_ids: Sequence[str]
     ) -> dict[str, QueryResult | UnknownAddressError]:
         """Resolve a batch: one model forward for scorable ids, store rest."""
@@ -187,13 +186,13 @@ class ModelScoringTier:
                 self._publish_evidence(address_id, example, row)
             self._scored.inc(len(scorable))
         if rest:
-            out.update(self.store.query_ids_batch(list(rest)))
+            out.update(self.store.resolve_batch(list(rest)))
             self._fallback.inc(len(rest))
         return out
 
     def query_id(self, address_id: str) -> QueryResult:
         """Resolve one id; raises :class:`UnknownAddressError` on a bad id."""
-        result = self.query_ids_batch([address_id])[address_id]
+        result = self.resolve_batch([address_id])[address_id]
         if isinstance(result, UnknownAddressError):
             raise result
         return result

@@ -25,13 +25,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
 
-from repro.apps.store import QueryResult, UnknownAddressError
+from repro.apps.store import QueryResult, QuerySource, UnknownAddressError
 from repro.geo import Point
 from repro.obs import current_span, event, get_registry
 from repro.obs import span as obs_span
 from repro.obs.exemplar import Exemplar
 from repro.obs.health import SLO, HealthReport, RequestWindows
-from repro.obs.provenance import get_provenance_ring, pop_evidence
+from repro.obs.provenance import (
+    ProvenanceRecord,
+    ProvenanceRing,
+    get_provenance_ring,
+    pop_evidence,
+)
 from repro.obs.recorder import get_recorder
 from repro.serve.router import QueryRouter
 from repro.serve.shard import ShardedLocationStore
@@ -82,6 +87,73 @@ class ServerConfig:
             raise ValueError(
                 f"default_timeout_s must be > 0: {self.default_timeout_s}"
             )
+
+
+def response_row(
+    address_id: str,
+    status: ServeStatus,
+    result: QueryResult | None = None,
+    cache_state: str | None = None,
+    error: str | None = None,
+) -> tuple:
+    """The flat form of one terminal response, the row a process worker
+    sends over its pipe and every provenance record is minted from:
+    ``(address_id, status, lng, lat, source, confidence, cache_state,
+    error)``."""
+    if result is None:
+        return (address_id, status.value, None, None, None, None, cache_state,
+                error)
+    return (address_id, status.value, result.location.lng,
+            result.location.lat, result.source.value, result.confidence,
+            cache_state, error)
+
+
+def response_from_row(row: tuple, latency_s: float) -> ServeResponse:
+    """Decode a :func:`response_row`."""
+    (address_id, status, lng, lat, source, confidence, cache_state,
+     error) = row
+    result = None
+    if status == ServeStatus.OK.value:
+        result = QueryResult(
+            Point(lng, lat), QuerySource(source), confidence=confidence
+        )
+    return ServeResponse(address_id, ServeStatus(status), result, cache_state,
+                         latency_s, error=error)
+
+
+def mint_row(
+    ring: ProvenanceRing,
+    row: tuple,
+    snapshot_version: int | None,
+    trace_id: str,
+    evidence: dict[str, Any] | None = None,
+) -> ProvenanceRecord:
+    """Mint the provenance record of one :func:`response_row` into ``ring``.
+
+    The one mapping from a served answer to :meth:`ProvenanceRing.mint`,
+    shared by the thread server and every process worker.  ``evidence``
+    is the scoring side-channel entry (candidates, stays, fingerprints)
+    when the model tier produced the answer.
+    """
+    (address_id, status, lng, lat, source, confidence, cache_state,
+     error) = row
+    evidence = evidence or {}
+    return ring.mint(
+        address_id,
+        status,
+        lng=lng,
+        lat=lat,
+        source=source or "",
+        cache_state=cache_state or "",
+        confidence=confidence,
+        candidates=evidence.get("candidates", []),
+        stays=evidence.get("stays", []),
+        snapshot_version=snapshot_version,
+        model_fingerprint=evidence.get("model_fingerprint", ""),
+        pool_fingerprint=evidence.get("pool_fingerprint", ""),
+        trace_id=trace_id,
+        error=error or "",
+    )
 
 
 class PendingQuery:
@@ -243,7 +315,14 @@ class QueryServer:
         self.health.record(response.status.value, response.latency_s)
         if trace_id is None:
             return
-        record = self._mint(response, trace_id)
+        row = response_row(response.address_id, response.status,
+                           response.result, response.cache_state,
+                           response.error)
+        record = mint_row(self.provenance, row, self.store.version, trace_id,
+                          evidence=pop_evidence(response.address_id))
+        get_recorder().note_provenance(
+            record.key, record.address_id, record.status
+        )
         if response.result is not None:
             self._latency.observe(
                 response.latency_s,
@@ -361,32 +440,6 @@ class QueryServer:
                 # The client already timed out: drop this answer's
                 # scoring evidence so no later record cites it.
                 pop_evidence(pending.address_id)
-
-    def _mint(self, response: ServeResponse, trace_id: str):
-        """Build the provenance record for one terminal response."""
-        address_id = response.address_id
-        evidence = pop_evidence(address_id) or {}
-        result = response.result
-        record = self.provenance.mint(
-            address_id,
-            response.status.value,
-            lng=result.location.lng if result is not None else None,
-            lat=result.location.lat if result is not None else None,
-            source=result.source.value if result is not None else "",
-            cache_state=response.cache_state or "",
-            confidence=result.confidence if result is not None else None,
-            candidates=evidence.get("candidates", []),
-            stays=evidence.get("stays", []),
-            snapshot_version=self.store.version,
-            model_fingerprint=evidence.get("model_fingerprint", ""),
-            pool_fingerprint=evidence.get("pool_fingerprint", ""),
-            trace_id=trace_id,
-            error=response.error or "",
-        )
-        get_recorder().note_provenance(
-            record.key, record.address_id, record.status
-        )
-        return record
 
     # ------------------------------------------------------------------
     # Introspection

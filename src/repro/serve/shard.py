@@ -138,7 +138,7 @@ class StoreSnapshot:
 class ShardedLocationStore:
     """The in-process delivery-location store.
 
-    Query contract: ``query`` / ``query_id`` / ``query_ids_batch`` with the
+    Query contract: ``query`` / ``query_id`` / ``resolve_batch`` with the
     three-tier fallback and :class:`UnknownAddressError` for ids outside
     the address book.  Reads are lock-free against an immutable
     :class:`StoreSnapshot`; ``update`` and ``replace`` build the next
@@ -213,15 +213,17 @@ class ShardedLocationStore:
             raise UnknownAddressError(address_id)
         return self._snapshot.resolve(address)
 
-    def query_ids_batch(
+    def resolve_batch(
         self, address_ids: list[str]
     ) -> dict[str, QueryResult | UnknownAddressError]:
         """Resolve many ids in one pass over a single snapshot.
 
-        Every id in the batch is answered from the *same* generation, and
+        The batch-lookup contract every serving lookup shares (this store,
+        :class:`~repro.serve.scoring.ModelScoringTier` and
+        :class:`~repro.serve.columnar.ColumnarSnapshot`): every id in the
+        batch is answered from the *same* generation, keyed by id, and
         unknown ids come back as :class:`UnknownAddressError` values (not
-        raises) so one bad id cannot fail its batch-mates.  The model tier
-        answers the ids it cannot score through this.
+        raises) so one bad id cannot fail its batch-mates.
         """
         snapshot = self._snapshot
         out: dict[str, QueryResult | UnknownAddressError] = {}

@@ -32,7 +32,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.geo import Point
 from repro.obs import SLO
 from repro.stream.bus import OverflowPolicy, StreamBus
 from repro.stream.events import GpsFix
@@ -146,22 +145,22 @@ def _batch_reference(
 
 
 def run_stream_bench(
-    config: StreamBenchConfig,
-    slos: Sequence[SLO] = (),
-    promote_factory=None,
+    config: StreamBenchConfig, slos: Sequence[SLO] = ()
 ) -> dict[str, Any]:
     """Run the full streaming pipeline and return the report payload.
 
-    ``promote_factory``, when given, is called with
-    ``(dataset, initial_locations)`` and must return a
-    ``(promote, current_version, close, server)`` tuple — this is how
-    the CLI plugs in the thread/process serving backends (``server`` is
-    the query target for the concurrent load generator; it may be None
-    to skip serve load).  The default builds an in-process
-    :class:`~repro.serve.QueryServer`.
+    The serving backend is built from the config: ``backend="thread"``
+    serves from an in-process :class:`~repro.serve.QueryServer`,
+    ``backend="process"`` from a :class:`~repro.serve.ProcessRouter` over
+    ``snapshot_dir`` (required), each with ``workers`` workers and seeded
+    with the address geocodes.  Promotions go through the backend's
+    ``apply_refresh`` — for the process backend the durable log → swap →
+    publish → flip sequence — and the concurrent query load targets the
+    same backend.
     """
     from repro.serve import (
         LoadGenerator,
+        ProcessRouter,
         QueryServer,
         ServerConfig,
         ShardedLocationStore,
@@ -170,6 +169,10 @@ def run_stream_bench(
     cfg = config
     if cfg.preset not in _PRESETS:
         raise ValueError(f"unknown preset: {cfg.preset!r}")
+    if cfg.backend not in ("thread", "process"):
+        raise ValueError(f"unknown backend: {cfg.backend!r}")
+    if cfg.backend == "process" and not cfg.snapshot_dir:
+        raise ValueError("backend='process' needs a snapshot_dir")
     if cfg.blackbox_dir:
         from repro.obs import configure_recorder
 
@@ -188,27 +191,20 @@ def run_stream_bench(
     )
     geocodes = {aid: a.geocode for aid, a in dataset.addresses.items()}
 
-    server = None
-    if promote_factory is not None:
-        promote, current_version, close_backend, server = promote_factory(
-            dataset, geocodes
-        )
-    else:
-        store = ShardedLocationStore(geocodes, dataset.addresses)
-        server = QueryServer(store, ServerConfig(n_workers=2)).start()
-
-        def promote(locations: dict[str, Point]) -> int:
-            return server.apply_refresh(locations)
-
-        def current_version() -> int:
-            return server.store.version
-
-        def close_backend() -> None:
-            server.stop()
-
+    store = ShardedLocationStore(geocodes, dataset.addresses)
+    server_config = ServerConfig(n_workers=cfg.workers)
     obs_dir = None
-    if cfg.backend == "process" and cfg.snapshot_dir:
-        obs_dir = str(cfg.snapshot_dir) + "/obs"
+    if cfg.backend == "process":
+        # The streaming metrics plane lands in the same obs/ directory as
+        # the router and worker planes, so the ingest tier is scrape-able
+        # alongside the serving fleet.
+        server = ProcessRouter.from_store(
+            store, cfg.snapshot_dir, n_workers=cfg.workers,
+            config=server_config,
+        ).start()
+        obs_dir = server.obs_dir
+    else:
+        server = QueryServer(store, server_config).start()
     metrics = StreamMetrics(obs_dir=obs_dir)
     bus = StreamBus(
         capacity=cfg.bus_capacity, policy=OverflowPolicy(cfg.overflow)
@@ -236,7 +232,7 @@ def run_stream_bench(
         merger=ShardedPoolMerger(dataset.city.projection),
         metrics=metrics,
         addresses=geocodes,
-        promote=promote,
+        promote=server.apply_refresh,
         slos=slos,
         gate=GateConfig(
             psi_threshold=cfg.psi_threshold,
@@ -273,7 +269,7 @@ def run_stream_bench(
     t_run0 = time.perf_counter()
     producer.start()
     serve_report = None
-    if cfg.serve_rate_rps > 0 and server is not None:
+    if cfg.serve_rate_rps > 0:
         import random as _random
 
         generator = LoadGenerator(
@@ -294,7 +290,7 @@ def run_stream_bench(
 
     poison_result = None
     if cfg.poison:
-        version_before = current_version()
+        version_before = store.version
         promoted_before = scheduler.n_promoted
         fixes = _poison_fixes(
             dataset.city.projection,
@@ -315,9 +311,9 @@ def run_stream_bench(
             "reason": record.reason,
             "rejected": record.outcome.startswith("rejected"),
             "version_before": version_before,
-            "version_after": current_version(),
+            "version_after": store.version,
             "served_version_unchanged":
-                current_version() == version_before,
+                store.version == version_before,
         }
     else:
         ingestor.close(flush=True)
@@ -372,7 +368,7 @@ def run_stream_bench(
             "n_promoted": scheduler.n_promoted,
             "n_rejected": scheduler.n_rejected,
             "by_outcome": promo_counts,
-            "final_version": current_version(),
+            "final_version": store.version,
         },
         "audit": scheduler.audit_trail(),
         "parity": parity,
@@ -397,7 +393,7 @@ def run_stream_bench(
 
         get_provenance_ring().persist(f"{obs_dir}/provenance-router.jsonl")
     metrics.close()
-    close_backend()
+    server.stop()
     return payload
 
 

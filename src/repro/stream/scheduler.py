@@ -28,10 +28,11 @@ a ``stream_promotion_rejected`` event is emitted, and a
 :class:`PromotionRecord` lands in the audit trail — the rejection is a
 first-class, observable outcome, not a silent skip.  Only a batch that
 passes both gates is committed, snapped to address locations, and
-promoted through the injected ``promote`` callable (thread backend:
-``QueryServer.apply_refresh``; process backend:
-``SnapshotPublisher.refresh``, which flips the mmap'd version counter
-only after the snapshot is durably published).
+promoted through the injected ``promote`` callable: the serving
+backend's ``apply_refresh`` (``QueryServer.apply_refresh`` swaps the
+in-process store; ``ProcessRouter.apply_refresh`` logs, swaps, publishes
+and flips the mmap'd version counter only after the snapshot is durably
+on disk).
 
 The first ``warmup_promotions`` successful ticks skip the drift gate
 (outcome ``"warmup"``): a pool growing from nothing shifts its own

@@ -1,8 +1,12 @@
 """LRU + TTL cache: recency eviction, expiry, and counter accounting."""
 
+import pathlib
+
 import pytest
 
 from repro.serve import TTLLRUCache
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 class FakeClock:
@@ -86,3 +90,17 @@ class TestTTL:
             TTLLRUCache(capacity=0)
         with pytest.raises(ValueError):
             TTLLRUCache(ttl_s=0.0)
+
+
+def test_only_the_router_builds_a_result_cache():
+    """Both serving backends cache through :class:`QueryRouter`: no other
+    module builds its own cache (and its own cache loop around it)."""
+    allowed = {"serve/cache.py", "serve/router.py"}
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.relative_to(SRC).as_posix() in allowed:
+            continue
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if "TTLLRUCache(" in line:
+                offenders.append(f"{path.relative_to(SRC)}:{lineno}: {line.strip()}")
+    assert not offenders, offenders

@@ -83,7 +83,7 @@ class TestRoundTrip:
             write_snapshot(path, store)
             snap = load_snapshot(path)
             got = snap.resolve_batch(ids)
-            want = store.query_ids_batch(ids)
+            want = store.resolve_batch(ids)
             sources = set()
             for aid in ids:
                 g, w = got[aid], want[aid]

@@ -55,7 +55,7 @@ class TestModelScoringTier:
     def test_scorable_ids_answered_by_model(self, stub_world):
         pipeline, store = stub_world
         tier = ModelScoringTier(pipeline, store)
-        out = tier.query_ids_batch(["a0", "a1"])
+        out = tier.resolve_batch(["a0", "a1"])
         assert out["a0"].source == QuerySource.MODEL
         assert out["a0"].location == Point(7.0, 0.0)
         assert out["a1"].location == Point(9.0, 0.0)
@@ -65,7 +65,7 @@ class TestModelScoringTier:
     def test_mixed_batch_falls_back_to_store(self, stub_world):
         pipeline, store = stub_world
         tier = ModelScoringTier(pipeline, store)
-        out = tier.query_ids_batch(["a0", "a3", "missing"])
+        out = tier.resolve_batch(["a0", "a3", "missing"])
         assert out["a0"].source == QuerySource.MODEL
         assert out["a3"].source == QuerySource.ADDRESS
         assert isinstance(out["missing"], KeyError)

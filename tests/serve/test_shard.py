@@ -91,7 +91,7 @@ class TestQueryParity:
     def test_batch_resolution_mixes_results_and_errors(self, world):
         addresses, locations = world
         store = ShardedLocationStore(locations, addresses)
-        out = store.query_ids_batch(["a1", "missing", "a4"])
+        out = store.resolve_batch(["a1", "missing", "a4"])
         assert out["a1"].source == QuerySource.ADDRESS
         assert isinstance(out["missing"], UnknownAddressError)
         assert out["a4"].source == QuerySource.GEOCODE
