@@ -50,13 +50,23 @@ class LocationProfile:
         return np.concatenate([[self.avg_duration_s, float(self.n_couriers)], self.time_hist])
 
 
+#: Distances computed per block by :meth:`CandidatePool.nearest_ids`: the
+#: block's scratch matrices stay near 256 KB however many points are asked.
+NEAREST_BLOCK = 1 << 15
+
+
 class CandidatePool:
-    """The pool of location candidates with a nearest-lookup index."""
+    """The pool of location candidates with nearest and radius lookups."""
 
     def __init__(self, candidates: list[LocationCandidate], projection: LocalProjection) -> None:
         self.candidates = list(candidates)
         self.projection = projection
         self.by_id = {c.candidate_id: c for c in self.candidates}
+        # Sorted by id, so argmin's first minimum is the lowest id on a tie.
+        ordered = sorted(self.candidates, key=lambda c: c.candidate_id)
+        self._ids = np.array([c.candidate_id for c in ordered], dtype=np.int64)
+        self._x = np.array([c.x for c in ordered], dtype=float)
+        self._y = np.array([c.y for c in ordered], dtype=float)
         self._index = GridIndex(cell_size_m=60.0)
         for c in self.candidates:
             self._index.insert(c.candidate_id, c.x, c.y)
@@ -72,10 +82,31 @@ class CandidatePool:
             tuple((c.candidate_id, c.x, c.y, c.weight) for c in self.candidates),
         )
 
+    def nearest_ids(self, xy: np.ndarray) -> np.ndarray:
+        """Nearest candidate id per row of an ``(n, 2)`` meter array.
+
+        Exact: squared distances in float64, ties to the lowest id.  Rows
+        go in blocks of about ``NEAREST_BLOCK`` distances (one row each
+        when the pool is larger), so memory stays flat in the number of
+        points.
+        """
+        if not self.candidates:
+            raise ValueError("an empty pool has no nearest candidate")
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        out = np.empty(len(xy), dtype=np.int64)
+        step = max(1, NEAREST_BLOCK // len(self._ids))
+        for lo in range(0, len(xy), step):
+            px = xy[lo:lo + step, 0:1]
+            py = xy[lo:lo + step, 1:2]
+            d2 = (self._x - px) ** 2 + (self._y - py) ** 2
+            out[lo:lo + step] = self._ids[d2.argmin(axis=1)]
+        return out
+
     def nearest(self, x: float, y: float) -> LocationCandidate | None:
         """The candidate closest to meter coordinates (x, y)."""
-        cid = self._index.nearest(x, y)
-        return None if cid is None else self.by_id[cid]
+        if not self.candidates:
+            return None
+        return self.by_id[int(self.nearest_ids(np.array([x, y]))[0])]
 
     def within(self, x: float, y: float, radius_m: float) -> list[LocationCandidate]:
         """Candidates within ``radius_m`` of (x, y)."""
@@ -177,8 +208,7 @@ def assign_stay_points(
     """Nearest candidate id per stay point (None when the pool is empty)."""
     if len(pool) == 0:
         return [None] * len(stay_points)
-    coords = _project(stay_points, pool.projection)
-    return [pool.nearest(float(x), float(y)).candidate_id for x, y in coords]
+    return pool.nearest_ids(_project(stay_points, pool.projection)).tolist()
 
 
 def build_profiles(

@@ -141,9 +141,12 @@ class FeatureExtractor:
     def _map_visits(
         self, stay_points_by_trip: dict[str, list[StayPoint]]
     ) -> dict[str, list[TripVisit]]:
+        # One assignment over every trip's stays; zip takes each trip's
+        # share of the ids in order.
+        flat = [sp for stays in stay_points_by_trip.values() for sp in stays]
+        cids = iter(assign_stay_points(flat, self.pool))
         out: dict[str, list[TripVisit]] = {}
         for trip_id, stays in stay_points_by_trip.items():
-            cids = assign_stay_points(stays, self.pool)
             out[trip_id] = [
                 TripVisit(candidate_id=cid, t=sp.t, duration_s=sp.duration_s)
                 for sp, cid in zip(stays, cids)

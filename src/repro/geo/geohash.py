@@ -220,9 +220,8 @@ class GeohashSpatialIndex:
     Points are bucketed by their packed geohash cell; :meth:`nearest`
     expands :func:`geohash_ring` rings around the query cell and stops as
     soon as the best hit provably beats anything a farther ring could
-    hold (the same termination argument as
-    :class:`repro.geo.grid.GridIndex`, with cell extents measured at the
-    query latitude).  The index is three flat arrays — sorted unique cell
+    hold (a point beyond ring ``k`` is at least ``k`` cell extents away,
+    with cell extents measured at the query latitude).  The index is three flat arrays — sorted unique cell
     codes, bucket offsets, and the row permutation — so it mmaps straight
     out of a columnar snapshot file without rebuild.
     """

@@ -1,8 +1,9 @@
 """A uniform spatial grid index over projected (meter) coordinates.
 
-Used to accelerate radius queries during clustering and candidate retrieval:
-all points within ``r`` of a query are found by scanning the
-``ceil(r / cell)``-ring of neighbouring cells.
+The grid serves radius queries only (clustering and
+``CandidatePool.within``): all points within ``r`` of a query are found by
+scanning the ``ceil(r / cell)``-ring of neighbouring cells.  Nearest-candidate
+assignment is a blocked numpy argmin, ``CandidatePool.nearest_ids``.
 """
 
 from __future__ import annotations
@@ -76,52 +77,6 @@ class GridIndex:
                     if (px - x) ** 2 + (py - y) ** 2 <= r2:
                         found.append(item)
         return found
-
-    def nearest(self, x: float, y: float) -> Hashable | None:
-        """The closest item to (x, y), or ``None`` when empty.
-
-        Expands the search ring until a hit is confirmed closer than the
-        next unexplored ring could be.
-        """
-        if not self._coords:
-            return None
-        cx, cy = self._cell_of(x, y)
-        best: Hashable | None = None
-        best_d2 = math.inf
-        ring = 0
-        max_ring = self._max_ring(cx, cy)
-        while ring <= max_ring:
-            for gx, gy in self._ring_cells(cx, cy, ring):
-                for item in self._cells.get((gx, gy), ()):
-                    px, py = self._coords[item]
-                    d2 = (px - x) ** 2 + (py - y) ** 2
-                    if d2 < best_d2:
-                        best, best_d2 = item, d2
-            if best is not None:
-                # Anything in a farther ring is at least (ring*cell) away
-                # from the query cell border; stop once that bound exceeds
-                # the best hit.
-                if math.sqrt(best_d2) <= ring * self.cell_size_m:
-                    break
-            ring += 1
-        return best
-
-    def _max_ring(self, cx: int, cy: int) -> int:
-        return max(
-            max(abs(gx - cx), abs(gy - cy)) for gx, gy in self._cells
-        )
-
-    @staticmethod
-    def _ring_cells(cx: int, cy: int, ring: int) -> Iterator[tuple[int, int]]:
-        if ring == 0:
-            yield (cx, cy)
-            return
-        for gx in range(cx - ring, cx + ring + 1):
-            yield (gx, cy - ring)
-            yield (gx, cy + ring)
-        for gy in range(cy - ring + 1, cy + ring):
-            yield (cx - ring, gy)
-            yield (cx + ring, gy)
 
     def to_arrays(self) -> tuple[list[Hashable], np.ndarray]:
         """All items and an ``(n, 2)`` coordinate array, aligned by index."""

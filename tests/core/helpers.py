@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import CandidatePool, LocationCandidate
 from repro.geo import LocalProjection, Point
 from repro.trajectory import Address, DeliveryTrip, TrajPoint, Trajectory, Waybill
 
@@ -83,3 +84,13 @@ def point_at(x: float, y: float) -> Point:
     """Meters -> lng/lat Point around ORIGIN."""
     lng, lat = PROJ.to_lnglat(x, y)
     return Point(float(lng), float(lat))
+
+
+def pool_of(coords, ids=None) -> CandidatePool:
+    """A pool with candidates at meter ``coords`` (ids default to 0..n-1)."""
+    ids = range(len(coords)) if ids is None else ids
+    return CandidatePool(
+        [LocationCandidate(int(i), float(x), float(y), 0.0, 0.0, 1.0)
+         for i, (x, y) in zip(ids, coords)],
+        PROJ,
+    )

@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro.core.candidates as candidates_mod
+import repro.core.features as features_mod
 from repro.core import (
-    ExtractionConfig,
+    DLInfMAConfig,
+    build_artifacts,
     build_candidate_pool,
     build_profiles,
     assign_stay_points,
     extract_trip_stay_points,
 )
 from repro.trajectory import StayPoint
-from tests.core.helpers import PROJ, make_trip
+from tests.core.helpers import PROJ, make_trip, pool_of
 
 
 class TestExtractTripStayPoints:
@@ -149,3 +154,115 @@ class TestProfiles:
     def test_assign_empty_pool(self):
         pool = build_candidate_pool([], PROJ)
         assert assign_stay_points([sp(0, 0)], pool) == [None]
+
+
+def oracle_assign(stay_points, pool):
+    """Pure-Python nearest candidate: lowest id on an exact tie.
+
+    ``dx * dx`` is the float64 product numpy's ``** 2`` computes; Python's
+    ``float ** 2`` goes through libm ``pow``, which can be one ulp off.
+    """
+    ordered = sorted(pool.candidates, key=lambda c: c.candidate_id)
+    out = []
+    for stay in stay_points:
+        x, y = pool.projection.to_xy(stay.lng, stay.lat)
+        best, best_d2 = None, float("inf")
+        for c in ordered:
+            dx, dy = c.x - x, c.y - y
+            d2 = dx * dx + dy * dy
+            if d2 < best_d2:
+                best, best_d2 = c.candidate_id, d2
+        out.append(best)
+    return out
+
+
+class TestNearestIds:
+    def test_nearest_ids_rejects_empty_pool(self):
+        with pytest.raises(ValueError):
+            pool_of([]).nearest_ids(np.zeros((1, 2)))
+
+    def test_nearest_ids_no_points(self):
+        out = pool_of([(0.0, 0.0)]).nearest_ids(np.zeros((0, 2)))
+        assert out.shape == (0,) and out.dtype == np.int64
+
+
+def stays_at(coords):
+    return [sp(float(x), float(y), t=float(i)) for i, (x, y) in enumerate(coords)]
+
+
+class TestAssignmentParity:
+    """The blocked kernel equals the pure-Python oracle, id for id."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_random_pools(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = pool_of(rng.uniform(-2000, 2000, size=(int(rng.integers(2, 300)), 2)))
+        stays = stays_at(rng.uniform(-2500, 2500, size=(400, 2)))
+        assert assign_stay_points(stays, pool) == oracle_assign(stays, pool)
+
+    def test_more_points_than_one_block(self):
+        rng = np.random.default_rng(9)
+        pool = pool_of(rng.uniform(-2000, 2000, size=(1000, 2)))
+        stays = stays_at(rng.uniform(-2000, 2000, size=(100, 2)))
+        assert len(stays) * len(pool) > candidates_mod.NEAREST_BLOCK
+        assert assign_stay_points(stays, pool) == oracle_assign(stays, pool)
+
+    def test_empty_pool(self):
+        stays, pool = stays_at([(0.0, 0.0), (5.0, 5.0)]), pool_of([])
+        assert assign_stay_points(stays, pool) == oracle_assign(stays, pool) == [None, None]
+
+    def test_one_candidate(self):
+        pool = pool_of([(40.0, -30.0)], ids=[7])
+        stays = stays_at([(0.0, 0.0), (1e4, 1e4), (40.0, -30.0)])
+        assert assign_stay_points(stays, pool) == oracle_assign(stays, pool) == [7, 7, 7]
+
+    def test_exact_tie_goes_to_lowest_id(self):
+        # Listed highest id first: the winner is the lowest id, not the
+        # first candidate in the list.
+        pool = pool_of([(10.0, 0.0), (-10.0, 0.0), (0.0, 10.0)], ids=[5, 2, 3])
+        stays = stays_at([(0.0, 0.0)])
+        assert assign_stay_points(stays, pool) == [2] == oracle_assign(stays, pool)
+
+    def test_stays_far_outside_the_pool(self):
+        rng = np.random.default_rng(4)
+        pool = pool_of(rng.uniform(-300, 300, size=(50, 2)))
+        far = [(1e5, 0.0), (-1e5, -1e5), (0.0, 3e5), (2e5, -7e4)]
+        stays = stays_at(far)
+        assert assign_stay_points(stays, pool) == oracle_assign(stays, pool)
+
+    def test_artifacts_equal_with_oracle_assignment(self, tiny_workload, monkeypatch):
+        def build():
+            return build_artifacts(tiny_workload.trips, tiny_workload.addresses,
+                                   tiny_workload.projection, DLInfMAConfig())
+
+        built = build()
+        # build_profiles reads the candidates module's name, the extractor
+        # its own import.
+        monkeypatch.setattr(candidates_mod, "assign_stay_points", oracle_assign)
+        monkeypatch.setattr(features_mod, "assign_stay_points", oracle_assign)
+        oracle = build()
+
+        def profile_bytes(artifacts):
+            profiles = artifacts.extractor.profiles
+            return {cid: p.as_vector().tobytes() for cid, p in profiles.items()}
+
+        assert profile_bytes(built) == profile_bytes(oracle)
+        assert built.examples.keys() == oracle.examples.keys()
+        for address_id, example in built.examples.items():
+            other = oracle.examples[address_id]
+            assert example.candidate_ids == other.candidate_ids
+            assert example.features.tobytes() == other.features.tobytes()
+
+
+def test_nearest_ids_memory_is_blocked():
+    """50k points x 1,000 candidates would be a 400 MB distance matrix."""
+    rng = np.random.default_rng(0)
+    pool = pool_of(rng.uniform(-5000, 5000, size=(1000, 2)))
+    xy = rng.uniform(-5000, 5000, size=(50_000, 2))
+    tracemalloc.start()
+    try:
+        pool.nearest_ids(xy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024, f"peak {peak / 1e6:.1f} MB"

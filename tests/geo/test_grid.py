@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geo import GridIndex
+from tests.core.helpers import pool_of
 
 
 class TestGridIndexBasics:
@@ -67,23 +68,21 @@ class TestQueryRadius:
 
 
 class TestNearest:
+    """Nearest lookups go to ``CandidatePool.nearest``; the grid serves radius queries."""
+
     def test_empty(self):
-        assert GridIndex(10.0).nearest(0.0, 0.0) is None
+        assert pool_of([]).nearest(0.0, 0.0) is None
 
     def test_single(self):
-        g = GridIndex(10.0)
-        g.insert("a", 500.0, 500.0)
-        assert g.nearest(0.0, 0.0) == "a"
+        assert pool_of([(500.0, 500.0)]).nearest(0.0, 0.0).candidate_id == 0
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(-500, 500, size=(200, 2))
-        g = GridIndex(40.0)
-        for i, (x, y) in enumerate(pts):
-            g.insert(i, float(x), float(y))
+        pool = pool_of(pts)
         for qx, qy in rng.uniform(-600, 600, size=(20, 2)):
             d2 = ((pts - [qx, qy]) ** 2).sum(axis=1)
-            assert g.nearest(float(qx), float(qy)) == int(d2.argmin())
+            assert pool.nearest(float(qx), float(qy)).candidate_id == int(d2.argmin())
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(
@@ -91,19 +90,10 @@ class TestNearest:
         st.floats(min_value=-1000, max_value=1000),
     ), min_size=1, max_size=40))
     def test_nearest_property(self, coords):
-        g = GridIndex(33.0)
-        for i, (x, y) in enumerate(coords):
-            g.insert(i, x, y)
-        winner = g.nearest(3.0, 4.0)
-        best = min(
-            range(len(coords)),
-            key=lambda i: (g.position(i)[0] - 3.0) ** 2 + (g.position(i)[1] - 4.0) ** 2,
-        )
-        wx, wy = g.position(winner)
-        bx, by = g.position(best)
-        assert (wx - 3.0) ** 2 + (wy - 4.0) ** 2 == pytest.approx(
-            (bx - 3.0) ** 2 + (by - 4.0) ** 2
-        )
+        # Exact: the first index of the minimum, i.e. the lowest id on a tie.
+        winner = pool_of(coords).nearest(3.0, 4.0).candidate_id
+        d2 = [(x - 3.0) * (x - 3.0) + (y - 4.0) * (y - 4.0) for x, y in coords]
+        assert winner == d2.index(min(d2))
 
     def test_to_arrays(self):
         g = GridIndex(10.0)
