@@ -3,8 +3,9 @@
 The deployed system (Section VI-A) separates offline inference from online
 queries; persistence is the seam: a fitted pipeline's pool, profiles and
 LocMatcher weights go to disk as ``.npz`` + JSON, and the inferred
-address→location table as plain JSON for the query store.  JSON files are
-replaced atomically (:func:`repro.durable.write_text`).
+address→location table as plain JSON for the query store.  Every file is
+replaced atomically (:func:`repro.durable.write_text`,
+:func:`repro.durable.write_npz`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.core.candidates import CandidatePool, LocationCandidate, LocationProfile, TIME_BINS
 from repro.core.locmatcher import LocMatcherSelector
-from repro.durable import write_text
+from repro.durable import write_npz, write_text
 from repro.geo import LocalProjection, Point
 from repro.trajectory import StayPoint
 
@@ -79,7 +80,7 @@ def save_profiles(profiles: dict[int, LocationProfile], path: PathLike) -> None:
     """Write location profiles as a compressed ``.npz``."""
     ids = np.array(sorted(profiles), dtype=int)
     data = np.stack([profiles[int(i)].as_vector() for i in ids]) if len(ids) else np.zeros((0, 2 + TIME_BINS))
-    np.savez_compressed(pathlib.Path(path), ids=ids, data=data)
+    write_npz(path, {"ids": ids, "data": data})
 
 
 def load_profiles(path: PathLike) -> dict[int, LocationProfile]:
@@ -107,7 +108,7 @@ def save_locmatcher(selector: LocMatcherSelector, path: PathLike) -> None:
         selector.scaler.scale_ if selector.scaler.scale_ is not None else np.zeros(0)
     )
     state["deliv_norm"] = np.array([selector._deliv_mean, selector._deliv_std])
-    np.savez_compressed(pathlib.Path(path), **state)
+    write_npz(path, state)
 
 
 def load_locmatcher_into(selector: LocMatcherSelector, path: PathLike) -> LocMatcherSelector:

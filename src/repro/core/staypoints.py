@@ -20,8 +20,8 @@ from repro.trajectory import (
     NoiseFilterConfig,
     StayPoint,
     StayPointConfig,
-    detect_stay_points,
-    filter_noise,
+    noise_kept,
+    stay_points_of,
 )
 
 
@@ -40,8 +40,10 @@ class ExtractionConfig:
 
 def _extract_one(args: tuple[DeliveryTrip, ExtractionConfig]) -> tuple[str, list[StayPoint]]:
     trip, config = args
-    cleaned = filter_noise(trip.trajectory, config.noise)
-    return trip.trip_id, detect_stay_points(cleaned, config.stay)
+    lng, lat, t = trip.trajectory.to_arrays()
+    kept = noise_kept(lng, lat, t, config.noise)
+    stays = stay_points_of(lng[kept], lat[kept], t[kept], trip.trajectory.courier_id, config.stay)
+    return trip.trip_id, stays
 
 
 def _extract_one_tagged(

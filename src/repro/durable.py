@@ -3,7 +3,9 @@
 * :func:`atomic_write` replaces a whole file: temp file beside the
   target → fsync → :func:`os.replace` → fsync of the directory.  A
   reader sees the complete old file or the complete new one, and a
-  failure at any step leaves no temp file behind.
+  failure at any step leaves no temp file behind.  :func:`write_text`,
+  :func:`write_jsonl` and :func:`write_npz` are its text, JSON-lines and
+  numpy-archive forms.
 * :func:`append_record` appends and fsyncs (the publisher's update log).
 * :class:`LineAppender` appends flushed, not fsynced, lines (span and
   event streams): a crash may lose or tear the last line, and
@@ -19,6 +21,8 @@ import pathlib
 import threading
 import uuid
 from typing import IO, Any, Callable, Iterable, Mapping, TextIO, TypeVar, Union
+
+import numpy as np
 
 PathLike = Union[str, os.PathLike]
 T = TypeVar("T")
@@ -75,6 +79,19 @@ def write_jsonl(path: PathLike, docs: Iterable[Mapping[str, Any]]) -> pathlib.Pa
             for doc in docs
         ),
     )
+
+
+def write_npz(path: PathLike, arrays: Mapping[str, np.ndarray]) -> pathlib.Path:
+    """Atomically replace ``path`` with a compressed ``.npz`` of ``arrays``.
+
+    Like ``np.savez_compressed`` given a path, appends ``.npz`` to a path
+    that does not end with it; returns the path written.
+    """
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    atomic_write(path, lambda fh: np.savez_compressed(fh, **arrays))
+    return pathlib.Path(path)
 
 
 def read_jsonl(path: PathLike) -> tuple[list[dict[str, Any]], int]:

@@ -12,6 +12,7 @@ from typing import Union
 
 import numpy as np
 
+from repro.durable import write_npz
 from repro.nn.optim import SGD, Adam, Optimizer
 
 PathLike = Union[str, pathlib.Path]
@@ -61,7 +62,7 @@ def load_optimizer_state(optimizer: Optimizer, state: dict[str, np.ndarray]) -> 
 
 def save_optimizer(optimizer: Optimizer, path: PathLike) -> None:
     """Write optimizer state as a compressed ``.npz``."""
-    np.savez_compressed(pathlib.Path(path), **optimizer_state(optimizer))
+    write_npz(path, optimizer_state(optimizer))
 
 
 def load_optimizer(optimizer: Optimizer, path: PathLike) -> None:

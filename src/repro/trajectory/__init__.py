@@ -2,8 +2,8 @@
 
 from repro.trajectory.model import TrajPoint, Trajectory, StayPoint
 from repro.trajectory.logistics import Address, Waybill, DeliveryTrip
-from repro.trajectory.noise import filter_noise, NoiseFilterConfig
-from repro.trajectory.staypoint import detect_stay_points, StayPointConfig
+from repro.trajectory.noise import filter_noise, noise_kept, NoiseFilterConfig
+from repro.trajectory.staypoint import detect_stay_points, stay_points_of, StayPointConfig
 from repro.trajectory.segmentation import SegmentationConfig, segment_trips
 from repro.trajectory.simplify import douglas_peucker, path_length_m
 from repro.trajectory.interpolation import (
@@ -29,7 +29,9 @@ __all__ = [
     "Waybill",
     "DeliveryTrip",
     "filter_noise",
+    "noise_kept",
     "NoiseFilterConfig",
     "detect_stay_points",
+    "stay_points_of",
     "StayPointConfig",
 ]

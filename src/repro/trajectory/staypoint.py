@@ -32,46 +32,68 @@ class StayPointConfig:
 def detect_stay_points(
     trajectory: Trajectory, config: StayPointConfig | None = None
 ) -> list[StayPoint]:
-    """Extract stay points from a single trajectory.
+    """Extract stay points from a single trajectory (see :func:`stay_points_of`)."""
+    return stay_points_of(*trajectory.to_arrays(), trajectory.courier_id, config)
+
+
+def stay_points_of(
+    lng: np.ndarray,
+    lat: np.ndarray,
+    t: np.ndarray,
+    courier_id: str,
+    config: StayPointConfig | None = None,
+) -> list[StayPoint]:
+    """Stay points of one courier's fixes, given as ``(lng, lat, t)`` arrays.
 
     Uses the anchor-based algorithm: advance ``j`` while ``p_j`` stays within
     ``d_max_m`` of ``p_i``; when the span ``[p_i, p_j]`` lasts at least
     ``t_min_s``, emit a stay point whose location is the centroid of the
-    contained fixes, then restart the anchor after the stay.
+    contained fixes, then restart the anchor after the stay.  Distances are
+    in the local plane anchored at the first fix, with the same
+    ``dx * dx + dy * dy`` test as the online extractor.
     """
     config = config or StayPointConfig()
-    n = len(trajectory)
-    if n == 0:
+    n = len(t)
+    if n < 2:
         return []
-    lng, lat, t = trajectory.to_arrays()
     proj = LocalProjection(Point(float(lng[0]), float(lat[0])))
     x, y = proj.to_xy(lng, lat)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    # Indexing a memoryview yields Python floats, like a list would, without
+    # a float object per fix held for the whole trajectory.
+    xs, ys, ts = (memoryview(np.ascontiguousarray(a, dtype=float)) for a in (x, y, t))
 
-    stays: list[StayPoint] = []
+    spans: list[tuple[int, int]] = []
     d2_max = config.d_max_m * config.d_max_m
     i = 0
     while i < n - 1:
+        xi, yi = xs[i], ys[i]
         j = i + 1
-        while j < n and (x[j] - x[i]) ** 2 + (y[j] - y[i]) ** 2 <= d2_max:
+        while j < n:
+            dx = xs[j] - xi
+            dy = ys[j] - yi
+            if not dx * dx + dy * dy <= d2_max:  # a NaN distance ends the window too
+                break
             j += 1
         # fixes i .. j-1 are within d_max of the anchor
-        if t[j - 1] - t[i] >= config.t_min_s:
-            cx = float(np.mean(x[i:j]))
-            cy = float(np.mean(y[i:j]))
-            clng, clat = proj.to_lnglat(cx, cy)
-            stays.append(
-                StayPoint(
-                    lng=float(clng),
-                    lat=float(clat),
-                    t_arrive=float(t[i]),
-                    t_leave=float(t[j - 1]),
-                    courier_id=trajectory.courier_id,
-                    n_points=j - i,
-                )
-            )
+        if ts[j - 1] - ts[i] >= config.t_min_s:
+            spans.append((i, j))
             i = j
         else:
             i += 1
-    return stays
+    if not spans:
+        return []
+    # np.add.reduce then one division is exactly np.mean's arithmetic.
+    cx = np.array([np.add.reduce(x[i:j]) / (j - i) for i, j in spans])
+    cy = np.array([np.add.reduce(y[i:j]) / (j - i) for i, j in spans])
+    clng, clat = proj.to_lnglat(cx, cy)
+    return [
+        StayPoint(
+            lng=a,
+            lat=b,
+            t_arrive=ts[i],
+            t_leave=ts[j - 1],
+            courier_id=courier_id,
+            n_points=j - i,
+        )
+        for (i, j), a, b in zip(spans, clng.tolist(), clat.tolist())
+    ]

@@ -1,8 +1,17 @@
+import heapq
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.cluster.hierarchical as hierarchical_mod
+import repro.core.candidates as candidates_mod
 from repro.cluster import Cluster, hierarchical_cluster, merge_weighted_clusters
+from repro.cluster.hierarchical import close_pairs
+from repro.core import DLInfMAConfig, build_artifacts
+from repro.geo import GridIndex
 
 
 class TestHierarchicalCluster:
@@ -141,3 +150,212 @@ class TestMergeWeightedClusters:
         assert len(merged) == len(single) == 1
         assert merged[0].x == pytest.approx(single[0].x, abs=1.0)
         assert merged[0].y == pytest.approx(single[0].y, abs=1.0)
+
+
+# ----------------------------------------------------------------------
+# Parity with the lazy-heap implementation the pair sweep replaced
+# ----------------------------------------------------------------------
+def oracle_cluster(
+    coords: np.ndarray,
+    distance_threshold: float,
+    weights=None,
+) -> list[Cluster]:
+    """The grid-seeded lazy-heap clustering, kept verbatim as the oracle."""
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or (coords.size and coords.shape[1] != 2):
+        raise ValueError(f"coords must be (n, 2), got shape {coords.shape}")
+    n = len(coords)
+    if weights is None:
+        w = np.ones(n, dtype=float)
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (n,):
+            raise ValueError("weights must align with coords")
+        if np.any(w <= 0):
+            raise ValueError("weights must be positive")
+    if distance_threshold <= 0:
+        raise ValueError("distance_threshold must be positive")
+    if n == 0:
+        return []
+
+    # Live clusters: id -> (x, y, weight, member indices).
+    live: dict[int, tuple[float, float, float, list[int]]] = {
+        i: (float(coords[i, 0]), float(coords[i, 1]), float(w[i]), [i]) for i in range(n)
+    }
+    next_id = n
+    grid = GridIndex(cell_size_m=distance_threshold)
+    for cid, (x, y, _, _) in live.items():
+        grid.insert(cid, x, y)
+
+    heap: list[tuple[float, int, int]] = []
+
+    def push_pairs(cid: int) -> None:
+        x, y, _, _ = live[cid]
+        for other in grid.query_radius(x, y, distance_threshold):
+            if other == cid:
+                continue
+            ox, oy, _, _ = live[other]
+            d = math.hypot(ox - x, oy - y)
+            if d < distance_threshold:
+                a, b = (cid, other) if cid < other else (other, cid)
+                heapq.heappush(heap, (d, a, b))
+
+    for cid in range(n):
+        push_pairs(cid)
+
+    while heap:
+        d, a, b = heapq.heappop(heap)
+        if a not in live or b not in live:
+            continue
+        xa, ya, wa, ma = live.pop(a)
+        xb, yb, wb, mb = live.pop(b)
+        grid.remove(a)
+        grid.remove(b)
+        wt = wa + wb
+        nx = (xa * wa + xb * wb) / wt
+        ny = (ya * wa + yb * wb) / wt
+        cid = next_id
+        next_id += 1
+        live[cid] = (nx, ny, wt, ma + mb)
+        grid.insert(cid, nx, ny)
+        push_pairs(cid)
+
+    return [
+        Cluster(x=x, y=y, weight=wt, members=sorted(members))
+        for x, y, wt, members in live.values()
+    ]
+
+
+def as_rows(clusters):
+    """Clusters as exact tuples, in output order."""
+    return [(c.x, c.y, c.weight, c.members) for c in clusters]
+
+
+def hotspot_cloud(rng, n, extent=2000.0, spread=15.0):
+    """Stay-like points: tight clumps around random delivery spots."""
+    spots = rng.uniform(0, extent, size=(max(1, n // 15), 2))
+    return spots[rng.integers(0, len(spots), n)] + rng.normal(0, spread, size=(n, 2))
+
+
+class TestClusteringParity:
+    """The pair-seeded heap merges exactly like the grid-seeded oracle."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_float_clouds(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = hotspot_cloud(rng, int(rng.integers(50, 600)))
+        for threshold in (20.0, 40.0):
+            assert as_rows(hierarchical_cluster(pts, threshold)) == as_rows(
+                oracle_cluster(pts, threshold)
+            )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_lattice_ties(self, seed):
+        # Lattice points give many exactly equal distances, so pop order
+        # falls through to the (a, b) ids.
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 25, size=(300, 2)).astype(float) * 10.0
+        for threshold in (10.5, 25.0, 40.0):
+            assert as_rows(hierarchical_cluster(pts, threshold)) == as_rows(
+                oracle_cluster(pts, threshold)
+            )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weighted_inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = hotspot_cloud(rng, 400)
+        weights = rng.uniform(0.5, 30.0, size=len(pts))
+        assert as_rows(hierarchical_cluster(pts, 40.0, weights)) == as_rows(
+            oracle_cluster(pts, 40.0, weights)
+        )
+
+    def test_merge_weighted_clusters(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        pool = hierarchical_cluster(hotspot_cloud(rng, 300), 40.0)
+        batch = hotspot_cloud(rng, 250)
+        built = merge_weighted_clusters(pool, batch, 40.0)
+        monkeypatch.setattr(hierarchical_mod, "hierarchical_cluster", oracle_cluster)
+        assert as_rows(built) == as_rows(merge_weighted_clusters(pool, batch, 40.0))
+
+    def test_pair_exactly_at_threshold(self):
+        # 3-4-5 triangles: hypot is exactly 40, which does not merge, while
+        # the 39.0 pair beside it does.
+        pts = np.array([[0.0, 0.0], [24.0, 32.0], [500.0, 0.0], [539.0, 0.0]])
+        out = hierarchical_cluster(pts, 40.0)
+        assert as_rows(out) == as_rows(oracle_cluster(pts, 40.0))
+        assert sorted(c.members for c in out) == [[0], [1], [2, 3]]
+
+    @pytest.mark.parametrize("block", [1, 97, 1000])
+    def test_more_than_one_sweep_block(self, block, monkeypatch):
+        # A block smaller than one row's candidates still takes that row.
+        monkeypatch.setattr(hierarchical_mod, "PAIR_BLOCK", block)
+        pts = hotspot_cloud(np.random.default_rng(7), 800)
+        assert as_rows(hierarchical_cluster(pts, 40.0)) == as_rows(oracle_cluster(pts, 40.0))
+
+    def test_tall_layout_sweeps_the_wider_axis(self):
+        rng = np.random.default_rng(8)
+        pts = np.column_stack([rng.uniform(0, 30, 500), rng.uniform(0, 5000, 500)])
+        assert as_rows(hierarchical_cluster(pts, 40.0)) == as_rows(oracle_cluster(pts, 40.0))
+
+    @pytest.mark.parametrize("pts", [np.empty((0, 2)), np.array([[3.0, -4.0]])])
+    def test_zero_and_one_point(self, pts):
+        assert as_rows(hierarchical_cluster(pts, 40.0)) == as_rows(oracle_cluster(pts, 40.0))
+
+    def test_close_pairs_are_exactly_the_pairs_below_the_cutoff(self):
+        rng = np.random.default_rng(11)
+        pts = hotspot_cloud(rng, 500)
+        found = {(a, b) for block in close_pairs(pts, 40.0) for a, b in zip(*block)
+                 if math.hypot(*(pts[b] - pts[a])) < 40.0}
+        brute = {(a, b) for a in range(len(pts)) for b in range(a + 1, len(pts))
+                 if math.hypot(*(pts[b] - pts[a])) < 40.0}
+        assert found == brute
+
+    def test_artifacts_equal_with_oracle_clustering(self, tiny_workload, monkeypatch):
+        def build():
+            return build_artifacts(tiny_workload.trips, tiny_workload.addresses,
+                                   tiny_workload.projection, DLInfMAConfig())
+
+        built = build()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return oracle_cluster(*args, **kwargs)
+
+        # build_candidate_pool reads the candidates module's name,
+        # merge_weighted_clusters its own module's.
+        monkeypatch.setattr(candidates_mod, "hierarchical_cluster", counted)
+        monkeypatch.setattr(hierarchical_mod, "hierarchical_cluster", counted)
+        oracle = build()
+        assert calls
+
+        def pool_rows(artifacts):
+            return [(c.candidate_id, c.x, c.y, c.lng, c.lat, c.weight)
+                    for c in artifacts.pool.candidates]
+
+        def profile_bytes(artifacts):
+            profiles = artifacts.extractor.profiles
+            return {cid: p.as_vector().tobytes() for cid, p in profiles.items()}
+
+        assert pool_rows(built) == pool_rows(oracle)
+        assert profile_bytes(built) == profile_bytes(oracle)
+        assert built.examples.keys() == oracle.examples.keys()
+        for address_id, example in built.examples.items():
+            other = oracle.examples[address_id]
+            assert example.candidate_ids == other.candidate_ids
+            assert example.features.tobytes() == other.features.tobytes()
+
+
+def test_close_pairs_memory_is_blocked():
+    """50k points along a 10 km line, about ten neighbours within the cutoff
+    each: an unblocked sweep would hold all 500k candidate pairs at once."""
+    rng = np.random.default_rng(0)
+    pts = np.column_stack([rng.uniform(0, 10_000, 50_000), rng.uniform(0, 1.0, 50_000)])
+    tracemalloc.start()
+    try:
+        n_pairs = sum(len(a) for a, _ in close_pairs(pts, 2.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n_pairs > 10 * hierarchical_mod.PAIR_BLOCK
+    assert peak < 4 * 1024 * 1024, f"peak {peak / 1e6:.1f} MB"

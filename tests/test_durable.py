@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from repro import durable
-from repro.core.persistence import load_locations, save_locations
+from repro.core.candidates import TIME_BINS, LocationProfile
+from repro.core.persistence import load_locations, load_profiles, save_locations, save_profiles
 from repro.durable import (
     LineAppender,
     append_record,
@@ -25,6 +26,7 @@ from repro.durable import (
     read_jsonl,
     to_jsonable,
     write_jsonl,
+    write_npz,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceRing, read_provenance
@@ -78,6 +80,19 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"new"
 
 
+class TestWriteNpz:
+    def test_appends_the_suffix_like_numpy(self, tmp_path):
+        arrays = {"a": np.arange(3), "b": np.eye(2)}
+        written = write_npz(tmp_path / "plain", arrays)
+        np.savez_compressed(tmp_path / "by_numpy", **arrays)
+        assert written == tmp_path / "plain.npz"
+        assert sorted(os.listdir(tmp_path)) == ["by_numpy.npz", "plain.npz"]
+        assert write_npz(tmp_path / "kept.npz", arrays) == tmp_path / "kept.npz"
+        with np.load(written) as archive:
+            assert archive.files == ["a", "b"]
+            assert np.array_equal(archive["b"], np.eye(2))
+
+
 class TestAppenders:
     def test_append_record_accumulates(self, tmp_path):
         path = tmp_path / "log.bin"
@@ -120,17 +135,19 @@ class TestToJsonable:
 
 
 #: Calls that bypass :mod:`repro.durable`: renames and fsyncs, and
-#: whole-file writes that a crash can leave truncated.
+#: whole-file writes that a crash can leave truncated (numpy's savers
+#: given a path write it in place).
 BYPASS = re.compile(
     r"os\.replace\(|os\.fsync\(|\.write_text\("
     r"|\bopen\([^)\n]*,\s*(?:mode\s*=\s*)?[\"']w"
+    r"|\b(?:np|numpy)\.save\w*\("
 )
 
 
 def test_only_durable_calls_replace_or_fsync():
     """The durability policy stays behind one module: nothing else
-    renames, fsyncs, or writes a whole file with ``Path.write_text`` or
-    ``open(..., "w")``."""
+    renames, fsyncs, or writes a whole file with ``Path.write_text``,
+    ``open(..., "w")`` or ``np.save*``."""
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         if path.relative_to(SRC).as_posix() == "durable.py":
@@ -346,6 +363,20 @@ def _trace_kind(tmp_path):
     return write, read, 1, 2
 
 
+def _profiles_kind(tmp_path):
+    # No suffix given: the file written is profiles.npz, as numpy names it.
+    path = tmp_path / "profiles"
+
+    def write(generation):
+        profile = LocationProfile(30.0, 1, np.full(TIME_BINS, 1.0 / TIME_BINS))
+        save_profiles({i: profile for i in range(2 * generation)}, path)
+
+    def read():
+        return len(load_profiles(tmp_path / "profiles.npz"))
+
+    return write, read, 2, 4
+
+
 KINDS = {
     "snapshot": _snapshot_kind,
     "version_counter": _counter_kind,
@@ -355,6 +386,7 @@ KINDS = {
     "merged_trace": _trace_kind,
     "locations": _locations_kind,
     "trips": _trips_kind,
+    "profiles_npz": _profiles_kind,
 }
 
 
