@@ -1,4 +1,4 @@
-"""Deployment store, query service and the two downstream applications."""
+"""Deployment-store query types and the two downstream applications."""
 
 from repro.apps.store import (
     QueryResult,
@@ -17,16 +17,8 @@ from repro.apps.availability import (
     AvailabilityProfile,
     actual_delivery_times,
 )
-from repro.apps.service import DeliveryLocationService, ServiceStats
-from repro.apps.eta import ETAEstimator, StopETA, estimate_courier_speed
-from repro.apps.assignment import AssignmentResult, ParcelAllocator
 
 __all__ = [
-    "ETAEstimator",
-    "StopETA",
-    "estimate_courier_speed",
-    "AssignmentResult",
-    "ParcelAllocator",
     "QueryResult",
     "QuerySource",
     "UnknownAddressError",
@@ -38,6 +30,4 @@ __all__ = [
     "AvailabilityModel",
     "AvailabilityProfile",
     "actual_delivery_times",
-    "DeliveryLocationService",
-    "ServiceStats",
 ]

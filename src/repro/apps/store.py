@@ -45,9 +45,6 @@ class QuerySource(Enum):
     ADDRESS = "address"
     BUILDING = "building"
     GEOCODE = "geocode"
-    #: Answered by live LocMatcher scoring (the serving tier's model path,
-    #: :class:`repro.serve.scoring.ModelScoringTier`) rather than a table.
-    MODEL = "model"
 
 
 @dataclass(frozen=True)
@@ -55,8 +52,7 @@ class QueryResult:
     """A resolved delivery location and its provenance.
 
     ``confidence`` is the scorer's probability for the served candidate
-    (softmax mass under :class:`repro.serve.scoring.ModelScoringTier`,
-    or a publisher-supplied value in columnar snapshots); table lookups
+    (a publisher-supplied value in columnar snapshots); table lookups
     that carry no score leave it ``None``.
     """
 

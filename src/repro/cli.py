@@ -900,8 +900,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     Merges every ``provenance-*.jsonl`` file under ``--obs-dir`` (workers
     persist their rings on snapshot rotation and shutdown; benches persist
     the in-process ring at teardown), then renders the records minted for
-    the requested address id — candidate scores and ranks, stay evidence,
-    snapshot/model/pool fingerprints, and the serving tier that answered.
+    the requested address id — location, confidence, snapshot version,
+    trace id, and the serving tier that answered.
     """
     from repro.obs.provenance import merge_provenance, render_record
 

@@ -2,7 +2,6 @@
 
 - Threshold centroid-linkage hierarchical clustering (candidate pools, ours)
 - DBSCAN (GeoCloud baseline)
-- k-means (comparison method mentioned in Section III-B)
 - Grid merging (DLInfMA-Grid variant)
 
 All operate on ``(n, 2)`` arrays of projected meter coordinates.
@@ -11,17 +10,12 @@ All operate on ``(n, 2)`` arrays of projected meter coordinates.
 from repro.cluster.types import Cluster
 from repro.cluster.hierarchical import hierarchical_cluster, merge_weighted_clusters
 from repro.cluster.dbscan import dbscan
-from repro.cluster.kmeans import kmeans
 from repro.cluster.gridmerge import grid_merge
-from repro.cluster.optics import extract_clusters, optics
 
 __all__ = [
     "Cluster",
     "hierarchical_cluster",
     "merge_weighted_clusters",
     "dbscan",
-    "kmeans",
     "grid_merge",
-    "extract_clusters",
-    "optics",
 ]

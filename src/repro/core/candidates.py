@@ -74,14 +74,6 @@ class CandidatePool:
     def __len__(self) -> int:
         return len(self.candidates)
 
-    def content_key(self) -> tuple:
-        """Stable identity for engine fingerprinting."""
-        return (
-            "CandidatePool",
-            self.projection.content_key(),
-            tuple((c.candidate_id, c.x, c.y, c.weight) for c in self.candidates),
-        )
-
     def nearest_ids(self, xy: np.ndarray) -> np.ndarray:
         """Nearest candidate id per row of an ``(n, 2)`` meter array.
 

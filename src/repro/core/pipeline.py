@@ -6,10 +6,7 @@ candidate retrieval/feature extraction) and delivery location discovery
 (selector training) — are registered :class:`~repro.engine.Stage` objects
 run by a :class:`~repro.engine.StagePlan` under a
 :class:`~repro.engine.RunContext`, which records the Section V-F per-stage
-wall-clock timings and item counters.  The expensive generation stages
-declare disk codecs (via :mod:`repro.core.persistence`), so a run with an
-:class:`~repro.engine.ArtifactCache` resumes from disk whenever config +
-inputs are unchanged.
+wall-clock timings and item counters.
 
 Besides the one-shot :meth:`DLInfMA.fit`, the pipeline has a first-class
 incremental path: the deployed system builds candidate pools "in a
@@ -34,18 +31,10 @@ from repro.core.candidates import (
 )
 from repro.core.features import AddressExample, FeatureConfig, FeatureExtractor
 from repro.core.locmatcher import LocMatcherConfig, LocMatcherSelector
-from repro.core.persistence import (
-    load_candidate_pool,
-    load_profiles,
-    load_stay_points,
-    save_candidate_pool,
-    save_profiles,
-    save_stay_points,
-)
 from repro.core.poolbuilder import CandidatePoolBuilder
 from repro.core.selectors import make_variant_selector
 from repro.core.staypoints import ExtractionConfig, extract_trip_stay_points
-from repro.engine import ArtifactCache, ArtifactCodec, RunContext, StagePlan, stage
+from repro.engine import RunContext, StagePlan, stage
 from repro.geo import LocalProjection, Point
 from repro.obs import event
 from repro.obs import span as obs_span
@@ -85,11 +74,6 @@ class PipelineArtifacts:
 # ----------------------------------------------------------------------
 # Registered stages
 # ----------------------------------------------------------------------
-_STAY_CODEC = ArtifactCodec(".json", save_stay_points, load_stay_points)
-_POOL_CODEC = ArtifactCodec(".json", save_candidate_pool, load_candidate_pool)
-_PROFILE_CODEC = ArtifactCodec(".npz", save_profiles, load_profiles)
-
-
 def _flatten(stay_points_by_trip: dict[str, list]) -> list:
     return [sp for stays in stay_points_by_trip.values() for sp in stays]
 
@@ -98,10 +82,6 @@ def _flatten(stay_points_by_trip: dict[str, list]) -> list:
     "stay_point_extraction",
     inputs=("trips",),
     outputs=("stay_points_by_trip",),
-    cache_codecs={"stay_points_by_trip": _STAY_CODEC},
-    cache_inputs=("trips",),
-    # workers only changes parallelism, never the extracted stay points.
-    cache_config=lambda cfg: (cfg.extraction.noise, cfg.extraction.stay),
 )
 def _stage_extract(ctx: RunContext, trips: list[DeliveryTrip]) -> dict:
     stays = extract_trip_stay_points(trips, ctx.config.extraction)
@@ -114,8 +94,6 @@ def _stage_extract(ctx: RunContext, trips: list[DeliveryTrip]) -> dict:
     "pool_construction",
     inputs=("stay_points_by_trip", "projection"),
     outputs=("pool",),
-    cache_codecs={"pool": _POOL_CODEC},
-    cache_config=lambda cfg: (cfg.cluster_distance_m, cfg.pool_method),
 )
 def _stage_pool(ctx: RunContext, stay_points_by_trip: dict, projection: LocalProjection) -> dict:
     cfg = ctx.config
@@ -135,8 +113,6 @@ def _stage_pool(ctx: RunContext, stay_points_by_trip: dict, projection: LocalPro
     "profile_build",
     inputs=("stay_points_by_trip", "pool"),
     outputs=("profiles",),
-    cache_codecs={"profiles": _PROFILE_CODEC},
-    cache_config=lambda cfg: None,
 )
 def _stage_profiles(ctx: RunContext, stay_points_by_trip: dict, pool: CandidatePool) -> dict:
     profiles = build_profiles(_flatten(stay_points_by_trip), pool)
@@ -236,17 +212,10 @@ def build_artifacts(
     projection: LocalProjection,
     config: DLInfMAConfig | None = None,
     context: RunContext | None = None,
-    cache_dir=None,
 ) -> PipelineArtifacts:
-    """Run the location-candidate-generation component (Section III).
-
-    ``cache_dir`` enables content-fingerprint artifact caching: a rerun
-    with unchanged config + trips resumes the expensive stages from disk.
-    """
+    """Run the location-candidate-generation component (Section III)."""
     cfg = config or DLInfMAConfig()
     ctx = context or RunContext(config=cfg, label="build_artifacts")
-    if ctx.cache is None and cache_dir is not None:
-        ctx.cache = ArtifactCache(cache_dir)
     state = {"trips": list(trips), "addresses": addresses, "projection": projection}
     with obs_span(
         "dlinfma.build_artifacts", n_trips=len(state["trips"]), run=ctx.label
@@ -297,7 +266,6 @@ class DLInfMA:
         val_ids: list[str] | None = None,
         projection: LocalProjection | None = None,
         artifacts: PipelineArtifacts | None = None,
-        cache_dir=None,
     ) -> "DLInfMA":
         """Run candidate generation (unless ``artifacts`` are supplied) and
         train the selector.
@@ -310,11 +278,7 @@ class DLInfMA:
             first = next(iter(addresses.values()))
             projection = LocalProjection(first.geocode)
         self._projection = projection
-        ctx = RunContext(
-            config=self.config,
-            cache=ArtifactCache(cache_dir) if cache_dir is not None else None,
-            label="fit",
-        )
+        ctx = RunContext(config=self.config, label="fit")
         with obs_span(
             "dlinfma.fit", selector=self.config.selector, n_trips=len(trips)
         ):

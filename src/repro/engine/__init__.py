@@ -3,11 +3,10 @@
 The production skeleton behind DLInfMA: pipelines are expressed as
 registered :class:`Stage` objects with typed input/output contracts, run
 by a :class:`StagePlan` under a :class:`RunContext` that records per-stage
-wall-clock timings and item counters, with content-fingerprint artifact
-caching (:class:`ArtifactCache`) for resuming runs from disk.
+wall-clock timings and item counters.
 """
 
-from repro.engine.cache import ArtifactCache, ArtifactCodec, fingerprint
+from repro.engine.fingerprint import fingerprint
 from repro.engine.context import RunContext, StageRecord
 from repro.engine.stage import (
     Stage,
@@ -19,8 +18,6 @@ from repro.engine.stage import (
 )
 
 __all__ = [
-    "ArtifactCache",
-    "ArtifactCodec",
     "fingerprint",
     "RunContext",
     "StageRecord",

@@ -4,8 +4,7 @@ A :class:`RunContext` travels through one engine run (a full fit or an
 incremental update): it carries the pipeline configuration, accumulates
 per-stage wall-clock timings (the Section V-F numbers), item counters
 (how much work each stage actually did — the evidence that an incremental
-run is O(new data)), and an optional :class:`~repro.engine.cache.ArtifactCache`
-for resuming runs from disk.
+run is O(new data)).
 
 Timing is a thin consumer of the :mod:`repro.obs` span API: every
 :meth:`RunContext.timed` block opens a tracing span (a no-op unless
@@ -27,13 +26,12 @@ from repro.obs.trace import Span
 
 @dataclass
 class StageRecord:
-    """What one stage execution did: duration, volume, cache status."""
+    """What one stage execution did: duration and volume."""
 
     name: str
     seconds: float
     items_in: int | None = None
     items_out: int | None = None
-    cached: bool = False
 
 
 class RunContext:
@@ -41,15 +39,14 @@ class RunContext:
 
     ``timings`` maps ``"<stage>_s"`` to wall-clock seconds — the key
     convention every consumer (benchmarks, ``repro evaluate --timings``,
-    :class:`~repro.apps.service.ServiceStats`) relies on.  ``counters``
+    ``repro update --timings``) relies on.  ``counters``
     holds ``"<stage>.<metric>"`` item counts.  ``records`` keeps one
     :class:`StageRecord` per stage *execution*, in execution order — the
     authoritative ordering for reports.
     """
 
-    def __init__(self, config: Any = None, cache: Any = None, label: str = "run") -> None:
+    def __init__(self, config: Any = None, label: str = "run") -> None:
         self.config = config
-        self.cache = cache
         self.label = label
         self.timings: dict[str, float] = {}
         self.counters: dict[str, int] = {}
@@ -88,10 +85,9 @@ class RunContext:
         seconds: float,
         items_in: int | None = None,
         items_out: int | None = None,
-        cached: bool = False,
     ) -> StageRecord:
         """Append a :class:`StageRecord` (kept in execution order)."""
-        rec = StageRecord(name, seconds, items_in, items_out, cached)
+        rec = StageRecord(name, seconds, items_in, items_out)
         self.records.append(rec)
         return rec
 

@@ -1,11 +1,9 @@
-"""The stage abstraction: typed, registered, resumable pipeline steps.
+"""The stage abstraction: typed, registered pipeline steps.
 
 A :class:`Stage` is a named function with a declared input/output contract
 over a shared state dict.  A :class:`StagePlan` executes a sequence of
-stages, enforcing the contract, timing and counting every step through the
-:class:`~repro.engine.context.RunContext`, and consulting the run's
-:class:`~repro.engine.cache.ArtifactCache` for stages that declared disk
-codecs.
+stages, enforcing the contract and timing and counting every step through
+the :class:`~repro.engine.context.RunContext`.
 
 Stages register globally by name (:func:`register_stage` / :func:`stage`)
 so plans can be declared as name lists and later PRs can swap
@@ -15,13 +13,11 @@ implementations (sharded, async, multi-backend) behind stable names.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.engine.cache import ArtifactCodec, fingerprint
 from repro.engine.context import RunContext
 from repro.obs import event, get_registry
-from repro.obs import span as obs_span
 
 
 @dataclass(frozen=True)
@@ -29,25 +25,12 @@ class Stage:
     """One pipeline step with a declared state contract.
 
     ``fn(ctx, **inputs)`` must return a dict covering ``outputs``.
-    ``cache_codecs`` marks outputs that can round-trip through the artifact
-    cache; a stage is only ever cache-skipped when *all* of its outputs
-    have codecs.  ``cache_inputs`` optionally narrows which inputs feed the
-    cache key, and ``cache_config`` projects the run config down to the
-    fields this stage actually reads (e.g. ``workers`` changes parallelism,
-    not results, so it must not invalidate cached extractions).
     """
 
     name: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     fn: Callable[..., dict[str, Any]]
-    cache_codecs: dict[str, ArtifactCodec] = field(default_factory=dict)
-    cache_inputs: tuple[str, ...] | None = None
-    cache_config: Callable[[Any], Any] | None = None
-
-    @property
-    def cacheable(self) -> bool:
-        return bool(self.cache_codecs) and set(self.cache_codecs) == set(self.outputs)
 
     def run(self, ctx: RunContext, state: dict[str, Any]) -> dict[str, Any]:
         """Execute against ``state``, validating the contract."""
@@ -82,9 +65,6 @@ def stage(
     name: str,
     inputs: Sequence[str],
     outputs: Sequence[str],
-    cache_codecs: dict[str, ArtifactCodec] | None = None,
-    cache_inputs: Sequence[str] | None = None,
-    cache_config: Callable[[Any], Any] | None = None,
     replace: bool = False,
 ) -> Callable[[Callable[..., dict[str, Any]]], Stage]:
     """Decorator: register ``fn`` as a stage and return the Stage object."""
@@ -96,9 +76,6 @@ def stage(
                 inputs=tuple(inputs),
                 outputs=tuple(outputs),
                 fn=fn,
-                cache_codecs=dict(cache_codecs or {}),
-                cache_inputs=tuple(cache_inputs) if cache_inputs is not None else None,
-                cache_config=cache_config,
             ),
             replace=replace,
         )
@@ -137,38 +114,13 @@ class StagePlan:
         ]
 
     def run(self, ctx: RunContext, state: dict[str, Any]) -> dict[str, Any]:
-        """Run every stage in order, mutating and returning ``state``.
-
-        Cacheable stages are fingerprinted over (name, config, inputs);
-        on a hit their artifacts load from disk and ``fn`` never runs.
-        """
+        """Run every stage in order, mutating and returning ``state``."""
         stage_hist = get_registry().histogram(
             "engine_stage_seconds", "Wall-clock seconds per engine stage execution"
         )
         for stg in self.stages:
-            key = None
-            if ctx.cache is not None and stg.cacheable:
-                key_inputs = stg.cache_inputs if stg.cache_inputs is not None else stg.inputs
-                cfg_part = (
-                    stg.cache_config(ctx.config) if stg.cache_config is not None else ctx.config
-                )
-                key = fingerprint(
-                    stg.name, cfg_part, {k: state.get(k) for k in key_inputs}
-                )
-                cached = ctx.cache.load(stg.name, key, stg.cache_codecs)
-                if cached is not None:
-                    with obs_span(stg.name, run=ctx.label, cached=True, cache_key=key):
-                        state.update(cached)
-                    ctx.timings.setdefault(f"{stg.name}_s", 0.0)
-                    ctx.count(stg.name, "cache_hits", 1)
-                    ctx.record(stg.name, 0.0, cached=True)
-                    event(
-                        "stage.cache_hit", level="debug", component="engine",
-                        stage=stg.name, run=ctx.label, key=key,
-                    )
-                    continue
             t0 = time.perf_counter()
-            with ctx.timed(stg.name, cached=False) as sp:
+            with ctx.timed(stg.name) as sp:
                 out = stg.run(ctx, state)
                 items_in = _maybe_len(state.get(stg.inputs[0])) if stg.inputs else None
                 items_out = _maybe_len(out.get(stg.outputs[0])) if stg.outputs else None
@@ -179,8 +131,6 @@ class StagePlan:
             stage_hist.observe(seconds, stage=stg.name)
             ctx.record(stg.name, seconds, items_in=items_in, items_out=items_out)
             state.update(out)
-            if key is not None:
-                ctx.cache.store(stg.name, key, out, stg.cache_codecs)
             event(
                 "stage.complete", level="debug", component="engine",
                 stage=stg.name, run=ctx.label, seconds=seconds,

@@ -15,26 +15,10 @@ from repro.geo.distance import (
     euclidean_m,
 )
 from repro.geo.projection import LocalProjection
-from repro.geo.geohash import (
-    GeohashSpatialIndex,
-    geohash_encode,
-    geohash_decode,
-    geohash_bbox,
-    geohash_neighbors,
-    geohash_pack,
-    geohash_pack_vec,
-    geohash_ring,
-    geohash_unpack,
-)
+from repro.geo.geohash import geohash_encode, geohash_decode, geohash_bbox
 from repro.geo.grid import GridIndex
-from repro.geo.rtree import RTree
-from repro.geo.polygon import convex_hull, point_in_polygon, polygon_area
 
 __all__ = [
-    "RTree",
-    "convex_hull",
-    "point_in_polygon",
-    "polygon_area",
     "Point",
     "BBox",
     "EARTH_RADIUS_M",
@@ -42,14 +26,8 @@ __all__ = [
     "haversine_m_vec",
     "euclidean_m",
     "LocalProjection",
-    "GeohashSpatialIndex",
     "geohash_encode",
     "geohash_decode",
     "geohash_bbox",
-    "geohash_neighbors",
-    "geohash_pack",
-    "geohash_pack_vec",
-    "geohash_ring",
-    "geohash_unpack",
     "GridIndex",
 ]

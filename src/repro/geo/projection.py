@@ -27,10 +27,6 @@ class LocalProjection:
         self._m_per_deg_lat = math.pi * EARTH_RADIUS_M / 180.0
         self._m_per_deg_lng = self._m_per_deg_lat * self._cos_lat
 
-    def content_key(self) -> tuple:
-        """Identity for content fingerprinting (the origin defines the plane)."""
-        return ("LocalProjection", self.origin.lng, self.origin.lat)
-
     def to_xy(self, lng: ArrayLike, lat: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
         """Project lng/lat degrees to local x/y meters."""
         x = (np.asarray(lng, dtype=float) - self.origin.lng) * self._m_per_deg_lng

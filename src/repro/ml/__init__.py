@@ -6,13 +6,8 @@ from repro.ml.gbdt import GradientBoostingClassifier, GradientBoostingRegressor
 from repro.ml.mlp import MLPClassifier
 from repro.ml.ranking import PairwiseRankingTree, RankNet, RankingGroup
 from repro.ml.scaler import StandardScaler
-from repro.ml.metrics import accuracy, confusion_matrix, precision_recall_f1, roc_auc
 
 __all__ = [
-    "accuracy",
-    "confusion_matrix",
-    "precision_recall_f1",
-    "roc_auc",
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
     "RandomForestClassifier",

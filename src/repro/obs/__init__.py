@@ -17,7 +17,6 @@ share one source of truth.
 """
 
 from repro.obs.drift import (
-    DriftMonitor,
     DriftReport,
     Fingerprint,
     compare_fingerprints,
@@ -73,11 +72,8 @@ from repro.obs.provenance import (
     PROVENANCE_VERSION,
     ProvenanceRecord,
     ProvenanceRing,
-    fingerprint_digest,
     get_provenance_ring,
     merge_provenance,
-    pop_evidence,
-    put_evidence,
     read_provenance,
     render_record,
     reset_provenance_ring,
@@ -122,7 +118,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "DriftMonitor",
     "DriftReport",
     "Fingerprint",
     "compare_fingerprints",
@@ -156,11 +151,8 @@ __all__ = [
     "PROVENANCE_VERSION",
     "ProvenanceRecord",
     "ProvenanceRing",
-    "fingerprint_digest",
     "get_provenance_ring",
     "merge_provenance",
-    "pop_evidence",
-    "put_evidence",
     "read_provenance",
     "render_record",
     "reset_provenance_ring",

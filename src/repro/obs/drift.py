@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence, Union
 
 from repro.durable import write_text
-from repro.obs.events import event
-from repro.obs.metrics import get_registry
 
 PathLike = Union[str, pathlib.Path]
 
@@ -285,54 +283,6 @@ def compare_fingerprints(
             flagged=score > ratio_threshold, baseline=base, current=cur,
         ))
     return DriftReport(kind=current.kind, dimensions=tuple(dimensions))
-
-
-class DriftMonitor:
-    """Tracks fingerprints across refreshes and flags divergence.
-
-    The baseline for each kind is the *previous* observation, so the
-    monitor asks "did this refresh diverge from the last one?" — the
-    question the bi-weekly production loop needs answered.  Scores land
-    in the metrics registry (``drift_score{kind,dimension}``) and flagged
-    reports emit a ``drift_flagged`` warning event.
-    """
-
-    def __init__(
-        self,
-        psi_threshold: float = DEFAULT_PSI_THRESHOLD,
-        ratio_threshold: float = DEFAULT_RATIO_THRESHOLD,
-    ) -> None:
-        self.psi_threshold = psi_threshold
-        self.ratio_threshold = ratio_threshold
-        self.baselines: dict[str, Fingerprint] = {}
-        self.last_reports: dict[str, DriftReport] = {}
-
-    def observe(self, fingerprint: Fingerprint) -> DriftReport | None:
-        """Compare against the previous fingerprint of the same kind.
-
-        Returns ``None`` on the first observation of a kind (nothing to
-        compare yet); afterwards the new fingerprint becomes the baseline.
-        """
-        baseline = self.baselines.get(fingerprint.kind)
-        self.baselines[fingerprint.kind] = fingerprint
-        if baseline is None:
-            return None
-        report = compare_fingerprints(
-            baseline, fingerprint, self.psi_threshold, self.ratio_threshold
-        )
-        self.last_reports[fingerprint.kind] = report
-        gauge = get_registry().gauge(
-            "drift_score", "Drift score per fingerprint kind and dimension"
-        )
-        for dim in report.dimensions:
-            gauge.set(dim.score, kind=report.kind, dimension=dim.name)
-        if report.drifted:
-            event(
-                "drift_flagged", level="warning", component="drift",
-                kind=report.kind, max_psi=report.max_psi,
-                dimensions=[d.name for d in report.dimensions if d.flagged],
-            )
-        return report
 
 
 def save_drift_report(

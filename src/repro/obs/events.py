@@ -29,7 +29,7 @@ PathLike = Union[str, pathlib.Path]
 #: one of these means something a post-mortem will ask about just
 #: happened, so the black box snapshots itself (when a dump dir is
 #: configured).
-ANOMALY_EVENTS = frozenset({"slo_violation", "drift_flagged"})
+ANOMALY_EVENTS = frozenset({"slo_violation"})
 
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 

@@ -204,16 +204,13 @@ def parse_slos(payload: Any) -> list[SLO]:
 
 
 def load_slo_file(path: PathLike) -> list[SLO]:
-    """Read an SLO spec from JSON or YAML (PyYAML optional)."""
+    """Read an SLO spec from JSON, or from the YAML subset
+    :func:`_parse_mini_yaml` reads (one parser everywhere, no PyYAML)."""
     path = pathlib.Path(path)
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".json":
         return parse_slos(json.loads(text))
-    try:
-        import yaml  # type: ignore[import-untyped]
-    except ImportError:
-        return parse_slos(_parse_mini_yaml(text))
-    return parse_slos(yaml.safe_load(text))
+    return parse_slos(_parse_mini_yaml(text))
 
 
 def _parse_scalar(token: str) -> Any:

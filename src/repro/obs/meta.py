@@ -3,7 +3,7 @@
 Every exported metrics document and ``benchmarks/results/*.json`` artifact
 carries the same provenance triple: the git sha of the working tree, a
 wall-clock timestamp, and a content fingerprint of the run configuration
-(via the engine's :func:`~repro.engine.cache.fingerprint`), so results can
+(via the engine's :func:`~repro.engine.fingerprint.fingerprint`), so results can
 be matched to the exact code + config that produced them.
 """
 
@@ -40,7 +40,7 @@ def run_metadata(config: Any = None) -> dict[str, Any]:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     if config is not None:
-        from repro.engine.cache import fingerprint
+        from repro.engine.fingerprint import fingerprint
 
         try:
             meta["config_fingerprint"] = fingerprint(config)

@@ -27,13 +27,12 @@ merges span files.  ``repro explain <address-id>`` renders the result.
 
 from __future__ import annotations
 
-import json
 import pathlib
 import threading
 import time
 import zlib
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.durable import read_jsonl, write_jsonl
@@ -42,8 +41,10 @@ from .metrics import MetricsRegistry, get_registry
 
 PathLike = Union[str, pathlib.Path]
 
-#: Bump when the record wire shape changes; readers check it.
-PROVENANCE_VERSION = 1
+#: Bump when the record wire shape changes; readers check it.  Version-1
+#: lines also carry ``candidates``, ``stays``, ``model_fingerprint`` and
+#: ``pool_fingerprint``; :meth:`ProvenanceRecord.from_dict` ignores them.
+PROVENANCE_VERSION = 2
 
 #: Confidence below which a record is always kept (the interesting ones).
 DEFAULT_LOW_CONFIDENCE = 0.2
@@ -52,29 +53,13 @@ __all__ = [
     "PROVENANCE_VERSION",
     "ProvenanceRecord",
     "ProvenanceRing",
-    "fingerprint_digest",
     "get_provenance_ring",
     "set_provenance_ring",
     "reset_provenance_ring",
-    "put_evidence",
-    "pop_evidence",
     "read_provenance",
     "merge_provenance",
     "render_record",
 ]
-
-
-def fingerprint_digest(fingerprint: Any) -> str:
-    """Compact content digest of an ``obs.drift.Fingerprint`` (or any
-    JSON-able mapping): ``<kind>:<crc32 hex>`` — enough to tell two
-    refreshes apart without embedding whole histograms in every record."""
-
-    if fingerprint is None:
-        return ""
-    doc = fingerprint.to_dict() if hasattr(fingerprint, "to_dict") else fingerprint
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    kind = doc.get("kind", "fp") if isinstance(doc, Mapping) else "fp"
-    return f"{kind}:{zlib.crc32(blob):08x}"
 
 
 @dataclass
@@ -89,14 +74,7 @@ class ProvenanceRecord:
     source: str = ""
     cache_state: str = ""
     confidence: Optional[float] = None
-    #: ``[{"candidate_id", "score", "rank", "weight", "lng", "lat"}, ...]``
-    candidates: list = field(default_factory=list)
-    #: Contributing stay evidence aggregated per candidate:
-    #: ``[{"candidate_id", "weight", "avg_duration_s", "n_couriers"}, ...]``
-    stays: list = field(default_factory=list)
     snapshot_version: Optional[int] = None
-    model_fingerprint: str = ""
-    pool_fingerprint: str = ""
     trace_id: str = ""
     origin: str = ""
     ts_unix: float = 0.0
@@ -114,11 +92,7 @@ class ProvenanceRecord:
             "source": self.source,
             "cache_state": self.cache_state,
             "confidence": self.confidence,
-            "candidates": list(self.candidates),
-            "stays": list(self.stays),
             "snapshot_version": self.snapshot_version,
-            "model_fingerprint": self.model_fingerprint,
-            "pool_fingerprint": self.pool_fingerprint,
             "trace_id": self.trace_id,
             "origin": self.origin,
             "ts_unix": self.ts_unix,
@@ -136,11 +110,7 @@ class ProvenanceRecord:
             source=str(doc.get("source", "")),
             cache_state=str(doc.get("cache_state", "")),
             confidence=doc.get("confidence"),
-            candidates=list(doc.get("candidates") or []),
-            stays=list(doc.get("stays") or []),
             snapshot_version=doc.get("snapshot_version"),
-            model_fingerprint=str(doc.get("model_fingerprint", "")),
-            pool_fingerprint=str(doc.get("pool_fingerprint", "")),
             trace_id=str(doc.get("trace_id", "")),
             origin=str(doc.get("origin", "")),
             ts_unix=float(doc.get("ts_unix", 0.0)),
@@ -294,31 +264,6 @@ class ProvenanceRing:
 
 
 # ----------------------------------------------------------------------
-# Evidence side-channel
-# ----------------------------------------------------------------------
-# The model tier knows the per-candidate score vector; the server loop
-# that mints the record does not.  Rather than widen QueryResult (which
-# crosses a pipe on the process backend), the scoring tier parks the
-# evidence here keyed by address id and the minting site pops it.
-_EVIDENCE_CAPACITY = 1024
-_evidence_lock = threading.Lock()
-_evidence: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
-
-
-def put_evidence(address_id: str, evidence: dict[str, Any]) -> None:
-    with _evidence_lock:
-        _evidence[str(address_id)] = evidence
-        _evidence.move_to_end(str(address_id))
-        while len(_evidence) > _EVIDENCE_CAPACITY:
-            _evidence.popitem(last=False)
-
-
-def pop_evidence(address_id: str) -> Optional[dict[str, Any]]:
-    with _evidence_lock:
-        return _evidence.pop(str(address_id), None)
-
-
-# ----------------------------------------------------------------------
 # Global default ring
 # ----------------------------------------------------------------------
 _RING: ProvenanceRing | None = None
@@ -343,8 +288,6 @@ def set_provenance_ring(ring: ProvenanceRing | None) -> ProvenanceRing | None:
 
 def reset_provenance_ring() -> None:
     set_provenance_ring(None)
-    with _evidence_lock:
-        _evidence.clear()
 
 
 # ----------------------------------------------------------------------
@@ -415,44 +358,8 @@ def render_record(record: ProvenanceRecord) -> str:
         lines.append(f"  confidence   {record.confidence:.4f}")
     if record.snapshot_version is not None:
         lines.append(f"  snapshot     v{record.snapshot_version}")
-    if record.model_fingerprint or record.pool_fingerprint:
-        lines.append(
-            f"  fingerprints model={record.model_fingerprint or '-'}  "
-            f"pool={record.pool_fingerprint or '-'}"
-        )
     if record.trace_id:
         lines.append(f"  trace        {record.trace_id}")
     if record.error:
         lines.append(f"  error        {record.error}")
-    if record.candidates:
-        lines.append(f"  candidates   ({len(record.candidates)})")
-        ranked = sorted(
-            record.candidates, key=lambda c: c.get("rank", 1 << 30)
-        )
-        for cand in ranked[:10]:
-            lines.append(
-                "    #{rank:<3} id={cid}  score={score:.4f}  "
-                "weight={weight:.3f}  ({lng:.6f}, {lat:.6f})".format(
-                    rank=cand.get("rank", -1),
-                    cid=cand.get("candidate_id", "?"),
-                    score=float(cand.get("score", 0.0)),
-                    weight=float(cand.get("weight", 0.0)),
-                    lng=float(cand.get("lng", 0.0)),
-                    lat=float(cand.get("lat", 0.0)),
-                )
-            )
-        if len(record.candidates) > 10:
-            lines.append(f"    ... {len(record.candidates) - 10} more")
-    if record.stays:
-        lines.append(f"  stay evidence ({len(record.stays)})")
-        for stay in record.stays[:10]:
-            lines.append(
-                "    candidate={cid}  weight={weight:.3f}  "
-                "avg_duration={dur:.0f}s  couriers={cour}".format(
-                    cid=stay.get("candidate_id", "?"),
-                    weight=float(stay.get("weight", 0.0)),
-                    dur=float(stay.get("avg_duration_s", 0.0)),
-                    cour=int(stay.get("n_couriers", 0)),
-                )
-            )
     return "\n".join(lines)

@@ -4,7 +4,7 @@ A bounded in-memory ring continuously absorbs the most recent spans,
 events, metric deltas, and provenance keys at near-zero cost (one deque
 append under a lock).  When something goes wrong — a
 :class:`~repro.stream.scheduler.RefreshScheduler` gate refusal, an
-``slo_violation`` / ``drift_flagged`` event, a worker crash — the
+``slo_violation`` event, a worker crash — the
 recorder :meth:`~FlightRecorder.trigger`\\ s and writes an **atomic
 black-box dump** through :func:`repro.durable.atomic_write`, so a reader
 never sees a torn file.
@@ -41,7 +41,6 @@ BLACKBOX_VERSION = 1
 KNOWN_TRIGGERS = (
     "gate_refusal",
     "slo_violation",
-    "drift_flagged",
     "worker_crash",
 )
 

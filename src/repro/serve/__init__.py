@@ -13,8 +13,8 @@ system (the online half of the paper's Figure 14 deployment):
   queue (explicit ``REJECTED`` backpressure), per-request deadlines, and
   full :mod:`repro.obs` instrumentation.
 * :class:`TTLLRUCache` / :class:`QueryRouter` — the one serving core
-  under both backends: a recency cache, then the lookup (store, model
-  tier or columnar snapshot) on a cold miss — ``resolve`` per request on
+  under both backends: a recency cache, then the lookup (store or
+  columnar snapshot) on a cold miss — ``resolve`` per request on
   the thread tier, ``resolve_batch`` per sub-batch in a worker process.
 * :class:`LoadGenerator` — seeded closed-loop and open-loop (Poisson)
   workloads producing p50/p95/p99 + throughput + rejection reports
@@ -54,7 +54,6 @@ from repro.serve.loadgen import (
     poisson_schedule,
 )
 from repro.serve.router import QueryRouter, RoutedResult
-from repro.serve.scoring import ModelScoringTier
 from repro.serve.server import (
     PendingQuery,
     QueryServer,
@@ -93,7 +92,6 @@ __all__ = [
     "poisson_schedule",
     "QueryRouter",
     "RoutedResult",
-    "ModelScoringTier",
     "PendingQuery",
     "QueryServer",
     "ServeResponse",

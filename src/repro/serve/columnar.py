@@ -15,11 +15,11 @@ file of flat arrays, which is what the worker processes map:
   address-text bytes as offset-indexed blobs;
 * rows grouped by the store's shard key (``shard_offsets``) so a worker
   owning shard *k* touches one contiguous slice;
-* the global building fallback table (``bld_*``);
-* a packed-geohash spatial index over the inferred locations
-  (``sp_*``), the same cells the
-  :class:`~repro.serve.shard.GeohashShardStrategy` routes by, so
-  nearest-candidate retrieval is a ring search instead of a linear scan.
+* the global building fallback table (``bld_*``).
+
+Files written before the spatial index was retired also carry six
+``sp_*`` arrays; readers map them like any other array and never use
+them.
 
 Layout: 8-byte magic, little-endian uint64 header length, a JSON header
 (array dtypes/shapes/offsets/CRCs + snapshot metadata), then 64-byte
@@ -52,7 +52,6 @@ import numpy as np
 from repro.apps.store import QueryResult, QuerySource, UnknownAddressError
 from repro.durable import atomic_write
 from repro.geo import Point
-from repro.geo.geohash import GeohashSpatialIndex
 from repro.trajectory import Address
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -61,8 +60,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 MAGIC = b"RSNAP001"
 _ALIGN = 64
 
-#: Geohash precision of the embedded spatial index when the store's shard
-#: strategy does not pin one (precision 6 cells are ~1.2 km x 0.6 km).
+#: Precision the header records when the shard strategy has none (the hash
+#: strategy).  :meth:`ShardedLocationStore.restore` reads the header's
+#: precision to re-seat a :class:`~repro.serve.shard.GeohashShardStrategy`.
 DEFAULT_SPATIAL_PRECISION = 6
 
 
@@ -174,11 +174,6 @@ def build_columnar_arrays(
     bld_blob, bld_offsets = _pack_strings(buildings)
 
     precision = getattr(strategy, "precision", DEFAULT_SPATIAL_PRECISION)
-    has_loc = np.isfinite(loc_lng)
-    sp_row = np.flatnonzero(has_loc).astype(np.int64)
-    sp_lng = loc_lng[sp_row]
-    sp_lat = loc_lat[sp_row]
-    index = GeohashSpatialIndex.build(sp_lng, sp_lat, precision)
 
     arrays = {
         "id_blob": id_blob,
@@ -199,12 +194,6 @@ def build_columnar_arrays(
         "bld_offsets": bld_offsets,
         "bld_lng": bld_lng,
         "bld_lat": bld_lat,
-        "sp_row": sp_row,
-        "sp_lng": sp_lng,
-        "sp_lat": sp_lat,
-        "sp_cell_codes": index.cell_codes,
-        "sp_cell_starts": index.cell_starts,
-        "sp_cell_rows": index.cell_rows,
     }
     meta = {
         "version": snapshot.version,
@@ -297,7 +286,6 @@ class ColumnarSnapshot:
             self.n_rows > 1
             and np.any(arrays["hash_sorted"][1:] == arrays["hash_sorted"][:-1])
         )
-        self._index: GeohashSpatialIndex | None = None
 
     def __getattr__(self, name: str) -> np.ndarray:
         try:
@@ -404,31 +392,6 @@ class ColumnarSnapshot:
         if isinstance(result, UnknownAddressError):
             raise result
         return result
-
-    # -- spatial ---------------------------------------------------------
-    def spatial_index(self) -> GeohashSpatialIndex:
-        """The embedded ring-search index over inferred locations."""
-        if self._index is None:
-            a = self._a
-            self._index = GeohashSpatialIndex(
-                a["sp_lng"],
-                a["sp_lat"],
-                self.precision,
-                a["sp_cell_codes"],
-                a["sp_cell_starts"],
-                a["sp_cell_rows"],
-            )
-        return self._index
-
-    def nearest(self, lng: float, lat: float) -> tuple[str, Point, float] | None:
-        """Closest inferred delivery location: ``(address_id, point, m)``."""
-        hit = self.spatial_index().nearest(lng, lat)
-        if hit is None:
-            return None
-        sp, dist = hit
-        row = int(self._a["sp_row"][sp])
-        point = Point(float(self._a["loc_lng"][row]), float(self._a["loc_lat"][row]))
-        return self.id_at(row), point, dist
 
     # -- reconstruction (restore path) -----------------------------------
     def address_locations(self) -> dict[str, Point]:

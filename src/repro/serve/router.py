@@ -2,7 +2,7 @@
 
 The router is the one resolution core under both serving backends: check
 the LRU+TTL cache, and on a cold miss ask the lookup — the location
-store, the live model-scoring tier, or a worker's columnar snapshot.
+store or a worker's columnar snapshot.
 Thread workers call :meth:`QueryRouter.resolve` per request, process
 workers :meth:`QueryRouter.resolve_batch` per sub-batch.  Every answer
 is tagged with its cache state, which the servers fold into the latency
@@ -43,8 +43,7 @@ class QueryRouter:
     ``store`` is anything with ``query_id(address_id) -> QueryResult``
     (raising :class:`UnknownAddressError` on a bad id) and the batch
     contract of :meth:`ShardedLocationStore.resolve_batch`: a
-    :class:`ShardedLocationStore`, a
-    :class:`~repro.serve.scoring.ModelScoringTier` or a
+    :class:`ShardedLocationStore` or a
     :class:`~repro.serve.columnar.ColumnarSnapshot`.  Swap ``store`` and
     call :meth:`on_refresh` to serve a new generation.
     """

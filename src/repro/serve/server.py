@@ -35,7 +35,6 @@ from repro.obs.provenance import (
     ProvenanceRecord,
     ProvenanceRing,
     get_provenance_ring,
-    pop_evidence,
 )
 from repro.obs.recorder import get_recorder
 from repro.serve.router import QueryRouter
@@ -126,18 +125,14 @@ def mint_row(
     row: tuple,
     snapshot_version: int | None,
     trace_id: str,
-    evidence: dict[str, Any] | None = None,
 ) -> ProvenanceRecord:
     """Mint the provenance record of one :func:`response_row` into ``ring``.
 
     The one mapping from a served answer to :meth:`ProvenanceRing.mint`,
-    shared by the thread server and every process worker.  ``evidence``
-    is the scoring side-channel entry (candidates, stays, fingerprints)
-    when the model tier produced the answer.
+    shared by the thread server and every process worker.
     """
     (address_id, status, lng, lat, source, confidence, cache_state,
      error) = row
-    evidence = evidence or {}
     return ring.mint(
         address_id,
         status,
@@ -146,11 +141,7 @@ def mint_row(
         source=source or "",
         cache_state=cache_state or "",
         confidence=confidence,
-        candidates=evidence.get("candidates", []),
-        stays=evidence.get("stays", []),
         snapshot_version=snapshot_version,
-        model_fingerprint=evidence.get("model_fingerprint", ""),
-        pool_fingerprint=evidence.get("pool_fingerprint", ""),
         trace_id=trace_id,
         error=error or "",
     )
@@ -318,8 +309,7 @@ class QueryServer:
         row = response_row(response.address_id, response.status,
                            response.result, response.cache_state,
                            response.error)
-        record = mint_row(self.provenance, row, self.store.version, trace_id,
-                          evidence=pop_evidence(response.address_id))
+        record = mint_row(self.provenance, row, self.store.version, trace_id)
         get_recorder().note_provenance(
             record.key, record.address_id, record.status
         )
@@ -436,10 +426,7 @@ class QueryServer:
                     sp.set("status", response.status.value)
                     if response.cache_state is not None:
                         sp.set("cache", response.cache_state)
-            if not pending.finish(response, trace_id):
-                # The client already timed out: drop this answer's
-                # scoring evidence so no later record cites it.
-                pop_evidence(pending.address_id)
+            pending.finish(response, trace_id)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -89,13 +89,7 @@ class GeohashShardStrategy(ShardStrategy):
         self.precision = precision
 
     def cell_of(self, address: Address) -> str:
-        """The geohash cell that routes this address.
-
-        The *same* cells back the columnar snapshot's spatial index
-        (:class:`repro.geo.geohash.GeohashSpatialIndex` at this
-        precision), so shard routing and nearest-candidate ring search
-        agree on the space partition — one index, two consumers.
-        """
+        """The geohash cell that routes this address."""
         return geohash_encode(
             address.geocode.lng, address.geocode.lat, self.precision
         )
@@ -218,9 +212,8 @@ class ShardedLocationStore:
     ) -> dict[str, QueryResult | UnknownAddressError]:
         """Resolve many ids in one pass over a single snapshot.
 
-        The batch-lookup contract every serving lookup shares (this store,
-        :class:`~repro.serve.scoring.ModelScoringTier` and
-        :class:`~repro.serve.columnar.ColumnarSnapshot`): every id in the
+        The batch-lookup contract every serving lookup shares (this store
+        and :class:`~repro.serve.columnar.ColumnarSnapshot`): every id in the
         batch is answered from the *same* generation, keyed by id, and
         unknown ids come back as :class:`UnknownAddressError` values (not
         raises) so one bad id cannot fail its batch-mates.

@@ -4,9 +4,8 @@ One function, :func:`run_stream_bench`, drives the whole streaming tier
 end to end — synthetic city → :class:`~repro.synth.stream.FixEventStream`
 → bus → online extractor → sharded merge → gate-checked promotion into a
 live serving tier under concurrent query load — and returns the JSON
-payload ``repro stream-bench`` writes as ``BENCH_stream.json``.  The CLI
-command and ``benchmarks/bench_stream.py`` both call this, so the CI
-smoke gate and the recorded benchmark measure the same code path.
+payload ``repro stream-bench`` writes as ``BENCH_stream.json``, the
+payload the CI streaming smoke steps gate on.
 
 The payload carries the three acceptance signals directly:
 

@@ -1,26 +1,14 @@
 """Fallback-chain coverage in isolation: each tier's ``source`` label.
 
-The obs histogram ``service_query_latency_seconds`` is labeled by
-``QueryResult.source.value``; these tests pin the three tier labels at
-the store level and assert the histogram actually receives them when
-queries flow through the service facade.
+The serving latency histogram is labeled by ``QueryResult.source.value``;
+these tests pin the three tier labels at the store level.
 """
 
 import pytest
 
-from repro.apps import DeliveryLocationService, QuerySource
-from repro.obs import MetricsRegistry, get_registry, set_registry
+from repro.apps import QuerySource
 from repro.serve import ShardedLocationStore
-from tests.core.helpers import PROJ, make_address, point_at
-
-
-@pytest.fixture()
-def fresh_registry():
-    previous = set_registry(MetricsRegistry())
-    try:
-        yield get_registry()
-    finally:
-        set_registry(previous)
+from tests.core.helpers import make_address, point_at
 
 
 @pytest.fixture()
@@ -72,22 +60,6 @@ class TestTierLabels:
 
     def test_all_labels_are_distinct_and_stable(self):
         assert {s.value for s in QuerySource} == {
-            "address", "building", "geocode", "model",
+            "address", "building", "geocode",
         }
 
-
-class TestServiceHistogramLabels:
-    def test_each_tier_feeds_its_own_histogram_series(
-        self, tiers, fresh_registry
-    ):
-        addresses, locations = tiers
-        service = DeliveryLocationService(addresses, PROJ)
-        service.store.update(locations)
-        service.query_id("hit")         # address tier
-        service.query_id("cold")        # building tier
-        service.query_id("orphan")      # geocode tier
-        service.query(addresses["hit"])  # address tier again, by object
-        histogram = fresh_registry.histogram("service_query_latency_seconds")
-        assert histogram.count(source="address") == 2
-        assert histogram.count(source="building") == 1
-        assert histogram.count(source="geocode") == 1

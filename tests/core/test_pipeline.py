@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.core import DLInfMA, DLInfMAConfig, LocMatcherConfig, build_artifacts
+from repro.core import DLInfMA, DLInfMAConfig, LocMatcherConfig
 from repro.eval import evaluate
 
 FAST_LM = LocMatcherConfig(max_epochs=30, patience=8, lr_step=10)
@@ -19,31 +19,6 @@ class TestBuildArtifacts:
         }
         delivered = {a for t in tiny_workload.trips for a in t.address_ids}
         assert set(tiny_artifacts.examples) <= delivered
-
-    def test_artifact_cache_resumes_from_disk(self, tiny_workload, tmp_path):
-        from repro.core import DLInfMAConfig, build_artifacts
-
-        first = build_artifacts(
-            tiny_workload.trips,
-            tiny_workload.addresses,
-            tiny_workload.projection,
-            DLInfMAConfig(),
-            cache_dir=tmp_path,
-        )
-        assert first.context.counters.get("stay_point_extraction.cache_hits", 0) == 0
-
-        second = build_artifacts(
-            tiny_workload.trips,
-            tiny_workload.addresses,
-            tiny_workload.projection,
-            DLInfMAConfig(),
-            cache_dir=tmp_path,
-        )
-        for stage_name in ("stay_point_extraction", "pool_construction", "profile_build"):
-            assert second.context.counters[f"{stage_name}.cache_hits"] == 1
-        ours = [(c.candidate_id, c.x, c.y, c.weight) for c in second.pool.candidates]
-        theirs = [(c.candidate_id, c.x, c.y, c.weight) for c in first.pool.candidates]
-        assert ours == pytest.approx(theirs)
 
     def test_examples_have_features(self, tiny_artifacts):
         for example in tiny_artifacts.examples.values():

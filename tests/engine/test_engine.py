@@ -1,13 +1,10 @@
-"""Engine unit tests: stage contract, plan execution, fingerprint cache."""
+"""Engine unit tests: stage contract, plan execution, fingerprints."""
 
-import json
 
 import numpy as np
 import pytest
 
 from repro.engine import (
-    ArtifactCache,
-    ArtifactCodec,
     RunContext,
     Stage,
     StagePlan,
@@ -139,98 +136,6 @@ class TestFingerprint:
             fingerprint(object())
 
 
-JSON_CODEC = ArtifactCodec(
-    ".json",
-    lambda obj, path: path.write_text(json.dumps(obj)),
-    lambda path: json.loads(path.read_text()),
-)
-
-
-class TestArtifactCache:
-    def test_cache_hit_skips_stage_fn(self, tmp_path):
-        calls = []
-
-        def fn(ctx, xs):
-            calls.append(list(xs))
-            return {"ys": [x * 2 for x in xs]}
-
-        stage_obj = Stage(
-            name="cache_double",
-            inputs=("xs",),
-            outputs=("ys",),
-            fn=fn,
-            cache_codecs={"ys": JSON_CODEC},
-        )
-        assert stage_obj.cacheable
-        plan = StagePlan([stage_obj])
-
-        ctx1 = RunContext(cache=ArtifactCache(tmp_path))
-        s1 = plan.run(ctx1, {"xs": [1, 2]})
-        assert s1["ys"] == [2, 4] and calls == [[1, 2]]
-
-        ctx2 = RunContext(cache=ArtifactCache(tmp_path))
-        s2 = plan.run(ctx2, {"xs": [1, 2]})
-        assert s2["ys"] == [2, 4]
-        assert calls == [[1, 2]]  # fn did NOT run again
-        assert ctx2.counters["cache_double.cache_hits"] == 1
-        assert ctx2.records[0].cached is True
-        assert ctx2.timings["cache_double_s"] == 0.0
-
-    def test_changed_input_misses_cache(self, tmp_path):
-        calls = []
-
-        def fn(ctx, xs):
-            calls.append(list(xs))
-            return {"ys": [x * 2 for x in xs]}
-
-        stage_obj = Stage(
-            name="cache_miss",
-            inputs=("xs",),
-            outputs=("ys",),
-            fn=fn,
-            cache_codecs={"ys": JSON_CODEC},
-        )
-        plan = StagePlan([stage_obj])
-        plan.run(RunContext(cache=ArtifactCache(tmp_path)), {"xs": [1]})
-        plan.run(RunContext(cache=ArtifactCache(tmp_path)), {"xs": [2]})
-        assert calls == [[1], [2]]
-
-    def test_cache_config_projection_controls_key(self, tmp_path):
-        calls = []
-
-        def fn(ctx, xs):
-            calls.append(1)
-            return {"ys": list(xs)}
-
-        stage_obj = Stage(
-            name="cache_cfgproj",
-            inputs=("xs",),
-            outputs=("ys",),
-            fn=fn,
-            cache_codecs={"ys": JSON_CODEC},
-            cache_config=lambda cfg: cfg["relevant"],
-        )
-        plan = StagePlan([stage_obj])
-        cache = ArtifactCache(tmp_path)
-        plan.run(RunContext(config={"relevant": 1, "noise": "a"}, cache=cache), {"xs": [1]})
-        # Different irrelevant field -> same key -> hit.
-        plan.run(RunContext(config={"relevant": 1, "noise": "b"}, cache=cache), {"xs": [1]})
-        assert len(calls) == 1
-        # Different relevant field -> miss.
-        plan.run(RunContext(config={"relevant": 2, "noise": "a"}, cache=cache), {"xs": [1]})
-        assert len(calls) == 2
-
-    def test_partial_codecs_not_cacheable(self):
-        stage_obj = Stage(
-            name="cache_partial",
-            inputs=("xs",),
-            outputs=("ys", "zs"),
-            fn=lambda ctx, xs: {"ys": [], "zs": []},
-            cache_codecs={"ys": JSON_CODEC},
-        )
-        assert not stage_obj.cacheable
-
-
 class TestRunContext:
     def test_merge_timings_accumulates(self):
         ctx = RunContext()
@@ -291,14 +196,6 @@ class TestRunContext:
         with ctx.timed("op") as sp:
             assert sp is None  # tracing disabled -> no span, still timed
         assert "op_s" in ctx.timings
-
-    def test_stage_record_cached_propagation(self):
-        ctx = RunContext()
-        ctx.record("hot", 1.0)
-        ctx.record("warm", 0.0, cached=True)
-        assert [r.cached for r in ctx.records] == [False, True]
-        cached = [r.name for r in ctx.records if r.cached]
-        assert cached == ["warm"]
 
 
 class TestSharedArtifactOrdering:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geo import geohash_bbox, geohash_decode, geohash_encode, geohash_neighbors
+from repro.geo import geohash_bbox, geohash_decode, geohash_encode
 
 lng_st = st.floats(min_value=-179.9, max_value=179.9, allow_nan=False)
 lat_st = st.floats(min_value=-89.9, max_value=89.9, allow_nan=False)
@@ -52,17 +52,3 @@ class TestGeohashDecode:
             geohash_bbox("abcai")  # 'a' and 'i' are not base32 geohash chars
         with pytest.raises(ValueError):
             geohash_bbox("")
-
-
-class TestGeohashNeighbors:
-    def test_eight_neighbors_inland(self):
-        gh = geohash_encode(116.404, 39.915, precision=8)
-        neighbors = geohash_neighbors(gh)
-        assert len(neighbors) == 8
-        assert gh not in neighbors
-        assert len(set(neighbors)) == 8
-
-    def test_neighbors_share_prefix_usually(self):
-        gh = geohash_encode(116.404, 39.915, precision=6)
-        for n in geohash_neighbors(gh):
-            assert len(n) == 6

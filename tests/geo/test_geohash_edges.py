@@ -1,16 +1,8 @@
 """GeoHash edge cases: poles, dateline, precision extremes."""
 
-import numpy as np
 import pytest
 
-from repro.geo import (
-    GeohashSpatialIndex,
-    geohash_bbox,
-    geohash_decode,
-    geohash_encode,
-    geohash_neighbors,
-    geohash_ring,
-)
+from repro.geo import geohash_bbox, geohash_decode, geohash_encode
 
 
 class TestGeohashEdges:
@@ -18,12 +10,6 @@ class TestGeohashEdges:
         gh = geohash_encode(0.0, 90.0, precision=6)
         box = geohash_bbox(gh)
         assert box.max_lat == pytest.approx(90.0, abs=0.1)
-
-    def test_south_pole_neighbors_clipped(self):
-        gh = geohash_encode(0.0, -90.0, precision=5)
-        neighbors = geohash_neighbors(gh)
-        # Southern neighbors fall off the map; fewer than 8 remain.
-        assert 0 < len(neighbors) < 8
 
     def test_dateline_east(self):
         gh = geohash_encode(179.99, 0.0, precision=7)
@@ -52,45 +38,3 @@ class TestGeohashEdges:
         assert abs(center.lng) < 0.001
         assert abs(center.lat) < 0.001
 
-
-class TestAntimeridian:
-    def test_ring_wraps_across_dateline(self):
-        gh = geohash_encode(179.999, 0.0, precision=4)
-        ring = geohash_ring(gh, 1)
-        assert len(ring) == 8
-        # The eastern neighbors wrap to the western hemisphere instead
-        # of being dropped.
-        assert any(geohash_decode(cell).lng < 0 for cell in ring)
-
-    def test_nearest_parity_across_dateline(self):
-        rng = np.random.default_rng(7)
-        n = 200
-        east = rng.random(n) < 0.5
-        lngs = np.where(
-            east,
-            179.5 + rng.random(n) * 0.5,
-            -180.0 + rng.random(n) * 0.5,
-        )
-        lats = rng.uniform(-10.0, 10.0, n)
-        index = GeohashSpatialIndex.build(lngs, lats, precision=5)
-        for qlng, qlat in [
-            (179.999, 0.0),
-            (-179.999, 2.0),
-            (180.0, -5.0),
-            (-179.6, 7.0),
-        ]:
-            got = index.nearest(qlng, qlat)
-            want = index.nearest_linear(qlng, qlat)
-            assert got is not None and want is not None
-            assert got[1] == pytest.approx(want[1], abs=1e-6)
-
-    def test_nearest_parity_near_pole(self):
-        rng = np.random.default_rng(11)
-        lngs = rng.uniform(-180.0, 180.0, 100)
-        lats = rng.uniform(85.5, 89.9, 100)
-        index = GeohashSpatialIndex.build(lngs, lats, precision=5)
-        for qlng, qlat in [(0.0, 89.0), (120.0, 86.5), (-90.0, 88.0)]:
-            got = index.nearest(qlng, qlat)
-            want = index.nearest_linear(qlng, qlat)
-            assert got is not None and want is not None
-            assert got[1] == pytest.approx(want[1], abs=1e-6)

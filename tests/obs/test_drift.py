@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import MetricsRegistry, set_registry
 from repro.obs.drift import (
-    DriftMonitor,
     Fingerprint,
     bin_values,
     compare_fingerprints,
@@ -15,7 +14,6 @@ from repro.obs.drift import (
     psi,
     save_drift_report,
 )
-from repro.obs.events import configure_events, read_events
 
 
 @pytest.fixture(autouse=True)
@@ -148,53 +146,6 @@ class TestCompare:
         )
         text = report.render()
         assert "FLAGGED" in text and "[!!]" in text
-
-
-class TestDriftMonitor:
-    def test_first_observation_returns_none(self):
-        monitor = DriftMonitor()
-        assert monitor.observe(pool_fingerprint(_pool([1, 2]))) is None
-
-    def test_second_observation_compares_to_previous(self):
-        monitor = DriftMonitor()
-        monitor.observe(pool_fingerprint(_pool([1] * 10)))
-        report = monitor.observe(pool_fingerprint(_pool([1] * 10)))
-        assert report is not None and not report.drifted
-        # The baseline rolls forward: a later drop compares to the latest.
-        dropped = monitor.observe(pool_fingerprint(_pool([1] * 5)))
-        assert dropped.drifted
-
-    def test_kinds_tracked_independently(self):
-        monitor = DriftMonitor()
-        selector = SimpleNamespace(scores=lambda e: [1.0, 0.0])
-        examples = {"a": SimpleNamespace()}
-        assert monitor.observe(pool_fingerprint(_pool([1]))) is None
-        assert monitor.observe(matcher_fingerprint(selector, examples)) is None
-        assert monitor.observe(pool_fingerprint(_pool([1]))) is not None
-
-    def test_scores_land_in_gauge(self):
-        registry = set_registry(MetricsRegistry())
-        try:
-            monitor = DriftMonitor()
-            monitor.observe(pool_fingerprint(_pool([1, 2])))
-            monitor.observe(pool_fingerprint(_pool([1, 2])))
-            from repro.obs import get_registry
-
-            gauge = get_registry().gauge("drift_score")
-            assert gauge.value(kind="pool", dimension="n_candidates") == 0.0
-        finally:
-            set_registry(registry)
-
-    def test_flagged_report_emits_event(self, tmp_path):
-        configure_events(tmp_path / "events.jsonl")
-        try:
-            monitor = DriftMonitor()
-            monitor.observe(pool_fingerprint(_pool([1] * 10)))
-            monitor.observe(pool_fingerprint(_pool([1] * 3)))
-        finally:
-            configure_events(None)
-        names = [r["event"] for r in read_events(tmp_path / "events.jsonl")]
-        assert "drift_flagged" in names
 
 
 class TestSaveReport:

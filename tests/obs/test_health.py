@@ -2,6 +2,9 @@
 
 import json
 import math
+import pathlib
+import sys
+import types
 
 import pytest
 
@@ -95,6 +98,63 @@ class TestSLOParsing:
             {"slos": [{"name": "j", "metric": "m", "objective": 1}]}
         ))
         assert load_slo_file(jsn)[0].name == "j"
+
+    def test_yaml_never_goes_through_pyyaml(self, tmp_path, monkeypatch):
+        class Unusable(types.ModuleType):
+            def safe_load(self, text):
+                raise AssertionError("PyYAML must not parse SLO files")
+
+        monkeypatch.setitem(sys.modules, "yaml", Unusable("yaml"))
+        yml = tmp_path / "slo.yaml"
+        yml.write_text(SPEC_TEXT)
+        assert [s.name for s in load_slo_file(yml)] == ["p95-latency", "error-rate"]
+
+
+#: Every checked-in CI spec and the objectives it must parse to:
+#: ``(name, metric, kind, objective, bad)`` in file order.
+CI_SPECS = {
+    "slo.yaml": [
+        ("serve-p95-latency", "serve_request_latency_seconds", "quantile", 0.25, ()),
+        ("serve-error-rate", "serve_requests_total", "error_rate", 0.01,
+         (("status", ("error",)),)),
+        ("serve-queue-depth", "serve_queue_depth", "max", 4096, ()),
+    ],
+    "slo-fleet.yaml": [
+        ("serve-p95-latency", "serve_request_latency_seconds", "quantile", 0.25, ()),
+        ("serve-error-rate", "serve_requests_total", "error_rate", 0.01,
+         (("status", ("error",)),)),
+        ("fleet-worker-error-rows", "serve_worker_requests_total", "error_rate",
+         0.01, (("status", ("error",)),)),
+        ("fleet-worker-restarts", "serve_worker_restarts_total", "max", 0, ()),
+        ("fleet-heartbeat-misses", "serve_worker_heartbeat_misses_total", "max",
+         5, ()),
+        ("fleet-snapshot-version-lag", "serve_worker_snapshot_version_lag", "max",
+         2, ()),
+    ],
+    "slo-stream.yaml": [
+        ("stream-ingest-loss-rate", "stream_events_total", "error_rate", 0.01,
+         (("outcome", ("late", "shed")),)),
+        ("stream-freshness-p95", "stream_freshness_lag_seconds", "quantile",
+         30.0, ()),
+        ("stream-bus-depth", "stream_bus_depth", "max", 8192, ()),
+    ],
+}
+CI_DIR = pathlib.Path(__file__).resolve().parents[2] / "ci"
+
+
+class TestCheckedInSpecs:
+    def test_every_ci_spec_is_covered(self):
+        assert sorted(p.name for p in CI_DIR.glob("slo*.yaml")) == sorted(CI_SPECS)
+
+    @pytest.mark.parametrize("name", sorted(CI_SPECS))
+    def test_ci_spec_loads_to_its_objectives(self, name):
+        slos = load_slo_file(CI_DIR / name)
+        got = [(s.name, s.metric, s.kind, s.objective, s.bad) for s in slos]
+        assert got == CI_SPECS[name]
+        assert all(s.description for s in slos)
+        for slo in slos:
+            if slo.kind == "quantile":
+                assert slo.quantile == 0.95
 
 
 class TestHistogramQuantile:

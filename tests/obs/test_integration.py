@@ -2,13 +2,12 @@
 
 The acceptance path of the obs subsystem: a full ``fit`` + ``query`` run
 with tracing enabled yields a JSON-lines trace whose span tree covers all
-five registered engine stages, and the exported metrics file renders cache
-hit/miss counters and query-latency histograms through ``repro metrics``.
+five registered engine stages, and the exported metrics file renders
+request counters and query-latency histograms through ``repro metrics``.
 """
 
 import pytest
 
-from repro.apps import DeliveryLocationService
 from repro.cli import main
 from repro.core import DLInfMA, DLInfMAConfig
 from repro.obs import (
@@ -21,6 +20,7 @@ from repro.obs import (
     set_registry,
     span_tree,
 )
+from repro.serve import QueryServer, ServerConfig, ShardedLocationStore
 
 STAGE_NAMES = (
     "stay_point_extraction",
@@ -50,19 +50,28 @@ def _fast_config(**kwargs):
     return DLInfMAConfig(selector="maxtc-ilc", **kwargs)
 
 
+def _fit(workload, trips=None):
+    return DLInfMA(_fast_config()).fit(
+        workload.trips if trips is None else trips,
+        workload.addresses,
+        workload.ground_truth,
+        workload.train_ids,
+        workload.val_ids,
+        projection=workload.projection,
+    )
+
+
+def _served_store(workload):
+    model = _fit(workload)
+    inferred = model.predict(sorted(model.extractor.trips_by_address))
+    return ShardedLocationStore(inferred, workload.addresses)
+
+
 class TestTracedFitAndQuery:
     def test_span_tree_covers_all_five_stages(self, tiny_workload, traced, fresh_registry):
-        service = DeliveryLocationService(
-            tiny_workload.addresses, tiny_workload.projection, _fast_config()
-        )
-        service.refresh(
-            tiny_workload.trips,
-            tiny_workload.ground_truth,
-            tiny_workload.train_ids,
-            tiny_workload.val_ids,
-        )
+        store = _served_store(tiny_workload)
         address = next(iter(tiny_workload.addresses.values()))
-        service.query(address)
+        store.query(address)
 
         spans = read_trace(traced)
         by_id = {s["span_id"]: s for s in spans}
@@ -70,17 +79,16 @@ class TestTracedFitAndQuery:
         for stage in STAGE_NAMES:
             assert stage in names, f"stage {stage} missing from trace"
 
-        # All five stage spans sit under the service.refresh root.
+        # All five stage spans sit under the dlinfma.fit root.
         roots = [s for s in spans if s["parent_id"] is None]
-        assert [r["name"] for r in roots] == ["service.refresh"]
+        assert [r["name"] for r in roots] == ["dlinfma.fit"]
         for stage in STAGE_NAMES:
             node = next(s for s in spans if s["name"] == stage)
             ancestors = []
             while node["parent_id"] is not None:
                 node = by_id[node["parent_id"]]
                 ancestors.append(node["name"])
-            assert ancestors[-1] == "service.refresh"
-            assert "dlinfma.fit" in ancestors
+            assert ancestors[-1] == "dlinfma.fit"
 
         tree = span_tree(spans)
         fit_span = next(s for s in spans if s["name"] == "dlinfma.fit")
@@ -91,16 +99,13 @@ class TestTracedFitAndQuery:
     def test_update_path_traces_incremental_stages(self, tiny_workload, traced):
         trips = sorted(tiny_workload.trips, key=lambda t: t.t_start)
         half = len(trips) // 2
-        service = DeliveryLocationService(
-            tiny_workload.addresses, tiny_workload.projection, _fast_config()
-        )
-        common = (
+        model = _fit(tiny_workload, trips[:half])
+        model.update(
+            trips[half:],
             tiny_workload.ground_truth,
             tiny_workload.train_ids,
             tiny_workload.val_ids,
         )
-        service.refresh(trips[:half], *common)
-        service.refresh(trips[half:], *common)
         spans = read_trace(traced)
         update = next(s for s in spans if s["name"] == "dlinfma.update")
         assert update["attributes"]["n_new_trips"] == len(trips) - half
@@ -111,44 +116,16 @@ class TestTracedFitAndQuery:
         assert "feature_extraction" in update_children
 
     def test_query_latency_histogram_by_source(self, tiny_workload, fresh_registry):
-        service = DeliveryLocationService(
-            tiny_workload.addresses, tiny_workload.projection, _fast_config()
-        )
-        service.refresh(
-            tiny_workload.trips,
-            tiny_workload.ground_truth,
-            tiny_workload.train_ids,
-            tiny_workload.val_ids,
-        )
-        for address in tiny_workload.addresses.values():
-            service.query(address)
-        hist = fresh_registry.histogram("service_query_latency_seconds")
+        store = _served_store(tiny_workload)
+        with QueryServer(store, ServerConfig(n_workers=2)) as server:
+            for address_id in tiny_workload.addresses:
+                assert server.query(address_id, timeout_s=5.0).ok
+        hist = fresh_registry.histogram("serve_request_latency_seconds")
         total = sum(
             sample["count"] for sample in hist.samples()
         )
         assert total == len(tiny_workload.addresses)
-        assert fresh_registry.gauge("service_store_size").value() > 0
-
-    def test_cache_hit_miss_counters(self, tiny_workload, tmp_path, fresh_registry):
-        kwargs = dict(
-            addresses=tiny_workload.addresses,
-            ground_truth=tiny_workload.ground_truth,
-            train_ids=tiny_workload.train_ids,
-            val_ids=tiny_workload.val_ids,
-            projection=tiny_workload.projection,
-            cache_dir=tmp_path / "cache",
-        )
-        DLInfMA(_fast_config()).fit(tiny_workload.trips, **kwargs)
-        misses = fresh_registry.counter("artifact_cache_misses_total")
-        assert misses.total() >= 3  # cold cache: every cacheable stage misses
-        model = DLInfMA(_fast_config()).fit(tiny_workload.trips, **kwargs)
-        hits = fresh_registry.counter("artifact_cache_hits_total")
-        assert hits.value(stage="stay_point_extraction") == 1
-        assert hits.value(stage="pool_construction") == 1
-        # StageRecord.cached propagates through the rerun's records.
-        cached_stages = {r.name for r in model.context.records if r.cached}
-        assert "stay_point_extraction" in cached_stages
-        assert "pool_construction" in cached_stages
+        assert hist.count(source="address", cache="miss") > 0
 
     def test_locmatcher_training_metrics(self, tiny_workload, fresh_registry):
         from dataclasses import replace
@@ -181,16 +158,16 @@ class TestTracedFitAndQuery:
         assert counter.value(worker="serial") == 4
 
     def test_metrics_cli_renders_export(self, tiny_workload, tmp_path, fresh_registry, capsys):
-        fresh_registry.counter("artifact_cache_hits_total").inc(3, stage="pool_construction")
-        fresh_registry.histogram("service_query_latency_seconds").observe(
+        fresh_registry.counter("serve_requests_total").inc(3, status="ok")
+        fresh_registry.histogram("serve_request_latency_seconds").observe(
             0.0004, source="address"
         )
         path = tmp_path / "metrics.json"
         export_metrics(path, fresh_registry, meta={"git_sha": "deadbeef"})
         assert main(["metrics", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "artifact_cache_hits_total{stage=pool_construction}" in out
-        assert "service_query_latency_seconds{source=address}" in out
+        assert "serve_requests_total{status=ok}" in out
+        assert "serve_request_latency_seconds{source=address}" in out
         assert "deadbeef" in out
 
     def test_metrics_cli_missing_file(self, tmp_path, capsys):

@@ -2,16 +2,12 @@
 
 import json
 
-from repro.obs.drift import Fingerprint
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import (
     PROVENANCE_VERSION,
     ProvenanceRecord,
     ProvenanceRing,
-    fingerprint_digest,
     merge_provenance,
-    pop_evidence,
-    put_evidence,
     read_provenance,
     render_record,
 )
@@ -28,43 +24,41 @@ class TestRecord:
     def test_dict_roundtrip(self):
         record = ProvenanceRecord(
             key="main:00000001", address_id="a1", status="ok",
-            lng=116.4, lat=39.9, source="model", cache_state="miss",
-            confidence=0.83,
-            candidates=[{"candidate_id": "c1", "score": 0.8, "rank": 1}],
-            stays=[{"candidate_id": "c1", "weight": 3.0}],
-            snapshot_version=7, model_fingerprint="matcher:abc",
-            pool_fingerprint="pool:def", trace_id="t" * 16,
+            lng=116.4, lat=39.9, source="address", cache_state="miss",
+            confidence=0.83, snapshot_version=7, trace_id="t" * 16,
         )
         back = ProvenanceRecord.from_dict(record.to_dict())
         assert back == record
         assert back.version == PROVENANCE_VERSION
 
-    def test_fingerprint_digest_is_stable_and_kind_prefixed(self):
-        fp = Fingerprint(kind="pool", dists={"w": (1, 2, 3)})
-        d1, d2 = fingerprint_digest(fp), fingerprint_digest(fp)
-        assert d1 == d2
-        assert d1.startswith("pool:")
-
     def test_render_mentions_the_load_bearing_fields(self):
         record = ProvenanceRecord(
             key="main:00000009", address_id="a9", status="ok",
-            lng=1.0, lat=2.0, source="model", cache_state="miss",
-            confidence=0.5,
-            candidates=[
-                {"candidate_id": "c2", "score": 0.1, "rank": 2,
-                 "weight": 1.0},
-                {"candidate_id": "c1", "score": 0.9, "rank": 1,
-                 "weight": 2.0},
-            ],
-            stays=[{"candidate_id": "c1", "weight": 2.0,
-                    "avg_duration_s": 300.0, "n_couriers": 3}],
-            snapshot_version=4, model_fingerprint="matcher:aa",
-            pool_fingerprint="pool:bb", trace_id="abcd",
+            lng=1.0, lat=2.0, source="building", cache_state="miss",
+            confidence=0.5, snapshot_version=4, trace_id="abcd",
         )
         text = render_record(record)
-        assert "a9" in text and "model" in text
-        assert "matcher:aa" in text and "pool:bb" in text
-        assert "c1" in text and "abcd" in text
+        assert "a9" in text and "building / miss" in text
+        assert "(1.000000, 2.000000)" in text and "0.5000" in text
+        assert "v4" in text and "abcd" in text
+
+    def test_version_one_evidence_keys_are_ignored(self):
+        doc = ProvenanceRecord(
+            key="w0:00000002", address_id="a2", status="ok", lng=3.0, lat=4.0,
+            source="address", snapshot_version=1, trace_id="t1",
+        ).to_dict()
+        doc.update(
+            version=1,
+            candidates=[{"candidate_id": "c1", "score": 0.9, "rank": 1}],
+            stays=[{"candidate_id": "c1", "weight": 2.0}],
+            model_fingerprint="matcher:aa", pool_fingerprint="pool:bb",
+        )
+        record = ProvenanceRecord.from_dict(doc)
+        assert record.version == 1
+        assert (record.address_id, record.lng, record.trace_id) == ("a2", 3.0, "t1")
+        assert set(record.to_dict()) == set(doc) - {
+            "candidates", "stays", "model_fingerprint", "pool_fingerprint",
+        }
 
 
 class TestRingRetention:
@@ -113,23 +107,6 @@ class TestRingRetention:
         second = ring.mint("dup", "ok", confidence=0.9, snapshot_version=2)
         found = ring.find("dup")
         assert [r.key for r in found] == [second.key, first.key]
-
-
-class TestEvidenceChannel:
-    def test_put_pop_is_one_shot(self):
-        put_evidence("a1", {"candidates": [{"candidate_id": "c1"}]})
-        assert pop_evidence("a1")["candidates"][0]["candidate_id"] == "c1"
-        assert pop_evidence("a1") is None
-
-    def test_mint_folds_evidence_fields(self):
-        ring = ProvenanceRing(capacity=8)
-        record = ring.mint(
-            "a2", "ok", confidence=0.9,
-            candidates=[{"candidate_id": "c9", "score": 1.0, "rank": 1}],
-            model_fingerprint="matcher:ff", pool_fingerprint="pool:ee",
-        )
-        assert record.candidates[0]["candidate_id"] == "c9"
-        assert record.model_fingerprint == "matcher:ff"
 
 
 class TestPersistence:

@@ -3,18 +3,20 @@
 import os
 import random
 
+import numpy as np
 import pytest
 
 from repro.apps import QuerySource, UnknownAddressError
-from repro.geo import haversine_m
 from repro.serve import (
     GeohashShardStrategy,
     HashShardStrategy,
     ShardedLocationStore,
     SnapshotCorruptError,
+    SnapshotPublisher,
     load_snapshot,
     write_snapshot,
 )
+from repro.serve import columnar
 from repro.serve.columnar import MAGIC
 from tests.core.helpers import make_address, point_at
 
@@ -172,25 +174,6 @@ class TestRoundTrip:
         for aid, shard in zip(ids, shards):
             assert shard == store.strategy.shard_of(aid, store.address_book[aid])
 
-    def test_nearest_matches_store_ring_search(self, snapshot_world):
-        """Ring search over the file equals a brute-force scan of the store."""
-        store, path, _ = snapshot_world
-        snap = load_snapshot(path)
-        table = store.address_locations
-        rng = random.Random(11)
-        for _ in range(25):
-            probe = point_at(rng.uniform(-3000, 3000), rng.uniform(-3000, 3000))
-            dist = {
-                a: haversine_m(p.lng, p.lat, probe.lng, probe.lat)
-                for a, p in table.items()
-            }
-            want_id = min(dist, key=dist.get)
-            got = snap.nearest(probe.lng, probe.lat)
-            assert got is not None
-            assert got[0] == want_id
-            assert got[1] == table[want_id]
-            assert got[2] == pytest.approx(dist[want_id], abs=1e-6)
-
     def test_empty_store_round_trips(self, tmp_path):
         store = ShardedLocationStore({}, {}, n_shards=2)
         path = str(tmp_path / "empty.rsnap")
@@ -198,7 +181,66 @@ class TestRoundTrip:
         snap = load_snapshot(path, verify=True)
         assert snap.n_rows == 0
         assert snap.resolve_batch([]) == {}
-        assert snap.nearest(0.0, 0.0) is None
+
+
+class TestLegacySpatialArrays:
+    """Files written while snapshots carried a spatial index (six ``sp_*``
+    arrays) still load, resolve and restore; new files carry none."""
+
+    SP_DTYPES = {
+        "sp_row": np.int64, "sp_lng": np.float64, "sp_lat": np.float64,
+        "sp_cell_codes": np.uint64, "sp_cell_starts": np.int64,
+        "sp_cell_rows": np.int64,
+    }
+
+    def test_file_with_sp_arrays_loads_and_resolves(self, tmp_path, monkeypatch):
+        addresses, locations = make_world()
+        store = ShardedLocationStore(
+            locations, addresses, strategy=GeohashShardStrategy(4, precision=6)
+        )
+        fresh = str(tmp_path / "fresh.rsnap")
+        write_snapshot(fresh, store, confidences={"c0000": 0.875})
+
+        build = columnar.build_columnar_arrays
+
+        def with_index(store, confidences=None):
+            arrays, meta = build(store, confidences)
+            rows = np.flatnonzero(np.isfinite(arrays["loc_lng"]))
+            arrays["sp_row"] = rows.astype(np.int64)
+            arrays["sp_lng"] = arrays["loc_lng"][rows]
+            arrays["sp_lat"] = arrays["loc_lat"][rows]
+            arrays["sp_cell_codes"] = np.arange(len(rows), dtype=np.uint64)
+            arrays["sp_cell_starts"] = np.arange(len(rows) + 1, dtype=np.int64)
+            arrays["sp_cell_rows"] = np.arange(len(rows), dtype=np.int64)
+            return arrays, meta
+
+        monkeypatch.setattr(columnar, "build_columnar_arrays", with_index)
+        publisher = SnapshotPublisher(str(tmp_path / "snaps"))
+        legacy = publisher.path_for(store.version)
+        write_snapshot(legacy, store, confidences={"c0000": 0.875})
+        monkeypatch.undo()
+
+        old, new = load_snapshot(legacy, verify=True), load_snapshot(fresh)
+        assert {n for n in old._a if n.startswith("sp_")} == set(self.SP_DTYPES)
+        assert not [n for n in new._a if n.startswith("sp_")]
+        for name, dtype in self.SP_DTYPES.items():
+            assert getattr(old, name).dtype == dtype
+        ids = sorted(addresses) + ["missing"]
+        got, want = old.resolve_batch(ids), new.resolve_batch(ids)
+        expected = store.resolve_batch(ids[:-1])
+        for aid in ids[:-1]:
+            assert got[aid] == want[aid]
+            assert got[aid].location == expected[aid].location
+            assert got[aid].source == expected[aid].source
+        assert got["c0000"].confidence == 0.875
+        assert isinstance(got["missing"], UnknownAddressError)
+        assert old.address_locations() == new.address_locations()
+
+        restored = ShardedLocationStore.restore(publisher.directory)
+        assert restored.version == store.version
+        assert isinstance(restored.strategy, GeohashShardStrategy)
+        assert restored.strategy.precision == 6
+        assert restored.resolve_batch(ids[:-1]) == expected
 
 
 class TestCorruption:

@@ -1,6 +1,5 @@
 """The in-process store: shard keys, one-reference swap, concurrent safety."""
 
-import random
 import threading
 import time
 
@@ -14,8 +13,6 @@ from repro.serve import (
     ProcessRouter,
     ShardedLocationStore,
     SnapshotPublisher,
-    load_snapshot,
-    write_snapshot,
 )
 from repro.serve.shard import _stable_hash
 from tests.core.helpers import make_address, point_at
@@ -186,44 +183,6 @@ class TestShardAssignmentStability:
             assert shard == store.strategy.shard_of(aid, addresses[aid])
         for aid, shard in zip(ids[len(addresses):], shards[len(addresses):]):
             assert shard == _stable_hash(aid) % 4
-
-
-class TestNearestParity:
-    """The columnar snapshot's geohash ring search agrees with the exact
-    linear scan (nearest-location retrieval lives on the snapshot file)."""
-
-    def test_ring_matches_linear_scan(self, tmp_path):
-        rng = random.Random(7)
-        addresses, locations = {}, {}
-        for i in range(150):
-            aid = f"n{i:03d}"
-            x, y = rng.uniform(-3000, 3000), rng.uniform(-3000, 3000)
-            addresses[aid] = make_address(aid, f"b{i % 5}", (x, y))
-            locations[aid] = point_at(x + rng.uniform(-40, 40), y + rng.uniform(-40, 40))
-        store = ShardedLocationStore(
-            locations, addresses, strategy=GeohashShardStrategy(4, precision=6)
-        )
-        path = str(tmp_path / "snap.rsnap")
-        write_snapshot(path, store)
-        snap = load_snapshot(path)
-        index = snap.spatial_index()
-        for _ in range(60):
-            probe = point_at(rng.uniform(-4000, 4000), rng.uniform(-4000, 4000))
-            ring = snap.nearest(probe.lng, probe.lat)
-            linear = index.nearest_linear(probe.lng, probe.lat)
-            assert ring is not None and linear is not None
-            rid, rpt, rdist = ring
-            row, ldist = linear
-            assert rdist == pytest.approx(ldist, abs=1e-6)
-            assert rpt.lng == pytest.approx(float(index.lngs[row]), abs=1e-12)
-            assert rpt.lat == pytest.approx(float(index.lats[row]), abs=1e-12)
-            assert rpt == locations[rid]
-
-    def test_empty_store_returns_none(self, tmp_path):
-        store = ShardedLocationStore({}, {}, n_shards=2)
-        path = str(tmp_path / "empty.rsnap")
-        write_snapshot(path, store)
-        assert load_snapshot(path).nearest(0.0, 0.0) is None
 
 
 class TestAtomicSwapUnderLoad:

@@ -14,11 +14,9 @@ from repro.obs.recorder import FlightRecorder
 def obs_dir(tmp_path):
     ring = ProvenanceRing(capacity=32, origin="w0",
                           registry=MetricsRegistry())
-    ring.mint("a1", "ok", lng=116.4, lat=39.9, source="model",
+    ring.mint("a1", "ok", lng=116.4, lat=39.9, source="address",
               cache_state="miss", confidence=0.8, snapshot_version=2,
-              trace_id="abc123",
-              candidates=[{"candidate_id": "c1", "score": 0.9, "rank": 1,
-                           "weight": 2.0, "lng": 116.4, "lat": 39.9}])
+              trace_id="abc123")
     ring.mint("a2", "unknown_address", error="no such id")
     ring.write_jsonl(tmp_path / "provenance-worker-0.jsonl")
     return tmp_path
@@ -29,7 +27,7 @@ class TestExplain:
         rc = main(["explain", "a1", "--obs-dir", str(obs_dir)])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "a1" in out and "model" in out and "c1" in out
+        assert "a1" in out and "address" in out and "abc123" in out
 
     def test_json_mode_is_machine_readable(self, obs_dir, capsys):
         rc = main(["explain", "a1", "--obs-dir", str(obs_dir), "--json"])
@@ -37,6 +35,36 @@ class TestExplain:
         assert rc == 0
         assert doc["n_matched"] == 1
         assert doc["records"][0]["address_id"] == "a1"
+
+    def test_version_one_lines_merge_and_render(self, obs_dir, capsys):
+        # A line in the version-1 layout, which also carried per-candidate
+        # evidence and model/pool fingerprints, beside a current file.
+        old = {
+            "version": 1, "key": "w1:00000000", "address_id": "a1",
+            "status": "ok", "lng": 116.5, "lat": 39.8, "source": "address",
+            "cache_state": "hit", "confidence": 0.7,
+            "candidates": [{"candidate_id": "c1", "score": 0.9, "rank": 1,
+                            "weight": 2.0, "lng": 116.5, "lat": 39.8}],
+            "stays": [{"candidate_id": "c1", "weight": 2.0,
+                       "avg_duration_s": 300.0, "n_couriers": 3}],
+            "snapshot_version": 1, "model_fingerprint": "matcher:aa",
+            "pool_fingerprint": "pool:bb", "trace_id": "old42",
+            "origin": "w1", "ts_unix": 1.0, "error": "",
+        }
+        (obs_dir / "provenance-worker-1.jsonl").write_text(
+            json.dumps(old) + "\n", encoding="utf-8")
+        rc = main(["explain", "a1", "--obs-dir", str(obs_dir)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "2 record(s) for a1" in out and "torn" not in out
+        assert "(116.500000, 39.800000)" in out and "old42" in out
+        assert "snapshot     v1" in out
+
+        rc = main(["explain", "a1", "--obs-dir", str(obs_dir), "--json"])
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert rc == 0
+        assert [r["trace_id"] for r in records] == ["abc123", "old42"]
+        assert all("candidates" not in r for r in records)
 
     def test_missing_address_exits_nonzero(self, obs_dir, capsys):
         rc = main(["explain", "nope", "--obs-dir", str(obs_dir)])
