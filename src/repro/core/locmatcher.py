@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import locmatcher_numpy as numpy_pass
 from repro.core.features import AddressExample, FeatureConfig
 from repro.ml import StandardScaler
 from repro.obs import event, get_registry
@@ -33,44 +34,18 @@ from repro.nn import (
     Module,
     StepLR,
     Tensor,
-    TracedStep,
     TransformerEncoder,
     cat,
     clip_grad_norm,
 )
-from repro.nn.attention import key_bias_from_mask
-from repro.nn.functional import cross_entropy_onehot, mask_bias, softmax
 from repro.synth.city import N_POI_CATEGORIES
 
 #: Gradient L2 norms are unitless and span decades; log-ish bucket bounds.
 GRAD_NORM_BUCKETS = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0)
 
-#: Candidate-count padding buckets: every batch is padded up so only a
-#: handful of input signatures (and thus JIT plans) ever exist.
-N_BUCKETS = (4, 8, 16, 32)
-
-#: Largest inference batch per forward; batch sizes are padded to powers
-#: of two up to this, again to bound the number of traced plans.
+#: Most examples scored in one forward pass: bounds the memory of a pass
+#: (its attention maps grow as batch x heads x candidates^2).
 MAX_SCORE_BATCH = 256
-
-
-def _bucket_n(n: int) -> int:
-    """Pad a candidate count up to a standard bucket."""
-    for b in N_BUCKETS:
-        if n <= b:
-            return b
-    out = N_BUCKETS[-1]
-    while out < n:
-        out *= 2
-    return out
-
-
-def _bucket_b(b: int) -> int:
-    """Pad a batch size up to a power of two (capped by the caller)."""
-    out = 1
-    while out < b:
-        out *= 2
-    return out
 
 
 @dataclass(frozen=True)
@@ -148,43 +123,6 @@ class LocMatcherNet(Module):
             self.poi_embedding = None
             self.u = None
 
-    def forward_tensors(
-        self,
-        scalars: Tensor,  # (B, N, S)
-        hist: Tensor | None,  # (B, N, hist_dim)
-        key_bias: Tensor | None,  # (B, 1, 1, N) additive attention bias
-        poi_onehot: Tensor | None,  # (B, n_categories)
-        n_deliveries: Tensor | None,  # (B, 1) already normalized
-    ) -> Tensor:
-        """Raw matching scores ``(B, N)`` from pure-Tensor inputs.
-
-        Every input is a plain data Tensor — the mask enters as an additive
-        bias and the POI category as a one-hot matrix — so this path is
-        traceable by :class:`repro.nn.TracedStep` (no data-dependent numpy
-        control flow inside).
-        """
-        parts = [scalars]
-        if self.hist_dense is not None:
-            if hist is None:
-                raise ValueError("model was built with a time-histogram input")
-            parts.append(self.hist_dense(hist).tanh())
-        candidate_input = cat(parts, axis=-1) if len(parts) > 1 else parts[0]
-        h = self.input_dense(candidate_input).relu()
-        h = self.dropout(h)
-        if self.config.encoder == "transformer":
-            encoded = self.encoder(h, key_bias=key_bias)
-        else:
-            encoded, _ = self.encoder(h)
-        pre = self.w(encoded)  # (B, N, p)
-        if self.use_address_context:
-            context = cat(
-                [self.poi_embedding.forward_onehot(poi_onehot), n_deliveries], axis=-1
-            )  # (B, m)
-            b, n, p = pre.shape
-            pre = pre + self.u(context).reshape(b, 1, p)
-        scores = self.v(pre.tanh())  # (B, N, 1)
-        return scores.reshape(scores.shape[0], scores.shape[1])
-
     def forward(
         self,
         scalars: np.ndarray,  # (B, N, S)
@@ -193,19 +131,37 @@ class LocMatcherNet(Module):
         poi: np.ndarray,  # (B,)
         n_deliveries: np.ndarray,  # (B,) already normalized
     ) -> Tensor:
-        """Raw matching scores ``(B, N)`` (mask applied downstream)."""
-        scalars_t = Tensor(np.asarray(scalars), dtype=DEFAULT_DTYPE)
-        hist_t = Tensor(np.asarray(hist), dtype=DEFAULT_DTYPE) if hist is not None else None
-        key_bias = None
+        """Raw matching scores ``(B, N)`` through autograd (mask applied
+        downstream).
+
+        The reference implementation: the selector trains and scores
+        through the equivalent hand-written pass in
+        :mod:`repro.core.locmatcher_numpy`, which tests hold to this one.
+        Computes in the parameters' dtype.
+        """
+        dtype = self.input_dense.weight.dtype
+        parts = [Tensor(np.asarray(scalars), dtype=dtype)]
+        if self.hist_dense is not None:
+            if hist is None:
+                raise ValueError("model was built with a time-histogram input")
+            parts.append(self.hist_dense(Tensor(np.asarray(hist), dtype=dtype)).tanh())
+        candidate_input = cat(parts, axis=-1) if len(parts) > 1 else parts[0]
+        h = self.input_dense(candidate_input).relu()
+        h = self.dropout(h)
         if self.config.encoder == "transformer":
-            key_bias = Tensor(key_bias_from_mask(np.asarray(mask, dtype=bool), DEFAULT_DTYPE))
-        poi_onehot = ndel = None
+            encoded = self.encoder(h, key_mask=np.asarray(mask, dtype=bool))
+        else:
+            encoded, _ = self.encoder(h)
+        pre = self.w(encoded)  # (B, N, p)
         if self.use_address_context:
-            poi_onehot = Tensor(self.poi_embedding.onehot(np.asarray(poi)))
-            ndel = Tensor(
-                np.asarray(n_deliveries, dtype=DEFAULT_DTYPE).reshape(-1, 1)
-            )
-        return self.forward_tensors(scalars_t, hist_t, key_bias, poi_onehot, ndel)
+            ndel = Tensor(np.asarray(n_deliveries).reshape(-1, 1), dtype=dtype)
+            context = cat([self.poi_embedding(poi), ndel], axis=-1)  # (B, m)
+            b, n, p = pre.shape
+            pre = pre + self.u(context).reshape(b, 1, p)
+        # v^T tanh(.) as a multiply-and-sum: a (p, 1) matmul goes to BLAS
+        # gemv, whose rounding depends on how many rows share the call,
+        # and a candidate's score must not depend on its batch.
+        return (pre.tanh() * self.v.weight.reshape(-1)).sum(axis=-1)  # (B, N)
 
 
 class LocMatcherSelector:
@@ -223,9 +179,6 @@ class LocMatcherSelector:
         self._deliv_mean = 0.0
         self._deliv_std = 1.0
         self.history: list[dict[str, float]] = []
-        self._jit_train: TracedStep | None = None
-        self._jit_eval: TracedStep | None = None
-        self._jit_score: TracedStep | None = None
         # fit()-scoped memo of per-example (scaled scalars, hist) pairs:
         # the same examples are re-packed into fresh shuffles every epoch
         # and column selection + scaling is by far the costliest part.
@@ -244,32 +197,13 @@ class LocMatcherSelector:
     def _normalize_deliveries(self, values: np.ndarray) -> np.ndarray:
         return (np.log1p(values) - self._deliv_mean) / self._deliv_std
 
-    def _make_batch(
-        self,
-        examples: list[AddressExample],
-        n_pad: int | None = None,
-        b_pad: int | None = None,
-    ):
-        """Build padded float32 batch arrays.
-
-        ``n_pad``/``b_pad`` pad the candidate and batch axes beyond the
-        batch's natural size (padded rows are fully masked out), which lets
-        callers pin the array shapes to a small set of buckets so the JIT
-        engine reuses a handful of traced plans instead of re-tracing per
-        shape.
-        """
+    def _make_batch(self, examples: list[AddressExample]):
+        """Float32 batch arrays padded to the batch's largest candidate set
+        (padded slots are masked out)."""
         n_max = max(e.n_candidates for e in examples)
-        if n_pad is not None:
-            if n_pad < n_max:
-                raise ValueError(f"n_pad={n_pad} below batch n_max={n_max}")
-            n_max = n_pad
         scalar_cols = self.feature_config.scalar_columns()
         hist_cols = self.feature_config.hist_columns()
         b = len(examples)
-        if b_pad is not None:
-            if b_pad < b:
-                raise ValueError(f"b_pad={b_pad} below batch size {b}")
-            b = b_pad
         scalars = np.zeros((b, n_max, len(scalar_cols)), dtype=DEFAULT_DTYPE)
         hist = np.zeros((b, n_max, len(hist_cols)), dtype=DEFAULT_DTYPE) if hist_cols else None
         mask = np.zeros((b, n_max), dtype=bool)
@@ -296,115 +230,32 @@ class LocMatcherSelector:
             if hist is not None and raw_hist is not None:
                 hist[i, :n] = raw_hist
             mask[i, :n] = True
-            poi[i] = example.poi_category if self.feature_config.use_address else 0
+            if self.feature_config.use_address:
+                category = example.poi_category
+                if not 0 <= category < N_POI_CATEGORIES:
+                    raise ValueError(
+                        f"address {example.address_id}: POI category {category} "
+                        f"outside [0, {N_POI_CATEGORIES})"
+                    )
+                poi[i] = category
             deliveries[i] = example.n_deliveries
             labels[i] = example.label if example.label is not None else 0
         deliveries = self._normalize_deliveries(deliveries)
         return scalars, hist, mask, poi, deliveries, labels
 
-    # -- traced-step plumbing ------------------------------------------
-    def _step_arrays(
-        self,
-        scalars: np.ndarray,
-        hist: np.ndarray | None,
-        mask: np.ndarray,
-        poi: np.ndarray,
-        deliveries: np.ndarray,
-    ) -> list[np.ndarray]:
-        """Pack a batch into the flat, stable-order array list the traced
-        step functions consume.
+    def _train_step(self, batch: tuple) -> tuple[float, int]:
+        """One forward + backward pass over a :meth:`_make_batch` batch.
 
-        Mask-derived quantities (attention key bias, candidate logit bias)
-        and the POI one-hot are precomputed here so the traced graph is
-        pure tensor math over data inputs.
+        Returns the loss and how many examples scored their label highest;
+        parameter gradients are left on ``p.grad`` for the caller to clip
+        and step.
         """
-        net = self.net
-        arrays = [scalars]
-        if net.hist_dense is not None:
-            arrays.append(hist)
-        if net.config.encoder == "transformer":
-            arrays.append(key_bias_from_mask(mask, DEFAULT_DTYPE))
-        if net.use_address_context:
-            arrays.append(net.poi_embedding.onehot(poi))
-            arrays.append(deliveries.reshape(-1, 1).astype(DEFAULT_DTYPE))
-        arrays.append(mask_bias(mask, DEFAULT_DTYPE))  # (B, N) candidate bias
-        return arrays
-
-    def _forward_from_arrays(self, arrays: tuple[np.ndarray, ...]) -> tuple[Tensor, Tensor]:
-        """Unpack `_step_arrays` output and run the tensor forward.
-
-        Returns ``(logits, candidate_bias)`` — the bias is 0 for real
-        candidates and a large negative number for padding, ready to add
-        to the logits before any softmax/cross-entropy.
-        """
-        net = self.net
-        it = iter(arrays)
-        scalars = Tensor(next(it))
-        hist = Tensor(next(it)) if net.hist_dense is not None else None
-        key_bias = Tensor(next(it)) if net.config.encoder == "transformer" else None
-        poi_onehot = ndel = None
-        if net.use_address_context:
-            poi_onehot = Tensor(next(it))
-            ndel = Tensor(next(it))
-        candidate_bias = Tensor(next(it))
-        logits = net.forward_tensors(scalars, hist, key_bias, poi_onehot, ndel)
-        return logits, candidate_bias
-
-    def _train_step(self, *arrays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One forward+backward pass; returns ``(loss, logits)`` arrays.
-
-        Parameter gradients are left on ``p.grad`` (replacing, not
-        accumulating — the replay engine overwrites grad buffers), so the
-        caller clips and steps the optimizer eagerly afterwards.
-        """
-        *fwd, onehot_labels, row_weight = arrays
-        logits, candidate_bias = self._forward_from_arrays(fwd)
-        loss = cross_entropy_onehot(
-            logits + candidate_bias, Tensor(onehot_labels), Tensor(row_weight)
-        )
-        loss.backward()
-        return loss.numpy(), logits.numpy()
-
-    def _eval_step(self, *arrays: np.ndarray) -> np.ndarray:
-        """Forward-only loss over the real rows of a padded batch."""
-        *fwd, onehot_labels, row_weight = arrays
-        logits, candidate_bias = self._forward_from_arrays(fwd)
-        loss = cross_entropy_onehot(
-            logits + candidate_bias, Tensor(onehot_labels), Tensor(row_weight)
-        )
-        return loss.numpy()
-
-    def _score_step(self, *arrays: np.ndarray) -> np.ndarray:
-        """Masked selection probabilities ``(B, N)`` for a padded batch."""
-        logits, candidate_bias = self._forward_from_arrays(arrays)
-        return softmax(logits + candidate_bias, axis=-1).numpy()
-
-    def _ensure_jit(self, reset: bool = False) -> None:
-        """(Re)build the traced steps around the current net.
-
-        All three share the net's parameter list so replays observe
-        in-place optimizer updates and ``load_state_dict`` swaps.
-        """
-        if reset or self._jit_train is None:
-            params = self.net.parameters()
-            self._jit_train = TracedStep(self._train_step, params=params)
-            self._jit_eval = TracedStep(self._eval_step, params=params)
-            self._jit_score = TracedStep(self._score_step, params=params)
-
-    def _train_batch_arrays(self, batch: list[AddressExample]):
-        """Padded train-batch inputs: step arrays + one-hot labels/weights."""
-        b_pad = self.config.batch_size
-        n_cap = max(e.n_candidates for e in batch)
-        scalars, hist, mask, poi, deliveries, labels = self._make_batch(
-            batch, n_pad=_bucket_n(n_cap), b_pad=b_pad
-        )
-        n_pad = mask.shape[1]
-        onehot = np.zeros((b_pad, n_pad), dtype=DEFAULT_DTYPE)
-        onehot[np.arange(len(batch)), labels[: len(batch)]] = 1.0
-        row_weight = np.zeros(b_pad, dtype=DEFAULT_DTYPE)
-        row_weight[: len(batch)] = 1.0
-        arrays = self._step_arrays(scalars, hist, mask, poi, deliveries)
-        return arrays, onehot, row_weight, mask, labels
+        scalars, hist, mask, poi, deliveries, labels = batch
+        scores, tape = numpy_pass.forward(self.net, scalars, hist, mask, poi, deliveries)
+        loss, d_scores = numpy_pass.masked_cross_entropy(scores, mask, labels)
+        numpy_pass.backward(self.net, tape, d_scores)
+        n_correct = int((np.where(mask, scores, -np.inf).argmax(axis=1) == labels).sum())
+        return loss, n_correct
 
     # ------------------------------------------------------------------
     def fit(
@@ -445,9 +296,6 @@ class LocMatcherSelector:
                 config=cfg,
                 use_address_context=self.feature_config.use_address,
             )
-        # Fresh traces per fit: the net (or its training-mode graph, via
-        # dropout) may differ from whatever was traced before.
-        self._ensure_jit(reset=True)
         # The cache keys by id(); the train/val lists keep every example
         # alive for the duration of fit, and the scaler is already fitted.
         self._feat_cache = {}
@@ -503,17 +351,14 @@ class LocMatcherSelector:
                 n_correct = 0
                 for start in range(0, len(order), cfg.batch_size):
                     batch = [train[i] for i in order[start : start + cfg.batch_size]]
-                    arrays, onehot, row_weight, mask, labels = self._train_batch_arrays(batch)
                     optimizer.zero_grad()
-                    loss_val, logits = self._jit_train(*arrays, onehot, row_weight)
+                    loss_val, correct = self._train_step(self._make_batch(batch))
                     if cfg.grad_clip_norm is not None:
                         norm = clip_grad_norm(optimizer.params, cfg.grad_clip_norm)
                         grad_hist.observe(norm)
                     optimizer.step()
-                    real = len(batch)
-                    masked = np.where(mask[:real], logits[:real], -np.inf)
-                    n_correct += int((masked.argmax(axis=1) == labels[:real]).sum())
-                    train_loss += float(loss_val)
+                    n_correct += correct
+                    train_loss += loss_val
                     n_batches += 1
                 scheduler.step()
                 epochs_run = epoch + 1
@@ -554,13 +399,13 @@ class LocMatcherSelector:
 
     def _evaluate_loss(self, examples: list[AddressExample]) -> float:
         self.net.eval()
-        self._ensure_jit()
         total, n = 0.0, 0
         for start in range(0, len(examples), self.config.batch_size):
             batch = examples[start : start + self.config.batch_size]
-            arrays, onehot, row_weight, _, _ = self._train_batch_arrays(batch)
-            loss_val = self._jit_eval(*arrays, onehot, row_weight)
-            total += float(loss_val) * len(batch)
+            scalars, hist, mask, poi, deliveries, labels = self._make_batch(batch)
+            scores, _ = numpy_pass.forward(self.net, scalars, hist, mask, poi, deliveries)
+            loss_val, _ = numpy_pass.masked_cross_entropy(scores, mask, labels)
+            total += loss_val * len(batch)
             n += len(batch)
         return total / max(1, n)
 
@@ -572,25 +417,21 @@ class LocMatcherSelector:
     def scores_batch(self, examples: list[AddressExample]) -> list[np.ndarray]:
         """Probabilities for many examples at once.
 
-        Batched inference amortizes the graph overhead — this is how the
-        deployed system reaches its offline throughput (Figure 13); scores
-        are identical to per-example calls (padding is fully masked).
+        Batched inference amortizes the per-call numpy overhead — this is
+        how the deployed system reaches its offline throughput (Figure
+        13); scores match per-example calls (padding is fully masked).
         """
         if self.net is None:
             raise RuntimeError("selector is not fitted")
         if not examples:
             return []
         self.net.eval()
-        self._ensure_jit()
         out: list[np.ndarray] = []
         for start in range(0, len(examples), MAX_SCORE_BATCH):
             batch = examples[start : start + MAX_SCORE_BATCH]
-            n_cap = max(e.n_candidates for e in batch)
-            scalars, hist, mask, poi, deliveries, _ = self._make_batch(
-                batch, n_pad=_bucket_n(n_cap), b_pad=_bucket_b(len(batch))
-            )
-            arrays = self._step_arrays(scalars, hist, mask, poi, deliveries)
-            probs = self._jit_score(*arrays)
+            scalars, hist, mask, poi, deliveries, _ = self._make_batch(batch)
+            scores, _ = numpy_pass.forward(self.net, scalars, hist, mask, poi, deliveries)
+            probs = numpy_pass.masked_softmax(scores, mask)
             for row, example in enumerate(batch):
                 out.append(probs[row, : example.n_candidates])
         return out

@@ -5,16 +5,7 @@ and additive attention, the LSTM pointer variant (DLInfMA-PN), the MLP and
 RankNet variants, and the UNet-based baseline.
 """
 
-from repro.nn.graph import (
-    DEFAULT_DTYPE,
-    NEG_INF,
-    eager_mode,
-    lazy_enabled,
-    lazy_mode,
-    set_lazy,
-)
-from repro.nn.jit import TracedStep, jit
-from repro.nn.tensor import Tensor, cat, stack
+from repro.nn.tensor import DEFAULT_DTYPE, NEG_INF, Tensor, cat, stack
 from repro.nn.module import Module
 from repro.nn.layers import (
     Linear,
@@ -50,12 +41,6 @@ __all__ = [
     "stack",
     "DEFAULT_DTYPE",
     "NEG_INF",
-    "eager_mode",
-    "lazy_enabled",
-    "lazy_mode",
-    "set_lazy",
-    "TracedStep",
-    "jit",
     "Module",
     "Linear",
     "Embedding",

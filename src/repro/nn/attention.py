@@ -17,12 +17,9 @@ from repro.nn.tensor import Tensor
 
 
 def key_bias_from_mask(key_mask: np.ndarray, dtype=np.float32) -> np.ndarray:
-    """Additive ``(B, 1, 1, N)`` attention bias from a ``(B, N)`` 0/1 mask.
-
-    Precompute this once per batch and pass it as ``key_bias`` so a JIT
-    trace sees the bias as a plain data input instead of re-deriving it
-    from the mask with numpy control flow on every call.
-    """
+    """Additive ``(B, 1, 1, N)`` attention bias from a ``(B, N)`` 0/1 mask:
+    ``0`` on real keys, ``NEG_INF`` on padding, broadcast over heads and
+    queries."""
     return mask_bias(key_mask, dtype)[:, None, None, :]
 
 
@@ -56,12 +53,7 @@ class MultiHeadSelfAttention(Module):
         b, n, _ = x.shape
         return x.reshape(b, n, self.n_heads, self.d_head).transpose(0, 2, 1, 3)
 
-    def forward(
-        self,
-        x: Tensor,
-        key_mask: np.ndarray | None = None,
-        key_bias: Tensor | None = None,
-    ) -> Tensor:
+    def forward(self, x: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
         if x.ndim != 3 or x.shape[-1] != self.d_model:
             raise ValueError(f"expected (B, N, {self.d_model}), got {x.shape}")
         b, n, _ = x.shape
@@ -69,9 +61,7 @@ class MultiHeadSelfAttention(Module):
         k = self._split_heads(self.w_k(x))
         v = self._split_heads(self.w_v(x))
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(self.d_head))  # (B, H, N, N)
-        if key_bias is not None:
-            scores = scores + key_bias  # precomputed (B, 1, 1, N) additive bias
-        elif key_mask is not None:
+        if key_mask is not None:
             key_mask = np.asarray(key_mask, dtype=bool)
             if key_mask.shape != (b, n):
                 raise ValueError(f"key_mask must be (B, N)={b, n}, got {key_mask.shape}")
@@ -107,13 +97,8 @@ class TransformerEncoderLayer(Module):
         self.dropout1 = Dropout(dropout, rng=rng)
         self.dropout2 = Dropout(dropout, rng=rng)
 
-    def forward(
-        self,
-        x: Tensor,
-        key_mask: np.ndarray | None = None,
-        key_bias: Tensor | None = None,
-    ) -> Tensor:
-        attn_out = self.dropout1(self.attn(x, key_mask, key_bias=key_bias))
+    def forward(self, x: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
+        attn_out = self.dropout1(self.attn(x, key_mask))
         x = self.norm1(x + attn_out)
         ff_out = self.dropout2(self.ff2(self.ff1(x).relu()))
         return self.norm2(x + ff_out)
@@ -140,12 +125,7 @@ class TransformerEncoder(Module):
             for _ in range(n_layers)
         ]
 
-    def forward(
-        self,
-        x: Tensor,
-        key_mask: np.ndarray | None = None,
-        key_bias: Tensor | None = None,
-    ) -> Tensor:
+    def forward(self, x: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
         for layer in self.layers:
-            x = layer(x, key_mask, key_bias=key_bias)
+            x = layer(x, key_mask)
         return x

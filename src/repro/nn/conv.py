@@ -9,13 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import graph, init
+from repro.nn import init
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor
-
-# Conv/pool ops compute eagerly on realized arrays (kernels are tiny for
-# the 9x9 UNet grids); their backward closures therefore force any lazy
-# upstream gradient to a concrete array before the numpy math.
+from repro.nn.tensor import DEFAULT_DTYPE, Tensor
 
 
 def pad2d(x: Tensor, padding: int) -> Tensor:
@@ -28,7 +24,6 @@ def pad2d(x: Tensor, padding: int) -> Tensor:
     pad_width = ((0, 0), (0, 0), (padding, padding), (padding, padding))
 
     def backward(g) -> None:
-        g = graph.realize(g)
         a._receive(g[:, :, padding:-padding, padding:-padding])
 
     return a._make(np.pad(a.data, pad_width), (a,), backward)
@@ -62,7 +57,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
             )
 
     def backward(g) -> None:
-        g = graph.realize(g)
         if a.requires_grad:
             gx = np.zeros_like(a.data)
             for ki in range(kh):
@@ -102,7 +96,7 @@ class Conv2d(Module):
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         self.weight = Tensor(init.kaiming_uniform(shape, rng), requires_grad=True)
         self.bias = (
-            Tensor(np.zeros(out_channels, dtype=graph.DEFAULT_DTYPE), requires_grad=True)
+            Tensor(np.zeros(out_channels, dtype=DEFAULT_DTYPE), requires_grad=True)
             if bias
             else None
         )
@@ -132,7 +126,6 @@ def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
     argmax = flat.argmax(axis=-1)
 
     def backward(g) -> None:
-        g = graph.realize(g)
         gx = np.zeros_like(a.data)
         ki, kj = np.divmod(argmax, kernel)
         bi, ci, oi, oj = np.indices((b, c, oh, ow))

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import graph
-from repro.nn.tensor import Tensor
-
-#: Additive mask value for attention/softmax padding.
-NEG_INF = graph.NEG_INF
+from repro.nn.tensor import DEFAULT_DTYPE, NEG_INF, Tensor
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -24,7 +20,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
-def mask_bias(mask: np.ndarray, dtype=graph.DEFAULT_DTYPE) -> np.ndarray:
+def mask_bias(mask: np.ndarray, dtype=DEFAULT_DTYPE) -> np.ndarray:
     """``0`` where ``mask`` is truthy, ``NEG_INF`` elsewhere, in ``dtype``."""
     return np.where(np.asarray(mask, dtype=bool), 0.0, NEG_INF).astype(dtype)
 
@@ -60,22 +56,6 @@ def cross_entropy(logits: Tensor, target_index: np.ndarray, mask: np.ndarray | N
     logp = log_softmax(logits, axis=-1)
     picked = logp[np.arange(batch), target_index]
     return -picked.mean()
-
-
-def cross_entropy_onehot(logits: Tensor, onehot: Tensor, row_weight: Tensor) -> Tensor:
-    """Cross-entropy with one-hot targets and per-row weights.
-
-    The JIT-traceable reformulation of :func:`cross_entropy`: the picked
-    log-probability is ``(logp * onehot).sum(-1)`` instead of a fancy
-    index (index arrays would be frozen into a trace), and ``row_weight``
-    (``(B,)``, typically 0/1) lets a padded batch row contribute nothing
-    while the mean normalizes by the real-row count.  Candidate masking
-    (``NEG_INF`` bias) must already be applied to ``logits``.
-    """
-    logp = log_softmax(logits, axis=-1)
-    picked = (logp * onehot).sum(axis=-1)  # (B,)
-    total = (picked * row_weight).sum()
-    return -(total / row_weight.sum())
 
 
 def binary_cross_entropy_with_logits(

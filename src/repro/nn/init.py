@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.graph import DEFAULT_DTYPE
+from repro.nn.tensor import DEFAULT_DTYPE
 
 _GLOBAL_SEED = np.random.default_rng(0)
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import graph, init
+from repro.nn import init
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import DEFAULT_DTYPE, Tensor
 
 
 class Linear(Module):
@@ -24,7 +24,7 @@ class Linear(Module):
         self.out_features = out_features
         self.weight = Tensor(init.xavier_uniform((in_features, out_features), rng), requires_grad=True)
         self.bias = (
-            Tensor(np.zeros(out_features, dtype=graph.DEFAULT_DTYPE), requires_grad=True)
+            Tensor(np.zeros(out_features, dtype=DEFAULT_DTYPE), requires_grad=True)
             if bias
             else None
         )
@@ -58,21 +58,6 @@ class Embedding(Module):
             raise ValueError("embedding index out of range")
         return self.weight[indices]
 
-    def forward_onehot(self, onehot: Tensor) -> Tensor:
-        """Lookup as ``onehot @ weight`` (``(..., num_embeddings)`` input).
-
-        The JIT-traceable path: an integer index array would be frozen
-        into a trace, a one-hot float input is just data.
-        """
-        return onehot @ self.weight
-
-    def onehot(self, indices: np.ndarray) -> np.ndarray:
-        """Constant one-hot encoding of ``indices`` for :meth:`forward_onehot`."""
-        indices = np.asarray(indices, dtype=int)
-        out = np.zeros(indices.shape + (self.num_embeddings,), dtype=self.weight.dtype)
-        np.put_along_axis(out, indices[..., None], 1.0, axis=-1)
-        return out
-
 
 class LayerNorm(Module):
     """Layer normalization over the last axis with learned scale/shift."""
@@ -81,8 +66,8 @@ class LayerNorm(Module):
         super().__init__()
         self.dim = dim
         self.eps = eps
-        self.gamma = Tensor(np.ones(dim, dtype=graph.DEFAULT_DTYPE), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim, dtype=graph.DEFAULT_DTYPE), requires_grad=True)
+        self.gamma = Tensor(np.ones(dim, dtype=DEFAULT_DTYPE), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim, dtype=DEFAULT_DTYPE), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.dim:
@@ -104,27 +89,26 @@ class Dropout(Module):
         self.p = p
         self.rng = rng or np.random.default_rng(0)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def mask(self, shape: tuple[int, ...], dtype=DEFAULT_DTYPE) -> np.ndarray | None:
+        """A fresh inverted-dropout mask (0 or ``1/(1-p)``), or ``None`` in
+        eval mode or at ``p == 0``.
+
+        Each call draws from the module's generator, so two passes that
+        draw the same shapes in the same order see the same masks.
+        """
         if not self.training or self.p == 0.0:
-            return x
+            return None
         keep = 1.0 - self.p
-        rng, shape, dtype = self.rng, x.shape, x.dtype
+        # Draw in float32 and scale in place: half the RNG bits and no
+        # bool/float64 temporaries on the training hot path.
+        m = self.rng.random(shape, dtype=np.float32)
+        np.less(m, keep, out=m)
+        m *= 1.0 / keep
+        return m.astype(dtype, copy=False)
 
-        def fresh_mask() -> np.ndarray:
-            # Draw in float32 and scale in place: half the RNG bits and
-            # no bool/float64 temporaries on the training hot path.
-            m = rng.random(shape, dtype=np.float32)
-            np.less(m, keep, out=m)
-            m *= 1.0 / keep
-            return m.astype(dtype, copy=False)
-
-        if graph.lazy_enabled():
-            # A `gen` leaf re-invokes fresh_mask on every schedule
-            # execution, so a JIT replay draws a new mask (advancing the
-            # module RNG exactly as eager mode would) instead of freezing
-            # the traced one.
-            return x * Tensor._from_buf(graph.gen(fresh_mask, shape, dtype))
-        return x * Tensor(fresh_mask())
+    def forward(self, x: Tensor) -> Tensor:
+        m = self.mask(x.shape, x.dtype)
+        return x if m is None else x * Tensor(m)
 
 
 class ReLU(Module):

@@ -135,7 +135,7 @@ class Adam(Optimizer):
                 g = g + self.weight_decay * p.data
             # All update math runs in the per-param scratch buffer: an
             # optimizer step allocates nothing, which matters when it runs
-            # once per (small) batch against a jit-replayed train step.
+            # once per (small) batch.
             m *= b1
             np.multiply(g, 1.0 - b1, out=u)
             m += u

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import init
-from repro.nn.graph import DEFAULT_DTYPE
 from repro.nn.module import Module
-from repro.nn.tensor import Tensor, stack
+from repro.nn.tensor import DEFAULT_DTYPE, Tensor, stack
 
 
 class LSTM(Module):

@@ -1,24 +1,16 @@
-"""Reverse-mode autodiff over the lazy op graph.
+"""Reverse-mode autodiff on numpy arrays.
 
-A :class:`Tensor` wraps a :class:`~repro.nn.graph.LazyBuffer` and records
-the operations applied to it.  In lazy mode (the default) an op builds an
-IR node and returns immediately; the scheduler in
-:mod:`repro.nn.schedule` fuses and executes the graph when a concrete
-value is demanded (``.numpy()`` / ``.data`` / ``.item()``), or when
-:meth:`Tensor.backward` finalizes leaf gradients.  With
-``REPRO_NN_EAGER=1`` every op computes immediately with the exact
-formulas of the original eager engine.
+A :class:`Tensor` holds an ndarray (``data``) and records the operations
+applied to it.  Every op computes its value immediately and, when a parent
+requires a gradient, keeps a ``_backward`` closure that, given the output
+gradient, deposits contributions into each parent's ``_pending`` slot via
+:meth:`Tensor._receive`.  :meth:`Tensor.backward` drains ``_pending`` in
+reverse topological order and accumulates leaf gradients on ``.grad``.
 
-This is the substrate replacing PyTorch for the paper's neural models
-(LocMatcher's transformer, the LSTM pointer variant, and the UNet
-baseline).
-
-Gradient flow: every op output carries a ``_backward`` closure that,
-given the output gradient (itself a buffer in lazy mode, so the whole
-backward pass is traceable), deposits contributions into each parent's
-``_pending`` slot via :meth:`Tensor._receive`.  The engine in
-:meth:`Tensor.backward` drains ``_pending`` in reverse topological order,
-then realizes all leaf gradients in a single fused schedule.
+This is the substrate replacing PyTorch for the paper's neural models:
+LocMatcher's reference forward (the selector itself trains through the
+hand-written pass in :mod:`repro.core.locmatcher_numpy`), the UNet
+baseline, and the MLP and RankNet variants.
 
 Dtype policy: an explicit ``dtype=`` wins; floating-point input arrays
 keep their precision (finite-difference checks hand in float64);
@@ -31,22 +23,46 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from repro.nn import graph
-from repro.nn.graph import DEFAULT_DTYPE, LazyBuffer, lazy_enabled
+#: The standard compute dtype; float64 creeps in only when the caller
+#: explicitly provides float64 arrays (e.g. finite-difference checks).
+DEFAULT_DTYPE = np.dtype(np.float32)
+
+#: Additive mask value for attention/softmax padding (float32-safe).
+NEG_INF = -1e9
 
 Scalar = Union[int, float]
 TensorLike = Union["Tensor", np.ndarray, Scalar, Sequence]
 
 
+def sigmoid_clip(dtype) -> float:
+    """Pre-exp clamp keeping ``exp`` finite in the given dtype."""
+    return 88.0 if np.dtype(dtype).itemsize <= 4 else 500.0
+
+
+def sigmoid(a: np.ndarray) -> np.ndarray:
+    """The logistic function, clamped so ``exp`` never overflows."""
+    clip = sigmoid_clip(a.dtype)
+    return 1.0 / (1.0 + np.exp(-np.clip(a, -clip, clip)))
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (inverse of numpy broadcasting)."""
-    return graph.unbroadcast(grad, shape)
+    shape = tuple(shape)
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
 
 
 class Tensor:
-    """An array value (lazy or concrete) with an autograd tape."""
+    """An ndarray with an autograd tape."""
 
-    __slots__ = ("_buf", "grad", "requires_grad", "_backward", "_parents", "_pending", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_pending", "name")
     __array_priority__ = 100  # make numpy defer to our __r*__ operators
 
     def __init__(
@@ -57,99 +73,56 @@ class Tensor:
         dtype=None,
     ) -> None:
         if isinstance(data, Tensor):
-            buf = data._buf
-            if dtype is not None and np.dtype(dtype) != buf.dtype:
-                buf = LazyBuffer.const(graph.realize(buf).astype(dtype))
+            arr = data.data
+            if dtype is not None and np.dtype(dtype) != arr.dtype:
+                arr = arr.astype(dtype)
         else:
             arr = np.asarray(data)
             if dtype is not None:
                 arr = np.asarray(arr, dtype=dtype)
             elif arr.dtype.kind != "f":
                 arr = arr.astype(DEFAULT_DTYPE)
-            buf = LazyBuffer.const(arr)
-        buf.refs += 1
-        self._buf = buf
+        self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._backward: Callable | None = None
         self._parents: tuple[Tensor, ...] = ()
-        self._pending = None  # ndarray or LazyBuffer during backward()
+        self._pending: np.ndarray | None = None  # gradient sum during backward()
         self.name = name
 
-    @classmethod
-    def _from_buf(cls, buf: LazyBuffer) -> "Tensor":
-        out = cls.__new__(cls)
-        buf.refs += 1
-        out._buf = buf
-        out.grad = None
-        out.requires_grad = False
-        out._backward = None
-        out._parents = ()
-        out._pending = None
-        out.name = None
-        return out
-
-    # ------------------------------------------------------------------
-    # Realization boundary
-    # ------------------------------------------------------------------
-    @property
-    def data(self) -> np.ndarray:
-        """The concrete array; forces realization of the lazy graph."""
-        return graph.realize(self._buf)
-
-    @data.setter
-    def data(self, value) -> None:
-        # Rewraps without copying so `p.data -= ...` keeps array identity
-        # (the JIT's parameter slots rely on in-place updates).
-        buf = LazyBuffer.const(np.asarray(value))
-        buf.refs += 1
-        self._buf.refs -= 1
-        self._buf = buf
-
-    def __del__(self) -> None:
-        try:
-            self._buf.refs -= 1
-        except AttributeError:  # partially constructed / interpreter teardown
-            pass
-
     def numpy(self) -> np.ndarray:
-        """The underlying array (shared, not copied); realizes if lazy."""
-        return graph.realize(self._buf)
+        """The underlying array (shared, not copied)."""
+        return self.data
 
     def item(self) -> float:
         """The scalar value; raises if not a one-element tensor."""
         if self.size != 1:
             raise ValueError("item() requires a one-element tensor")
-        return float(graph.realize(self._buf).reshape(-1)[0])
-
-    def realize(self) -> "Tensor":
-        """Force computation of this tensor's value (no-op when eager)."""
-        graph.realize(self._buf)
-        return self
+        return float(self.data.reshape(-1)[0])
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def shape(self) -> tuple[int, ...]:
-        return self._buf.shape
+        return self.data.shape
 
     @property
     def ndim(self) -> int:
-        return len(self._buf.shape)
+        return self.data.ndim
 
     @property
     def size(self) -> int:
-        return self._buf.size
+        return self.data.size
 
     @property
     def dtype(self) -> np.dtype:
-        return self._buf.dtype
+        return self.data.dtype
 
     def __len__(self) -> int:
-        if not self._buf.shape:
+        if not self.data.shape:
             raise TypeError("len() of a 0-d tensor")
-        return self._buf.shape[0]
+        return self.data.shape[0]
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -168,47 +141,31 @@ class Tensor:
             return Tensor(np.asarray(value, dtype=ref_dtype))
         return Tensor(value)
 
-    def _val(self):
-        """The op operand: the buffer in lazy mode, the array in eager."""
-        if lazy_enabled():
-            return self._buf
-        return graph.realize(self._buf)
-
-    def _make(self, value, parents: tuple["Tensor", ...], backward) -> "Tensor":
-        buf = value if isinstance(value, LazyBuffer) else LazyBuffer.const(value)
-        out = Tensor._from_buf(buf)
+    def _make(self, value: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
+        out = Tensor(value)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(p for p in parents if p.requires_grad)
             out._backward = backward
-            # The stored closure captures operand/output buffers directly
-            # (``a_val``/``b_val``/``out_val``), outliving their tensors;
-            # pin them so the scheduler never reuses their arrays as
-            # kernel output scratch.
-            buf.pinned = True
-            for p in parents:
-                p._buf.pinned = True
         return out
 
     def detach(self) -> "Tensor":
-        """A tensor sharing the same (possibly lazy) value, off the graph."""
-        return Tensor._from_buf(self._buf)
+        """A tensor sharing the same array, off the graph."""
+        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         """Clear the accumulated gradient."""
         self.grad = None
 
-    def _receive(self, g) -> None:
+    def _receive(self, g: np.ndarray) -> None:
         """Deposit a gradient contribution (called by child op closures)."""
-        self._pending = g if self._pending is None else graph.add(self._pending, g)
+        self._pending = g if self._pending is None else self._pending + g
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor.
 
         ``grad`` defaults to ones, so a scalar loss needs no argument.
         Leaf tensors with ``requires_grad`` end up with ``.grad`` set.
-        In lazy mode the whole backward pass is recorded as graph nodes
-        and all leaf gradients realize in one fused schedule.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() on a tensor that does not require grad")
@@ -238,41 +195,35 @@ class Tensor:
                     stack.append((parent, False))
 
         self._receive(grad)
-        leaves: list[tuple[Tensor, object]] = []
+        assigned: set[int] = set()
         for node in reversed(topo):
             g = node._pending
             node._pending = None
             if g is None:
                 continue
-            if node._backward is None:
-                leaves.append((node, g))
-            else:
+            if node._backward is not None:
                 node._backward(g)
-
-        # Realize every leaf gradient in one schedule, then assign.
-        graph.realize_buffers([g for _, g in leaves if isinstance(g, LazyBuffer)])
-        assigned: set[int] = set()
-        for leaf, g in leaves:
-            arr = graph.realize(g) if isinstance(g, LazyBuffer) else np.asarray(g)
-            if id(arr) in assigned or not arr.flags.writeable:
-                arr = arr.copy()  # clip utilities mutate grads in place
-            assigned.add(id(arr))
-            leaf.grad = arr if leaf.grad is None else leaf.grad + arr
+                continue
+            # A leaf: clip utilities mutate grads in place, so each leaf
+            # gets an array of its own.
+            if id(g) in assigned or g.base is not None or not g.flags.writeable:
+                g = g.copy()
+            assigned.add(id(g))
+            node.grad = g if node.grad is None else node.grad + g
 
     # ------------------------------------------------------------------
     # Arithmetic ops
     # ------------------------------------------------------------------
     def __add__(self, other: TensorLike) -> "Tensor":
-        other = self._lift(other, self.dtype)
-        a, b = self, other
+        a, b = self, self._lift(other, self.dtype)
 
         def backward(g) -> None:
             if a.requires_grad:
-                a._receive(graph.unbroadcast(g, a.shape))
+                a._receive(_unbroadcast(g, a.shape))
             if b.requires_grad:
-                b._receive(graph.unbroadcast(g, b.shape))
+                b._receive(_unbroadcast(g, b.shape))
 
-        return self._make(graph.add(a._val(), b._val()), (a, b), backward)
+        return self._make(a.data + b.data, (a, b), backward)
 
     __radd__ = __add__
 
@@ -280,54 +231,47 @@ class Tensor:
         a = self
 
         def backward(g) -> None:
-            a._receive(graph.neg(g))
+            a._receive(-g)
 
-        return self._make(graph.neg(a._val()), (a,), backward)
+        return self._make(-a.data, (a,), backward)
 
     def __sub__(self, other: TensorLike) -> "Tensor":
-        other = self._lift(other, self.dtype)
-        a, b = self, other
+        a, b = self, self._lift(other, self.dtype)
 
         def backward(g) -> None:
             if a.requires_grad:
-                a._receive(graph.unbroadcast(g, a.shape))
+                a._receive(_unbroadcast(g, a.shape))
             if b.requires_grad:
-                b._receive(graph.unbroadcast(graph.neg(g), b.shape))
+                b._receive(_unbroadcast(-g, b.shape))
 
-        return self._make(graph.sub(a._val(), b._val()), (a, b), backward)
+        return self._make(a.data - b.data, (a, b), backward)
 
     def __rsub__(self, other: TensorLike) -> "Tensor":
         return self._lift(other, self.dtype).__sub__(self)
 
     def __mul__(self, other: TensorLike) -> "Tensor":
-        other = self._lift(other, self.dtype)
-        a, b = self, other
-        a_val, b_val = a._val(), b._val()
+        a, b = self, self._lift(other, self.dtype)
 
         def backward(g) -> None:
             if a.requires_grad:
-                a._receive(graph.unbroadcast(graph.mul(g, b_val), a.shape))
+                a._receive(_unbroadcast(g * b.data, a.shape))
             if b.requires_grad:
-                b._receive(graph.unbroadcast(graph.mul(g, a_val), b.shape))
+                b._receive(_unbroadcast(g * a.data, b.shape))
 
-        return self._make(graph.mul(a_val, b_val), (a, b), backward)
+        return self._make(a.data * b.data, (a, b), backward)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: TensorLike) -> "Tensor":
-        other = self._lift(other, self.dtype)
-        a, b = self, other
-        a_val, b_val = a._val(), b._val()
+        a, b = self, self._lift(other, self.dtype)
 
         def backward(g) -> None:
             if a.requires_grad:
-                a._receive(graph.unbroadcast(graph.div(g, b_val), a.shape))
+                a._receive(_unbroadcast(g / b.data, a.shape))
             if b.requires_grad:
-                num = graph.mul(graph.neg(g), a_val)
-                den = graph.mul(b_val, b_val)
-                b._receive(graph.unbroadcast(graph.div(num, den), b.shape))
+                b._receive(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-        return self._make(graph.div(a_val, b_val), (a, b), backward)
+        return self._make(a.data / b.data, (a, b), backward)
 
     def __rtruediv__(self, other: TensorLike) -> "Tensor":
         return self._lift(other, self.dtype).__truediv__(self)
@@ -336,89 +280,80 @@ class Tensor:
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
         a = self
-        a_val = a._val()
         exponent = float(exponent)
 
         def backward(g) -> None:
-            a._receive(
-                graph.mul(graph.mul(g, exponent), graph.pow_scalar(a_val, exponent - 1.0))
-            )
+            a._receive(g * exponent * np.power(a.data, exponent - 1.0))
 
-        return self._make(graph.pow_scalar(a_val, exponent), (a,), backward)
+        return self._make(np.power(a.data, exponent), (a,), backward)
 
     def __matmul__(self, other: TensorLike) -> "Tensor":
-        other = self._lift(other, self.dtype)
-        a, b = self, other
+        a, b = self, self._lift(other, self.dtype)
         if a.ndim < 2 or b.ndim < 2:
             raise ValueError("matmul requires tensors with ndim >= 2")
-        a_val, b_val = a._val(), b._val()
 
         def backward(g) -> None:
             if a.requires_grad:
-                ga = graph.matmul(g, graph.swapaxes(b_val, -1, -2))
-                a._receive(graph.unbroadcast(ga, a.shape))
+                a._receive(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
             if b.requires_grad:
-                gb = graph.matmul(graph.swapaxes(a_val, -1, -2), g)
-                b._receive(graph.unbroadcast(gb, b.shape))
+                b._receive(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
-        return self._make(graph.matmul(a_val, b_val), (a, b), backward)
+        return self._make(a.data @ b.data, (a, b), backward)
 
     # ------------------------------------------------------------------
     # Elementwise functions
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         a = self
-        out_val = graph.exp(a._val())
+        out = np.exp(a.data)
 
         def backward(g) -> None:
-            a._receive(graph.mul(g, out_val))
+            a._receive(g * out)
 
-        return self._make(out_val, (a,), backward)
+        return self._make(out, (a,), backward)
 
     def log(self) -> "Tensor":
         a = self
-        a_val = a._val()
 
         def backward(g) -> None:
-            a._receive(graph.div(g, a_val))
+            a._receive(g / a.data)
 
-        return self._make(graph.log(a_val), (a,), backward)
+        return self._make(np.log(a.data), (a,), backward)
 
     def sqrt(self) -> "Tensor":
         a = self
-        out_val = graph.sqrt(a._val())
+        out = np.sqrt(a.data)
 
         def backward(g) -> None:
-            a._receive(graph.div(g, graph.mul(out_val, 2.0)))
+            a._receive(g / (out * 2.0))
 
-        return self._make(out_val, (a,), backward)
+        return self._make(out, (a,), backward)
 
     def tanh(self) -> "Tensor":
         a = self
-        out_val = graph.tanh(a._val())
+        out = np.tanh(a.data)
 
         def backward(g) -> None:
-            a._receive(graph.mul(g, graph.sub(1.0, graph.mul(out_val, out_val))))
+            a._receive(g * (1.0 - out * out))
 
-        return self._make(out_val, (a,), backward)
+        return self._make(out, (a,), backward)
 
     def sigmoid(self) -> "Tensor":
         a = self
-        out_val = graph.sigmoid(a._val())
+        out = sigmoid(a.data)
 
         def backward(g) -> None:
-            a._receive(graph.mul(graph.mul(g, out_val), graph.sub(1.0, out_val)))
+            a._receive(g * out * (1.0 - out))
 
-        return self._make(out_val, (a,), backward)
+        return self._make(out, (a,), backward)
 
     def relu(self) -> "Tensor":
         a = self
-        a_val = a._val()
 
         def backward(g) -> None:
-            a._receive(graph.mul(g, graph.gtz(a_val)))
+            a._receive(g * (a.data > 0))
 
-        return self._make(graph.relu(a_val), (a,), backward)
+        return self._make(np.maximum(a.data, 0.0), (a,), backward)
 
     # ------------------------------------------------------------------
     # Reductions and shape ops
@@ -433,12 +368,12 @@ class Tensor:
                 keep = list(g.shape)
                 for ax in sorted(ax % len(a_shape) for ax in axes):
                     keep.insert(ax, 1)
-                g = graph.reshape(g, tuple(keep))
+                g = g.reshape(keep)
             elif axis is None and not keepdims:
-                g = graph.reshape(g, tuple(1 for _ in a_shape))
-            a._receive(graph.broadcast_to(g, a_shape))
+                g = np.reshape(g, tuple(1 for _ in a_shape))
+            a._receive(np.broadcast_to(g, a_shape))
 
-        return self._make(graph.sum_(a._val(), axis=axis, keepdims=keepdims), (a,), backward)
+        return self._make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
     def mean(self, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -451,31 +386,17 @@ class Tensor:
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
         """Max along ``axis``; gradient flows to the first argmax per slice."""
         a = self
-        a_val = a._val()
-        a_shape = a.shape
-        out_keep = graph.max_(a_val, axis=axis, keepdims=True)
-        if a.requires_grad and isinstance(out_keep, LazyBuffer):
-            # Captured by the closure below but neither an operand nor the
-            # output buffer, so _make's pinning would miss it.
-            out_keep.pinned = True
+        out_keep = a.data.max(axis=axis, keepdims=True)
 
         def backward(g) -> None:
-            hit = graph.eq(a_val, graph.broadcast_to(out_keep, a_shape))
-            first = graph.eq(graph.cumsum(hit, axis), 1.0)
-            mask = graph.mul(hit, first)
+            hit = a.data == out_keep
+            first = np.cumsum(hit, axis=axis) == 1
             if not keepdims:
-                keep = list(g.shape)
-                keep.insert(axis % len(a_shape), 1)
-                g = graph.reshape(g, tuple(keep))
-            a._receive(graph.mul(graph.broadcast_to(g, a_shape), mask))
+                g = np.expand_dims(g, axis)
+            a._receive(g * (hit & first))
 
-        if keepdims:
-            out_val = out_keep
-        else:
-            out_val = graph.reshape(
-                out_keep, graph.reduce_shape(a_shape, axis, False)
-            ) if isinstance(out_keep, LazyBuffer) else out_keep.squeeze(axis)
-        return self._make(out_val, (a,), backward)
+        out = out_keep if keepdims else out_keep.squeeze(axis)
+        return self._make(out, (a,), backward)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -484,9 +405,9 @@ class Tensor:
         old_shape = a.shape
 
         def backward(g) -> None:
-            a._receive(graph.reshape(g, old_shape))
+            a._receive(g.reshape(old_shape))
 
-        return self._make(graph.reshape(a._val(), shape), (a,), backward)
+        return self._make(a.data.reshape(shape), (a,), backward)
 
     def transpose(self, *axes: int) -> "Tensor":
         a = self
@@ -495,26 +416,27 @@ class Tensor:
         inverse = tuple(int(i) for i in np.argsort(axes))
 
         def backward(g) -> None:
-            a._receive(graph.transpose(g, inverse))
+            a._receive(g.transpose(inverse))
 
-        return self._make(graph.transpose(a._val(), axes), (a,), backward)
+        return self._make(a.data.transpose(axes), (a,), backward)
 
     def swapaxes(self, ax1: int, ax2: int) -> "Tensor":
         a = self
 
         def backward(g) -> None:
-            a._receive(graph.swapaxes(g, ax1, ax2))
+            a._receive(g.swapaxes(ax1, ax2))
 
-        return self._make(graph.swapaxes(a._val(), ax1, ax2), (a,), backward)
+        return self._make(a.data.swapaxes(ax1, ax2), (a,), backward)
 
     def __getitem__(self, index) -> "Tensor":
         a = self
-        a_shape, a_dtype = a.shape, a.dtype
 
         def backward(g) -> None:
-            a._receive(graph.scatter_add(g, index, a_shape, a_dtype))
+            out = np.zeros(a.shape, dtype=a.dtype)
+            np.add.at(out, index, g)
+            a._receive(out)
 
-        return self._make(graph.getitem(a._val(), index), (a,), backward)
+        return self._make(a.data[index], (a,), backward)
 
 
 def cat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -522,28 +444,17 @@ def cat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     ts = [Tensor._lift(t) for t in tensors]
     if not ts:
         raise ValueError("cat() of no tensors")
-    vals = [t._val() for t in ts]
-    out_val = graph.cat(vals, axis=axis)
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-    ndim = len(ts[0].shape)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in ts])
+    ndim = ts[0].ndim
 
-    out = Tensor._from_buf(
-        out_val if isinstance(out_val, LazyBuffer) else LazyBuffer.const(out_val)
-    )
-    if any(t.requires_grad for t in ts):
-        out.requires_grad = True
-        out._parents = tuple(t for t in ts if t.requires_grad)
+    def backward(g) -> None:
+        for t, start, stop in zip(ts, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                index = [slice(None)] * ndim
+                index[axis % ndim] = slice(int(start), int(stop))
+                t._receive(g[tuple(index)])
 
-        def backward(g) -> None:
-            for t, start, stop in zip(ts, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    index = [slice(None)] * ndim
-                    index[axis % ndim] = slice(int(start), int(stop))
-                    t._receive(graph.getitem(g, tuple(index)))
-
-        out._backward = backward
-    return out
+    return ts[0]._make(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), backward)
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -551,25 +462,10 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     ts = [Tensor._lift(t) for t in tensors]
     if not ts:
         raise ValueError("stack() of no tensors")
-    vals = [t._val() for t in ts]
-    out_val = graph.stack(vals, axis=axis)
-    ndim = len(ts[0].shape) + 1
-    axis_n = axis % ndim
 
-    out = Tensor._from_buf(
-        out_val if isinstance(out_val, LazyBuffer) else LazyBuffer.const(out_val)
-    )
-    if any(t.requires_grad for t in ts):
-        out.requires_grad = True
-        out._parents = tuple(t for t in ts if t.requires_grad)
+    def backward(g) -> None:
+        for t, part in zip(ts, np.moveaxis(g, axis, 0)):
+            if t.requires_grad:
+                t._receive(part)
 
-        def backward(g) -> None:
-            for i, t in enumerate(ts):
-                if t.requires_grad:
-                    index = tuple(
-                        i if d == axis_n else slice(None) for d in range(ndim)
-                    )
-                    t._receive(graph.getitem(g, index))
-
-        out._backward = backward
-    return out
+    return ts[0]._make(np.stack([t.data for t in ts], axis=axis), tuple(ts), backward)

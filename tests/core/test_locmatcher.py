@@ -11,6 +11,9 @@ from repro.core import (
     COL_TC,
     COL_DIST,
 )
+from repro.core import locmatcher_numpy
+from repro.nn.functional import cross_entropy, masked_softmax
+from repro.synth.city import N_POI_CATEGORIES
 
 
 def synthetic_examples(n=60, seed=0, n_cands=(3, 8)):
@@ -154,3 +157,146 @@ class TestLocMatcherSelector:
         train = synthetic_examples(10, seed=12)
         selector = LocMatcherSelector(config=FAST).fit(train)
         assert selector.scores_batch([]) == []
+
+
+def _parity_batch(hist_dim, seed=0):
+    """A ragged float64 batch: rows padded to 6 candidates, one row of 1."""
+    rng = np.random.default_rng(seed)
+    b, n = 5, 6
+    mask = np.zeros((b, n), dtype=bool)
+    for row, k in enumerate((6, 4, 2, 5, 1)):
+        mask[row, :k] = True
+    return dict(
+        scalars=rng.normal(size=(b, n, 5)),
+        hist=rng.dirichlet(np.ones(hist_dim), size=(b, n)) if hist_dim else None,
+        mask=mask,
+        poi=rng.integers(0, N_POI_CATEGORIES, b),
+        n_deliveries=rng.normal(size=b),
+        labels=np.array([0, 3, 1, 4, 0]),
+    )
+
+
+class TestNumpyPassParity:
+    """The selector's hand-written pass against the autograd reference.
+
+    Float64 parameters, so both sides agree to rounding; in train mode
+    each pass starts from the same generator state, so dropout draws the
+    same masks.
+    """
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("use_context", [True, False], ids=["ctx", "nA"])
+    @pytest.mark.parametrize("hist_dim", [24, 0], ids=["hist", "nohist"])
+    @pytest.mark.parametrize("encoder", ["transformer", "lstm"])
+    def test_matches_autograd(
+        self, encoder, hist_dim, use_context, training
+    ):
+        net = LocMatcherNet(
+            n_scalar=5, hist_dim=hist_dim, config=LocMatcherConfig(encoder=encoder, seed=3),
+            use_address_context=use_context,
+        )
+        for p in net.parameters():
+            p.data = p.data.astype(np.float64)
+        net.train() if training else net.eval()
+        batch = _parity_batch(hist_dim)
+        labels = batch.pop("labels")
+        mask = batch["mask"]
+        rng_state = net.dropout.rng.bit_generator.state
+
+        ref_scores = net(**batch)
+        ref_loss = cross_entropy(ref_scores, labels, mask)
+        ref_loss.backward()
+        ref_probs = masked_softmax(ref_scores, mask).data
+        ref_grads = {name: p.grad for name, p in net.named_parameters()}
+        net.zero_grad()
+
+        net.dropout.rng.bit_generator.state = rng_state
+        scores, tape = locmatcher_numpy.forward(net, **batch)
+        loss, d_scores = locmatcher_numpy.masked_cross_entropy(scores, mask, labels)
+        locmatcher_numpy.backward(net, tape, d_scores)
+
+        tol = dict(rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(scores[mask], ref_scores.data[mask], **tol)
+        np.testing.assert_allclose(
+            locmatcher_numpy.masked_softmax(scores, mask), ref_probs, **tol
+        )
+        np.testing.assert_allclose(loss, ref_loss.item(), **tol)
+        assert ref_grads  # every parameter received a gradient on both sides
+        for name, p in net.named_parameters():
+            assert p.grad is not None and p.grad.dtype == np.float64, name
+            np.testing.assert_allclose(p.grad, ref_grads[name], err_msg=name, **tol)
+
+    def test_dropout_changes_the_train_pass(self):
+        net = LocMatcherNet(5, 24, LocMatcherConfig(seed=3))
+        batch = _parity_batch(24)
+        batch.pop("labels")
+        net.eval()
+        eval_scores, _ = locmatcher_numpy.forward(net, **batch)
+        net.train()
+        train_scores, _ = locmatcher_numpy.forward(net, **batch)
+        assert not np.allclose(train_scores, eval_scores)
+
+    def test_float32_net_stays_float32(self):
+        net = LocMatcherNet(5, 24, LocMatcherConfig())
+        batch = _parity_batch(24)
+        labels = batch.pop("labels")
+        scores, tape = locmatcher_numpy.forward(net, **batch)
+        assert scores.dtype == np.float32
+        _, d_scores = locmatcher_numpy.masked_cross_entropy(scores, batch["mask"], labels)
+        locmatcher_numpy.backward(net, tape, d_scores)
+        for name, p in net.named_parameters():
+            assert p.grad.dtype == np.float32, name
+
+
+#: Deterministic tiny config: dropout off.
+PARITY_CFG = LocMatcherConfig(max_epochs=8, patience=8, dropout=0.0)
+
+
+class TestBatchedScoring:
+    @pytest.fixture(scope="class")
+    def examples(self):
+        return synthetic_examples(24, seed=7)
+
+    @pytest.fixture(scope="class")
+    def selector(self, examples):
+        return LocMatcherSelector(config=PARITY_CFG).fit(examples)
+
+    def test_scores_batch_matches_per_example(self, selector, examples):
+        batched = selector.scores_batch(examples)
+        singles = [selector.scores(e) for e in examples]
+        for b, s in zip(batched, singles):
+            np.testing.assert_allclose(b, s, rtol=1e-5, atol=1e-6)
+
+    def test_padding_is_fully_masked(self, selector, examples):
+        # Padding up to the batch's largest candidate set must not leak
+        # into real candidates: score one example alone vs inside a large
+        # ragged batch.
+        alone = selector.scores_batch([examples[0]])[0]
+        crowd = selector.scores_batch(examples)[0]
+        np.testing.assert_allclose(alone, crowd, rtol=1e-5, atol=1e-6)
+        assert alone.shape == (examples[0].n_candidates,)
+        assert abs(float(alone.sum()) - 1.0) < 1e-5
+
+
+class TestPoiCategoryRange:
+    @pytest.mark.parametrize("category", [-1, N_POI_CATEGORIES])
+    def test_out_of_range_category_rejected_in_fit(self, category):
+        train = synthetic_examples(10, seed=13)
+        train[4].poi_category = category
+        with pytest.raises(ValueError, match=train[4].address_id):
+            LocMatcherSelector(config=FAST).fit(train)
+
+    @pytest.mark.parametrize("category", [-1, N_POI_CATEGORIES])
+    def test_out_of_range_category_rejected_in_scoring(self, category):
+        selector = LocMatcherSelector(config=FAST).fit(synthetic_examples(10, seed=14))
+        probe = synthetic_examples(3, seed=15)
+        probe[2].poi_category = category
+        with pytest.raises(ValueError, match=probe[2].address_id):
+            selector.scores_batch(probe)
+
+    def test_categories_ignored_without_address_features(self):
+        train = synthetic_examples(10, seed=16)
+        train[0].poi_category = -1
+        cfg = FeatureConfig(use_address=False)
+        selector = LocMatcherSelector(cfg, FAST).fit(train)
+        assert selector.scores(train[0]).shape == (train[0].n_candidates,)

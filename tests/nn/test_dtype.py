@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import LocMatcherConfig, LocMatcherNet, LocMatcherSelector
 from repro.nn import DEFAULT_DTYPE, Adam, Linear, Tensor, clip_grad_norm
-from repro.nn.functional import cross_entropy_onehot, softmax
+from repro.nn.functional import cross_entropy, softmax
 from tests.core.test_locmatcher import synthetic_examples
 
 
@@ -111,7 +111,6 @@ class TestLocMatcherDtype:
 
     def test_loss_is_float32(self):
         logits = Tensor(np.zeros((2, 4), dtype=np.float32))
-        onehot = np.zeros((2, 4), dtype=np.float32)
-        onehot[:, 0] = 1.0
-        loss = cross_entropy_onehot(logits, Tensor(onehot), Tensor(np.ones(2, dtype=np.float32)))
+        mask = np.array([[True, True, True, True], [True, True, False, False]])
+        loss = cross_entropy(logits, np.array([0, 1]), mask)
         assert loss.dtype == np.float32

@@ -95,6 +95,29 @@ class TestArithmetic:
         np.testing.assert_allclose(a.grad, 5.0)
 
 
+#: Scalar-loss builders for the ops no other gradcheck here covers
+#: (arithmetic with scalars and tensors, negation, scalar division, and
+#: two composites), each over one leaf inside the op's smooth domain.
+GRADCHECK_OPS = {
+    "add": (lambda t: (t + 1.5).sum(), (3, 4)),
+    "radd_scalar": (lambda t: (2.0 + t).sum(), (3, 4)),
+    "sub": (lambda t: (t - 0.5).sum(), (3, 4)),
+    "mul": (lambda t: (t * t).sum(), (3, 4)),
+    "rdiv": (lambda t: (1.0 / (t + 3.0)).sum(), (3, 4)),
+    "neg": (lambda t: (-t).sum(), (3, 4)),
+    "maximum_chain": (lambda t: ((t * 2.0 + 1.0).tanh() * t.sigmoid()).sum(), (5,)),
+    "matmul_fused": (lambda t: ((t @ t.transpose(1, 0)).relu() + 1.0).log().sum(), (4, 4)),
+}
+
+
+class TestOpGradcheck:
+    @pytest.mark.parametrize("name", sorted(GRADCHECK_OPS))
+    def test_gradcheck(self, name):
+        build, shape = GRADCHECK_OPS[name]
+        x = np.random.default_rng(0).uniform(-2.0, 2.0, size=shape)
+        check_grad(build, x, rtol=1e-3, atol=1e-5)
+
+
 class TestMatmul:
     def test_2d(self):
         rng = np.random.default_rng(0)
