@@ -7,8 +7,8 @@ absolute numbers shrink, but the orderings should survive: pool
 construction cheaper than stay-point extraction, GeoRank training fastest,
 UNet-based slower than GeoRank.
 
-Stage timings come from the engine's ``RunContext`` (``model.context``),
-which every registered stage reports into; the same numbers are emitted as
+Stage timings come from the fit's ``RunContext`` (``model.context``),
+which every pipeline stage reports into; the same numbers are emitted as
 a machine-readable JSON artifact next to the text table.
 """
 

@@ -115,12 +115,7 @@ def _load_workload(data_dir: pathlib.Path) -> Workload:
 
 
 def _print_stage_timings(rows, indent: str = "  ") -> None:
-    """Print ``(stage, seconds)`` rows; accepts a legacy timings dict too."""
-    if isinstance(rows, dict):
-        rows = [
-            (key[:-2] if key.endswith("_s") else key, seconds)
-            for key, seconds in rows.items()
-        ]
+    """Print ``(stage, seconds)`` rows."""
     for stage, seconds in rows:
         print(f"{indent}{stage:<24} {seconds * 1000.0:9.1f} ms")
 
@@ -249,12 +244,12 @@ def _cmd_update(args: argparse.Namespace) -> int:
         workload.val_ids,
         projection=workload.projection,
     )
-    fit_rows = model.context.timing_rows()
+    fit_rows = [(r.name, r.seconds) for r in model.context.records]
     baseline_fps = _model_fingerprints(model) if args.drift_out else []
     model.update(
         new_trips, workload.ground_truth, workload.train_ids, workload.val_ids
     )
-    update_rows = model.context.timing_rows()
+    update_rows = [(r.name, r.seconds) for r in model.context.records]
     drift_reports = []
     if args.drift_out:
         from repro.obs.drift import compare_fingerprints, save_drift_report

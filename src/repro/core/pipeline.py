@@ -1,12 +1,11 @@
-"""The end-to-end DLInfMA pipeline (Figure 3), expressed as engine stages.
+"""The end-to-end DLInfMA pipeline (Figure 3).
 
 The two components of the framework — location candidate generation
 (stay-point extraction, candidate-pool construction, profile build,
 candidate retrieval/feature extraction) and delivery location discovery
-(selector training) — are registered :class:`~repro.engine.Stage` objects
-run by a :class:`~repro.engine.StagePlan` under a
-:class:`~repro.engine.RunContext`, which records the Section V-F per-stage
-wall-clock timings and item counters.
+(selector training) — run as five stages, each inside
+:meth:`~repro.core.run.RunContext.stage`, which records the Section V-F
+per-stage wall-clock timings; the stages add their own item counters.
 
 Besides the one-shot :meth:`DLInfMA.fit`, the pipeline has a first-class
 incremental path: the deployed system builds candidate pools "in a
@@ -32,9 +31,9 @@ from repro.core.candidates import (
 from repro.core.features import AddressExample, FeatureConfig, FeatureExtractor
 from repro.core.locmatcher import LocMatcherConfig, LocMatcherSelector
 from repro.core.poolbuilder import CandidatePoolBuilder
+from repro.core.run import RunContext
 from repro.core.selectors import make_variant_selector
 from repro.core.staypoints import ExtractionConfig, extract_trip_stay_points
-from repro.engine import RunContext, StagePlan, stage
 from repro.geo import LocalProjection, Point
 from repro.obs import event
 from repro.obs import span as obs_span
@@ -61,84 +60,40 @@ class PipelineArtifacts:
     Table II compares ~20 selectors over the *same* candidate pool; building
     artifacts once and passing them to each :class:`DLInfMA` avoids redoing
     stay-point extraction / clustering / feature extraction per method.
+    ``context`` holds the generation stages' records and counters.
     """
 
     pool: CandidatePool
     extractor: FeatureExtractor
     examples: dict[str, AddressExample]
-    timings: dict[str, float]
-    stay_points_by_trip: dict[str, list] | None = None
-    context: RunContext | None = None
+    stay_points_by_trip: dict[str, list]
+    context: RunContext
 
 
 # ----------------------------------------------------------------------
-# Registered stages
+# Stages shared by fit and update
 # ----------------------------------------------------------------------
 def _flatten(stay_points_by_trip: dict[str, list]) -> list:
     return [sp for stays in stay_points_by_trip.values() for sp in stays]
 
 
-@stage(
-    "stay_point_extraction",
-    inputs=("trips",),
-    outputs=("stay_points_by_trip",),
-)
-def _stage_extract(ctx: RunContext, trips: list[DeliveryTrip]) -> dict:
-    stays = extract_trip_stay_points(trips, ctx.config.extraction)
+def _extract_stays(
+    ctx: RunContext, trips: list[DeliveryTrip], config: ExtractionConfig
+) -> dict[str, list]:
+    with ctx.stage("stay_point_extraction"):
+        stays = extract_trip_stay_points(trips, config)
     ctx.count("stay_point_extraction", "trips", len(trips))
     ctx.count("stay_point_extraction", "stay_points", sum(len(v) for v in stays.values()))
-    return {"stay_points_by_trip": stays}
+    return stays
 
 
-@stage(
-    "pool_construction",
-    inputs=("stay_points_by_trip", "projection"),
-    outputs=("pool",),
-)
-def _stage_pool(ctx: RunContext, stay_points_by_trip: dict, projection: LocalProjection) -> dict:
-    cfg = ctx.config
-    all_stays = _flatten(stay_points_by_trip)
-    pool = build_candidate_pool(
-        all_stays,
-        projection,
-        distance_threshold_m=cfg.cluster_distance_m,
-        method=cfg.pool_method,
-    )
-    ctx.count("pool_construction", "stay_points", len(all_stays))
-    ctx.count("pool_construction", "candidates", len(pool))
-    return {"pool": pool}
-
-
-@stage(
-    "profile_build",
-    inputs=("stay_points_by_trip", "pool"),
-    outputs=("profiles",),
-)
-def _stage_profiles(ctx: RunContext, stay_points_by_trip: dict, pool: CandidatePool) -> dict:
-    profiles = build_profiles(_flatten(stay_points_by_trip), pool)
-    ctx.count("profile_build", "profiles", len(profiles))
-    return {"profiles": profiles}
-
-
-@stage(
-    "feature_extraction",
-    inputs=("trips", "stay_points_by_trip", "pool", "profiles", "addresses"),
-    outputs=("extractor", "examples"),
-)
-def _stage_features(
-    ctx: RunContext,
-    trips: list[DeliveryTrip],
-    stay_points_by_trip: dict,
-    pool: CandidatePool,
-    profiles: dict,
-    addresses: dict[str, Address],
+def _build_profiles(
+    ctx: RunContext, stay_points_by_trip: dict[str, list], pool: CandidatePool
 ) -> dict:
-    extractor = FeatureExtractor(trips, stay_points_by_trip, pool, profiles, addresses)
-    delivered = sorted({a for trip in trips for a in trip.address_ids})
-    examples = extractor.build_examples(delivered)
-    ctx.count("feature_extraction", "addresses", len(delivered))
-    ctx.count("feature_extraction", "examples_built", len(examples))
-    return {"extractor": extractor, "examples": examples}
+    with ctx.stage("profile_build"):
+        profiles = build_profiles(_flatten(stay_points_by_trip), pool)
+    ctx.count("profile_build", "profiles", len(profiles))
+    return profiles
 
 
 def _labeled_examples(
@@ -164,46 +119,32 @@ def _make_selector(config: DLInfMAConfig):
     return make_variant_selector(config.selector, config.features, seed=config.seed)
 
 
-@stage(
-    "training",
-    inputs=("extractor", "examples", "ground_truth", "train_ids", "val_ids", "selector"),
-    outputs=("selector",),
-)
-def _stage_training(
+def _train(
     ctx: RunContext,
+    config: DLInfMAConfig,
     extractor: FeatureExtractor,
     examples: dict[str, AddressExample],
     ground_truth: dict[str, Point],
     train_ids: list[str],
-    val_ids: list[str],
-    selector,
-) -> dict:
-    train = _labeled_examples(extractor, examples, train_ids, ground_truth)
-    val = _labeled_examples(extractor, examples, val_ids, ground_truth)
-    warm = selector is not None
-    if selector is None:
-        selector = _make_selector(ctx.config)
-    ctx.count("training", "train_examples", len(train))
-    ctx.count("training", "val_examples", len(val))
-    if warm:
-        # Warm start when the selector supports it (LocMatcher continues
-        # from its current weights); others simply refit on the union.
-        try:
-            selector.fit(train, val or None, warm_start=True)
-        except TypeError:
+    val_ids: list[str] | None,
+    selector=None,
+):
+    """Fit ``selector`` (a new one when None) on the labeled examples."""
+    with ctx.stage("training"):
+        train = _labeled_examples(extractor, examples, train_ids, ground_truth)
+        val = _labeled_examples(extractor, examples, val_ids or [], ground_truth)
+        ctx.count("training", "train_examples", len(train))
+        ctx.count("training", "val_examples", len(val))
+        if selector is None:
+            selector = _make_selector(config)
             selector.fit(train, val or None)
-    else:
-        selector.fit(train, val or None)
-    return {"selector": selector}
-
-
-#: The candidate-generation component (Section III + IV-A), in order.
-GENERATION_STAGES = (
-    "stay_point_extraction",
-    "pool_construction",
-    "profile_build",
-    "feature_extraction",
-)
+        elif isinstance(selector, LocMatcherSelector):
+            # LocMatcher continues from its current weights; every other
+            # selector simply refits on the union of labels.
+            selector.fit(train, val or None, warm_start=True)
+        else:
+            selector.fit(train, val or None)
+    return selector
 
 
 def build_artifacts(
@@ -215,20 +156,31 @@ def build_artifacts(
 ) -> PipelineArtifacts:
     """Run the location-candidate-generation component (Section III)."""
     cfg = config or DLInfMAConfig()
-    ctx = context or RunContext(config=cfg, label="build_artifacts")
-    state = {"trips": list(trips), "addresses": addresses, "projection": projection}
-    with obs_span(
-        "dlinfma.build_artifacts", n_trips=len(state["trips"]), run=ctx.label
-    ):
-        StagePlan(GENERATION_STAGES).run(ctx, state)
-    return PipelineArtifacts(
-        pool=state["pool"],
-        extractor=state["extractor"],
-        examples=state["examples"],
-        timings=dict(ctx.timings),
-        stay_points_by_trip=state["stay_points_by_trip"],
-        context=ctx,
-    )
+    ctx = context or RunContext("build_artifacts")
+    trips = list(trips)
+    with obs_span("dlinfma.build_artifacts", n_trips=len(trips), run=ctx.label):
+        stays = _extract_stays(ctx, trips, cfg.extraction)
+
+        with ctx.stage("pool_construction"):
+            all_stays = _flatten(stays)
+            pool = build_candidate_pool(
+                all_stays,
+                projection,
+                distance_threshold_m=cfg.cluster_distance_m,
+                method=cfg.pool_method,
+            )
+        ctx.count("pool_construction", "stay_points", len(all_stays))
+        ctx.count("pool_construction", "candidates", len(pool))
+
+        profiles = _build_profiles(ctx, stays, pool)
+
+        with ctx.stage("feature_extraction"):
+            extractor = FeatureExtractor(trips, stays, pool, profiles, addresses)
+            delivered = sorted({a for trip in trips for a in trip.address_ids})
+            examples = extractor.build_examples(delivered)
+        ctx.count("feature_extraction", "addresses", len(delivered))
+        ctx.count("feature_extraction", "examples_built", len(examples))
+    return PipelineArtifacts(pool, extractor, examples, stays, ctx)
 
 
 class DLInfMA:
@@ -248,12 +200,12 @@ class DLInfMA:
 
     @property
     def timings(self) -> dict[str, float]:
-        """Per-stage wall-clock seconds of the latest engine run."""
-        return dict(self.context.timings) if self.context is not None else {}
+        """Per-stage wall-clock seconds of the latest run."""
+        return self.context.timings if self.context is not None else {}
 
     @property
     def counters(self) -> dict[str, int]:
-        """Per-stage item counters of the latest engine run."""
+        """Per-stage item counters of the latest run."""
         return dict(self.context.counters) if self.context is not None else {}
 
     # ------------------------------------------------------------------
@@ -278,7 +230,7 @@ class DLInfMA:
             first = next(iter(addresses.values()))
             projection = LocalProjection(first.geocode)
         self._projection = projection
-        ctx = RunContext(config=self.config, label="fit")
+        ctx = RunContext("fit")
         with obs_span(
             "dlinfma.fit", selector=self.config.selector, n_trips=len(trips)
         ):
@@ -287,34 +239,23 @@ class DLInfMA:
                     trips, addresses, projection, self.config, context=ctx
                 )
             else:
-                # Shared artifacts were built under another context; adopt
-                # their timings (and stage records, preserving execution
-                # order) so this run reports the full per-stage picture.
-                ctx.merge_timings(
-                    artifacts.timings,
-                    artifacts.context.records if artifacts.context is not None else (),
-                )
+                # Shared artifacts were built under another context; their
+                # stage records go first so this run reports every stage.
+                ctx.records = list(artifacts.context.records)
             self.context = ctx
             self.pool = artifacts.pool
             self.extractor = artifacts.extractor
             self.examples = artifacts.examples
-            self._stays_by_trip = dict(artifacts.stay_points_by_trip or {})
+            self._stays_by_trip = dict(artifacts.stay_points_by_trip)
             self._builder = (
                 CandidatePoolBuilder.from_pool(self.pool, self.config.cluster_distance_m)
                 if self.config.pool_method == "hierarchical"
                 else None
             )
-
-            state = {
-                "extractor": self.extractor,
-                "examples": self.examples,
-                "ground_truth": ground_truth,
-                "train_ids": list(train_ids),
-                "val_ids": list(val_ids or []),
-                "selector": None,
-            }
-            StagePlan(["training"]).run(ctx, state)
-            self.selector = state["selector"]
+            self.selector = _train(
+                ctx, self.config, self.extractor, self.examples,
+                ground_truth, train_ids, val_ids,
+            )
         event(
             "dlinfma.fit.complete", component="pipeline",
             selector=self.config.selector, n_trips=len(trips),
@@ -362,45 +303,29 @@ class DLInfMA:
                 projection=self._projection,
             )
 
-        ctx = RunContext(config=self.config, label="update")
+        ctx = RunContext("update")
         old_pool = self.pool
         old_extractor = self.extractor
         old_examples = self.examples
 
         with obs_span("dlinfma.update", n_new_trips=len(new_trips)):
             # Stage 1 — extraction over the new trips only.
-            state = {
-                "trips": new_trips,
-                "addresses": self.addresses,
-                "projection": self._projection,
-            }
-            StagePlan(["stay_point_extraction"]).run(ctx, state)
-            new_stays = state["stay_points_by_trip"]
+            new_stays = _extract_stays(ctx, new_trips, self.config.extraction)
 
             # Stage 2 — merge the new batch into the persistent pool builder.
-            with ctx.timed("pool_construction"):
+            with ctx.stage("pool_construction"):
                 flat_new = _flatten(new_stays)
                 self._builder.add_batch(flat_new)
                 pool = self._builder.build()
             ctx.count("pool_construction", "stay_points", len(flat_new))
             ctx.count("pool_construction", "candidates", len(pool))
-            ctx.record(
-                "pool_construction", ctx.timings["pool_construction_s"],
-                items_in=len(flat_new), items_out=len(pool),
-            )
             self._stays_by_trip.update(new_stays)
 
             # Stage 3 — profiles over all stays (cheap aggregation, no GPS work).
-            with ctx.timed("profile_build"):
-                profiles = build_profiles(_flatten(self._stays_by_trip), pool)
-            ctx.count("profile_build", "profiles", len(profiles))
-            ctx.record(
-                "profile_build", ctx.timings["profile_build_s"],
-                items_out=len(profiles),
-            )
+            profiles = _build_profiles(ctx, self._stays_by_trip, pool)
 
             # Stage 4 — selective feature refresh.
-            with ctx.timed("feature_extraction"):
+            with ctx.stage("feature_extraction"):
                 all_trips = list(known.values()) + new_trips
                 extractor = FeatureExtractor(
                     all_trips, self._stays_by_trip, pool, profiles, self.addresses
@@ -436,10 +361,6 @@ class DLInfMA:
             ctx.count("feature_extraction", "addresses_affected", len(affected))
             ctx.count("feature_extraction", "examples_rebuilt", rebuilt)
             ctx.count("feature_extraction", "examples_refreshed", refreshed)
-            ctx.record(
-                "feature_extraction", ctx.timings["feature_extraction_s"],
-                items_in=len(delivered), items_out=len(examples),
-            )
 
             self.context = ctx
             self.pool = pool
@@ -448,16 +369,10 @@ class DLInfMA:
 
             # Stage 5 — warm-start the selector on the union of labels.
             if ground_truth is not None and train_ids:
-                state = {
-                    "extractor": extractor,
-                    "examples": examples,
-                    "ground_truth": ground_truth,
-                    "train_ids": list(train_ids),
-                    "val_ids": list(val_ids or []),
-                    "selector": self.selector,
-                }
-                StagePlan(["training"]).run(ctx, state)
-                self.selector = state["selector"]
+                self.selector = _train(
+                    ctx, self.config, extractor, examples,
+                    ground_truth, train_ids, val_ids, self.selector,
+                )
         event(
             "dlinfma.update.complete", component="pipeline",
             n_new_trips=len(new_trips), examples_rebuilt=rebuilt,

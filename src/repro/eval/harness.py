@@ -157,9 +157,8 @@ SHARED_ARTIFACT_METHODS = frozenset(
 class MethodRun:
     """Predictions and timing of one fitted method.
 
-    ``stage_timings`` keeps the engine's ``{stage}_s`` dict for programmatic
-    lookups; ``stage_rows`` carries the same numbers as ``(stage, seconds)``
-    pairs in execution order — the form reports should print.
+    ``stage_rows`` holds the DLInfMA stages as ``(stage, seconds)`` pairs in
+    execution order (empty for other methods).
     """
 
     name: str
@@ -167,7 +166,6 @@ class MethodRun:
     fit_seconds: float
     predict_seconds: float
     method: object = field(repr=False, default=None)
-    stage_timings: dict[str, float] = field(default_factory=dict)
     stage_rows: list[tuple[str, float]] = field(default_factory=list)
 
 
@@ -198,11 +196,7 @@ def run_method(
         t1 = time.perf_counter()
         predictions = method.predict(workload.test_ids)
         t2 = time.perf_counter()
-    registry = get_registry()
-    registry.counter("eval_method_runs_total", "Methods fitted by the harness").inc(
-        method=name
-    )
-    registry.histogram(
+    get_registry().histogram(
         "eval_fit_seconds", "Wall-clock fit time per harness method run"
     ).observe(t1 - t0, method=name)
     event(
@@ -210,10 +204,9 @@ def run_method(
         method=name, fit_seconds=t1 - t0, predict_seconds=t2 - t1,
         n_predictions=len(predictions),
     )
-    stage_timings = dict(method.timings) if isinstance(method, DLInfMA) else {}
     stage_rows = (
-        method.context.timing_rows()
-        if isinstance(method, DLInfMA) and method.context is not None
+        [(r.name, r.seconds) for r in method.context.records]
+        if isinstance(method, DLInfMA)
         else []
     )
     return MethodRun(
@@ -222,7 +215,6 @@ def run_method(
         fit_seconds=t1 - t0,
         predict_seconds=t2 - t1,
         method=method,
-        stage_timings=stage_timings,
         stage_rows=stage_rows,
     )
 

@@ -11,9 +11,9 @@ Three primitives, one switchboard:
 * :func:`event` — leveled structured events, JSON-lines-sinked and bridged
   through stdlib :mod:`logging` (:func:`configure_events`).
 
-The engine's :class:`~repro.engine.context.RunContext` consumes the span
-API, so per-stage timings, counters, trace spans, and exported metrics all
-share one source of truth.
+The pipeline's :meth:`~repro.core.run.RunContext.stage` consumes the span
+API, so per-stage timings, trace spans, and exported metrics all share one
+source of truth.
 """
 
 from repro.obs.drift import (

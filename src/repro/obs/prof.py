@@ -12,8 +12,8 @@ speedscope both ingest it) and as a speedscope JSON document.
 
 Memory is the other half: :class:`MemoryProfiler` wraps
 :mod:`tracemalloc` behind the same opt-in, snapshot-labeled surface.  The
-engine's :class:`~repro.engine.context.RunContext` consults the active
-global memory profiler after every timed stage, so ``--memory`` on the
+pipeline's :meth:`~repro.core.run.RunContext.stage` consults the active
+global memory profiler after every stage, so ``--memory`` on the
 CLI yields a per-stage current/peak/top-allocations report with zero
 plumbing through the pipeline.
 """
@@ -358,8 +358,8 @@ _MEMORY: MemoryProfiler | None = None
 def configure_memory_profiling(top_n: int = 10, trace_frames: int = 1) -> MemoryProfiler:
     """Install (and start) a global memory profiler.
 
-    While active, every engine stage timed through
-    :meth:`~repro.engine.context.RunContext.timed` appends a labeled
+    While active, every pipeline stage run through
+    :meth:`~repro.core.run.RunContext.stage` appends a labeled
     snapshot, giving per-stage memory deltas without plumbing.
     """
     global _MEMORY

@@ -840,8 +840,6 @@ class ProcessRouter:
         heartbeat_interval_s: float = 0.5,
         start_method: str | None = None,
         obs_dir: str | None = None,
-        trace_workers: bool | None = None,
-        trace_sample_every: int = 1,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1: {n_workers}")
@@ -857,12 +855,8 @@ class ProcessRouter:
             else os.path.join(self.publisher.directory, _OBS_DIR)
         )
         os.makedirs(self.obs_dir, exist_ok=True)
-        #: None → auto: trace workers iff the router process is tracing
-        #: when :meth:`start` runs.
-        self.trace_workers = trace_workers
-        self.trace_sample_every = max(1, int(trace_sample_every))
-        self._trace_seq = itertools.count()
-        self._trace_workers_active = False
+        #: Workers trace iff the router process is tracing at :meth:`start`.
+        self._workers_trace = False
         self._ctx = get_context(start_method)
         self._workers: list[WorkerHandle | None] = [None] * n_workers
         self._workers_lock = threading.Lock()
@@ -964,15 +958,12 @@ class ProcessRouter:
         self._started = True
         if self._plane is None:
             self._open_plane()
-        self._trace_workers_active = (
-            self.trace_workers if self.trace_workers is not None
-            else tracing_enabled()
-        )
+        self._workers_trace = tracing_enabled()
         self._ensure_routing()
         for i in range(self.n_workers):
             self._workers[i] = WorkerHandle(
                 self._ctx, self.publisher.directory, self.config, i,
-                obs_dir=self.obs_dir, trace=self._trace_workers_active,
+                obs_dir=self.obs_dir, trace=self._workers_trace,
             )
         self._heartbeat = threading.Thread(
             target=self._heartbeat_loop, name="serve-mp-heartbeat", daemon=True
@@ -1082,7 +1073,7 @@ class ProcessRouter:
                 ).start()
             worker = WorkerHandle(
                 self._ctx, self.publisher.directory, self.config, index,
-                obs_dir=self.obs_dir, trace=self._trace_workers_active,
+                obs_dir=self.obs_dir, trace=self._workers_trace,
             )
             self._workers[index] = worker
             return worker
@@ -1127,14 +1118,12 @@ class ProcessRouter:
         t0 = time.monotonic()
         deadline_mono = t0 + timeout
         deadline_epoch = time.time() + timeout
-        # Head sampling decision rides the traceparent to the workers;
-        # the tail-based collector honors it (and always keeps slow or
-        # errored traces regardless).
-        sampled = (next(self._trace_seq) % self.trace_sample_every) == 0
+        # Every route is head-sampled; the flag rides the traceparent to
+        # the workers, and the tail-based collector honors it.
         with span("serve.route", n_ids=len(address_ids),
-                  sampled=sampled) as route_span:
+                  sampled=True) as route_span:
             traceparent = (
-                make_traceparent(route_span, sampled)
+                make_traceparent(route_span)
                 if route_span is not None else None
             )
             routing = self._ensure_routing()

@@ -55,12 +55,8 @@ class QueryRouter:
     ) -> None:
         self.store = store
         self.cache = cache
-        registry = get_registry()
-        self._cache_events = registry.counter(
+        self._cache_events = get_registry().counter(
             "serve_cache_events_total", "Result-cache lookups by outcome"
-        )
-        self._cache_hit_ratio = registry.gauge(
-            "serve_cache_hit_ratio", "Result-cache hit ratio since start"
         )
 
     @classmethod
@@ -82,10 +78,8 @@ class QueryRouter:
             cached = self.cache.get(address_id)
             if cached is not None:
                 self._cache_events.inc(event="hit")
-                self._note_hit_ratio()
                 return RoutedResult(address_id, cached, CACHE_HIT)
             self._cache_events.inc(event="miss")
-            self._note_hit_ratio()
         result = self.store.query_id(address_id)
         if self.cache is not None:
             self.cache.put(address_id, result)
@@ -116,7 +110,6 @@ class QueryRouter:
                 n_hits += 1
         self._cache_events.inc(n_hits, event="hit")
         self._cache_events.inc(len(address_ids) - n_hits, event="miss")
-        self._note_hit_ratio()
         resolved = self.store.resolve_batch(
             [a for a in dict.fromkeys(address_ids) if a not in hits]
         )
@@ -130,12 +123,6 @@ class QueryRouter:
                 cache.put(address_id, result)
             out.append(RoutedResult(address_id, result, CACHE_MISS))
         return out
-
-    def _note_hit_ratio(self) -> None:
-        hits = self._cache_events.value(event="hit")
-        misses = self._cache_events.value(event="miss")
-        if hits + misses:
-            self._cache_hit_ratio.set(hits / (hits + misses))
 
     def on_refresh(self) -> int:
         """Drop cached answers after a store swap; returns entries dropped."""

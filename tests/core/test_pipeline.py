@@ -11,7 +11,7 @@ class TestBuildArtifacts:
     def test_artifact_contents(self, tiny_workload, tiny_artifacts):
         assert len(tiny_artifacts.pool) > 0
         assert len(tiny_artifacts.examples) > 0
-        assert set(tiny_artifacts.timings) == {
+        assert set(tiny_artifacts.context.timings) == {
             "stay_point_extraction_s",
             "pool_construction_s",
             "profile_build_s",

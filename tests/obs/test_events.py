@@ -68,9 +68,9 @@ class TestStdlibBridge:
         )
 
     def test_levels_map_to_stdlib_levels(self, event_file, caplog):
-        with caplog.at_level(logging.DEBUG, logger="repro.engine"):
-            event("stage.cache_hit", level="debug", component="engine")
-            event("stage.fail", level="error", component="engine")
+        with caplog.at_level(logging.DEBUG, logger="repro.pipeline"):
+            event("stage.complete", level="debug", component="pipeline")
+            event("stage.fail", level="error", component="pipeline")
         levels = {rec.getMessage().split()[0]: rec.levelno for rec in caplog.records}
-        assert levels["stage.cache_hit"] == logging.DEBUG
+        assert levels["stage.complete"] == logging.DEBUG
         assert levels["stage.fail"] == logging.ERROR

@@ -2,7 +2,7 @@
 
 The acceptance path of the obs subsystem: a full ``fit`` + ``query`` run
 with tracing enabled yields a JSON-lines trace whose span tree covers all
-five registered engine stages, and the exported metrics file renders
+five pipeline stages, and the exported metrics file renders
 request counters and query-latency histograms through ``repro metrics``.
 """
 

@@ -158,12 +158,12 @@ class TestMemoryProfiler:
         assert active_memory_profiler() is None
 
     def test_engine_stage_snapshot_through_run_context(self):
-        from repro.engine import RunContext
+        from repro.core.run import RunContext
 
         configure_memory_profiling(top_n=0)
         try:
-            ctx = RunContext(label="unit")
-            with ctx.timed("stage_x"):
+            ctx = RunContext("unit")
+            with ctx.stage("stage_x"):
                 _ = list(range(1000))
         finally:
             profiler = disable_memory_profiling()
