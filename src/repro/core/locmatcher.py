@@ -179,68 +179,38 @@ class LocMatcherSelector:
         self._deliv_mean = 0.0
         self._deliv_std = 1.0
         self.history: list[dict[str, float]] = []
-        # fit()-scoped memo of per-example (scaled scalars, hist) pairs:
-        # the same examples are re-packed into fresh shuffles every epoch
-        # and column selection + scaling is by far the costliest part.
-        self._feat_cache: dict[int, tuple] | None = None
 
     # ------------------------------------------------------------------
-    def _split_features(self, example: AddressExample) -> tuple[np.ndarray, np.ndarray | None]:
-        scalar_cols = self.feature_config.scalar_columns()
-        hist_cols = self.feature_config.hist_columns()
-        scalars = example.features[:, scalar_cols] if scalar_cols else np.zeros(
-            (example.n_candidates, 0)
-        )
-        hist = example.features[:, hist_cols] if hist_cols else None
-        return scalars, hist
-
     def _normalize_deliveries(self, values: np.ndarray) -> np.ndarray:
         return (np.log1p(values) - self._deliv_mean) / self._deliv_std
 
     def _make_batch(self, examples: list[AddressExample]):
         """Float32 batch arrays padded to the batch's largest candidate set
         (padded slots are masked out)."""
-        n_max = max(e.n_candidates for e in examples)
+        counts = np.array([e.n_candidates for e in examples])
+        mask = np.arange(counts.max()) < counts[:, None]
+        rows = np.concatenate([e.features for e in examples])  # mask order
         scalar_cols = self.feature_config.scalar_columns()
         hist_cols = self.feature_config.hist_columns()
-        b = len(examples)
-        scalars = np.zeros((b, n_max, len(scalar_cols)), dtype=DEFAULT_DTYPE)
-        hist = np.zeros((b, n_max, len(hist_cols)), dtype=DEFAULT_DTYPE) if hist_cols else None
-        mask = np.zeros((b, n_max), dtype=bool)
-        poi = np.zeros(b, dtype=int)
-        deliveries = np.zeros(b)
-        labels = np.zeros(b, dtype=int)
-        cache = self._feat_cache
-        for i, example in enumerate(examples):
-            n = example.n_candidates
-            entry = cache.get(id(example)) if cache is not None else None
-            if entry is None:
-                raw_scalars, raw_hist = self._split_features(example)
-                scaled = (
-                    self.scaler.transform(raw_scalars).astype(DEFAULT_DTYPE)
-                    if raw_scalars.shape[1]
-                    else None
+        scalars = np.zeros(mask.shape + (len(scalar_cols),), dtype=DEFAULT_DTYPE)
+        if scalar_cols:
+            scalars[mask] = self.scaler.transform(rows[:, scalar_cols])
+        hist = None
+        if hist_cols:
+            hist = np.zeros(mask.shape + (len(hist_cols),), dtype=DEFAULT_DTYPE)
+            hist[mask] = rows[:, hist_cols]
+        poi = np.zeros(len(examples), dtype=int)
+        if self.feature_config.use_address:
+            poi[:] = [e.poi_category for e in examples]
+            bad = np.flatnonzero((poi < 0) | (poi >= N_POI_CATEGORIES))
+            if len(bad):
+                example = examples[bad[0]]
+                raise ValueError(
+                    f"address {example.address_id}: POI category {example.poi_category} "
+                    f"outside [0, {N_POI_CATEGORIES})"
                 )
-                entry = (scaled, raw_hist)
-                if cache is not None:
-                    cache[id(example)] = entry
-            scaled, raw_hist = entry
-            if scaled is not None:
-                scalars[i, :n] = scaled
-            if hist is not None and raw_hist is not None:
-                hist[i, :n] = raw_hist
-            mask[i, :n] = True
-            if self.feature_config.use_address:
-                category = example.poi_category
-                if not 0 <= category < N_POI_CATEGORIES:
-                    raise ValueError(
-                        f"address {example.address_id}: POI category {category} "
-                        f"outside [0, {N_POI_CATEGORIES})"
-                    )
-                poi[i] = category
-            deliveries[i] = example.n_deliveries
-            labels[i] = example.label if example.label is not None else 0
-        deliveries = self._normalize_deliveries(deliveries)
+        deliveries = self._normalize_deliveries(np.array([e.n_deliveries for e in examples]))
+        labels = np.array([e.label if e.label is not None else 0 for e in examples])
         return scalars, hist, mask, poi, deliveries, labels
 
     def _train_step(self, batch: tuple) -> tuple[float, int]:
@@ -281,11 +251,8 @@ class LocMatcherSelector:
         scalar_cols = self.feature_config.scalar_columns()
         warm = warm_start and self.net is not None
         if not warm:
-            all_rows = (
-                np.vstack([e.features[:, scalar_cols] for e in train]) if scalar_cols else None
-            )
-            if all_rows is not None and len(all_rows):
-                self.scaler.fit(all_rows)
+            if scalar_cols:
+                self.scaler.fit(np.vstack([e.features[:, scalar_cols] for e in train]))
             logs = np.log1p([e.n_deliveries for e in train])
             self._deliv_mean = float(np.mean(logs))
             self._deliv_std = float(np.std(logs)) or 1.0
@@ -296,23 +263,6 @@ class LocMatcherSelector:
                 config=cfg,
                 use_address_context=self.feature_config.use_address,
             )
-        # The cache keys by id(); the train/val lists keep every example
-        # alive for the duration of fit, and the scaler is already fitted.
-        self._feat_cache = {}
-        try:
-            return self._fit_loop(train, val, cfg, rng, warm)
-        finally:
-            self._feat_cache = None
-
-    def _fit_loop(
-        self,
-        train: list[AddressExample],
-        val: list[AddressExample],
-        cfg: LocMatcherConfig,
-        rng: np.random.Generator,
-        warm: bool,
-    ) -> "LocMatcherSelector":
-        """The epoch loop of :meth:`fit` (split out for cache scoping)."""
         optimizer = Adam(self.net.parameters(), lr=cfg.lr)
         scheduler = StepLR(optimizer, step_size=cfg.lr_step, gamma=cfg.lr_gamma)
 
@@ -397,17 +347,23 @@ class LocMatcherSelector:
         self.net.eval()
         return self
 
-    def _evaluate_loss(self, examples: list[AddressExample]) -> float:
+    def _scored_chunks(self, examples: list[AddressExample]):
+        """Eval-mode ``(chunk, scores, mask, labels)``, ``MAX_SCORE_BATCH`` at a time."""
         self.net.eval()
-        total, n = 0.0, 0
-        for start in range(0, len(examples), self.config.batch_size):
-            batch = examples[start : start + self.config.batch_size]
-            scalars, hist, mask, poi, deliveries, labels = self._make_batch(batch)
-            scores, _ = numpy_pass.forward(self.net, scalars, hist, mask, poi, deliveries)
-            loss_val, _ = numpy_pass.masked_cross_entropy(scores, mask, labels)
-            total += loss_val * len(batch)
-            n += len(batch)
-        return total / max(1, n)
+        for start in range(0, len(examples), MAX_SCORE_BATCH):
+            chunk = examples[start : start + MAX_SCORE_BATCH]
+            scalars, hist, mask, poi, deliveries, labels = self._make_batch(chunk)
+            scores, _ = numpy_pass.forward(
+                self.net, scalars, hist, mask, poi, deliveries, keep_tape=False
+            )
+            yield chunk, scores, mask, labels
+
+    def _evaluate_loss(self, examples: list[AddressExample]) -> float:
+        """Mean cross-entropy per example."""
+        total = 0.0
+        for chunk, scores, mask, labels in self._scored_chunks(examples):
+            total += numpy_pass.masked_cross_entropy(scores, mask, labels)[0] * len(chunk)
+        return total / len(examples)
 
     # ------------------------------------------------------------------
     def scores(self, example: AddressExample) -> np.ndarray:
@@ -425,15 +381,10 @@ class LocMatcherSelector:
             raise RuntimeError("selector is not fitted")
         if not examples:
             return []
-        self.net.eval()
         out: list[np.ndarray] = []
-        for start in range(0, len(examples), MAX_SCORE_BATCH):
-            batch = examples[start : start + MAX_SCORE_BATCH]
-            scalars, hist, mask, poi, deliveries, _ = self._make_batch(batch)
-            scores, _ = numpy_pass.forward(self.net, scalars, hist, mask, poi, deliveries)
+        for chunk, scores, mask, _ in self._scored_chunks(examples):
             probs = numpy_pass.masked_softmax(scores, mask)
-            for row, example in enumerate(batch):
-                out.append(probs[row, : example.n_candidates])
+            out.extend(probs[row, : e.n_candidates] for row, e in enumerate(chunk))
         return out
 
     def predict_index(self, example: AddressExample) -> int:

@@ -15,6 +15,15 @@ address context, and the masked softmax / cross-entropy of Eq. 4.
 Dropout masks come from each :class:`~repro.nn.Dropout` module's own
 generator, drawn in the same order and shapes as the autograd forward.
 
+Two layouts.  Around the encoder, arrays are candidate-major
+``(B, N, features)`` and a dense is one 2-D matmul over all candidates.
+Inside the transformer, hidden states are feature-major ``(z, B, N)`` and
+attention maps keys-major ``(N_k, B, H, N_q)``: the softmax and layer-norm
+reductions run along axis 0 over contiguous rows of ``B * N`` or
+``B * H * N`` elements, not along a trailing axis of 8 or ~20, where numpy
+is slowest.  Axis-0 sums add rows in order (a score does not depend on its
+batch) and differ from the reference's trailing-axis sums in the last bit.
+
 Everything computes in the parameters' dtype (float32 in the selector).
 """
 
@@ -22,16 +31,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.attention import key_bias_from_mask
 from repro.nn.functional import mask_bias
 from repro.nn.tensor import sigmoid
 
 
 def _dense(x: np.ndarray, layer) -> np.ndarray:
-    out = x @ layer.weight.data
-    if layer.bias is not None:
-        out = out + layer.bias.data
-    return out
+    """A dense on ``(..., in)``, as one 2-D matmul over all candidates."""
+    out = x.reshape(-1, x.shape[-1]) @ layer.weight.data
+    out += layer.bias.data
+    return out.reshape(x.shape[:-1] + (-1,))
 
 
 def _dense_backward(layer, x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
@@ -39,108 +47,150 @@ def _dense_backward(layer, x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     x2 = x.reshape(-1, x.shape[-1])
     d2 = d_out.reshape(-1, d_out.shape[-1])
     layer.weight.grad = x2.T @ d2
-    if layer.bias is not None:
-        layer.bias.grad = d2.sum(axis=0)
-    return d_out @ layer.weight.data.T
+    layer.bias.grad = d2.sum(axis=0)
+    return (d2 @ layer.weight.data.T).reshape(x.shape)
 
 
-def _dropout(module, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    mask = module.mask(x.shape, x.dtype)
-    return (x, None) if mask is None else (x * mask, mask)
+def _dropout(module, x: np.ndarray, axes: tuple[int, ...]):
+    """``x`` times a fresh mask of ``module``, and the mask (``None`` in eval).
+    ``x`` is the autograd reference's array transposed by ``axes``; the mask
+    is drawn in the reference's shape and applied as the same view."""
+    mask = module.mask(tuple(x.shape[axes.index(i)] for i in range(x.ndim)), x.dtype)
+    if mask is None:
+        return x, None
+    mask = mask.transpose(axes)
+    return x * mask, mask
 
 
 # ----------------------------------------------------------------------
-# Layer norm
+# Transformer encoder, feature-major
 # ----------------------------------------------------------------------
+#: ``(B, N, z)`` hidden states and dropout masks -> feature-major ``(z, B, N)``.
+_HIDDEN = (2, 0, 1)
+#: ``(B, H, N_q, N_k)`` attention maps -> keys-major ``(N_k, B, H, N_q)``.
+_KEYS = (3, 0, 1, 2)
+_HEADS = (2, 0, 1, 3)  # per-head matmul views: (H, dh, B, N) -> (B, H, dh, N)
+_BY_HEAD = (1, 2, 0, 3)  # and keys-major maps -> (B, H, N_k, N_q)
+
+
+def _dense_t(layer, x: np.ndarray) -> np.ndarray:
+    """A dense on feature-major ``x`` (``(in, ...)`` -> ``(out, ...)``)."""
+    out = layer.weight.data.T @ x.reshape(len(x), -1)
+    out += layer.bias.data[:, None]
+    return out.reshape((-1,) + x.shape[1:])
+
+
+def _dense_t_backward(layer, x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
+    """Write ``layer``'s gradients; return the gradient w.r.t. feature-major ``x``."""
+    d2 = d_out.reshape(len(d_out), -1)
+    layer.weight.grad = x.reshape(len(x), -1) @ d2.T
+    layer.bias.grad = d2.sum(axis=1)
+    return (layer.weight.data @ d2).reshape(x.shape)
+
+
 def _layer_norm(norm, x: np.ndarray):
-    # Same operations, in the same order, as ``LayerNorm.forward``.
-    inv_dim = 1.0 / x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) * inv_dim
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_dim
+    """``LayerNorm.forward`` over axis 0 of a feature-major ``(z, B, N)``;
+    normalizes ``x`` in place (it becomes the tape's ``xhat``)."""
+    inv_dim = 1.0 / len(x)
+    x -= x.sum(axis=0) * inv_dim
+    var = np.square(x).sum(axis=0) * inv_dim
     std = np.sqrt(var + norm.eps)
-    xhat = centered / std
-    return xhat * norm.gamma.data + norm.beta.data, (xhat, std)
+    x /= std
+    out = x * norm.gamma.data[:, None, None]
+    out += norm.beta.data[:, None, None]
+    return out, (x, std)
 
 
 def _layer_norm_backward(norm, tape, d_out: np.ndarray) -> np.ndarray:
     xhat, std = tape
-    norm.gamma.grad = (d_out * xhat).sum(axis=(0, 1))
-    norm.beta.grad = d_out.sum(axis=(0, 1))
-    d_xhat = d_out * norm.gamma.data
-    return (
-        d_xhat
-        - d_xhat.mean(axis=-1, keepdims=True)
-        - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True)
-    ) / std
+    z = len(xhat)
+    norm.gamma.grad = (d_out * xhat).reshape(z, -1).sum(axis=1)
+    norm.beta.grad = d_out.reshape(z, -1).sum(axis=1)
+    d_xhat = d_out * norm.gamma.data[:, None, None]
+    inv_dim = 1.0 / z
+    d_x = d_xhat - d_xhat.sum(axis=0) * inv_dim
+    d_x -= xhat * ((d_xhat * xhat).sum(axis=0) * inv_dim)
+    d_x /= std
+    return d_x
 
 
-# ----------------------------------------------------------------------
-# Transformer encoder block
-# ----------------------------------------------------------------------
-def _qkv_params(attn) -> tuple[np.ndarray, np.ndarray]:
-    """``W_q | W_k | W_v`` (and biases) side by side: one matmul for all three."""
-    weight = np.concatenate([attn.w_q.weight.data, attn.w_k.weight.data, attn.w_v.weight.data], 1)
-    bias = np.concatenate([attn.w_q.bias.data, attn.w_k.bias.data, attn.w_v.bias.data])
-    return weight, bias
-
-
-def _block(layer, x: np.ndarray, key_bias: np.ndarray):
-    """One post-norm encoder block (``TransformerEncoderLayer.forward``)."""
+def _block(layer, x: np.ndarray, key_bias: np.ndarray, tapes: list | None) -> np.ndarray:
+    """One post-norm encoder block (``TransformerEncoderLayer.forward``) on a
+    feature-major ``(z, B, N)``; ``key_bias`` is keys-major ``(N_k, B, 1, 1)``.
+    Appends the block's tape to ``tapes`` unless that is ``None``."""
     attn = layer.attn
-    b, n, z = x.shape
+    z, b, n = x.shape
     heads, d_head = attn.n_heads, attn.d_head
-    w_qkv, b_qkv = _qkv_params(attn)
-    qkv = (x @ w_qkv + b_qkv).reshape(b, n, 3, heads, d_head).transpose(2, 0, 3, 1, 4)
-    q, k, v = qkv  # (B, H, N, dh) each
+    qkv_layers = (attn.w_q, attn.w_k, attn.w_v)  # one matmul for all three
+    w_qkv = np.concatenate([lin.weight.data for lin in qkv_layers], 1)
+    b_qkv = np.concatenate([lin.bias.data for lin in qkv_layers])
+    qkv = w_qkv.T @ x.reshape(z, -1)
+    qkv += b_qkv[:, None]
+    # (B, H, dh, N) views of the feature-major (H, dh, B, N) q, k and v.
+    q, k, v = qkv.reshape(3, heads, d_head, b, n).transpose(0, 3, 1, 2, 4)
     scale = float(1.0 / np.sqrt(d_head))
-    s = (q @ k.swapaxes(-1, -2)) * scale + key_bias  # (B, H, N, N)
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
-    probs_d, mask_a = _dropout(attn.attn_dropout, probs)
-    merged = (probs_d @ v).transpose(0, 2, 1, 3).reshape(b, n, z)
-    attn_out, mask_1 = _dropout(layer.dropout1, _dense(merged, attn.w_o))
-    n1, ln1 = _layer_norm(layer.norm1, x + attn_out)
-    f1 = _dense(n1, layer.ff1)
-    r = np.maximum(f1, 0.0)
-    ff_out, mask_2 = _dropout(layer.dropout2, _dense(r, layer.ff2))
-    out, ln2 = _layer_norm(layer.norm2, n1 + ff_out)
-    tape = (x, w_qkv, q, k, v, scale, probs, probs_d, mask_a, merged, mask_1,
-            n1, ln1, f1, r, mask_2, ln2)
-    return out, tape
+    s = np.empty((n, b, heads, n), dtype=x.dtype)  # keys-major scores
+    np.matmul(k.swapaxes(-1, -2), q, out=s.transpose(_BY_HEAD))
+    s *= scale
+    s += key_bias
+    # Softmax over keys, in place: the scores become the attention map.
+    s -= s.max(axis=0)
+    probs = np.exp(s, out=s)
+    probs /= probs.sum(axis=0)
+    probs_d, mask_a = _dropout(attn.attn_dropout, probs, _KEYS)
+    merged = np.empty((heads, d_head, b, n), dtype=x.dtype)
+    np.matmul(v, probs_d.transpose(_BY_HEAD), out=merged.transpose(_HEADS))
+    merged = merged.reshape(z, b, n)
+    attn_out, mask_1 = _dropout(layer.dropout1, _dense_t(attn.w_o, merged), _HIDDEN)
+    attn_out += x
+    n1, ln1 = _layer_norm(layer.norm1, attn_out)
+    f1 = _dense_t(layer.ff1, n1)
+    r = np.maximum(f1, 0.0, out=f1)
+    ff_out, mask_2 = _dropout(layer.dropout2, _dense_t(layer.ff2, r), _HIDDEN)
+    ff_out += n1
+    out, ln2 = _layer_norm(layer.norm2, ff_out)
+    if tapes is not None:
+        tapes.append((x, w_qkv, q, k, v, scale, probs, probs_d, mask_a, merged, mask_1,
+                      n1, ln1, r, mask_2, ln2))
+    return out
 
 
 def _block_backward(layer, tape, d_out: np.ndarray) -> np.ndarray:
     (x, w_qkv, q, k, v, scale, probs, probs_d, mask_a, merged, mask_1,
-     n1, ln1, f1, r, mask_2, ln2) = tape
+     n1, ln1, r, mask_2, ln2) = tape
     attn = layer.attn
-    b, n, z = x.shape
+    z, b, n = x.shape
 
     d_y2 = _layer_norm_backward(layer.norm2, ln2, d_out)
     d_ff = d_y2 if mask_2 is None else d_y2 * mask_2
-    d_r = _dense_backward(layer.ff2, r, d_ff)
-    d_n1 = d_y2 + _dense_backward(layer.ff1, n1, d_r * (f1 > 0))
+    d_r = _dense_t_backward(layer.ff2, r, d_ff)
+    d_n1 = d_y2 + _dense_t_backward(layer.ff1, n1, d_r * (r > 0))
 
     d_y1 = _layer_norm_backward(layer.norm1, ln1, d_n1)
     d_attn = d_y1 if mask_1 is None else d_y1 * mask_1
-    d_merged = _dense_backward(attn.w_o, merged, d_attn)
-    d_o = d_merged.reshape(b, n, attn.n_heads, attn.d_head).transpose(0, 2, 1, 3)
-    d_probs = d_o @ v.swapaxes(-1, -2)
-    d_v = probs_d.swapaxes(-1, -2) @ d_o
+    d_o = _dense_t_backward(attn.w_o, merged, d_attn)
+    d_o = d_o.reshape(attn.n_heads, attn.d_head, b, n).transpose(_HEADS)
+    d_probs = np.empty_like(probs)
+    np.matmul(v.swapaxes(-1, -2), d_o, out=d_probs.transpose(_BY_HEAD))
+    d_qkv = np.empty((3, attn.n_heads, attn.d_head, b, n), dtype=x.dtype)
+    d_q, d_k, d_v = d_qkv.transpose(0, 3, 1, 2, 4)  # as q, k and v
+    np.matmul(d_o, probs_d.transpose(_BY_HEAD).swapaxes(-1, -2), out=d_v)
     if mask_a is not None:
-        d_probs = d_probs * mask_a
-    d_s = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
+        d_probs *= mask_a
+    d_probs -= (d_probs * probs).sum(axis=0)
+    d_s = d_probs  # softmax backward over keys, in place
+    d_s *= probs
     d_s *= scale
-    d_q = d_s @ k
-    d_k = d_s.swapaxes(-1, -2) @ q
-    d_qkv = np.stack([d_q, d_k, d_v]).transpose(1, 3, 0, 2, 4).reshape(b, n, 3 * z)
+    np.matmul(k, d_s.transpose(_BY_HEAD), out=d_q)
+    np.matmul(q, d_s.transpose(_BY_HEAD).swapaxes(-1, -2), out=d_k)
 
-    d2 = d_qkv.reshape(-1, 3 * z)
-    w_grad = x.reshape(-1, z).T @ d2
-    b_grad = d2.sum(axis=0)
+    d2 = d_qkv.reshape(3 * z, -1)
+    w_grad = x.reshape(z, -1) @ d2.T
+    b_grad = d2.sum(axis=1)
     for i, lin in enumerate((attn.w_q, attn.w_k, attn.w_v)):
         lin.weight.grad = w_grad[:, i * z : (i + 1) * z].copy()
         lin.bias.grad = b_grad[i * z : (i + 1) * z].copy()
-    return d_y1 + d_qkv @ w_qkv.T
+    return d_y1 + (w_qkv @ d2).reshape(z, b, n)
 
 
 # ----------------------------------------------------------------------
@@ -201,11 +251,14 @@ def _lstm_backward(lstm, tape, d_hs: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # The whole net
 # ----------------------------------------------------------------------
-def forward(net, scalars, hist, mask, poi, n_deliveries) -> tuple[np.ndarray, tuple]:
+def forward(
+    net, scalars, hist, mask, poi, n_deliveries, keep_tape: bool = True
+) -> tuple[np.ndarray, tuple | None]:
     """Raw matching scores ``(B, N)`` and the tape :func:`backward` needs.
 
     Same inputs as :meth:`LocMatcherNet.forward`.  Dropout is active when
-    the net is in training mode.
+    the net is in training mode.  With ``keep_tape=False`` (scoring) each
+    block's activations are freed as soon as the next block has read them.
     """
     dtype = net.input_dense.weight.data.dtype
     x = np.asarray(scalars, dtype=dtype)
@@ -218,14 +271,14 @@ def forward(net, scalars, hist, mask, poi, n_deliveries) -> tuple[np.ndarray, tu
         hist_tape = (hist, hist_out)
         x = np.concatenate([x, hist_out], axis=-1)
     pre_relu = _dense(x, net.input_dense)
-    h, mask_0 = _dropout(net.dropout, np.maximum(pre_relu, 0.0))
+    h, mask_0 = _dropout(net.dropout, np.maximum(pre_relu, 0.0), (0, 1, 2))
     if net.config.encoder == "transformer":
-        key_bias = key_bias_from_mask(np.asarray(mask, dtype=bool), dtype)
-        enc_tapes = []
-        encoded = h
+        key_bias = mask_bias(np.asarray(mask, dtype=bool), dtype).T[:, :, None, None]
+        enc_tapes = [] if keep_tape else None
+        encoded = np.ascontiguousarray(h.transpose(_HIDDEN))
         for layer in net.encoder.layers:
-            encoded, layer_tape = _block(layer, encoded, key_bias)
-            enc_tapes.append(layer_tape)
+            encoded = _block(layer, encoded, key_bias, enc_tapes)
+        encoded = np.ascontiguousarray(encoded.transpose(1, 2, 0))
     else:
         encoded, enc_tapes = _lstm(net.encoder, h)
     pre = _dense(encoded, net.w)  # (B, N, p)
@@ -233,11 +286,11 @@ def forward(net, scalars, hist, mask, poi, n_deliveries) -> tuple[np.ndarray, tu
     if net.use_address_context:
         ndel = np.asarray(n_deliveries, dtype=dtype).reshape(-1, 1)
         context = np.concatenate([net.poi_embedding.weight.data[poi], ndel], axis=-1)
-        pre = pre + (context @ net.u.weight.data)[:, None, :]
-    act = np.tanh(pre)
+        pre += (context @ net.u.weight.data)[:, None, :]
+    act = np.tanh(pre, out=pre)
     scores = (act * net.v.weight.data[:, 0]).sum(axis=-1)  # as in LocMatcherNet.forward
     tape = (x, hist_tape, pre_relu, mask_0, enc_tapes, encoded, poi, context, act)
-    return scores, tape
+    return scores, tape if keep_tape else None
 
 
 def backward(net, tape, d_scores: np.ndarray) -> None:
@@ -255,8 +308,10 @@ def backward(net, tape, d_scores: np.ndarray) -> None:
         np.add.at(emb.grad, poi, d_context[:, : emb.data.shape[1]])
     d = _dense_backward(net.w, encoded, d_pre)
     if net.config.encoder == "transformer":
+        d = np.ascontiguousarray(d.transpose(_HIDDEN))
         for layer, layer_tape in zip(reversed(net.encoder.layers), reversed(enc_tapes)):
             d = _block_backward(layer, layer_tape, d)
+        d = d.transpose(1, 2, 0)
     else:
         d = _lstm_backward(net.encoder, enc_tapes, d)
     if mask_0 is not None:
@@ -264,8 +319,7 @@ def backward(net, tape, d_scores: np.ndarray) -> None:
     d_x = _dense_backward(net.input_dense, x, d * (pre_relu > 0))
     if hist_tape is not None:
         hist, hist_out = hist_tape
-        r = hist_out.shape[-1]
-        d_hist = d_x[..., -r:] * (1.0 - hist_out * hist_out)
+        d_hist = d_x[..., -hist_out.shape[-1] :] * (1.0 - hist_out * hist_out)
         _dense_backward(net.hist_dense, hist, d_hist)
 
 

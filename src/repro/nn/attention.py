@@ -16,13 +16,6 @@ from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
 
-def key_bias_from_mask(key_mask: np.ndarray, dtype=np.float32) -> np.ndarray:
-    """Additive ``(B, 1, 1, N)`` attention bias from a ``(B, N)`` 0/1 mask:
-    ``0`` on real keys, ``NEG_INF`` on padding, broadcast over heads and
-    queries."""
-    return mask_bias(key_mask, dtype)[:, None, None, :]
-
-
 class MultiHeadSelfAttention(Module):
     """Scaled dot-product self-attention with ``n_heads`` heads.
 
@@ -65,7 +58,8 @@ class MultiHeadSelfAttention(Module):
             key_mask = np.asarray(key_mask, dtype=bool)
             if key_mask.shape != (b, n):
                 raise ValueError(f"key_mask must be (B, N)={b, n}, got {key_mask.shape}")
-            scores = scores + Tensor(key_bias_from_mask(key_mask, x.dtype))
+            # 0 on real keys, NEG_INF on padding; broadcast over heads and queries.
+            scores = scores + Tensor(mask_bias(key_mask, x.dtype)[:, None, None, :])
         attn = softmax(scores, axis=-1)
         attn = self.attn_dropout(attn)
         out = attn @ v  # (B, H, N, dh)

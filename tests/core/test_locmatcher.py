@@ -159,20 +159,27 @@ class TestLocMatcherSelector:
         assert selector.scores_batch([]) == []
 
 
-def _parity_batch(hist_dim, seed=0):
-    """A ragged float64 batch: rows padded to 6 candidates, one row of 1."""
+#: Ragged parity batches: each row's candidate count, and each row's label.
+PARITY_SHAPES = {
+    "5x6": ((6, 4, 2, 5, 1), (0, 3, 1, 4, 0)),
+    "1x1": ((1,), (0,)),
+    "9x13": ((13, 7, 1, 12, 3, 13, 9, 5, 2), (12, 0, 0, 5, 2, 7, 8, 4, 1)),
+}
+
+
+def _parity_batch(hist_dim, shape="5x6", seed=0):
+    """A ragged float64 batch padded to its longest row (see PARITY_SHAPES)."""
+    counts, labels = PARITY_SHAPES[shape]
     rng = np.random.default_rng(seed)
-    b, n = 5, 6
-    mask = np.zeros((b, n), dtype=bool)
-    for row, k in enumerate((6, 4, 2, 5, 1)):
-        mask[row, :k] = True
+    b, n = len(counts), max(counts)
+    mask = np.arange(n) < np.array(counts)[:, None]
     return dict(
         scalars=rng.normal(size=(b, n, 5)),
         hist=rng.dirichlet(np.ones(hist_dim), size=(b, n)) if hist_dim else None,
         mask=mask,
         poi=rng.integers(0, N_POI_CATEGORIES, b),
         n_deliveries=rng.normal(size=b),
-        labels=np.array([0, 3, 1, 4, 0]),
+        labels=np.array(labels),
     )
 
 
@@ -191,6 +198,16 @@ class TestNumpyPassParity:
     def test_matches_autograd(
         self, encoder, hist_dim, use_context, training
     ):
+        self._check(encoder, hist_dim, use_context, training, "5x6")
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("use_context", [True, False], ids=["ctx", "nA"])
+    @pytest.mark.parametrize("encoder", ["transformer", "lstm"])
+    @pytest.mark.parametrize("shape", ["1x1", "9x13"])
+    def test_matches_autograd_across_batch_shapes(self, shape, encoder, use_context, training):
+        self._check(encoder, 24, use_context, training, shape)
+
+    def _check(self, encoder, hist_dim, use_context, training, shape):
         net = LocMatcherNet(
             n_scalar=5, hist_dim=hist_dim, config=LocMatcherConfig(encoder=encoder, seed=3),
             use_address_context=use_context,
@@ -198,7 +215,7 @@ class TestNumpyPassParity:
         for p in net.parameters():
             p.data = p.data.astype(np.float64)
         net.train() if training else net.eval()
-        batch = _parity_batch(hist_dim)
+        batch = _parity_batch(hist_dim, shape)
         labels = batch.pop("labels")
         mask = batch["mask"]
         rng_state = net.dropout.rng.bit_generator.state
@@ -226,6 +243,17 @@ class TestNumpyPassParity:
             assert p.grad is not None and p.grad.dtype == np.float64, name
             np.testing.assert_allclose(p.grad, ref_grads[name], err_msg=name, **tol)
 
+    @pytest.mark.parametrize("encoder", ["transformer", "lstm"])
+    def test_scoring_without_a_tape(self, encoder):
+        net = LocMatcherNet(5, 24, LocMatcherConfig(encoder=encoder, seed=3))
+        net.eval()
+        batch = _parity_batch(24, "9x13")
+        batch.pop("labels")
+        scores, tape = locmatcher_numpy.forward(net, **batch)
+        bare, no_tape = locmatcher_numpy.forward(net, **batch, keep_tape=False)
+        assert tape is not None and no_tape is None
+        np.testing.assert_array_equal(bare, scores)
+
     def test_dropout_changes_the_train_pass(self):
         net = LocMatcherNet(5, 24, LocMatcherConfig(seed=3))
         batch = _parity_batch(24)
@@ -246,6 +274,51 @@ class TestNumpyPassParity:
         locmatcher_numpy.backward(net, tape, d_scores)
         for name, p in net.named_parameters():
             assert p.grad.dtype == np.float32, name
+
+
+class TestMakeBatch:
+    """The vectorized batch assembly against a per-example reference."""
+
+    @pytest.mark.parametrize(
+        "feature_config",
+        [FeatureConfig(), FeatureConfig(use_profile=False), FeatureConfig(use_address=False)],
+        ids=["all", "no-hist", "no-address"],
+    )
+    def test_matches_per_example_reference(self, feature_config):
+        selector = LocMatcherSelector(feature_config, LocMatcherConfig(max_epochs=1))
+        selector.fit(synthetic_examples(12, seed=21))
+        examples = synthetic_examples(6, seed=22, n_cands=(2, 9))
+        examples[3] = synthetic_examples(1, seed=23, n_cands=(1, 2))[0]
+        examples[4].label = None
+        scalars, hist, mask, poi, deliveries, labels = selector._make_batch(examples)
+
+        scalar_cols = feature_config.scalar_columns()
+        hist_cols = feature_config.hist_columns()
+        b, n = len(examples), max(e.n_candidates for e in examples)
+        ref_scalars = np.zeros((b, n, len(scalar_cols)), dtype=np.float32)
+        ref_hist = np.zeros((b, n, len(hist_cols)), dtype=np.float32)
+        ref_mask = np.zeros((b, n), dtype=bool)
+        for i, e in enumerate(examples):
+            k = e.n_candidates
+            ref_scalars[i, :k] = selector.scaler.transform(e.features[:, scalar_cols])
+            ref_hist[i, :k] = e.features[:, hist_cols]
+            ref_mask[i, :k] = True
+        ref_poi = [e.poi_category if feature_config.use_address else 0 for e in examples]
+        ref_deliveries = selector._normalize_deliveries(
+            np.array([float(e.n_deliveries) for e in examples])
+        )
+
+        assert scalars.dtype == np.float32
+        np.testing.assert_array_equal(scalars, ref_scalars)
+        if hist_cols:
+            assert hist.dtype == np.float32
+            np.testing.assert_array_equal(hist, ref_hist)
+        else:
+            assert hist is None
+        np.testing.assert_array_equal(mask, ref_mask)
+        np.testing.assert_array_equal(poi, ref_poi)
+        np.testing.assert_array_equal(deliveries, ref_deliveries)
+        np.testing.assert_array_equal(labels, [e.label or 0 for e in examples])
 
 
 #: Deterministic tiny config: dropout off.
