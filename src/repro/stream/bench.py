@@ -15,7 +15,7 @@ The payload carries the three acceptance signals directly:
 * ``freshness`` — exact (not bucket-approximated) p50/p95 of
   event-arrival → servable-snapshot lag, sampled at every promotion.
 * ``parity`` — the recorded accepted fixes replayed through the batch
-  :func:`~repro.trajectory.detect_stay_points`, compared field-for-field
+  :func:`~repro.trajectory.stay_points_of`, compared field-for-field
   against the online extractor's emissions.
 * ``poison`` — a drifted batch injected after the main run; the gate
   must reject it and the served snapshot version must not move.
@@ -52,7 +52,7 @@ from repro.synth import (
     subbj_config,
     tiny_config,
 )
-from repro.trajectory import TrajPoint, Trajectory, detect_stay_points
+from repro.trajectory import stay_points_of
 
 _PRESETS = {
     "tiny": lambda scale, seed: tiny_config(seed=seed),
@@ -133,10 +133,8 @@ def _batch_reference(
     stays = []
     for courier_id in sorted(by_courier):
         pts = sorted(by_courier[courier_id], key=lambda f: f.t)
-        traj = Trajectory(
-            courier_id, [TrajPoint(f.lng, f.lat, f.t) for f in pts]
-        )
-        stays.extend(detect_stay_points(traj, stay_config))
+        lng, lat, t = np.array([(f.lng, f.lat, f.t) for f in pts]).T
+        stays.extend(stay_points_of(lng, lat, t, courier_id, stay_config))
     return [
         (s.courier_id, s.lng, s.lat, s.t_arrive, s.t_leave, s.n_points)
         for s in stays

@@ -1,53 +1,51 @@
 """Online windowed stay-point extraction over an unbounded fix stream.
 
-This is the streaming twin of :func:`repro.trajectory.detect_stay_points`
-(Definition 4 / Li et al. 2008), restructured as a per-courier state
-machine so stays are emitted *incrementally* instead of after the full
-trajectory is known:
+Stays are emitted incrementally, per courier, by the batch kernel of
+:func:`repro.trajectory.detect_stay_points` (Definition 4 / Li et al.
+2008); the stream adds only what an unbounded, disordered feed needs:
 
 * **Reorder buffer + watermark.**  Fixes may arrive out of order within
-  a bounded lateness ``lateness_s`` (the stay-point map-matching
-  literature's windowed formulation).  Per courier, arriving fixes sit
-  in a small sorted buffer; the courier's watermark is
+  a bounded lateness ``lateness_s``.  Per courier, arriving fixes sit in
+  a small sorted buffer; the courier's watermark is
   ``max_event_time_seen - lateness_s``, and only fixes at or behind the
-  watermark are fed — in event-time order — to the detector.  A fix
-  arriving behind an already-advanced watermark is *late* (dropped,
-  counted); a fix whose ``(courier, t)`` was already seen is a
-  *duplicate* (dropped, counted, not loss).
-* **Anchor-window detector.**  The detector replays the batch
-  algorithm's exact decision sequence on the in-order feed: a window of
-  fixes all within ``d_max_m`` of its first fix (the anchor); the first
-  fix that breaks the radius closes the window — emit a stay if the
-  closed span lasted ``t_min_s``, else advance the anchor by one and
-  re-scan, exactly as the batch inner loop restarts.  Centroids use the
-  same ``np.mean`` over the same values in the same order, and the
-  local projection is anchored at the courier's first in-order fix —
-  the batch anchor — so replaying a finite stream reproduces
-  :func:`detect_stay_points` bit for bit (the parity tests assert
-  equality, not closeness).
+  watermark are released, in event-time order.  A fix arriving behind an
+  already-advanced watermark is *late* (dropped, counted); a fix whose
+  ``(courier, t)`` was already seen is a *duplicate* (dropped, counted,
+  not loss).
+* **One kernel.**  Released fixes are projected into the plane anchored
+  at the courier's first in-order fix (the batch anchor) and appended to
+  the courier's open fixes.  Each watermark advance runs
+  :func:`~repro.trajectory.stay_spans` over them with ``final=False``:
+  windows closed by a fix outside the radius are decided and emitted, the
+  window still open at the end is kept, and the fixes before its anchor
+  are dropped.  Flush and eviction run the kernel with ``final=True``, as
+  a batch trajectory ending there.  Centroids come from the same
+  :func:`~repro.trajectory.stays_of_spans`, so replaying a finite stream
+  reproduces :func:`detect_stay_points` bit for bit (the parity tests
+  assert equality, not closeness).
 * **Idle eviction.**  A courier silent for ``idle_timeout_s`` of event
-  time is flushed (its open window finalized exactly as a batch
-  trajectory ending there) and its state freed, bounding memory by the
-  *active* courier count, not the all-time one.  A later fix from an
-  evicted courier starts a fresh state; parity with a single batch
-  trajectory therefore holds whenever the courier's largest silent gap
-  is shorter than ``idle_timeout_s``.
+  time is flushed and its state freed, bounding memory by the *active*
+  courier count, not the all-time one.  A later fix from an evicted
+  courier starts a fresh state; parity with a single batch trajectory
+  therefore holds whenever the courier's largest silent gap is shorter
+  than ``idle_timeout_s``.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import attrgetter
 
 from repro.geo import LocalProjection, Point
 from repro.stream.events import GpsFix, IngestOutcome
-from repro.trajectory import StayPoint, StayPointConfig
+from repro.trajectory import StayPoint, StayPointConfig, stay_spans, stays_of_spans
 
 #: Minimum recently-flushed timestamps retained per courier for
 #: duplicate detection, regardless of the lateness horizon.
 _RECENT_MIN = 64
+
+_event_t = attrgetter("t")
 
 
 @dataclass(frozen=True)
@@ -83,37 +81,30 @@ class EmittedStay:
     wall_t: float
 
 
-class _WindowFix:
-    """One projected fix inside a courier's open window."""
-
-    __slots__ = ("x", "y", "t", "wall_t")
-
-    def __init__(self, x: float, y: float, t: float, wall_t: float) -> None:
-        self.x = x
-        self.y = y
-        self.t = t
-        self.wall_t = wall_t
-
-
 class _CourierState:
-    """Reorder buffer, projection, and open detector window of one courier."""
+    """Reorder buffer, projection, and open fixes of one courier."""
 
     __slots__ = (
-        "courier_id", "projection", "pending", "pending_ts", "window",
+        "courier_id", "projection", "pending", "pending_ts",
+        "xs", "ys", "ts", "walls",
         "max_t", "last_flushed_t", "recent_flushed",
     )
 
     def __init__(self, courier_id: str) -> None:
         self.courier_id = courier_id
         self.projection: LocalProjection | None = None
-        #: Not-yet-flushed fixes, kept sorted by event time.
+        #: Not-yet-released fixes, kept sorted by event time.
         self.pending: list[GpsFix] = []
         self.pending_ts: set[float] = set()
-        #: The open detector window (every fix within d_max of window[0]).
-        self.window: list[_WindowFix] = []
+        #: Released fixes from the open window's anchor on: projected
+        #: coordinates, event times and arrival wall clocks.
+        self.xs: list[float] = []
+        self.ys: list[float] = []
+        self.ts: list[float] = []
+        self.walls: list[float] = []
         self.max_t = float("-inf")
         self.last_flushed_t = float("-inf")
-        #: Recently flushed event times, for duplicate-vs-late telling.
+        #: Recently released event times, for duplicate-vs-late telling.
         self.recent_flushed: list[float] = []
 
 
@@ -128,7 +119,6 @@ class OnlineStayExtractor:
         self.config = config or OnlineExtractorConfig()
         self.on_stay = on_stay
         self._states: dict[str, _CourierState] = {}
-        self._d2_max = self.config.stay.d_max_m ** 2
         self.n_evicted = 0
         self.n_fixes_processed = 0
 
@@ -138,7 +128,7 @@ class OnlineStayExtractor:
         return len(self._states)
 
     def pending_depth(self) -> int:
-        return sum(len(s.pending) + len(s.window)
+        return sum(len(s.pending) + len(s.ts)
                    for s in self._states.values())
 
     # -- ingest ----------------------------------------------------------
@@ -155,20 +145,16 @@ class OnlineStayExtractor:
             if fix.t in state.recent_flushed:
                 return IngestOutcome.DUPLICATE, []
             return IngestOutcome.LATE, []
-        bisect.insort(state.pending, fix, key=lambda f: f.t)
+        bisect.insort(state.pending, fix, key=_event_t)
         state.pending_ts.add(fix.t)
         state.max_t = max(state.max_t, fix.t)
         emitted = self._flush_watermarked(state)
         return IngestOutcome.ACCEPTED, emitted
 
     def _flush_watermarked(self, state: _CourierState) -> list[EmittedStay]:
-        """Feed fixes at or behind the watermark to the detector, in order."""
+        """Release fixes at or behind the watermark to the kernel."""
         watermark = state.max_t - self.config.lateness_s
-        emitted: list[EmittedStay] = []
-        while state.pending and state.pending[0].t <= watermark:
-            fix = state.pending.pop(0)
-            state.pending_ts.discard(fix.t)
-            self._feed(state, fix, emitted)
+        emitted = self._release(state, watermark, final=False)
         # Prune the duplicate-detection memory to the lateness horizon,
         # but always keep a fixed tail: a duplicate re-sent a few events
         # after its original can straddle an arbitrarily large event-time
@@ -181,93 +167,53 @@ class OnlineStayExtractor:
             del state.recent_flushed[:keep]
         return emitted
 
-    def _feed(
-        self, state: _CourierState, fix: GpsFix, emitted: list[EmittedStay]
-    ) -> None:
-        """One in-order fix through the anchor-window detector."""
-        state.last_flushed_t = fix.t
-        state.recent_flushed.append(fix.t)
-        self.n_fixes_processed += 1
-        if state.projection is None:
-            # Same plane as the batch path: anchored at the trajectory's
-            # first fix.  Scalar to_xy runs the identical float64 ops as
-            # the vectorized call, so coordinates match bit for bit.
-            state.projection = LocalProjection(Point(fix.lng, fix.lat))
-        x, y = state.projection.to_xy(fix.lng, fix.lat)
-        state.window.append(_WindowFix(float(x), float(y), fix.t, fix.wall_t))
-        self._drain_window(state, emitted, final=False)
+    def _release(
+        self, state: _CourierState, upto: float, final: bool
+    ) -> list[EmittedStay]:
+        """Move buffered fixes at or behind ``upto`` to the open fixes and
+        run the stay kernel over them."""
+        k = bisect.bisect_right(state.pending, upto, key=_event_t)
+        if k == 0 and not final:
+            return []
+        for fix in state.pending[:k]:
+            if state.projection is None:
+                # Same plane as the batch path: anchored at the trajectory's
+                # first fix.  Scalar to_xy runs the identical float64 ops as
+                # the vectorized call, so coordinates match bit for bit.
+                state.projection = LocalProjection(Point(fix.lng, fix.lat))
+            x, y = state.projection.to_xy(fix.lng, fix.lat)
+            state.xs.append(x)
+            state.ys.append(y)
+            state.ts.append(float(fix.t))
+            state.walls.append(fix.wall_t)
+            state.pending_ts.discard(fix.t)
+            state.recent_flushed.append(fix.t)
+            state.last_flushed_t = fix.t
+        del state.pending[:k]
+        self.n_fixes_processed += k
 
-    def _drain_window(
-        self, state: _CourierState, emitted: list[EmittedStay], final: bool
-    ) -> None:
-        """Replay the batch algorithm's decisions over the open window.
-
-        Invariant on entry (non-final): every window fix except possibly
-        the last is within ``d_max`` of the anchor.  The loop restores
-        the invariant after each anchor move, emitting stays exactly
-        where the batch loop would.
-        """
-        win = state.window
-        while len(win) >= 2:
-            anchor = win[0]
-            violation = None
-            for idx in range(1, len(win)):
-                dx = win[idx].x - anchor.x
-                dy = win[idx].y - anchor.y
-                if dx * dx + dy * dy > self._d2_max:
-                    violation = idx
-                    break
-            if violation is None:
-                if not final:
-                    return  # window still open: need a fix outside it
-                # Stream end: the batch loop's trailing-window rule.
-                if win[-1].t - win[0].t >= self.config.stay.t_min_s:
-                    self._emit(state, win[:], emitted)
-                    win.clear()
-                    return
-                win.pop(0)
-            elif win[violation - 1].t - win[0].t >= self.config.stay.t_min_s:
-                self._emit(state, win[:violation], emitted)
-                del win[:violation]
-            else:
-                win.pop(0)
-
-    def _emit(
-        self,
-        state: _CourierState,
-        fixes: list[_WindowFix],
-        emitted: list[EmittedStay],
-    ) -> None:
-        assert state.projection is not None
-        # np.mean over the same float64 values in the same order as the
-        # batch slice mean — pairwise summation, identical result.
-        cx = float(np.mean(np.array([f.x for f in fixes], dtype=float)))
-        cy = float(np.mean(np.array([f.y for f in fixes], dtype=float)))
-        clng, clat = state.projection.to_lnglat(cx, cy)
-        stay = StayPoint(
-            lng=float(clng),
-            lat=float(clat),
-            t_arrive=float(fixes[0].t),
-            t_leave=float(fixes[-1].t),
-            courier_id=state.courier_id,
-            n_points=len(fixes),
+        spans, resume = stay_spans(
+            state.xs, state.ys, state.ts, self.config.stay, final
         )
-        record = EmittedStay(stay, max(f.wall_t for f in fixes))
-        emitted.append(record)
+        stays = stays_of_spans(
+            spans, state.xs, state.ys, state.ts, state.projection,
+            state.courier_id,
+        )
+        emitted = [
+            EmittedStay(stay, max(state.walls[i:j]))
+            for stay, (i, j) in zip(stays, spans)
+        ]
+        for column in (state.xs, state.ys, state.ts, state.walls):
+            del column[:resume]
         if self.on_stay is not None:
-            self.on_stay(record)
+            for record in emitted:
+                self.on_stay(record)
+        return emitted
 
     # -- flush / eviction -----------------------------------------------
     def _finalize(self, state: _CourierState) -> list[EmittedStay]:
         """Drain a courier as if its trajectory ended here."""
-        emitted: list[EmittedStay] = []
-        while state.pending:
-            fix = state.pending.pop(0)
-            state.pending_ts.discard(fix.t)
-            self._feed(state, fix, emitted)
-        self._drain_window(state, emitted, final=True)
-        state.window.clear()
-        return emitted
+        return self._release(state, float("inf"), final=True)
 
     def flush(self, courier_id: str) -> list[EmittedStay]:
         """Finalize one courier's stream, keeping an empty state behind."""

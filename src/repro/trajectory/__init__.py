@@ -3,7 +3,13 @@
 from repro.trajectory.model import TrajPoint, Trajectory, StayPoint
 from repro.trajectory.logistics import Address, Waybill, DeliveryTrip
 from repro.trajectory.noise import filter_noise, noise_kept, NoiseFilterConfig
-from repro.trajectory.staypoint import detect_stay_points, stay_points_of, StayPointConfig
+from repro.trajectory.staypoint import (
+    StayPointConfig,
+    detect_stay_points,
+    stay_points_of,
+    stay_spans,
+    stays_of_spans,
+)
 from repro.trajectory.segmentation import SegmentationConfig, segment_trips
 
 __all__ = [
@@ -20,5 +26,7 @@ __all__ = [
     "NoiseFilterConfig",
     "detect_stay_points",
     "stay_points_of",
+    "stay_spans",
+    "stays_of_spans",
     "StayPointConfig",
 ]

@@ -45,25 +45,40 @@ def stay_points_of(
 ) -> list[StayPoint]:
     """Stay points of one courier's fixes, given as ``(lng, lat, t)`` arrays.
 
-    Uses the anchor-based algorithm: advance ``j`` while ``p_j`` stays within
-    ``d_max_m`` of ``p_i``; when the span ``[p_i, p_j]`` lasts at least
-    ``t_min_s``, emit a stay point whose location is the centroid of the
-    contained fixes, then restart the anchor after the stay.  Distances are
-    in the local plane anchored at the first fix, with the same
-    ``dx * dx + dy * dy`` test as the online extractor.
+    Distances are in the local plane anchored at the first fix; the stays
+    are :func:`stay_spans` over the whole trajectory, at their centroids.
     """
     config = config or StayPointConfig()
-    n = len(t)
-    if n < 2:
+    if len(t) < 2:
         return []
     proj = LocalProjection(Point(float(lng[0]), float(lat[0])))
     x, y = proj.to_xy(lng, lat)
     # Indexing a memoryview yields Python floats, like a list would, without
     # a float object per fix held for the whole trajectory.
     xs, ys, ts = (memoryview(np.ascontiguousarray(a, dtype=float)) for a in (x, y, t))
+    spans, _ = stay_spans(xs, ys, ts, config, final=True)
+    return stays_of_spans(spans, x, y, ts, proj, courier_id)
 
-    spans: list[tuple[int, int]] = []
+
+def stay_spans(
+    xs, ys, ts, config: StayPointConfig, final: bool
+) -> tuple[list[tuple[int, int]], int]:
+    """The anchor loop of Definition 4 over projected fixes ``xs, ys, ts``.
+
+    Advance ``j`` while ``p_j`` stays within ``d_max_m`` of the anchor
+    ``p_i``; when the span ``[p_i, p_j)`` lasts at least ``t_min_s`` it is
+    a stay and the anchor restarts after it, else the anchor moves by one.
+    Returns the stay spans as ``(i, j)`` index pairs and ``resume``.
+
+    A window closed by a fix outside the radius is decided for good.  With
+    ``final`` false, a window still open at the end of the fixes is not:
+    the loop stops there and ``resume`` is its anchor, where a later call
+    over the same fixes plus newer ones picks up.  With ``final`` true the
+    fixes are the whole trajectory and ``resume`` is ``len(ts)``.
+    """
+    n = len(ts)
     d2_max = config.d_max_m * config.d_max_m
+    spans: list[tuple[int, int]] = []
     i = 0
     while i < n - 1:
         xi, yi = xs[i], ys[i]
@@ -74,12 +89,22 @@ def stay_points_of(
             if not dx * dx + dy * dy <= d2_max:  # a NaN distance ends the window too
                 break
             j += 1
+        if j == n and not final:
+            return spans, i
         # fixes i .. j-1 are within d_max of the anchor
         if ts[j - 1] - ts[i] >= config.t_min_s:
             spans.append((i, j))
             i = j
         else:
             i += 1
+    return spans, (n if final else i)
+
+
+def stays_of_spans(
+    spans, x, y, ts, proj: LocalProjection, courier_id: str
+) -> list[StayPoint]:
+    """One :class:`StayPoint` per ``(i, j)`` span, at the centroid of its
+    fixes in ``proj``'s plane (``x``/``y`` as arrays or lists)."""
     if not spans:
         return []
     # np.add.reduce then one division is exactly np.mean's arithmetic.

@@ -150,13 +150,6 @@ class TestTracedFitAndQuery:
         assert 0.0 <= accuracy <= 1.0
         assert fresh_registry.histogram("locmatcher_grad_norm").count() > 0
 
-    def test_per_worker_extraction_counters(self, tiny_workload, fresh_registry):
-        from repro.core import extract_trip_stay_points
-
-        extract_trip_stay_points(tiny_workload.trips[:4])
-        counter = fresh_registry.counter("staypoint_extraction_trips_total")
-        assert counter.value(worker="serial") == 4
-
     def test_metrics_cli_renders_export(self, tiny_workload, tmp_path, fresh_registry, capsys):
         fresh_registry.counter("serve_requests_total").inc(3, status="ok")
         fresh_registry.histogram("serve_request_latency_seconds").observe(

@@ -10,7 +10,7 @@ from repro.stream import (
     OnlineExtractorConfig,
     OnlineStayExtractor,
 )
-from repro.trajectory import TrajPoint, Trajectory, detect_stay_points
+from repro.trajectory import stay_points_of
 
 
 def walk_fixes(courier="c0", seed=0, n_dwells=5):
@@ -45,10 +45,8 @@ def batch_stays(fixes):
     stays = []
     for courier_id in sorted(by_courier):
         pts = sorted(by_courier[courier_id], key=lambda f: f.t)
-        traj = Trajectory(
-            courier_id, [TrajPoint(f.lng, f.lat, f.t) for f in pts]
-        )
-        stays.extend(detect_stay_points(traj))
+        lng, lat, t = np.array([(f.lng, f.lat, f.t) for f in pts]).T
+        stays.extend(stay_points_of(lng, lat, t, courier_id))
     return stays
 
 
@@ -112,6 +110,19 @@ class TestBatchParity:
         reference = sorted(stay_key(s) for s in batch_stays(fixes))
         assert online == reference
         assert {k[0] for k in online} == {"c0", "c1"}
+
+    def test_nan_fix_inside_a_dwell_matches_batch(self):
+        """A NaN coordinate breaks the window in batch; online must agree
+        instead of treating the NaN distance as within the radius."""
+        fixes = walk_fixes(seed=0)
+        f = fixes[2]  # inside the first dwell
+        fixes[2] = GpsFix(f.courier_id, float("nan"), f.lat, f.t)
+        _, _, emitted = run_online(fixes)
+        online = sorted(stay_key(e.stay) for e in emitted)
+        reference = sorted(stay_key(s) for s in batch_stays(fixes))
+        assert reference
+        assert online == reference
+        assert all(np.isfinite([e.stay.lng, e.stay.lat]).all() for e in emitted)
 
 
 class TestLateAndDuplicate:

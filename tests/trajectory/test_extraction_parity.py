@@ -21,6 +21,7 @@ from repro.trajectory import (
     Trajectory,
     detect_stay_points,
     filter_noise,
+    stay_spans,
 )
 
 
@@ -226,6 +227,25 @@ class TestStayDetectionParity:
     def test_short_trajectories(self, points):
         walk = traj(points)
         assert detect_stay_points(walk) == oracle_detect_stay_points(walk)
+
+
+class TestResumeContract:
+    """``stay_spans`` cut anywhere and resumed equals one final pass."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_cut_resumes_to_the_full_spans(self, seed):
+        walk = noisy_walk(np.random.default_rng(100 + seed), 300, jump_rate=0.0)
+        lng, lat, t = walk.to_arrays()
+        x, y = LocalProjection(Point(float(lng[0]), float(lat[0]))).to_xy(lng, lat)
+        xs, ys, ts = x.tolist(), y.tolist(), t.tolist()
+        config = StayPointConfig()
+        full, end = stay_spans(xs, ys, ts, config, final=True)
+        assert full and end == len(ts)
+        for k in range(len(ts) + 1):
+            head, resume = stay_spans(xs[:k], ys[:k], ts[:k], config, final=False)
+            assert all(j <= resume for _, j in head) and resume <= k
+            tail, _ = stay_spans(xs[resume:], ys[resume:], ts[resume:], config, final=True)
+            assert head + [(i + resume, j + resume) for i, j in tail] == full, k
 
 
 class TestExtractionParity:
