@@ -62,9 +62,12 @@ class Counter(_Metric):
         self._values: dict[LabelKey, float] = {}
 
     def inc(self, n: float = 1, **labels: Any) -> None:
+        self.inc_key(_label_key(labels), n)
+
+    def inc_key(self, key: LabelKey, n: float = 1) -> None:
+        """:meth:`inc` with the label key already built."""
         if n < 0:
             raise ValueError("counters only go up")
-        key = _label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + n
 
@@ -92,8 +95,12 @@ class Gauge(_Metric):
         self._values: dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: Any) -> None:
+        self.set_key(_label_key(labels), value)
+
+    def set_key(self, key: LabelKey, value: float) -> None:
+        """:meth:`set` with the label key already built."""
         with self._lock:
-            self._values[_label_key(labels)] = float(value)
+            self._values[key] = float(value)
 
     def add(self, delta: float, **labels: Any) -> None:
         key = _label_key(labels)
@@ -142,7 +149,12 @@ class Histogram(_Metric):
     def observe(
         self, value: float, exemplar: Exemplar | None = None, **labels: Any
     ) -> None:
-        key = _label_key(labels)
+        self.observe_key(_label_key(labels), value, exemplar)
+
+    def observe_key(
+        self, key: LabelKey, value: float, exemplar: Exemplar | None = None
+    ) -> None:
+        """:meth:`observe` with the label key already built."""
         idx = bisect.bisect_left(self.bounds, value)
         with self._lock:
             counts = self._counts.get(key)

@@ -37,6 +37,10 @@ worker restarts and keep their monotonic contract.
 :class:`~repro.obs.metrics.MetricsRegistry` — counters and histogram
 buckets sum, gauges max-merge — giving the fleet-wide registry view the
 SLO engine and the Prometheus renderer already understand.
+
+:class:`TierMetrics` is the writer side of a front-end tier: its slot
+specs are the only declaration of its families, registered, pre-seeded
+and mirrored into the tier's plane from that one list.
 """
 
 from __future__ import annotations
@@ -510,6 +514,105 @@ def merged_registry(
     return merge_snapshots(scrape_planes(directory, pattern), registry=base)
 
 
+# ---------------------------------------------------------------------------
+# One declaration per family: registry + optional plane
+# ---------------------------------------------------------------------------
+class TierMetrics:
+    """A tier's metric families, declared once by their slot specs.
+
+    Each family of ``specs`` is registered in ``registry`` with the
+    spec's help and buckets, and every counter and gauge label set is
+    pre-seeded at zero: the fail-closed SLO engine reads an absent sample
+    as a violation, so "nothing happened yet" must be an explicit 0.
+    With a ``plane_path`` the same slots are mapped into a
+    :class:`MetricsPlane` there (attaching across restarts); a plane that
+    cannot be created leaves :attr:`plane` ``None`` and the registry
+    still counts — telemetry never blocks the tier it measures.
+
+    :meth:`inc`, :meth:`set` and :meth:`observe` write the registry and
+    the slot of one declared series, found by one dict lookup; label
+    values are strings, and a series the specs do not declare raises
+    :class:`KeyError`.
+    """
+
+    def __init__(
+        self,
+        registry: MetricsRegistry,
+        specs: Iterable[SlotSpec],
+        plane_path: str | None = None,
+        meta: Mapping[str, Any] | None = None,
+    ) -> None:
+        self.registry = registry
+        self.specs = tuple(specs)
+        self._plane_path = plane_path
+        self._meta = dict(meta or {})
+        self.plane: MetricsPlane | None = None
+        self._families: dict[str, Any] = {}
+        #: (name, sorted labels) -> (registry family, slot index); the
+        #: sorted labels are also the family's own label key.
+        self._series: dict[tuple[str, tuple[tuple[str, str], ...]],
+                           tuple[Any, int]] = {}
+        for index, spec in enumerate(self.specs):
+            key = tuple(sorted(spec.labels))
+            if spec.kind == COUNTER:
+                family = registry.counter(spec.name, spec.help)
+                family.inc_key(key, 0)
+            elif spec.kind == GAUGE:
+                family = registry.gauge(spec.name, spec.help)
+                family.set_key(key, 0)
+            else:
+                family = registry.histogram(spec.name, spec.help,
+                                            buckets=spec.buckets)
+            self._families[spec.name] = family
+            self._series[(spec.name, key)] = (family, index)
+        self.open()
+
+    def open(self) -> None:
+        """Map the plane if there is a path and it is not mapped yet."""
+        if self.plane is not None or self._plane_path is None:
+            return
+        try:
+            self.plane = MetricsPlane.create(
+                self._plane_path, self.specs, self._meta
+            )
+        except OSError:
+            self.plane = None
+
+    def close(self) -> None:
+        """Unmap the plane (the file outlives it); :meth:`open` remaps."""
+        if self.plane is not None:
+            self.plane.close()
+            self.plane = None
+
+    def family(self, name: str) -> Any:
+        """The registry family ``name`` (a reader's handle)."""
+        return self._families[name]
+
+    def inc(self, name: str, n: float = 1, **labels: str) -> None:
+        key = tuple(sorted(labels.items()))
+        family, index = self._series[(name, key)]
+        family.inc_key(key, n)
+        if self.plane is not None:
+            self.plane.inc(index, n)
+
+    def set(self, name: str, value: float, **labels: str) -> None:
+        key = tuple(sorted(labels.items()))
+        family, index = self._series[(name, key)]
+        family.set_key(key, value)
+        if self.plane is not None:
+            self.plane.set(index, value)
+
+    def observe(
+        self, name: str, value: float, exemplar: Exemplar | None = None,
+        **labels: str,
+    ) -> None:
+        key = tuple(sorted(labels.items()))
+        family, index = self._series[(name, key)]
+        family.observe_key(key, value, exemplar)
+        if self.plane is not None:
+            self.plane.observe(index, value, exemplar)
+
+
 __all__ = [
     "COUNTER",
     "GAUGE",
@@ -519,6 +622,7 @@ __all__ = [
     "PlaneSnapshot",
     "SlotSpec",
     "SlotValue",
+    "TierMetrics",
     "merge_snapshots",
     "merged_registry",
     "scrape_planes",

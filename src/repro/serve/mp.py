@@ -74,6 +74,7 @@ from repro.obs.shm import (
     MetricsPlane,
     PlaneSchemaError,
     SlotSpec,
+    TierMetrics,
     merge_snapshots,
     merged_registry,
     scrape_planes,
@@ -102,9 +103,11 @@ from repro.serve.server import (
     ServeResponse,
     ServerConfig,
     ServeStatus,
+    account_response,
     mint_row,
     response_from_row,
     response_row,
+    serve_specs,
 )
 from repro.serve.shard import ShardedLocationStore, _stable_hash
 
@@ -152,14 +155,6 @@ def worker_plane_specs(worker_id: int) -> list[SlotSpec]:
         for e in ("hit", "miss")
     ]
     specs += [
-        SlotSpec("gauge", "serve_worker_cache_hit_ratio", (("worker", w),),
-                 help="Worker-local result-cache hit ratio"),
-        SlotSpec("counter", "serve_worker_snapshot_loads_total",
-                 (("worker", w),),
-                 help="Snapshot (re)loads this worker performed"),
-        SlotSpec("histogram", "serve_worker_snapshot_load_seconds",
-                 (("worker", w),),
-                 help="Wall time to map + verify one snapshot"),
         SlotSpec("gauge", "serve_worker_snapshot_version", (("worker", w),),
                  help="Snapshot version this worker currently serves"),
         SlotSpec("gauge", "serve_worker_snapshot_version_lag",
@@ -170,22 +165,10 @@ def worker_plane_specs(worker_id: int) -> list[SlotSpec]:
 
 
 def router_plane_specs(n_workers: int) -> list[SlotSpec]:
-    """Fixed slot schema of the router's shared-memory metrics plane."""
-    specs = [
-        SlotSpec("counter", "serve_requests_total", (("status", s.value),),
-                 help="Served requests by terminal status")
-        for s in ServeStatus
-    ]
-    specs += [
-        SlotSpec("histogram", "serve_request_latency_seconds",
-                 (("cache", c),),
-                 help="End-to-end request latency by cache outcome")
-        for c in CACHE_STATES
-    ]
-    specs.append(
-        SlotSpec("gauge", "serve_queue_depth", (),
-                 help="Sub-batches in flight across the pool")
-    )
+    """Fixed slot schema of the router's shared-memory metrics plane: the
+    request families every front end declares, plus per-worker restart
+    and heartbeat counters."""
+    specs = serve_specs()
     for i in range(n_workers):
         w = str(i)
         specs.append(
@@ -492,10 +475,6 @@ def _worker_main(
             "cache": {e: plane.slot("serve_worker_cache_events_total",
                                     event=e, worker=w)
                       for e in ("hit", "miss")},
-            "hit_ratio": plane.slot("serve_worker_cache_hit_ratio", worker=w),
-            "loads": plane.slot("serve_worker_snapshot_loads_total", worker=w),
-            "load_hist": plane.slot("serve_worker_snapshot_load_seconds",
-                                    worker=w),
             "version": plane.slot("serve_worker_snapshot_version", worker=w),
             "lag": plane.slot("serve_worker_snapshot_version_lag", worker=w),
             "prov": {r: plane.slot("provenance_records_total",
@@ -560,10 +539,7 @@ def _worker_main(
                 persist_ring()
                 router.store = fresh
                 router.on_refresh()
-            if plane is not None:
-                plane.inc(slots["loads"])
-                plane.observe(slots["load_hist"], dt)
-                publish_versions()
+            publish_versions()
             return router
         raise FileNotFoundError(f"no loadable snapshot in {directory!r}")
 
@@ -602,8 +578,6 @@ def _worker_main(
             if d_misses:
                 plane.inc(slots["cache"]["miss"], d_misses)
             prev_cache[0], prev_cache[1] = stats.hits, stats.misses
-            if stats.lookups:
-                plane.set(slots["hit_ratio"], stats.hit_rate)
 
     def resolve(ids: list[str], deadline: float | None) -> list[tuple]:
         nonlocal n_requests
@@ -871,61 +845,13 @@ class ProcessRouter:
         self.restarts = 0
         self.heartbeat_misses = 0
         self.health = RequestWindows()
-        registry = get_registry()
-        self._requests_total = registry.counter(
-            "serve_requests_total", "Served requests by terminal status"
+        #: The router's own families, mirrored into ``metrics-router.shm``
+        #: (the plane attaches across router restarts).
+        self.telemetry = TierMetrics(
+            get_registry(), router_plane_specs(n_workers),
+            os.path.join(self.obs_dir, "metrics-router.shm"),
+            meta={"kind": "router", "n_workers": n_workers},
         )
-        self._queue_depth = registry.gauge(
-            "serve_queue_depth", "Requests waiting in the admission queue"
-        )
-        self._latency = registry.histogram(
-            "serve_request_latency_seconds",
-            "End-to-end request latency by cache outcome",
-        )
-        self._restarts_total = registry.counter(
-            "serve_worker_restarts_total",
-            "Worker processes restarted after death",
-        )
-        self._heartbeat_misses_total = registry.counter(
-            "serve_worker_heartbeat_misses_total",
-            "Heartbeat pings a worker failed to answer",
-        )
-        for i in range(n_workers):
-            # Pre-seed at zero: the fail-closed SLO engine treats an
-            # absent sample as a violation, and "no restarts yet" must
-            # read as 0, not as missing data.
-            self._restarts_total.inc(0, worker=str(i))
-            self._heartbeat_misses_total.inc(0, worker=str(i))
-        self._plane: MetricsPlane | None = None
-        self._plane_slots: dict[str, Any] = {}
-        self._open_plane()
-
-    def _open_plane(self) -> None:
-        """Map the router's own metrics plane (attaches across restarts)."""
-        try:
-            self._plane = MetricsPlane.create(
-                os.path.join(self.obs_dir, "metrics-router.shm"),
-                router_plane_specs(self.n_workers),
-                meta={"kind": "router", "n_workers": self.n_workers},
-            )
-        except OSError:
-            self._plane = None  # telemetry must never block serving
-            self._plane_slots = {}
-            return
-        p = self._plane
-        self._plane_slots = {
-            "status": {s.value: p.slot("serve_requests_total", status=s.value)
-                       for s in ServeStatus},
-            "latency": {c: p.slot("serve_request_latency_seconds", cache=c)
-                        for c in CACHE_STATES},
-            "depth": p.slot("serve_queue_depth"),
-            "restarts": {i: p.slot("serve_worker_restarts_total",
-                                   worker=str(i))
-                         for i in range(self.n_workers)},
-            "misses": {i: p.slot("serve_worker_heartbeat_misses_total",
-                                 worker=str(i))
-                       for i in range(self.n_workers)},
-        }
 
     # -- lifecycle -------------------------------------------------------
     @classmethod
@@ -956,8 +882,7 @@ class ProcessRouter:
                 "publish one first (SnapshotPublisher.publish / from_store)"
             )
         self._started = True
-        if self._plane is None:
-            self._open_plane()
+        self.telemetry.open()
         self._workers_trace = tracing_enabled()
         self._ensure_routing()
         for i in range(self.n_workers):
@@ -989,10 +914,7 @@ class ProcessRouter:
         for worker in workers:
             if worker is not None:
                 worker.stop()
-        if self._plane is not None:
-            self._plane.close()
-            self._plane = None
-            self._plane_slots = {}
+        self.telemetry.close()
         self.publisher.close()
 
     def __enter__(self) -> "ProcessRouter":
@@ -1053,9 +975,8 @@ class ProcessRouter:
                 raise RuntimeError("router is not running (call start())")
             if worker is not None:
                 self.restarts += 1
-                self._restarts_total.inc(worker=str(index))
-                if self._plane is not None:
-                    self._plane.inc(self._plane_slots["restarts"][index])
+                self.telemetry.inc("serve_worker_restarts_total",
+                                   worker=str(index))
                 # A dead worker is exactly the moment post-hoc forensics
                 # need a black box: snapshot the ring plus the router's
                 # current metric state before the restart papers over it.
@@ -1080,25 +1001,10 @@ class ProcessRouter:
 
     # -- query path ------------------------------------------------------
     def _count(self, response: ServeResponse) -> None:
-        status = response.status.value
-        self._requests_total.inc(status=status)
-        ok = response.status is ServeStatus.OK
-        if ok and response.cache_state in CACHE_STATES:
-            self._latency.observe(response.latency_s,
-                                  cache=response.cache_state)
-        if self._plane is not None:
-            self._plane.inc(self._plane_slots["status"][status])
-            if ok and response.cache_state in CACHE_STATES:
-                self._plane.observe(
-                    self._plane_slots["latency"][response.cache_state],
-                    response.latency_s,
-                )
-        self.health.record(status, response.latency_s)
+        account_response(self.telemetry, self.health, response)
 
     def _set_depth(self, depth: int) -> None:
-        self._queue_depth.set(depth)
-        if self._plane is not None:
-            self._plane.set(self._plane_slots["depth"], depth)
+        self.telemetry.set("serve_queue_depth", depth)
         self.health.note_queue_depth(depth)
 
     def query_batch(
@@ -1231,9 +1137,8 @@ class ProcessRouter:
     # -- heartbeat -------------------------------------------------------
     def _note_heartbeat_miss(self, index: int) -> None:
         self.heartbeat_misses += 1
-        self._heartbeat_misses_total.inc(worker=str(index))
-        if self._plane is not None:
-            self._plane.inc(self._plane_slots["misses"][index])
+        self.telemetry.inc("serve_worker_heartbeat_misses_total",
+                           worker=str(index))
 
     def _heartbeat_loop(self) -> None:
         while not self._stop_heartbeat.wait(self.heartbeat_interval_s):
@@ -1341,8 +1246,9 @@ class ProcessRouter:
 
     def stats(self) -> dict[str, Any]:
         """Point-in-time view shaped like :meth:`QueryServer.stats`."""
+        requests = self.telemetry.family("serve_requests_total")
         counts = {
-            status.value: self._requests_total.value(status=status.value)
+            status.value: requests.value(status=status.value)
             for status in ServeStatus
         }
         workers = self.worker_stats()

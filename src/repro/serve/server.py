@@ -37,7 +37,8 @@ from repro.obs.provenance import (
     get_provenance_ring,
 )
 from repro.obs.recorder import get_recorder
-from repro.serve.router import QueryRouter
+from repro.obs.shm import SlotSpec, TierMetrics
+from repro.serve.router import CACHE_STATES, QueryRouter
 from repro.serve.shard import ShardedLocationStore
 
 
@@ -86,6 +87,50 @@ class ServerConfig:
             raise ValueError(
                 f"default_timeout_s must be > 0: {self.default_timeout_s}"
             )
+
+
+def serve_specs() -> list[SlotSpec]:
+    """The request families both serving front ends declare."""
+    specs = [
+        SlotSpec("counter", "serve_requests_total", (("status", s.value),),
+                 help="Served requests by terminal status")
+        for s in ServeStatus
+    ]
+    specs += [
+        SlotSpec("histogram", "serve_request_latency_seconds",
+                 (("cache", c), ("source", s.value)),
+                 help="End-to-end request latency by answering tier and "
+                      "cache state")
+        for s in QuerySource for c in CACHE_STATES
+    ]
+    specs.append(
+        SlotSpec("gauge", "serve_queue_depth", (),
+                 help="Requests waiting for a worker: queued requests "
+                      "(threads) or sub-batches in flight (processes)")
+    )
+    return specs
+
+
+def account_response(
+    metrics: TierMetrics,
+    health: RequestWindows,
+    response: ServeResponse,
+    exemplar: Exemplar | None = None,
+) -> None:
+    """Count one terminal response at a serving front end.
+
+    Every response counts by status and feeds the health windows; an
+    answered one also observes the latency histogram by answering tier
+    and cache state, with ``exemplar`` attached when given.
+    """
+    status = response.status.value
+    metrics.inc("serve_requests_total", status=status)
+    health.record(status, response.latency_s)
+    if response.result is not None:
+        metrics.observe(
+            "serve_request_latency_seconds", response.latency_s, exemplar,
+            source=response.result.source.value, cache=response.cache_state,
+        )
 
 
 def response_row(
@@ -239,17 +284,8 @@ class QueryServer:
         #: Trailing multi-window request samples (status, latency, queue
         #: depth) feeding SLO verdicts and burn-rate alerting.
         self.health = RequestWindows()
-        registry = get_registry()
-        self._requests_total = registry.counter(
-            "serve_requests_total", "Served requests by terminal status"
-        )
-        self._queue_depth = registry.gauge(
-            "serve_queue_depth", "Requests waiting in the admission queue"
-        )
-        self._latency = registry.histogram(
-            "serve_request_latency_seconds",
-            "End-to-end request latency by answering tier and cache state",
-        )
+        #: The request families of :func:`serve_specs`, registry only.
+        self.telemetry = TierMetrics(get_registry(), serve_specs())
         #: Per-query evidence chains (the `repro explain` data source).
         self.provenance = get_provenance_ring()
 
@@ -297,30 +333,28 @@ class QueryServer:
     def _account(self, response: ServeResponse, trace_id: str | None) -> None:
         """Count the one terminal response of a request.
 
-        Every response counts by status and feeds the health windows.  A
-        response a worker evaluated (``trace_id`` is not None) also mints
-        its provenance record and, when OK, observes the latency
-        histogram with an exemplar pointing at that record.
+        A response a worker evaluated (``trace_id`` is not None) first
+        mints its provenance record; its latency exemplar points at that
+        record.  Then :func:`account_response` counts it.
         """
-        self._requests_total.inc(status=response.status.value)
-        self.health.record(response.status.value, response.latency_s)
-        if trace_id is None:
-            return
-        row = response_row(response.address_id, response.status,
-                           response.result, response.cache_state,
-                           response.error)
-        record = mint_row(self.provenance, row, self.store.version, trace_id)
-        get_recorder().note_provenance(
-            record.key, record.address_id, record.status
-        )
-        if response.result is not None:
-            self._latency.observe(
-                response.latency_s,
-                exemplar=Exemplar.now(response.latency_s, trace_id=trace_id,
-                                      provenance_key=record.key),
-                source=response.result.source.value,
-                cache=response.cache_state,
+        exemplar = None
+        if trace_id is not None:
+            row = response_row(response.address_id, response.status,
+                               response.result, response.cache_state,
+                               response.error)
+            record = mint_row(self.provenance, row, self.store.version,
+                              trace_id)
+            get_recorder().note_provenance(
+                record.key, record.address_id, record.status
             )
+            exemplar = Exemplar.now(response.latency_s, trace_id=trace_id,
+                                    provenance_key=record.key)
+        account_response(self.telemetry, self.health, response, exemplar)
+
+    def _note_depth(self) -> None:
+        depth = self._queue.qsize()
+        self.telemetry.set("serve_queue_depth", depth)
+        self.health.note_queue_depth(depth)
 
     def submit(self, address_id: str, timeout_s: float | None = None) -> PendingQuery:
         """Enqueue one request; rejects immediately when the queue is full."""
@@ -340,9 +374,7 @@ class QueryServer:
                 )
             )
             return pending
-        depth = self._queue.qsize()
-        self._queue_depth.set(depth)
-        self.health.note_queue_depth(depth)
+        self._note_depth()
         return pending
 
     def query(self, address_id: str, timeout_s: float | None = None) -> ServeResponse:
@@ -380,9 +412,7 @@ class QueryServer:
             if item is _STOP:
                 return
             pending: PendingQuery = item
-            depth = self._queue.qsize()
-            self._queue_depth.set(depth)
-            self.health.note_queue_depth(depth)
+            self._note_depth()
             now = time.monotonic()
             if now >= pending.deadline:
                 pending.finish(
@@ -433,8 +463,9 @@ class QueryServer:
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
         """Point-in-time view for reports and the CLI."""
+        requests = self.telemetry.family("serve_requests_total")
         counts = {
-            status.value: self._requests_total.value(status=status.value)
+            status.value: requests.value(status=status.value)
             for status in ServeStatus
         }
         out: dict[str, Any] = {

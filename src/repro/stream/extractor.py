@@ -127,10 +127,6 @@ class OnlineStayExtractor:
     def n_states(self) -> int:
         return len(self._states)
 
-    def pending_depth(self) -> int:
-        return sum(len(s.pending) + len(s.ts)
-                   for s in self._states.values())
-
     # -- ingest ----------------------------------------------------------
     def ingest(self, fix: GpsFix) -> tuple[IngestOutcome, list[EmittedStay]]:
         """Classify one fix and return any stays its arrival finalized."""

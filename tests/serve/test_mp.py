@@ -428,8 +428,11 @@ class TestFleetObservability:
         assert registry.counter(
             "serve_worker_heartbeat_misses_total"
         ).total() == 0
-        # Per-worker cache hit ratio gauges exist (no cache -> 0.0).
-        assert registry.gauge("serve_worker_cache_hit_ratio") is not None
+        # The worker cache is exported as hit/miss counters only; its
+        # hit ratio is derived from them, not stored.
+        names = {m["name"] for m in registry.to_dict()["metrics"]}
+        assert "serve_worker_cache_events_total" in names
+        assert "serve_worker_cache_hit_ratio" not in names
 
     def test_forked_worker_counts_only_its_own_provenance(self, store, tmp_path):
         # The parent's registry already holds 500 outcomes; a fork-started

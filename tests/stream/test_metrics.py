@@ -1,11 +1,21 @@
-"""StreamMetrics: fail-closed pre-seeding and the shm fleet plane."""
+"""StreamMetrics and the router front end: fail-closed pre-seeding and
+the shm fleet plane."""
 
 import os
 
-from repro.obs import MetricsRegistry
+import pytest
+
+from repro.obs import MetricsRegistry, set_registry
 from repro.obs.shm import merge_snapshots, scrape_planes
+from repro.serve import (
+    ProcessRouter,
+    ServerConfig,
+    ServeStatus,
+    ShardedLocationStore,
+)
 from repro.stream import IngestOutcome, StreamMetrics
 from repro.stream.metrics import PROMOTION_OUTCOMES
+from tests.core.helpers import make_address, point_at
 
 
 def families(registry):
@@ -99,15 +109,93 @@ class TestShmPlane:
         assert sample["count"] == 1
         assert sample["buckets"]["0.05"] == 1
 
-    def test_registry_and_plane_stay_in_sync(self, tmp_path):
-        obs_dir = str(tmp_path / "obs")
-        metrics = StreamMetrics(registry=MetricsRegistry(), obs_dir=obs_dir)
-        for _ in range(5):
-            metrics.count_event(IngestOutcome.DUPLICATE)
-        metrics.close()
-        fams = families(merge_snapshots(scrape_planes(obs_dir)))
-        plane_value = next(
-            s["value"] for s in fams["stream_events_total"]["samples"]
-            if s["labels"] == {"outcome": "duplicate"}
+    @pytest.mark.parametrize("writer", ["stream", "router"])
+    def test_registry_and_plane_stay_in_sync(self, tmp_path, writer):
+        """Every write lands in the registry and the plane alike."""
+        registry, obs_dir = WRITERS[writer](tmp_path)
+        plane = families(merge_snapshots(
+            scrape_planes(obs_dir, f"metrics-{writer}.shm")
+        ))
+        own = families(registry)
+        assert plane
+        for name, family in plane.items():
+            assert own[name]["type"] == family["type"], name
+            assert own[name]["help"] == family["help"], name
+            # A histogram slot exists before its first observation; the
+            # registry has no sample for it until then.
+            samples = [s for s in family["samples"] if s.get("count", 1)]
+            assert own[name]["samples"] == samples, name
+
+
+class TestPlaneFailure:
+    @pytest.mark.parametrize("writer", ["stream", "router"])
+    def test_unmappable_plane_leaves_the_registry_counting(
+        self, tmp_path, writer
+    ):
+        """A plane path that cannot be created (here: a directory) costs
+        the plane, never the tier or its registry."""
+        obs_dir = tmp_path / "obs" if writer == "stream" else (
+            tmp_path / "snap" / "obs"
         )
-        assert plane_value == metrics.events.value(outcome="duplicate") == 5
+        blocked = obs_dir / f"metrics-{writer}.shm"
+        blocked.mkdir(parents=True)
+        registry, _ = WRITERS[writer](tmp_path)
+        own = families(registry)
+        if writer == "stream":
+            assert {s["labels"]["outcome"]: s["value"]
+                    for s in own["stream_events_total"]["samples"]
+                    }["duplicate"] == 5
+        else:
+            assert {s["labels"]["status"]: s["value"]
+                    for s in own["serve_requests_total"]["samples"]
+                    } == {"ok": 2, "unknown_address": 1, "error": 0,
+                          "rejected": 0, "timed_out": 0}
+        assert blocked.is_dir()
+        scraped = [snap.path for snap in scrape_planes(str(obs_dir))]
+        assert str(blocked) not in scraped
+
+
+def _stream_writes(tmp_path):
+    registry = MetricsRegistry()
+    metrics = StreamMetrics(registry=registry, obs_dir=str(tmp_path / "obs"))
+    for _ in range(5):
+        metrics.count_event(IngestOutcome.DUPLICATE)
+    metrics.count_promotion("promoted")
+    metrics.count_stays(2)
+    metrics.set_gauge("bus_depth", 3.0)
+    metrics.observe_freshness(0.7)
+    metrics.close()
+    return registry, str(tmp_path / "obs")
+
+
+def _router_writes(tmp_path):
+    """One OK answer, one unknown id, one worker restart, one more OK."""
+    addresses = {
+        f"m{i}": make_address(f"m{i}", "b0", (i * 40.0, 0.0))
+        for i in range(4)
+    }
+    store = ShardedLocationStore(
+        {a: point_at(i * 40.0 + 5.0, 3.0) for i, a in enumerate(addresses)},
+        addresses, n_shards=2,
+    )
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        with ProcessRouter.from_store(
+            store, str(tmp_path / "snap"), n_workers=1,
+            config=ServerConfig(default_timeout_s=10.0),
+            heartbeat_interval_s=30.0,
+        ) as router:
+            statuses = [r.status for r in router.query_batch(["m0", "nope"])]
+            assert statuses == [ServeStatus.OK, ServeStatus.UNKNOWN_ADDRESS]
+            worker = router._workers[0]
+            worker.process.kill()
+            worker.process.join(5.0)
+            assert router.query("m1").ok
+            assert router.restarts == 1
+    finally:
+        set_registry(previous)
+    return registry, router.obs_dir
+
+
+WRITERS = {"stream": _stream_writes, "router": _router_writes}
