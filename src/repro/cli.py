@@ -29,8 +29,8 @@ on stdout); ``repro metrics PATH`` renders a saved metrics file as a table.
 
 Health: ``repro health --metrics m.json --slo slo.yaml`` evaluates
 declarative SLOs against an exported metrics file and exits nonzero on any
-violation; ``serve-bench --slo slo.yaml`` applies the same objectives to
-the live request windows (with burn rates); ``update --drift-out d.json``
+violation; ``serve-bench --slo slo.yaml`` applies the same engine to the
+server's live registry; ``update --drift-out d.json``
 compares pool/matcher fingerprints before and after the incremental batch;
 ``repro profile -- <subcommand ...>`` wraps any subcommand in the sampling
 profiler.
@@ -1120,9 +1120,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--out", default=None, metavar="PATH",
                          help="also write the JSON report to PATH")
     p_serve.add_argument("--slo", default=None, metavar="PATH",
-                         help="SLO spec to verdict the live request windows "
-                              "against (nonzero exit on violation); with "
-                              "--backend process the same objectives are "
+                         help="SLO spec to verdict the server's live "
+                              "metrics against (nonzero exit on violation); "
+                              "with --backend process the same objectives are "
                               "also evaluated against the merged fleet "
                               "metrics scraped from shared memory")
     p_serve.add_argument("--trace-merged", default=None, metavar="PATH",

@@ -37,7 +37,6 @@ from repro.obs.exemplar import Exemplar
 from repro.obs.health import (
     SLO,
     HealthReport,
-    RequestWindows,
     SLOResult,
     evaluate_slos,
     histogram_quantile,
@@ -127,7 +126,6 @@ __all__ = [
     "save_drift_report",
     "SLO",
     "HealthReport",
-    "RequestWindows",
     "SLOResult",
     "evaluate_slos",
     "histogram_quantile",

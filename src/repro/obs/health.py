@@ -1,20 +1,17 @@
-"""Declarative SLOs, histogram quantiles, and burn-rate monitoring.
+"""Declarative SLOs and histogram quantiles over a metrics export.
 
 An :class:`SLO` states an objective over one metric family — "p95 of
 ``serve_request_latency_seconds`` stays under 250 ms", "the fraction of
-``serve_requests_total`` with ``status=error`` stays under 1%" — and the
-engine evaluates a list of them against either an exported metrics
-document (the ``repro health`` CLI path) or a live
-:class:`RequestWindows` sample store (the serving tier's in-process
-path).  Violations become structured ``slo_violation`` events and a
-nonzero exit code, turning the PR-2 telemetry into a verdict a CI job or
-an operator can act on.
+``serve_requests_total`` with ``status=error`` stays under 1%" — and
+:func:`evaluate_slos` judges a list of them against an exported metrics
+document or a live ``MetricsRegistry.to_dict()``: the ``repro health``
+CLI, both serving front ends' ``verdict`` and the stream scheduler's
+promotion gate all run this one engine.  Violations become structured
+``slo_violation`` events and a nonzero exit code, turning the telemetry
+into a verdict a CI job or an operator can act on.
 
-Burn rate follows the multi-window pattern: for an error-budget SLO the
-burn rate over a window is ``error_rate / budget`` (1.0 = burning the
-budget exactly as fast as allowed); an alert requires *every* configured
-window to burn faster than 1, so a brief spike (short window only) or a
-long-ago incident (long window only) does not page.
+:class:`QueueDepthSeries` keeps the one signal no registry family
+holds: the admission queue's depth over time, as a bounded series.
 """
 
 from __future__ import annotations
@@ -32,12 +29,6 @@ from typing import Any, Iterable, Mapping, Sequence, Union
 from repro.obs.events import event
 
 PathLike = Union[str, pathlib.Path]
-
-#: Statuses the serving tier counts against the error budget by default.
-DEFAULT_BAD_STATUSES = ("error", "timed_out", "rejected")
-
-#: Default (short, long) burn-rate windows in seconds, sized for benches.
-DEFAULT_WINDOWS = (5.0, 60.0)
 
 VALID_KINDS = ("quantile", "error_rate", "max", "value")
 
@@ -159,28 +150,19 @@ class HealthReport:
         rows = []
         for r in self.results:
             observed = "no data" if r.observed is None else f"{r.observed:.6g}"
-            extra = ""
-            burn = r.detail.get("burn_rates")
-            if burn:
-                extra = "  burn " + " ".join(
-                    f"{w}s={b:.2f}" for w, b in sorted(
-                        burn.items(), key=lambda kv: float(kv[0])
-                    )
-                )
             rows.append((
                 "OK " if r.ok else "VIOLATED",
                 r.slo.name,
                 f"{r.slo.kind}({r.slo.metric})",
                 observed,
                 f"<= {r.slo.objective:.6g}",
-                extra,
             ))
         name_w = max(len(r[1]) for r in rows)
         kind_w = max(len(r[2]) for r in rows)
         lines = [
             f"{verdict:<9} {name:<{name_w}}  {kind:<{kind_w}}  "
-            f"{observed:>12}  {objective}{extra}"
-            for verdict, name, kind, observed, objective, extra in rows
+            f"{observed:>12}  {objective}"
+            for verdict, name, kind, observed, objective in rows
         ]
         lines.append("health: " + ("OK" if self.ok else "VIOLATED"))
         return "\n".join(lines)
@@ -472,190 +454,42 @@ def _emit_violations(report: HealthReport) -> None:
 
 
 # ----------------------------------------------------------------------
-# Live request windows (the serving tier's in-process SLO store)
+# Queue depth over time (the one signal no registry family holds)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WindowStats:
-    """Aggregates over one trailing window of request samples."""
+class QueueDepthSeries:
+    """The admission queue's depth over time: the largest reading in each
+    :attr:`BUCKET_S` bucket, for the latest :attr:`MAX_BUCKETS` buckets.
 
-    window_s: float
-    n: int
-    errors: int
-    latencies: tuple[float, ...]     # sorted, OK requests only
-    max_queue_depth: int
-
-    @property
-    def error_rate(self) -> float:
-        return self.errors / self.n if self.n else 0.0
-
-    def quantile(self, q: float) -> float | None:
-        if not self.latencies:
-            return None
-        q = min(max(q, 0.0), 1.0)
-        rank = max(1, math.ceil(q * len(self.latencies)))
-        return self.latencies[min(rank, len(self.latencies)) - 1]
-
-
-class RequestWindows:
-    """Trailing multi-window store of request outcomes and queue depths.
-
-    The :class:`~repro.serve.server.QueryServer` records every terminal
-    response (status, latency) and every queue-depth reading here; the
-    store keeps only the trailing ``horizon`` (the longest configured
-    window), so memory stays bounded no matter how long the server runs.
+    A gauge holds only the current depth; this keeps its recent history
+    (for load reports and the CI health gate) in bounded memory, one
+    ``[bucket, max_depth]`` pair per bucket however many readings land.
     """
 
-    def __init__(
-        self,
-        windows: Sequence[float] = DEFAULT_WINDOWS,
-        bad_statuses: Iterable[str] = DEFAULT_BAD_STATUSES,
-        max_samples: int = 200_000,
-    ) -> None:
-        if not windows:
-            raise ValueError("need at least one window")
-        self.windows = tuple(sorted(float(w) for w in windows))
-        self.horizon_s = self.windows[-1]
-        self.bad_statuses = frozenset(bad_statuses)
-        self.max_samples = max_samples
-        self._lock = threading.Lock()
-        self._samples: deque[tuple[float, str, float]] = deque()
-        self._depths: deque[tuple[float, int]] = deque()
-        self._t0 = time.monotonic()
+    BUCKET_S = 0.1
+    MAX_BUCKETS = 600   # 60 s of 0.1 s buckets
 
-    # -- recording -----------------------------------------------------
-    def record(
-        self, status: str, latency_s: float, t: float | None = None
-    ) -> None:
-        now = time.monotonic() if t is None else t
-        with self._lock:
-            self._samples.append((now, status, float(latency_s)))
-            self._prune(now)
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._buckets: deque[list[int]] = deque(maxlen=self.MAX_BUCKETS)
+        self._t0: float | None = None
 
     def note_queue_depth(self, depth: int, t: float | None = None) -> None:
-        now = time.monotonic() if t is None else t
         with self._lock:
-            self._depths.append((now, int(depth)))
-            self._prune(now)
-
-    def _prune(self, now: float) -> None:
-        cutoff = now - self.horizon_s
-        while self._samples and (
-            self._samples[0][0] < cutoff or len(self._samples) > self.max_samples
-        ):
-            self._samples.popleft()
-        while self._depths and (
-            self._depths[0][0] < cutoff or len(self._depths) > self.max_samples
-        ):
-            self._depths.popleft()
-
-    # -- reading -------------------------------------------------------
-    def stats(self, window_s: float, now: float | None = None) -> WindowStats:
-        now = time.monotonic() if now is None else now
-        cutoff = now - window_s
-        with self._lock:
-            rows = [r for r in self._samples if r[0] >= cutoff]
-            depths = [d for ts, d in self._depths if ts >= cutoff]
-        errors = sum(1 for _, status, _lat in rows if status in self.bad_statuses)
-        latencies = tuple(sorted(
-            lat for _, status, lat in rows if status not in self.bad_statuses
-        ))
-        return WindowStats(
-            window_s=window_s,
-            n=len(rows),
-            errors=errors,
-            latencies=latencies,
-            max_queue_depth=max(depths, default=0),
-        )
-
-    def burn_rates(
-        self, budget: float, now: float | None = None
-    ) -> dict[float, float]:
-        """Error-budget burn rate per configured window (1.0 = on budget)."""
-        now = time.monotonic() if now is None else now
-        out: dict[float, float] = {}
-        for window in self.windows:
-            stats = self.stats(window, now)
-            if budget <= 0:
-                out[window] = math.inf if stats.errors else 0.0
+            now = time.monotonic() if t is None else t
+            if self._t0 is None:
+                self._t0 = now
+            index = int((now - self._t0) / self.BUCKET_S)
+            if self._buckets and self._buckets[-1][0] >= index:
+                last = self._buckets[-1]
+                last[1] = max(last[1], int(depth))
             else:
-                out[window] = stats.error_rate / budget
-        return out
+                self._buckets.append([index, int(depth)])
 
-    def burning(self, budget: float, now: float | None = None) -> bool:
-        """Multi-window alert: every window burns faster than its budget."""
-        rates = self.burn_rates(budget, now)
-        return bool(rates) and all(rate > 1.0 for rate in rates.values())
-
-    def queue_depth_series(
-        self, bucket_s: float = 0.1, now: float | None = None
-    ) -> list[tuple[float, int]]:
-        """Down-sampled ``(t_rel_s, max_depth)`` series over the horizon."""
-        if bucket_s <= 0:
-            raise ValueError(f"bucket_s must be > 0: {bucket_s}")
+    def queue_depth_series(self) -> list[tuple[float, int]]:
+        """``(t_rel_s, max_depth)`` per bucket, ``t_rel_s`` from the
+        first reading."""
         with self._lock:
-            depths = list(self._depths)
-        if not depths:
-            return []
-        start = depths[0][0]
-        buckets: dict[int, int] = {}
-        for t, depth in depths:
-            idx = int((t - start) / bucket_s)
-            buckets[idx] = max(buckets.get(idx, 0), depth)
-        return [
-            (round(idx * bucket_s, 6), depth)
-            for idx, depth in sorted(buckets.items())
-        ]
-
-    # -- verdicts ------------------------------------------------------
-    def verdict(
-        self,
-        slos: Sequence[SLO],
-        now: float | None = None,
-        emit_events: bool = True,
-    ) -> HealthReport:
-        """Evaluate SLOs against the live windows.
-
-        ``quantile`` SLOs read OK-request latencies, ``error_rate`` SLOs
-        read terminal statuses (with burn rates for every window), and
-        ``max`` SLOs read the queue-depth series; the long window is the
-        one that decides, the short windows inform burn-rate detail.
-        """
-        now = time.monotonic() if now is None else now
-        long_stats = self.stats(self.windows[-1], now)
-        results = []
-        for slo in slos:
-            if slo.kind == "quantile":
-                observed = long_stats.quantile(slo.quantile)
-                if observed is None:
-                    results.append(_no_data(slo, "no completed requests"))
-                    continue
-                results.append(SLOResult(
-                    slo, ok=observed <= slo.objective, observed=observed,
-                    detail={"n": len(long_stats.latencies)},
-                ))
-            elif slo.kind == "error_rate":
-                if long_stats.n == 0:
-                    results.append(_no_data(slo, "no requests recorded"))
-                    continue
-                rate = long_stats.error_rate
-                burn = {
-                    str(w): b for w, b in self.burn_rates(slo.objective, now).items()
-                }
-                results.append(SLOResult(
-                    slo, ok=rate <= slo.objective, observed=rate,
-                    detail={
-                        "n": long_stats.n,
-                        "errors": long_stats.errors,
-                        "burn_rates": burn,
-                        "burning": self.burning(slo.objective, now),
-                    },
-                ))
-            else:  # max / value -> queue depth
-                observed = float(long_stats.max_queue_depth)
-                results.append(SLOResult(
-                    slo, ok=observed <= slo.objective, observed=observed,
-                ))
-        report = HealthReport(tuple(results), source="live")
-        if emit_events:
-            _emit_violations(report)
-        return report
+            return [
+                (round(index * self.BUCKET_S, 6), depth)
+                for index, depth in self._buckets
+            ]

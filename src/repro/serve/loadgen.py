@@ -171,9 +171,9 @@ def build_report(
 ) -> LoadReport:
     """Fold raw responses into the percentile / throughput summary.
 
-    When ``server`` is given, its health windows contribute the
-    queue-depth time series; when ``slos`` are given too, the server's
-    live SLO verdict (with burn rates) is attached to the report.
+    When ``server`` is given, its queue-depth series is attached; when
+    ``slos`` are given too, so is the server's SLO verdict over its live
+    registry (the same verdict ``repro health`` gives over its export).
     """
     counts = {status: 0 for status in ServeStatus}
     ok_latencies: list[float] = []

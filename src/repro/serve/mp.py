@@ -63,7 +63,7 @@ from repro.durable import append_record, atomic_write
 from repro.geo import Point
 from repro.obs import MetricsRegistry, get_registry
 from repro.obs.exemplar import Exemplar
-from repro.obs.health import SLO, HealthReport, RequestWindows, evaluate_slos
+from repro.obs.health import SLO, HealthReport, QueueDepthSeries, evaluate_slos
 from repro.obs.provenance import (
     ProvenanceRing,
     get_provenance_ring,
@@ -154,13 +154,11 @@ def worker_plane_specs(worker_id: int) -> list[SlotSpec]:
                  help="Worker-local result-cache lookups by outcome")
         for e in ("hit", "miss")
     ]
-    specs += [
-        SlotSpec("gauge", "serve_worker_snapshot_version", (("worker", w),),
-                 help="Snapshot version this worker currently serves"),
+    specs.append(
         SlotSpec("gauge", "serve_worker_snapshot_version_lag",
                  (("worker", w),),
-                 help="Published version minus this worker's mapped version"),
-    ]
+                 help="Published version minus this worker's mapped version")
+    )
     return specs
 
 
@@ -475,7 +473,6 @@ def _worker_main(
             "cache": {e: plane.slot("serve_worker_cache_events_total",
                                     event=e, worker=w)
                       for e in ("hit", "miss")},
-            "version": plane.slot("serve_worker_snapshot_version", worker=w),
             "lag": plane.slot("serve_worker_snapshot_version_lag", worker=w),
             "prov": {r: plane.slot("provenance_records_total",
                                    result=r, worker=w)
@@ -501,13 +498,11 @@ def _worker_main(
         if obs_dir:
             ring.persist(os.path.join(obs_dir, f"provenance-worker-{worker_id}.jsonl"))
 
-    def publish_versions() -> None:
+    def publish_lag() -> None:
         if plane is None:
             return
         have = snap.version if snap is not None else 0
-        plane.set(slots["version"], have)
-        plane.set(slots["lag"],
-                  max(0, publisher.current_version() - have))
+        plane.set(slots["lag"], max(0, publisher.current_version() - have))
 
     def ensure_snapshot() -> QueryRouter:
         nonlocal snap, router
@@ -539,7 +534,7 @@ def _worker_main(
                 persist_ring()
                 router.store = fresh
                 router.on_refresh()
-            publish_versions()
+            publish_lag()
             return router
         raise FileNotFoundError(f"no loadable snapshot in {directory!r}")
 
@@ -647,7 +642,7 @@ def _worker_main(
                         msg[2], msg[3], msg[4] if len(msg) > 4 else None
                     )
                 elif kind == "ping":
-                    publish_versions()
+                    publish_lag()
                     payload = {
                         "pid": os.getpid(),
                         "worker_id": worker_id,
@@ -844,7 +839,7 @@ class ProcessRouter:
         self._inflight_lock = threading.Lock()
         self.restarts = 0
         self.heartbeat_misses = 0
-        self.health = RequestWindows()
+        self.health = QueueDepthSeries()
         #: The router's own families, mirrored into ``metrics-router.shm``
         #: (the plane attaches across router restarts).
         self.telemetry = TierMetrics(
@@ -1001,7 +996,7 @@ class ProcessRouter:
 
     # -- query path ------------------------------------------------------
     def _count(self, response: ServeResponse) -> None:
-        account_response(self.telemetry, self.health, response)
+        account_response(self.telemetry, response)
 
     def _set_depth(self, depth: int) -> None:
         self.telemetry.set("serve_queue_depth", depth)
@@ -1169,8 +1164,8 @@ class ProcessRouter:
         return merged_registry(self.obs_dir, base=base)
 
     def fleet_verdict(self, slos: Sequence[SLO]) -> HealthReport:
-        """SLO verdict over the merged fleet metrics (not the live
-        windows — see :meth:`verdict` for those).
+        """SLO verdict over the merged fleet metrics (not the router's
+        registry alone — see :meth:`verdict` for that).
 
         Raises :class:`PlaneSchemaError` when :attr:`obs_dir` holds no
         plane files at all: a verdict computed over zero planes would
@@ -1275,7 +1270,10 @@ class ProcessRouter:
         }
 
     def verdict(self, slos: list[SLO]) -> HealthReport:
-        return self.health.verdict(slos)
+        """SLO verdict over the router's own live registry (see
+        :meth:`fleet_verdict` for the merged fleet planes)."""
+        return evaluate_slos(self.telemetry.registry.to_dict(), slos,
+                             source="live")
 
 
 __all__ = [

@@ -30,7 +30,7 @@ from repro.geo import Point
 from repro.obs import current_span, event, get_registry
 from repro.obs import span as obs_span
 from repro.obs.exemplar import Exemplar
-from repro.obs.health import SLO, HealthReport, RequestWindows
+from repro.obs.health import SLO, HealthReport, QueueDepthSeries, evaluate_slos
 from repro.obs.provenance import (
     ProvenanceRecord,
     ProvenanceRing,
@@ -113,19 +113,16 @@ def serve_specs() -> list[SlotSpec]:
 
 def account_response(
     metrics: TierMetrics,
-    health: RequestWindows,
     response: ServeResponse,
     exemplar: Exemplar | None = None,
 ) -> None:
     """Count one terminal response at a serving front end.
 
-    Every response counts by status and feeds the health windows; an
-    answered one also observes the latency histogram by answering tier
-    and cache state, with ``exemplar`` attached when given.
+    Every response counts by status; an answered one also observes the
+    latency histogram by answering tier and cache state, with
+    ``exemplar`` attached when given.
     """
-    status = response.status.value
-    metrics.inc("serve_requests_total", status=status)
-    health.record(status, response.latency_s)
+    metrics.inc("serve_requests_total", status=response.status.value)
     if response.result is not None:
         metrics.observe(
             "serve_request_latency_seconds", response.latency_s, exemplar,
@@ -281,9 +278,9 @@ class QueryServer:
         self._queue: queue.Queue = queue.Queue(maxsize=self.config.queue_capacity)
         self._threads: list[threading.Thread] = []
         self._started = False
-        #: Trailing multi-window request samples (status, latency, queue
-        #: depth) feeding SLO verdicts and burn-rate alerting.
-        self.health = RequestWindows()
+        #: Queue depth over time (the registry gauge holds only the
+        #: current depth).
+        self.health = QueueDepthSeries()
         #: The request families of :func:`serve_specs`, registry only.
         self.telemetry = TierMetrics(get_registry(), serve_specs())
         #: Per-query evidence chains (the `repro explain` data source).
@@ -349,7 +346,7 @@ class QueryServer:
             )
             exemplar = Exemplar.now(response.latency_s, trace_id=trace_id,
                                     provenance_key=record.key)
-        account_response(self.telemetry, self.health, response, exemplar)
+        account_response(self.telemetry, response, exemplar)
 
     def _note_depth(self) -> None:
         depth = self._queue.qsize()
@@ -482,9 +479,10 @@ class QueryServer:
         return out
 
     def verdict(self, slos: list[SLO]) -> HealthReport:
-        """Evaluate SLOs against the live request windows.
+        """Evaluate SLOs against this server's live registry.
 
-        Violations emit ``slo_violation`` events; the report carries
-        per-window burn rates for error-budget objectives.
+        The same computation as ``repro health`` over the registry's
+        export; violations emit ``slo_violation`` events.
         """
-        return self.health.verdict(slos)
+        return evaluate_slos(self.telemetry.registry.to_dict(), slos,
+                             source="live")

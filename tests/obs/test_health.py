@@ -1,9 +1,9 @@
-"""SLO parsing, histogram quantile math, payload evaluation, live windows."""
+"""SLO parsing, histogram quantile math, payload evaluation, queue-depth series."""
 
 import json
-import math
 import pathlib
 import sys
+import threading
 import types
 
 import pytest
@@ -12,7 +12,7 @@ from repro.obs import MetricsRegistry, set_registry
 from repro.obs.events import configure_events, read_events
 from repro.obs.health import (
     SLO,
-    RequestWindows,
+    QueueDepthSeries,
     _parse_mini_yaml,
     evaluate_slos,
     histogram_quantile,
@@ -332,93 +332,54 @@ class TestEvaluateAgainstPayload:
         assert "VIOLATED" in text and text.endswith("health: VIOLATED")
 
 
-class TestRequestWindows:
-    def _windows(self):
-        return RequestWindows(windows=(5.0, 60.0))
+class TestQueueDepthSeries:
+    def test_keeps_the_max_reading_per_bucket(self):
+        series = QueueDepthSeries()
+        series.note_queue_depth(1, t=10.0)
+        series.note_queue_depth(7, t=10.05)
+        series.note_queue_depth(3, t=10.09)
+        series.note_queue_depth(2, t=10.3)
+        assert series.queue_depth_series() == [(0.0, 7), (0.3, 2)]
 
-    def test_stats_respect_window(self):
-        w = self._windows()
-        w.record("ok", 0.010, t=0.0)
-        w.record("error", 0.500, t=58.0)
-        w.record("ok", 0.020, t=59.0)
-        short = w.stats(5.0, now=60.0)
-        assert short.n == 2 and short.errors == 1
-        long = w.stats(60.0, now=60.0)
-        assert long.n == 3
-        assert long.error_rate == pytest.approx(1 / 3)
+    def test_length_is_bounded_to_the_latest_buckets(self):
+        series = QueueDepthSeries()
+        series.note_queue_depth(0, t=0.0)
+        for i in range(1000):  # one reading mid-way through each bucket
+            series.note_queue_depth(i, t=(i + 0.5) * QueueDepthSeries.BUCKET_S)
+        rows = series.queue_depth_series()
+        assert len(rows) == QueueDepthSeries.MAX_BUCKETS == 600
+        assert rows[0] == (40.0, 400) and rows[-1] == (99.9, 999)
 
-    def test_samples_prune_beyond_horizon(self):
-        w = self._windows()
-        w.record("ok", 0.010, t=0.0)
-        w.record("ok", 0.010, t=100.0)  # pushes t=0 out of the 60 s horizon
-        assert w.stats(60.0, now=100.0).n == 1
+    def test_late_reading_folds_into_the_latest_bucket(self):
+        # A reading taken just before another thread's later one may be
+        # noted after it: the series stays ordered and keeps the max.
+        series = QueueDepthSeries()
+        series.note_queue_depth(1, t=0.0)
+        series.note_queue_depth(2, t=0.25)
+        series.note_queue_depth(9, t=0.15)
+        assert series.queue_depth_series() == [(0.0, 1), (0.2, 9)]
 
-    def test_quantile_is_nearest_rank_over_ok_only(self):
-        w = self._windows()
-        for i in range(10):
-            w.record("ok", (i + 1) / 100.0, t=1.0)
-        w.record("error", 9.0, t=1.0)  # errors never pollute latency
-        stats = w.stats(60.0, now=2.0)
-        assert stats.quantile(0.5) == pytest.approx(0.05)
-        assert stats.quantile(1.0) == pytest.approx(0.10)
+    def test_concurrent_readings_lose_no_maximum(self):
+        series = QueueDepthSeries()
+        n_threads, n_readings = 8, 10000
 
-    def test_burn_rates_and_multiwindow_alert(self):
-        w = self._windows()
-        # Old errors only: long window burns, short window is clean.
-        for _ in range(10):
-            w.record("error", 0.1, t=1.0)
-        for _ in range(90):
-            w.record("ok", 0.01, t=1.0)
-        rates = w.burn_rates(0.01, now=30.0)
-        assert rates[60.0] == pytest.approx(10.0)
-        assert rates[5.0] == 0.0
-        assert not w.burning(0.01, now=30.0)
-        # Fresh errors too: every window burns -> alert.
-        w.record("error", 0.1, t=29.5)
-        assert w.burning(0.01, now=30.0)
+        def writer(k):
+            for i in range(n_readings):
+                series.note_queue_depth(i * n_threads + k)
 
-    def test_zero_budget_burns_infinitely(self):
-        w = self._windows()
-        w.record("error", 0.1, t=1.0)
-        assert w.burn_rates(0.0, now=2.0)[60.0] == math.inf
-
-    def test_queue_depth_series_buckets_max(self):
-        w = self._windows()
-        w.note_queue_depth(1, t=10.0)
-        w.note_queue_depth(7, t=10.05)
-        w.note_queue_depth(2, t=10.3)
-        series = w.queue_depth_series(bucket_s=0.1, now=11.0)
-        assert series[0] == (0.0, 7)
-        assert (0.3, 2) in series
-
-    def test_verdict_quantile_and_error_rate(self):
-        w = self._windows()
-        for _ in range(99):
-            w.record("ok", 0.010, t=1.0)
-        w.record("timed_out", 1.0, t=1.0)
-        slos = [
-            SLO(name="p95", metric="latency", objective=0.05,
-                kind="quantile", quantile=0.95),
-            SLO(name="err", metric="requests", objective=0.05,
-                kind="error_rate"),
-            SLO(name="queue", metric="depth", objective=10, kind="max"),
-        ]
-        report = w.verdict(slos, now=2.0, emit_events=False)
-        assert report.source == "live"
-        assert report.ok
-        by_name = {r.slo.name: r for r in report.results}
-        assert by_name["p95"].observed == pytest.approx(0.010)
-        assert by_name["err"].observed == pytest.approx(0.01)
-        assert "burn_rates" in by_name["err"].detail
-
-    def test_verdict_no_data_is_violation(self):
-        w = self._windows()
-        report = w.verdict(
-            [SLO(name="p95", metric="m", objective=1.0)], now=1.0,
-            emit_events=False,
-        )
-        assert not report.ok and report.results[0].observed is None
-
-    def test_needs_at_least_one_window(self):
-        with pytest.raises(ValueError, match="at least one window"):
-            RequestWindows(windows=())
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(k,))
+                       for k in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        rows = series.queue_depth_series()
+        times = [t for t, _ in rows]
+        assert times == sorted(set(times))
+        assert max(d for _, d in rows) == n_threads * n_readings - 1

@@ -471,6 +471,35 @@ class TestFleetObservability:
         assert report.ok, report.to_dict()
         assert report.source == "fleet"
 
+    def test_live_verdict_equals_the_export_verdict(self, store, tmp_path):
+        from repro.obs import get_registry
+        from repro.obs.health import evaluate_slos
+
+        ids = list(store.address_book) + ["nowhere"]
+        slos = [
+            SLO(name="errors", metric="serve_requests_total",
+                kind="error_rate", objective=0.01,
+                bad=(("status", ("error",)),)),
+            SLO(name="misspelt", metric="serve_request_latency_second",
+                objective=1.0),
+        ]
+        with ProcessRouter.from_store(
+            store, str(tmp_path), n_workers=2, config=CONFIG
+        ) as router:
+            statuses = [r.status for r in router.query_batch(ids)]
+            live = router.verdict(slos)
+        assert statuses[-1] is ServeStatus.UNKNOWN_ADDRESS
+        # The autouse fixture gave this test a fresh registry.
+        exported = evaluate_slos(get_registry().to_dict(), slos,
+                                 emit_events=False)
+        assert live.source == "live"
+        assert [(r.slo.name, r.ok, r.observed) for r in live.results] == [
+            (r.slo.name, r.ok, r.observed) for r in exported.results
+        ]
+        assert [(r.ok, r.observed) for r in live.results] == [
+            (True, 0.0), (False, None)
+        ]
+
     def test_metrics_scrape_touches_no_worker_pipes(
         self, store, tmp_path, monkeypatch
     ):

@@ -296,11 +296,40 @@ class TestServerHealth:
         with QueryServer(store, ServerConfig(n_workers=2)) as server:
             for _ in range(5):
                 server.query("a0")
-            stats = server.health.stats(60.0)
-        assert stats.n == 5
-        assert stats.errors == 0
-        assert stats.quantile(0.5) is not None
         assert server.health.queue_depth_series()
+
+    def test_live_verdict_equals_the_export_verdict(self, served_world):
+        from repro.obs.health import SLO, evaluate_slos
+
+        _, _, store = served_world
+        router = GatedRouter(store)
+        config = ServerConfig(n_workers=1, queue_capacity=1)
+        with QueryServer(store, config, router=router) as server:
+            held = server.submit("a0", timeout_s=5.0)
+            assert router.entered.wait(5.0)
+            flood = [server.submit("a1", timeout_s=5.0) for _ in range(199)]
+            router.release.set()
+            responses = [held.result()] + [p.result() for p in flood]
+            slos = [
+                SLO(name="errors", metric="serve_requests_total",
+                    kind="error_rate", objective=0.01,
+                    bad=(("status", ("error",)),)),
+                SLO(name="misspelt", metric="serve_request_latency_second",
+                    objective=1.0),
+            ]
+            live = server.verdict(slos)
+        rejected = sum(r.status is ServeStatus.REJECTED for r in responses)
+        assert rejected == 198
+        # The autouse fixture gave this test a fresh registry.
+        exported = evaluate_slos(get_registry().to_dict(), slos,
+                                 emit_events=False)
+        assert [(r.slo.name, r.ok, r.observed) for r in live.results] == [
+            (r.slo.name, r.ok, r.observed) for r in exported.results
+        ]
+        # Rejections are not errors, and a misspelt metric has no data.
+        assert [(r.ok, r.observed) for r in live.results] == [
+            (True, 0.0), (False, None)
+        ]
 
     def test_live_verdict_from_server(self, served_world):
         from repro.obs.health import SLO
