@@ -328,20 +328,41 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_slos(path) -> list | None:
+    """The SLOs of spec file ``path``; ``None`` after printing why not
+    (the caller exits 2)."""
+    from repro.obs.health import load_slo_file
+
+    try:
+        return load_slo_file(path)
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"cannot load SLO spec {path}: {exc}", file=sys.stderr)
+        return None
+
+
+def _print_verdict(title: str, verdict: dict) -> None:
+    """One line per SLO of a verdict dict, under ``title``."""
+    print()
+    print(title)
+    for result in verdict.get("results", []):
+        observed = result.get("observed")
+        shown = "no data" if observed is None else f"{observed:.6g}"
+        print(f"  {'OK ' if result.get('ok') else 'VIOLATED':<9} "
+              f"{result.get('name')}  observed {shown}  "
+              f"<= {result.get('objective')}")
+
+
 def _cmd_health(args: argparse.Namespace) -> int:
     """Evaluate an SLO spec against an exported metrics file.
 
     Exit codes: 0 healthy, 1 any objective violated (or no data for it),
     2 unreadable inputs — so CI can gate on the verdict directly.
     """
-    from repro.obs.health import evaluate_slos, load_slo_file
+    from repro.obs.health import evaluate_slos
 
     metrics_path = pathlib.Path(args.metrics)
-    slo_path = pathlib.Path(args.slo)
-    try:
-        slos = load_slo_file(slo_path)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"cannot load SLO spec {slo_path}: {exc}", file=sys.stderr)
+    slos = _load_slos(pathlib.Path(args.slo))
+    if slos is None:
         return 2
     try:
         payload = obs.load_metrics(metrics_path)
@@ -525,15 +546,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         ShardedLocationStore,
     )
 
-    slos = []
-    if args.slo:
-        from repro.obs.health import load_slo_file
-
-        try:
-            slos = load_slo_file(args.slo)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot load SLO spec {args.slo}: {exc}", file=sys.stderr)
-            return 2
+    slos = _load_slos(args.slo) if args.slo else []
+    if slos is None:
+        return 2
     _begin_observability(args)
     data_dir = pathlib.Path(args.data)
     addresses = load_addresses(data_dir / "addresses.json")
@@ -648,23 +663,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         if args.refresh_every > 0:
             print(f"refreshes       {refreshes[0]} (mid-run, atomic swap)")
         if report.slo is not None:
-            print()
-            print("live SLO verdict:")
-            for result in report.slo.get("results", []):
-                observed = result.get("observed")
-                shown = "no data" if observed is None else f"{observed:.6g}"
-                print(f"  {'OK ' if result.get('ok') else 'VIOLATED':<9} "
-                      f"{result.get('name')}  observed {shown}  "
-                      f"<= {result.get('objective')}")
+            _print_verdict("live SLO verdict:", report.slo)
         if fleet is not None and fleet["slo"] is not None:
-            print()
-            print("fleet SLO verdict (merged shared-memory planes):")
-            for result in fleet["slo"].get("results", []):
-                observed = result.get("observed")
-                shown = "no data" if observed is None else f"{observed:.6g}"
-                print(f"  {'OK ' if result.get('ok') else 'VIOLATED':<9} "
-                      f"{result.get('name')}  observed {shown}  "
-                      f"<= {result.get('objective')}")
+            _print_verdict("fleet SLO verdict (merged shared-memory planes):",
+                           fleet["slo"])
         if fleet is not None and fleet["trace"] is not None:
             t = fleet["trace"]
             print(f"merged trace -> {args.trace_merged} "
@@ -700,15 +702,9 @@ def _cmd_stream_bench(args: argparse.Namespace) -> int:
 
     from repro.stream.bench import StreamBenchConfig, run_stream_bench
 
-    slos = []
-    if args.slo:
-        from repro.obs.health import load_slo_file
-
-        try:
-            slos = load_slo_file(args.slo)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot load SLO spec {args.slo}: {exc}", file=sys.stderr)
-            return 2
+    slos = _load_slos(args.slo) if args.slo else []
+    if slos is None:
+        return 2
     _begin_observability(args)
     fleet = None
     with contextlib.ExitStack() as stack:
@@ -874,12 +870,10 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
     elif not args.out:
         print(obs.render_metrics(registry.to_dict(meta)))
     if args.slo:
-        from repro.obs.health import evaluate_slos, load_slo_file
+        from repro.obs.health import evaluate_slos
 
-        try:
-            slos = load_slo_file(args.slo)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"cannot load SLO spec {args.slo}: {exc}", file=sys.stderr)
+        slos = _load_slos(args.slo)
+        if slos is None:
             return 2
         report = evaluate_slos(registry.to_dict(meta), slos, source="fleet")
         if not args.json:

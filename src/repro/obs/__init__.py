@@ -79,7 +79,6 @@ from repro.obs.provenance import (
     set_provenance_ring,
 )
 from repro.obs.recorder import (
-    KNOWN_TRIGGERS,
     FlightRecorder,
     configure_recorder,
     get_recorder,
@@ -155,7 +154,6 @@ __all__ = [
     "render_record",
     "reset_provenance_ring",
     "set_provenance_ring",
-    "KNOWN_TRIGGERS",
     "FlightRecorder",
     "configure_recorder",
     "get_recorder",

@@ -37,8 +37,6 @@ from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.durable import read_jsonl, write_jsonl
 
-from .metrics import MetricsRegistry, get_registry
-
 PathLike = Union[str, pathlib.Path]
 
 #: Bump when the record wire shape changes; readers check it.  Version-1
@@ -124,12 +122,7 @@ class ProvenanceRing:
 
     ``capacity`` bounds the deterministic reservoir over routine
     answers; ``keep_capacity`` bounds the always-keep deque for
-    errors / unknown ids / low-confidence answers.  Both counters in
-    ``provenance_records_total{result=kept|sampled_out}`` are
-    pre-seeded at zero so the fail-closed SLO engine sees the family
-    from tick one.  :meth:`counts` reports this ring's own outcomes,
-    not the registry's process-wide totals (a forked worker inherits
-    its parent's registry).
+    errors / unknown ids / low-confidence answers.
     """
 
     def __init__(
@@ -138,7 +131,6 @@ class ProvenanceRing:
         keep_capacity: int = 128,
         low_confidence: float = DEFAULT_LOW_CONFIDENCE,
         origin: str = "main",
-        registry: MetricsRegistry | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -150,14 +142,6 @@ class ProvenanceRing:
         self._seen = 0  # routine records offered to the reservoir
         self._seq = 0
         self._kept: deque[ProvenanceRecord] = deque(maxlen=int(keep_capacity))
-        self._counts = {"kept": 0, "sampled_out": 0}
-        registry = registry or get_registry()
-        self._records_total = registry.counter(
-            "provenance_records_total",
-            "Provenance records by retention outcome",
-        )
-        for result in ("kept", "sampled_out"):
-            self._records_total.inc(0, result=result)
 
     # ------------------------------------------------------------------
     # Minting / retention
@@ -190,11 +174,7 @@ class ProvenanceRing:
         """Retain ``record``; returns whether it was kept right now."""
 
         with self._lock:
-            kept = self._retain(record)
-            result = "kept" if kept else "sampled_out"
-            self._counts[result] += 1
-            self._records_total.inc(1, result=result)
-            return kept
+            return self._retain(record)
 
     def _retain(self, record: ProvenanceRecord) -> bool:
         if self._always_keep(record):
@@ -233,11 +213,6 @@ class ProvenanceRing:
     def __len__(self) -> int:
         with self._lock:
             return len(self._reservoir) + len(self._kept)
-
-    def counts(self) -> dict[str, int]:
-        """This ring's cumulative retention-outcome counts."""
-        with self._lock:
-            return dict(self._counts)
 
     def clear(self) -> None:
         with self._lock:

@@ -1,8 +1,8 @@
 """Flight recorder: an always-on black box for the serving/stream tier.
 
-A bounded in-memory ring continuously absorbs the most recent spans,
-events, metric deltas, and provenance keys at near-zero cost (one deque
-append under a lock).  When something goes wrong — a
+A bounded in-memory ring continuously absorbs the most recent spans and
+events at near-zero cost (one deque append under a lock).  When
+something goes wrong — a
 :class:`~repro.stream.scheduler.RefreshScheduler` gate refusal, an
 ``slo_violation`` event, a worker crash — the
 recorder :meth:`~FlightRecorder.trigger`\\ s and writes an **atomic
@@ -14,10 +14,7 @@ ring contents, the merged fleet metrics registry, the SLO verdicts at
 trigger time, and the implicated provenance records.  ``repro blackbox
 <dump>`` renders it.
 
-``flightrecorder_dumps_total{trigger=...}`` is pre-seeded at zero for
-every known trigger so conservation checks and the fail-closed SLO
-engine see the family before anything fires.  ``max_dumps`` caps disk
-usage — a flapping gate cannot fill the volume.
+``max_dumps`` caps disk usage — a flapping gate cannot fill the volume.
 """
 
 from __future__ import annotations
@@ -31,22 +28,12 @@ from typing import Any, Mapping, Optional, Union
 
 from repro.durable import to_jsonable, write_text
 
-from .metrics import MetricsRegistry, get_registry
-
 PathLike = Union[str, pathlib.Path]
 
 BLACKBOX_VERSION = 1
 
-#: Triggers with pre-seeded counter label sets.
-KNOWN_TRIGGERS = (
-    "gate_refusal",
-    "slo_violation",
-    "worker_crash",
-)
-
 __all__ = [
     "BLACKBOX_VERSION",
-    "KNOWN_TRIGGERS",
     "FlightRecorder",
     "get_recorder",
     "configure_recorder",
@@ -64,7 +51,6 @@ class FlightRecorder:
         capacity: int = 1024,
         dump_dir: PathLike | None = None,
         max_dumps: int = 16,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -73,15 +59,7 @@ class FlightRecorder:
         self.max_dumps = int(max_dumps)
         self._lock = threading.Lock()
         self._ring: deque[dict[str, Any]] = deque(maxlen=self.capacity)
-        self._n_seen = 0
         self._dump_seq = 0
-        registry = registry or get_registry()
-        self._dumps_total = registry.counter(
-            "flightrecorder_dumps_total",
-            "Black-box dumps by trigger",
-        )
-        for trigger in KNOWN_TRIGGERS:
-            self._dumps_total.inc(0, trigger=trigger)
 
     # ------------------------------------------------------------------
     # Recording (hot path: one append under a lock)
@@ -90,7 +68,6 @@ class FlightRecorder:
         entry.setdefault("ts_unix", time.time())
         with self._lock:
             self._ring.append(entry)
-            self._n_seen += 1
 
     def note_span(self, span_doc: Mapping[str, Any]) -> None:
         self._note(
@@ -115,28 +92,6 @@ class FlightRecorder:
             }
         )
 
-    def note_metric(
-        self, name: str, value: float, labels: Mapping[str, Any] | None = None
-    ) -> None:
-        self._note(
-            {
-                "kind": "metric",
-                "name": str(name),
-                "value": float(value),
-                "labels": {str(k): str(v) for k, v in (labels or {}).items()},
-            }
-        )
-
-    def note_provenance(self, key: str, address_id: str, status: str) -> None:
-        self._note(
-            {
-                "kind": "provenance",
-                "key": str(key),
-                "address_id": str(address_id),
-                "status": str(status),
-            }
-        )
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -149,11 +104,6 @@ class FlightRecorder:
     def __len__(self) -> int:
         with self._lock:
             return len(self._ring)
-
-    @property
-    def n_seen(self) -> int:
-        with self._lock:
-            return self._n_seen
 
     def clear(self) -> None:
         with self._lock:
@@ -173,10 +123,9 @@ class FlightRecorder:
         """Record an anomaly; dump the black box when a dir is configured.
 
         Returns the dump path, or ``None`` when no ``dump_dir`` is set
-        or the ``max_dumps`` cap was reached (the counter still counts).
+        or the ``max_dumps`` cap was reached (the ring still notes it).
         """
 
-        self._dumps_total.inc(1, trigger=str(trigger))
         self.note_event(f"flightrecorder_{trigger}", level="warning",
                         fields=dict(context or {}))
         if self.dump_dir is None:
@@ -221,13 +170,12 @@ def configure_recorder(
     capacity: int = 1024,
     dump_dir: PathLike | None = None,
     max_dumps: int = 16,
-    registry: MetricsRegistry | None = None,
 ) -> FlightRecorder:
     """Install a fresh global recorder (e.g. with a dump dir) and return it."""
 
     global _RECORDER
     recorder = FlightRecorder(
-        capacity=capacity, dump_dir=dump_dir, max_dumps=max_dumps, registry=registry
+        capacity=capacity, dump_dir=dump_dir, max_dumps=max_dumps
     )
     with _RECORDER_LOCK:
         _RECORDER = recorder
@@ -316,13 +264,6 @@ def render_blackbox(payload: Mapping[str, Any]) -> str:
                     detail += f" error={entry['error']}"
             elif kind == "event":
                 detail = f"{entry.get('level', '?')}: {entry.get('name', '?')}"
-            elif kind == "metric":
-                detail = f"{entry.get('name', '?')} = {entry.get('value', '?')}"
-            elif kind == "provenance":
-                detail = (
-                    f"{entry.get('key', '?')} address={entry.get('address_id', '?')}"
-                    f" status={entry.get('status', '?')}"
-                )
             else:
                 detail = str(entry)
             lines.append(f"    [{kind:<10}] {detail}")

@@ -38,7 +38,7 @@ worker restarts and keep their monotonic contract.
 buckets sum, gauges max-merge — giving the fleet-wide registry view the
 SLO engine and the Prometheus renderer already understand.
 
-:class:`TierMetrics` is the writer side of a front-end tier: its slot
+:class:`TierMetrics` is the writer side of every tier with a plane: its slot
 specs are the only declaration of its families, registered, pre-seeded
 and mirrored into the tier's plane from that one list.
 """

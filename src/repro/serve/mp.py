@@ -71,7 +71,6 @@ from repro.obs.provenance import (
 )
 from repro.obs.recorder import get_recorder
 from repro.obs.shm import (
-    MetricsPlane,
     PlaneSchemaError,
     SlotSpec,
     TierMetrics,
@@ -141,18 +140,6 @@ def worker_plane_specs(worker_id: int) -> list[SlotSpec]:
                  help="In-worker wall time per served row",
                  exemplars=True)
         for c in CACHE_STATES
-    ]
-    specs += [
-        SlotSpec("counter", "provenance_records_total",
-                 (("result", r), ("worker", w)),
-                 help="Provenance records by retention outcome")
-        for r in ("kept", "sampled_out")
-    ]
-    specs += [
-        SlotSpec("counter", "serve_worker_cache_events_total",
-                 (("event", e), ("worker", w)),
-                 help="Worker-local result-cache lookups by outcome")
-        for e in ("hit", "miss")
     ]
     specs.append(
         SlotSpec("gauge", "serve_worker_snapshot_version_lag",
@@ -450,34 +437,15 @@ def _worker_main(
         configure_tracing(
             os.path.join(obs_dir, f"trace-worker-{worker_id}.jsonl")
         )
-    plane: MetricsPlane | None = None
-    slots: dict[str, Any] = {}
-    if obs_dir:
-        try:
-            plane = MetricsPlane.create(
-                os.path.join(obs_dir, f"metrics-worker-{worker_id}.shm"),
-                worker_plane_specs(worker_id),
-                meta={"kind": "worker", "worker": worker_id},
-            )
-        except OSError:
-            plane = None  # telemetry must never take the worker down
-    if plane is not None:
-        w = str(worker_id)
-        slots = {
-            "status": {s: plane.slot("serve_worker_requests_total",
-                                     status=s, worker=w)
-                       for s in _WORKER_STATUSES},
-            "latency": {c: plane.slot("serve_worker_request_latency_seconds",
-                                      cache=c, worker=w)
-                        for c in CACHE_STATES},
-            "cache": {e: plane.slot("serve_worker_cache_events_total",
-                                    event=e, worker=w)
-                      for e in ("hit", "miss")},
-            "lag": plane.slot("serve_worker_snapshot_version_lag", worker=w),
-            "prov": {r: plane.slot("provenance_records_total",
-                                   result=r, worker=w)
-                     for r in ("kept", "sampled_out")},
-        }
+    # A fresh registry, not the global one: a fork-started worker must
+    # never report what it inherited from its parent.
+    w = str(worker_id)
+    metrics = TierMetrics(
+        MetricsRegistry(), worker_plane_specs(worker_id),
+        os.path.join(obs_dir, f"metrics-worker-{worker_id}.shm")
+        if obs_dir else None,
+        meta={"kind": "worker", "worker": worker_id},
+    )
 
     publisher = SnapshotPublisher(directory)
     snap: ColumnarSnapshot | None = None
@@ -486,23 +454,20 @@ def _worker_main(
     router: QueryRouter | None = None
     load_seconds: list[float] = []
     n_requests = 0
-    prev_cache = [0, 0]  # hits, misses already folded into the plane
     # Provenance is minted worker-side (the worker is where the answer is
     # actually resolved); the ring is persisted on snapshot rotation and at
     # shutdown so the router can merge `provenance-worker-*.jsonl` files
     # exactly like trace files.
     ring = ProvenanceRing(capacity=256, origin=f"w{worker_id}")
-    prev_prov = [0, 0]  # kept, sampled_out already folded into the plane
 
     def persist_ring() -> None:
         if obs_dir:
             ring.persist(os.path.join(obs_dir, f"provenance-worker-{worker_id}.jsonl"))
 
     def publish_lag() -> None:
-        if plane is None:
-            return
         have = snap.version if snap is not None else 0
-        plane.set(slots["lag"], max(0, publisher.current_version() - have))
+        metrics.set("serve_worker_snapshot_version_lag",
+                    max(0, publisher.current_version() - have), worker=w)
 
     def ensure_snapshot() -> QueryRouter:
         nonlocal snap, router
@@ -540,39 +505,22 @@ def _worker_main(
 
     def record_rows(rows: list[tuple], elapsed: float,
                     trace_id: str = "") -> None:
-        """Mint provenance and fold one answered sub-batch into the plane."""
+        """Mint provenance and account one answered sub-batch."""
         version = snap.version if snap is not None else None
         ok = ServeStatus.OK.value
         for row in rows:
             record = mint_row(ring, row, version, trace_id)
-            if (plane is not None and row[1] == ok
-                    and row[6] in slots["latency"]):
-                plane.observe(slots["latency"][row[6]], elapsed,
-                              exemplar=Exemplar.now(
-                                  elapsed, trace_id=trace_id,
-                                  provenance_key=record.key))
-        if plane is None:
-            return
-        # One shared-memory write per status per sub-batch, not per row.
+            if row[1] == ok:
+                metrics.observe(
+                    "serve_worker_request_latency_seconds", elapsed,
+                    Exemplar.now(elapsed, trace_id=trace_id,
+                                 provenance_key=record.key),
+                    cache=row[6], worker=w,
+                )
+        # One count per status per sub-batch, not per row.
         for status, n in Counter(row[1] for row in rows).items():
-            plane.inc(slots["status"][status], n)
-        counts = ring.counts()
-        d_kept = counts["kept"] - prev_prov[0]
-        d_sampled = counts["sampled_out"] - prev_prov[1]
-        if d_kept:
-            plane.inc(slots["prov"]["kept"], d_kept)
-        if d_sampled:
-            plane.inc(slots["prov"]["sampled_out"], d_sampled)
-        prev_prov[0], prev_prov[1] = counts["kept"], counts["sampled_out"]
-        stats = router.cache_stats() if router is not None else None
-        if stats is not None:
-            d_hits = stats.hits - prev_cache[0]
-            d_misses = stats.misses - prev_cache[1]
-            if d_hits:
-                plane.inc(slots["cache"]["hit"], d_hits)
-            if d_misses:
-                plane.inc(slots["cache"]["miss"], d_misses)
-            prev_cache[0], prev_cache[1] = stats.hits, stats.misses
+            metrics.inc("serve_worker_requests_total", n, status=status,
+                        worker=w)
 
     def resolve(ids: list[str], deadline: float | None) -> list[tuple]:
         nonlocal n_requests
@@ -673,8 +621,7 @@ def _worker_main(
         # unmaps the plane, so short-lived workers never drop their final
         # spans or leave a torn seqlock.
         persist_ring()
-        if plane is not None:
-            plane.close()
+        metrics.close()
         disable_tracing()
 
 

@@ -7,7 +7,8 @@ Thread workers call :meth:`QueryRouter.resolve` per request, process
 workers :meth:`QueryRouter.resolve_batch` per sub-batch.  Every answer
 is tagged with its cache state, which the servers fold into the latency
 histogram labels — cache hits and fallback tiers have very different
-latency floors and must not share a bucket family.
+latency floors and must not share a bucket family.  The router itself
+counts nothing: the cache's :class:`CacheStats` holds its hits and misses.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.apps.store import QueryResult, UnknownAddressError
-from repro.obs import get_registry
 from repro.serve.cache import CacheStats, TTLLRUCache
 from repro.serve.shard import ShardedLocationStore
 
@@ -55,9 +55,6 @@ class QueryRouter:
     ) -> None:
         self.store = store
         self.cache = cache
-        self._cache_events = get_registry().counter(
-            "serve_cache_events_total", "Result-cache lookups by outcome"
-        )
 
     @classmethod
     def build(
@@ -77,9 +74,7 @@ class QueryRouter:
         if self.cache is not None:
             cached = self.cache.get(address_id)
             if cached is not None:
-                self._cache_events.inc(event="hit")
                 return RoutedResult(address_id, cached, CACHE_HIT)
-            self._cache_events.inc(event="miss")
         result = self.store.query_id(address_id)
         if self.cache is not None:
             self.cache.put(address_id, result)
@@ -102,14 +97,10 @@ class QueryRouter:
             resolved = self.store.resolve_batch(list(dict.fromkeys(address_ids)))
             return [RoutedResult(a, resolved[a], CACHE_BYPASS) for a in address_ids]
         hits = {}
-        n_hits = 0
         for address_id in address_ids:
             cached = cache.get(address_id)
             if cached is not None:
                 hits[address_id] = cached
-                n_hits += 1
-        self._cache_events.inc(n_hits, event="hit")
-        self._cache_events.inc(len(address_ids) - n_hits, event="miss")
         resolved = self.store.resolve_batch(
             [a for a in dict.fromkeys(address_ids) if a not in hits]
         )

@@ -36,7 +36,6 @@ from repro.obs.provenance import (
     ProvenanceRing,
     get_provenance_ring,
 )
-from repro.obs.recorder import get_recorder
 from repro.obs.shm import SlotSpec, TierMetrics
 from repro.serve.router import CACHE_STATES, QueryRouter
 from repro.serve.shard import ShardedLocationStore
@@ -341,9 +340,6 @@ class QueryServer:
                                response.error)
             record = mint_row(self.provenance, row, self.store.version,
                               trace_id)
-            get_recorder().note_provenance(
-                record.key, record.address_id, record.status
-            )
             exemplar = Exemplar.now(response.latency_s, trace_id=trace_id,
                                     provenance_key=record.key)
         account_response(self.telemetry, response, exemplar)

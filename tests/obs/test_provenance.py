@@ -2,7 +2,6 @@
 
 import json
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import (
     PROVENANCE_VERSION,
     ProvenanceRecord,
@@ -79,27 +78,11 @@ class TestRingRetention:
 
         assert run() == run()
 
-    def test_counts_match_total_minted(self):
-        ring = ProvenanceRing(capacity=8, registry=MetricsRegistry())
+    def test_len_is_bounded_by_both_capacities(self):
+        ring = ProvenanceRing(capacity=8, keep_capacity=4)
         _fill(ring, 100)
-        counts = ring.counts()
-        assert counts["kept"] + counts["sampled_out"] == 100
-        assert counts["kept"] >= 8  # accepted-at-mint, ring-bounded after
-
-    def test_counters_preseeded_at_zero(self):
-        registry = MetricsRegistry()
-        ProvenanceRing(capacity=4, registry=registry)
-        doc = registry.to_dict()
-        family = next(
-            m for m in doc["metrics"]
-            if m["name"] == "provenance_records_total"
-        )
-        values = {
-            tuple(sorted(s["labels"].items())): s["value"]
-            for s in family["samples"]
-        }
-        assert values[(("result", "kept"),)] == 0
-        assert values[(("result", "sampled_out"),)] == 0
+        _fill(ring, 10, status="error")
+        assert len(ring) == len(ring.records()) == 8 + 4
 
     def test_find_returns_newest_first(self):
         ring = ProvenanceRing(capacity=32)

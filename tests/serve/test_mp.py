@@ -18,7 +18,8 @@ from repro.apps import QuerySource, UnknownAddressError
 from repro.geo import Point
 from repro.obs import configure_tracing, disable_tracing, merge_traces, read_trace
 from repro.obs.health import SLO
-from repro.obs.provenance import ProvenanceRing
+from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.shm import TierMetrics
 from repro.serve import (
     GeohashShardStrategy,
     ProcessRouter,
@@ -29,7 +30,12 @@ from repro.serve import (
     SnapshotPublisher,
     VersionCounter,
 )
-from repro.serve.mp import WorkerHandle, append_log_record, read_log_records
+from repro.serve.mp import (
+    WorkerHandle,
+    append_log_record,
+    read_log_records,
+    worker_plane_specs,
+)
 from tests.core.helpers import make_address, point_at
 
 #: Generous deadlines: restart-and-retry on a single-core CI box must
@@ -428,29 +434,43 @@ class TestFleetObservability:
         assert registry.counter(
             "serve_worker_heartbeat_misses_total"
         ).total() == 0
-        # The worker cache is exported as hit/miss counters only; its
-        # hit ratio is derived from them, not stored.
+        # The worker cache's hit ratio is read off the latency histogram's
+        # cache labels: pass one misses, passes two and three hit.
+        latency = registry.histogram("serve_worker_request_latency_seconds")
+        by_cache = {}
+        for sample in latency.samples():
+            cache = sample["labels"]["cache"]
+            by_cache[cache] = by_cache.get(cache, 0) + sample["count"]
+        assert by_cache == {"hit": 2 * len(ids), "miss": len(ids),
+                            "bypass": 0}
         names = {m["name"] for m in registry.to_dict()["metrics"]}
-        assert "serve_worker_cache_events_total" in names
-        assert "serve_worker_cache_hit_ratio" not in names
+        assert not names & {"serve_worker_cache_events_total",
+                            "serve_cache_events_total",
+                            "provenance_records_total",
+                            "flightrecorder_dumps_total"}
 
-    def test_forked_worker_counts_only_its_own_provenance(self, store, tmp_path):
-        # The parent's registry already holds 500 outcomes; a fork-started
-        # worker inherits it, but its plane must report only its own 5.
-        parent_ring = ProvenanceRing()
-        for i in range(500):
-            parent_ring.mint(f"p{i}", "ok", confidence=0.9)
-        ids = list(store.address_book)[:5]
-        with ProcessRouter.from_store(
-            store, str(tmp_path), n_workers=1, config=CONFIG,
-            start_method="fork",
-        ) as router:
-            router.query_batch(ids)
-            router.stop()
-            registry = router.metrics()
-        counter = registry.counter("provenance_records_total")
-        assert counter.value(result="kept", worker="0") == 5
-        assert counter.value(result="sampled_out", worker="0") == 0
+    def test_forked_worker_counts_only_its_own_rows(self, store, tmp_path):
+        # The parent's registry already holds 500 rows of worker 0; a
+        # fork-started worker inherits it, but its plane must report only
+        # its own 5.
+        parent = MetricsRegistry()
+        TierMetrics(parent, worker_plane_specs(0)).inc(
+            "serve_worker_requests_total", 500, status="ok", worker="0"
+        )
+        previous = set_registry(parent)
+        try:
+            ids = list(store.address_book)[:5]
+            with ProcessRouter.from_store(
+                store, str(tmp_path), n_workers=1, config=CONFIG,
+                start_method="fork",
+            ) as router:
+                router.query_batch(ids)
+                router.stop()
+                registry = router.metrics()
+        finally:
+            set_registry(previous)
+        counter = registry.counter("serve_worker_requests_total")
+        assert counter.value(status="ok", worker="0") == 5
 
     def test_fleet_verdict_over_merged_planes(self, store, tmp_path):
         ids = list(store.address_book)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import (
     configure_recorder,
     load_blackbox,
@@ -35,8 +34,7 @@ def _run_poisoned(gate=None):
 
 class TestGateRefusalDump:
     def test_poisoned_tick_dumps_exactly_one_blackbox(self, tmp_path):
-        configure_recorder(capacity=64, dump_dir=tmp_path,
-                           registry=MetricsRegistry())
+        configure_recorder(capacity=64, dump_dir=tmp_path)
         _, records = _run_poisoned()
         assert records[-1].outcome == "rejected_drift"
         dumps = sorted(tmp_path.glob("blackbox-*.json"))
@@ -44,8 +42,7 @@ class TestGateRefusalDump:
         assert "gate_refusal" in dumps[0].name
 
     def test_dump_references_the_rejected_version(self, tmp_path):
-        configure_recorder(capacity=64, dump_dir=tmp_path,
-                           registry=MetricsRegistry())
+        configure_recorder(capacity=64, dump_dir=tmp_path)
         _, records = _run_poisoned()
         dump = load_blackbox(next(tmp_path.glob("blackbox-*.json")))
         context = dump["context"]
@@ -56,8 +53,7 @@ class TestGateRefusalDump:
         assert dump["registry"] is not None
 
     def test_promotions_do_not_dump(self, tmp_path):
-        configure_recorder(capacity=64, dump_dir=tmp_path,
-                           registry=MetricsRegistry())
+        configure_recorder(capacity=64, dump_dir=tmp_path)
         scheduler, metrics, versions = make_scheduler(
             [legit_batch("a"), legit_batch("b", 5_000.0)]
         )

@@ -128,16 +128,18 @@ class TestShmPlane:
 
 
 class TestPlaneFailure:
-    @pytest.mark.parametrize("writer", ["stream", "router"])
+    @pytest.mark.parametrize("writer", ["stream", "router", "worker"])
     def test_unmappable_plane_leaves_the_registry_counting(
         self, tmp_path, writer
     ):
         """A plane path that cannot be created (here: a directory) costs
-        the plane, never the tier or its registry."""
+        the plane, never the tier or its registry.  A worker without its
+        plane still answers: the router counts its answers."""
         obs_dir = tmp_path / "obs" if writer == "stream" else (
             tmp_path / "snap" / "obs"
         )
-        blocked = obs_dir / f"metrics-{writer}.shm"
+        name = "worker-0" if writer == "worker" else writer
+        blocked = obs_dir / f"metrics-{name}.shm"
         blocked.mkdir(parents=True)
         registry, _ = WRITERS[writer](tmp_path)
         own = families(registry)
@@ -198,4 +200,6 @@ def _router_writes(tmp_path):
     return registry, router.obs_dir
 
 
-WRITERS = {"stream": _stream_writes, "router": _router_writes}
+#: The worker case runs the router: its plane is the one that is blocked.
+WRITERS = {"stream": _stream_writes, "router": _router_writes,
+           "worker": _router_writes}

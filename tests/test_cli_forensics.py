@@ -5,15 +5,13 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceRing
 from repro.obs.recorder import FlightRecorder
 
 
 @pytest.fixture()
 def obs_dir(tmp_path):
-    ring = ProvenanceRing(capacity=32, origin="w0",
-                          registry=MetricsRegistry())
+    ring = ProvenanceRing(capacity=32, origin="w0")
     ring.mint("a1", "ok", lng=116.4, lat=39.9, source="address",
               cache_state="miss", confidence=0.8, snapshot_version=2,
               trace_id="abc123")
@@ -79,8 +77,7 @@ class TestExplain:
 
 class TestBlackboxCommand:
     def test_renders_a_dump(self, tmp_path, capsys):
-        recorder = FlightRecorder(capacity=8, dump_dir=tmp_path,
-                                  registry=MetricsRegistry())
+        recorder = FlightRecorder(capacity=8, dump_dir=tmp_path)
         path = recorder.trigger("gate_refusal",
                                 context={"served_version": 3})
         rc = main(["blackbox", str(path)])
@@ -89,8 +86,7 @@ class TestBlackboxCommand:
         assert "gate_refusal" in out
 
     def test_json_mode(self, tmp_path, capsys):
-        recorder = FlightRecorder(capacity=8, dump_dir=tmp_path,
-                                  registry=MetricsRegistry())
+        recorder = FlightRecorder(capacity=8, dump_dir=tmp_path)
         path = recorder.trigger("worker_crash")
         rc = main(["blackbox", str(path), "--json"])
         doc = json.loads(capsys.readouterr().out)

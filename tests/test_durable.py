@@ -28,7 +28,6 @@ from repro.durable import (
     write_jsonl,
     write_npz,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceRing, read_provenance
 from repro.obs.recorder import FlightRecorder, load_blackbox
 from repro.obs.shm import MetricsPlane, SlotSpec
@@ -281,7 +280,7 @@ def _provenance_kind(tmp_path):
     path = tmp_path / "provenance-worker-0.jsonl"
 
     def write(generation):
-        ring = ProvenanceRing(capacity=16, registry=MetricsRegistry())
+        ring = ProvenanceRing(capacity=16)
         for i in range(3 * generation):
             ring.mint(f"a{i}", "ok", confidence=0.9)
         ring.write_jsonl(path)
@@ -295,7 +294,7 @@ def _provenance_kind(tmp_path):
 
 
 def _blackbox_kind(tmp_path):
-    recorder = FlightRecorder(capacity=4, dump_dir=tmp_path, registry=MetricsRegistry())
+    recorder = FlightRecorder(capacity=4, dump_dir=tmp_path)
     path = tmp_path / "blackbox-worker_crash-0000.json"
 
     def write(generation):
