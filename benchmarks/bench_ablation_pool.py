@@ -11,7 +11,7 @@ DESIGN.md calls out two pool-construction choices to validate:
 
 import numpy as np
 
-from repro.core import DLInfMAConfig, build_candidate_pool, extract_trip_stay_points
+from repro.core import CandidatePoolBuilder, build_candidate_pool, extract_trip_stay_points
 from repro.eval import series_table
 
 
@@ -24,9 +24,9 @@ def test_ablation_pool_construction(dow_workload, write_result, benchmark):
     ]
     projection = workload.projection
 
-    one_shot = build_candidate_pool(
-        stay_points, projection, 40.0, batch_period_s=1e18  # single batch
-    )
+    single_batch = CandidatePoolBuilder(projection, 40.0)
+    single_batch.add_batch(stay_points)
+    one_shot = single_batch.build()
     biweekly = benchmark.pedantic(
         lambda: build_candidate_pool(stay_points, projection, 40.0),
         rounds=3,

@@ -22,10 +22,9 @@ reports p50/p95/p99 latency, throughput, cache hit rate, and rejections.
 Observability: ``evaluate``, ``update``, and ``serve-bench`` accept
 ``--trace PATH`` (write a JSON-lines span trace), ``--metrics-out PATH``
 (export the metrics registry as JSON, or Prometheus text for
-``.prom``/``.txt`` suffixes), ``--profile PATH`` (sampling wall-clock
-profile, speedscope JSON or collapsed text by suffix), ``--memory PATH``
-(per-stage tracemalloc snapshots), and ``--json`` (machine-readable report
-on stdout); ``repro metrics PATH`` renders a saved metrics file as a table.
+``.prom``/``.txt`` suffixes), ``--memory PATH`` (per-stage tracemalloc
+snapshots), and ``--json`` (machine-readable report on stdout);
+``repro metrics PATH`` renders a saved metrics file as a table.
 
 Health: ``repro health --metrics m.json --slo slo.yaml`` evaluates
 declarative SLOs against an exported metrics file and exits nonzero on any
@@ -123,8 +122,6 @@ def _print_stage_timings(rows, indent: str = "  ") -> None:
 def _begin_observability(args: argparse.Namespace) -> None:
     if getattr(args, "trace", None):
         obs.configure_tracing(args.trace)
-    if getattr(args, "profile", None):
-        args._sampler = obs.SamplingProfiler().start()
     if getattr(args, "memory", None):
         obs.configure_memory_profiling()
 
@@ -139,13 +136,6 @@ def _end_observability(args: argparse.Namespace, config=None) -> None:
         obs.disable_tracing()
         if not quiet:
             print(f"trace -> {args.trace}")
-    sampler = getattr(args, "_sampler", None)
-    if sampler is not None:
-        profile = sampler.stop()
-        profile.save(args.profile)
-        if not quiet:
-            print(f"profile -> {args.profile} "
-                  f"({profile.n_ticks} ticks @ {profile.hz:.0f} Hz)")
     if getattr(args, "memory", None):
         memory = obs.disable_memory_profiling()
         if memory is not None:
@@ -156,15 +146,12 @@ def _end_observability(args: argparse.Namespace, config=None) -> None:
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    """The shared --trace/--metrics-out/--profile/--memory flag group."""
+    """The shared --trace/--metrics-out/--memory flag group."""
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="write a JSON-lines span trace to PATH")
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="export metrics to PATH (.json, or .prom/.txt "
                              "for Prometheus text format)")
-    parser.add_argument("--profile", default=None, metavar="PATH",
-                        help="sampling wall-clock profile to PATH (speedscope "
-                             "JSON, or collapsed text for .txt/.collapsed)")
     parser.add_argument("--memory", default=None, metavar="PATH",
                         help="per-stage tracemalloc snapshots to PATH (JSON)")
 

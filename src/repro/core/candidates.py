@@ -18,11 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster import Cluster, grid_merge, hierarchical_cluster, merge_weighted_clusters
-from repro.geo import GridIndex, LocalProjection
+from repro.geo import LocalProjection
 from repro.trajectory import StayPoint
 
 #: Number of hour-of-day bins in the visit-time distribution profile.
 TIME_BINS = 24
+
+#: Section III-B's batch: stays are clustered per bi-weekly period.
+BATCH_PERIOD_S = 14 * 86_400.0
 
 
 @dataclass(frozen=True)
@@ -67,9 +70,25 @@ class CandidatePool:
         self._ids = np.array([c.candidate_id for c in ordered], dtype=np.int64)
         self._x = np.array([c.x for c in ordered], dtype=float)
         self._y = np.array([c.y for c in ordered], dtype=float)
-        self._index = GridIndex(cell_size_m=60.0)
-        for c in self.candidates:
-            self._index.insert(c.candidate_id, c.x, c.y)
+
+    @classmethod
+    def from_clusters(
+        cls, clusters: list[Cluster], projection: LocalProjection
+    ) -> "CandidatePool":
+        """Materialize clusters as a pool, ids assigned west to east by (x, y)."""
+        ordered = sorted(clusters, key=lambda c: (c.x, c.y))
+        lng, lat = projection.to_lnglat(
+            np.array([c.x for c in ordered], dtype=float),
+            np.array([c.y for c in ordered], dtype=float),
+        )
+        candidates = [
+            LocationCandidate(
+                candidate_id=i, x=c.x, y=c.y,
+                lng=float(lng[i]), lat=float(lat[i]), weight=c.weight,
+            )
+            for i, c in enumerate(ordered)
+        ]
+        return cls(candidates, projection)
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -101,49 +120,96 @@ class CandidatePool:
         return self.by_id[int(self.nearest_ids(np.array([x, y]))[0])]
 
     def within(self, x: float, y: float, radius_m: float) -> list[LocationCandidate]:
-        """Candidates within ``radius_m`` of (x, y)."""
-        return [self.by_id[cid] for cid in self._index.query_radius(x, y, radius_m)]
+        """Candidates within ``radius_m`` (inclusive) of (x, y), by id."""
+        inside = (self._x - x) ** 2 + (self._y - y) ** 2 <= radius_m * radius_m
+        return [self.by_id[int(cid)] for cid in self._ids[inside]]
+
+
+class CandidatePoolBuilder:
+    """Accumulates stay-point batches into a continuously valid pool.
+
+    The first batch is clustered; each later one is merged into the
+    clusters so far, so all centroids stay >= ``distance_threshold_m``
+    apart after every batch.
+    """
+
+    def __init__(
+        self, projection: LocalProjection, distance_threshold_m: float = 40.0
+    ) -> None:
+        if distance_threshold_m <= 0:
+            raise ValueError("distance_threshold_m must be positive")
+        self.projection = projection
+        self.distance_threshold_m = distance_threshold_m
+        # Replaced, never mutated, by each batch: a saved reference is a
+        # complete snapshot (the stream tier's rollback relies on this).
+        self.clusters: list[Cluster] = []
+
+    @classmethod
+    def from_pool(
+        cls, pool: CandidatePool, distance_threshold_m: float = 40.0
+    ) -> "CandidatePoolBuilder":
+        """Resume incremental building from a materialized pool.
+
+        Merging only ever consults centroids and weights, so a pool
+        round-tripped through :func:`~repro.core.persistence.save_candidate_pool`
+        (or produced by a previous builder) seeds a builder that behaves
+        exactly like the one that created it.
+        """
+        builder = cls(pool.projection, distance_threshold_m)
+        builder.clusters = [
+            Cluster(x=c.x, y=c.y, weight=c.weight, members=[]) for c in pool.candidates
+        ]
+        return builder
+
+    def add_batch(self, stay_points: list[StayPoint]) -> int:
+        """Cluster one batch and merge it into the pool.
+
+        Returns the current number of candidates; an empty batch changes
+        nothing.
+        """
+        if stay_points:
+            coords = _project(stay_points, self.projection)
+            if self.clusters:
+                self.clusters = merge_weighted_clusters(
+                    self.clusters, coords, self.distance_threshold_m
+                )
+            else:
+                self.clusters = hierarchical_cluster(coords, self.distance_threshold_m)
+        return len(self.clusters)
+
+    def build(self) -> CandidatePool:
+        """Materialize the current pool (ids assigned west-to-east)."""
+        return CandidatePool.from_clusters(self.clusters, self.projection)
 
 
 def build_candidate_pool(
     stay_points: list[StayPoint],
     projection: LocalProjection,
     distance_threshold_m: float = 40.0,
-    batch_period_s: float = 14 * 86_400.0,
     method: str = "hierarchical",
 ) -> CandidatePool:
     """Cluster stay points into a candidate pool.
 
-    ``method`` selects the clustering: ``"hierarchical"`` (ours, built in
-    bi-weekly batches then merged) or ``"grid"`` (the DLInfMA-Grid variant,
+    ``method`` selects the clustering: ``"hierarchical"`` (ours: each
+    ``BATCH_PERIOD_S`` period's stays, in period order, go through one
+    :class:`CandidatePoolBuilder`) or ``"grid"`` (the DLInfMA-Grid variant,
     plain D x D binning).
     """
     if method not in ("hierarchical", "grid"):
         raise ValueError(f"unknown pool construction method: {method!r}")
     if not stay_points:
         return CandidatePool([], projection)
-
-    coords = _project(stay_points, projection)
     if method == "grid":
-        clusters = grid_merge(coords, distance_threshold_m)
-    else:
-        clusters = _biweekly_hierarchical(
-            stay_points, coords, distance_threshold_m, batch_period_s
-        )
-    candidates = []
-    for i, cluster in enumerate(sorted(clusters, key=lambda c: (c.x, c.y))):
-        lng, lat = projection.to_lnglat(cluster.x, cluster.y)
-        candidates.append(
-            LocationCandidate(
-                candidate_id=i,
-                x=cluster.x,
-                y=cluster.y,
-                lng=float(lng),
-                lat=float(lat),
-                weight=cluster.weight,
-            )
-        )
-    return CandidatePool(candidates, projection)
+        clusters = grid_merge(_project(stay_points, projection), distance_threshold_m)
+        return CandidatePool.from_clusters(clusters, projection)
+    t0 = min(sp.t for sp in stay_points)
+    batches: dict[int, list[StayPoint]] = defaultdict(list)
+    for sp in stay_points:
+        batches[int((sp.t - t0) // BATCH_PERIOD_S)].append(sp)
+    builder = CandidatePoolBuilder(projection, distance_threshold_m)
+    for period in sorted(batches):
+        builder.add_batch(batches[period])
+    return builder.build()
 
 
 def _project(stay_points: list[StayPoint], projection: LocalProjection) -> np.ndarray:
@@ -151,27 +217,6 @@ def _project(stay_points: list[StayPoint], projection: LocalProjection) -> np.nd
     lat = np.array([sp.lat for sp in stay_points])
     x, y = projection.to_xy(lng, lat)
     return np.column_stack([np.atleast_1d(x), np.atleast_1d(y)])
-
-
-def _biweekly_hierarchical(
-    stay_points: list[StayPoint],
-    coords: np.ndarray,
-    threshold: float,
-    period_s: float,
-) -> list[Cluster]:
-    """Cluster per bi-weekly batch, merging each batch into the pool."""
-    t0 = min(sp.t for sp in stay_points)
-    batches: dict[int, list[int]] = defaultdict(list)
-    for i, sp in enumerate(stay_points):
-        batches[int((sp.t - t0) // period_s)].append(i)
-    pool: list[Cluster] = []
-    for period in sorted(batches):
-        batch_coords = coords[batches[period]]
-        if pool:
-            pool = merge_weighted_clusters(pool, batch_coords, threshold)
-        else:
-            pool = hierarchical_cluster(batch_coords, threshold)
-    return pool
 
 
 def candidate_id_map(old_pool: CandidatePool, new_pool: CandidatePool) -> dict[int, int]:

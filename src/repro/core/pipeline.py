@@ -12,7 +12,7 @@ incremental path: the deployed system builds candidate pools "in a
 bi-weekly manner and then merged with existing ones" and re-runs inference
 periodically as new trips land (Sections III-B, VI-A).
 :meth:`DLInfMA.update` extracts stay points only for the new trips, merges
-them into the pool via :class:`~repro.core.poolbuilder.CandidatePoolBuilder`,
+them into the pool via :class:`~repro.core.candidates.CandidatePoolBuilder`,
 rebuilds features only for the addresses whose candidate sets actually
 changed, and warm-starts the selector — so repeated batches cost O(new
 data), not O(all data).
@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 
 from repro.core.candidates import (
     CandidatePool,
+    CandidatePoolBuilder,
     build_candidate_pool,
     build_profiles,
     candidate_id_map,
 )
 from repro.core.features import AddressExample, FeatureConfig, FeatureExtractor
 from repro.core.locmatcher import LocMatcherConfig, LocMatcherSelector
-from repro.core.poolbuilder import CandidatePoolBuilder
 from repro.core.run import RunContext
 from repro.core.selectors import make_variant_selector
 from repro.core.staypoints import ExtractionConfig, extract_trip_stay_points

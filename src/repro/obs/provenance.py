@@ -1,12 +1,9 @@
-"""Prediction provenance: per-query evidence chains for served answers.
+"""Prediction provenance: what each served query was answered with.
 
 Aggregate metrics say *how often* the serving tier answered; a
-:class:`ProvenanceRecord` says *why this query got this location*: the
-resolved point, every candidate's score and rank, the contributing
-stay evidence (aggregated per candidate — stay points are anonymous,
-so their mass is attributed to the candidate they built), the snapshot
-/ model / pool fingerprints that were live at answer time, which tier
-answered (cache / model / store), and the trace id of the request.
+:class:`ProvenanceRecord` says *what this query got*: the served point,
+the store tier that supplied it (``source``) and the cache state, the
+snapshot version live at answer time, and the trace id of the request.
 
 Records are minted on the serve hot path, so retention is bounded and
 deterministic: a :class:`ProvenanceRing` holds
@@ -213,12 +210,6 @@ class ProvenanceRing:
     def __len__(self) -> int:
         with self._lock:
             return len(self._reservoir) + len(self._kept)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._reservoir.clear()
-            self._kept.clear()
-            self._seen = 0
 
     # ------------------------------------------------------------------
     # Persistence

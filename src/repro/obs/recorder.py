@@ -105,10 +105,6 @@ class FlightRecorder:
         with self._lock:
             return len(self._ring)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._ring.clear()
-
     # ------------------------------------------------------------------
     # The black box
     # ------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Hierarchical tracing spans emitted as JSON-lines trace files.
 
-A :class:`Span` covers one timed operation (an engine stage, a model fit,
+A :class:`Span` covers one timed operation (a pipeline stage, a model fit,
 a store query).  Spans nest through a :mod:`contextvars` variable, so the
-parent/child structure follows the call stack — including across the
-engine's stage plans and the service facade — without any explicit
+parent/child structure follows the call stack without any explicit
 plumbing.  Finished spans are appended to a JSON-lines sink, one object
 per line, carrying ids, wall-clock bounds, attributes, and captured
 exceptions; the file reconstructs into a span tree via

@@ -453,7 +453,6 @@ def _worker_main(
     # snapshot this worker maps and pointed at each later one.
     router: QueryRouter | None = None
     load_seconds: list[float] = []
-    n_requests = 0
     # Provenance is minted worker-side (the worker is where the answer is
     # actually resolved); the ring is persisted on snapshot rotation and at
     # shutdown so the router can merge `provenance-worker-*.jsonl` files
@@ -523,8 +522,6 @@ def _worker_main(
                         worker=w)
 
     def resolve(ids: list[str], deadline: float | None) -> list[tuple]:
-        nonlocal n_requests
-        n_requests += len(ids)
         if deadline is not None and time.time() >= deadline:
             return [
                 response_row(a, ServeStatus.TIMED_OUT,
@@ -602,7 +599,6 @@ def _worker_main(
                         "pid": os.getpid(),
                         "worker_id": worker_id,
                         "version": snap.version if snap is not None else 0,
-                        "n_requests": n_requests,
                         "snapshot_loads": len(load_seconds),
                         "load_seconds": list(load_seconds),
                         "cache": cache.to_dict() if cache is not None else None,

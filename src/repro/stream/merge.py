@@ -2,8 +2,8 @@
 
 The batch pipeline rebuilds its candidate pool from all stays at once;
 the streaming tier cannot.  :class:`ShardedPoolMerger` keeps one
-:class:`~repro.core.poolbuilder.CandidatePoolBuilder` per spatial cell
-(``shard_cell_m`` on a side), so each drained batch of stays touches
+:class:`~repro.core.candidates.CandidatePoolBuilder` per spatial cell
+(``SHARD_CELL_M`` on a side), so each drained batch of stays touches
 only the handful of shards its stays fall into — merge cost tracks the
 batch's spatial footprint, not the city's candidate count.
 
@@ -11,20 +11,20 @@ Because a drained batch must survive the scheduler's promotion gates
 *before* it may become servable, mutation is two-phase:
 
 * :meth:`stage` applies the batch and returns a :class:`StagedBatch`
-  holding enough state to undo it — ``merge_weighted_clusters`` never
-  mutates the clusters it is given (it builds fresh arrays and returns
-  a fresh list), so saving each touched shard's cluster-list reference
-  and counters is a complete rollback token.
+  holding enough state to undo it — a builder replaces its ``clusters``
+  list on every batch and never mutates it, so each touched shard's
+  list reference (``None`` for a shard the batch created) is a complete
+  rollback token.
 * :meth:`commit` discards the token; :meth:`rollback` restores it,
   leaving the pool exactly as before the batch (gate-rejected stays are
   quarantined, never merged).
 
 Shards partition space hard: two stays of one physical location that
-straddle a cell boundary keep separate candidates.  With the default
-800 m cells and the 40 m merge threshold the affected boundary band is
-~5 % of area; the parity target of the streaming tier is the *stays*
-(exact), not the pool (approximate by design, as is the paper's own
-bi-weekly incremental merge).
+straddle a cell boundary keep separate candidates.  With 800 m cells
+and the 40 m merge threshold the affected boundary band is ~5 % of
+area; the parity target of the streaming tier is the *stays* (exact),
+not the pool (approximate by design, as is the paper's own bi-weekly
+incremental merge).
 """
 
 from __future__ import annotations
@@ -35,19 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster import Cluster
-from repro.core.candidates import CandidatePool, LocationCandidate
-from repro.core.poolbuilder import CandidatePoolBuilder
+from repro.core.candidates import CandidatePool, CandidatePoolBuilder
 from repro.geo import LocalProjection, Point
 from repro.trajectory import StayPoint
 
-
-@dataclass
-class _ShardToken:
-    """Pre-stage state of one touched shard (``None`` = shard was new)."""
-
-    clusters: list[Cluster] | None
-    n_batches: int
-    n_points: int
+#: Side of one shard's square cell, in meters.
+SHARD_CELL_M = 800.0
 
 
 @dataclass
@@ -55,7 +48,7 @@ class StagedBatch:
     """Rollback token for one staged (not yet committed) stay batch."""
 
     stays: list[StayPoint]
-    tokens: dict[tuple[int, int], _ShardToken]
+    tokens: dict[tuple[int, int], list[Cluster] | None]
     committed: bool = False
 
     @property
@@ -67,20 +60,10 @@ class ShardedPoolMerger:
     """Spatially sharded, gate-aware incremental pool maintenance."""
 
     def __init__(
-        self,
-        projection: LocalProjection,
-        distance_threshold_m: float = 40.0,
-        shard_cell_m: float = 800.0,
-        max_chunk: int = 512,
+        self, projection: LocalProjection, distance_threshold_m: float = 40.0
     ) -> None:
-        if shard_cell_m <= 0:
-            raise ValueError("shard_cell_m must be positive")
-        if max_chunk < 1:
-            raise ValueError("max_chunk must be >= 1")
         self.projection = projection
         self.distance_threshold_m = distance_threshold_m
-        self.shard_cell_m = shard_cell_m
-        self.max_chunk = max_chunk
         self._shards: dict[tuple[int, int], CandidatePoolBuilder] = {}
         self._staged: StagedBatch | None = None
         self.n_committed_batches = 0
@@ -92,13 +75,7 @@ class ShardedPoolMerger:
         return len(self._shards)
 
     def n_candidates(self) -> int:
-        return sum(len(b._clusters) for b in self._shards.values())
-
-    def _cell(self, x: float, y: float) -> tuple[int, int]:
-        return (
-            math.floor(x / self.shard_cell_m),
-            math.floor(y / self.shard_cell_m),
-        )
+        return sum(len(b.clusters) for b in self._shards.values())
 
     # -- two-phase mutation ---------------------------------------------
     def stage(self, stays: list[StayPoint]) -> StagedBatch:
@@ -115,25 +92,19 @@ class ShardedPoolMerger:
             lat = [sp.lat for sp in stays]
             xs, ys = self.projection.to_xy(np.asarray(lng), np.asarray(lat))
             for sp, x, y in zip(stays, np.atleast_1d(xs), np.atleast_1d(ys)):
-                by_cell.setdefault(self._cell(float(x), float(y)), []).append(sp)
-        tokens: dict[tuple[int, int], _ShardToken] = {}
+                cell = (math.floor(x / SHARD_CELL_M), math.floor(y / SHARD_CELL_M))
+                by_cell.setdefault(cell, []).append(sp)
+        tokens: dict[tuple[int, int], list[Cluster] | None] = {}
         for cell, cell_stays in by_cell.items():
             shard = self._shards.get(cell)
             if shard is None:
-                tokens[cell] = _ShardToken(None, 0, 0)
+                tokens[cell] = None
                 shard = self._shards[cell] = CandidatePoolBuilder(
                     self.projection, self.distance_threshold_m
                 )
             else:
-                tokens[cell] = _ShardToken(
-                    shard._clusters, shard._n_batches, shard._n_points
-                )
-            # Chunk big batches: hierarchical clustering is quadratic in
-            # its input, but merging a chunk against the shard's existing
-            # clusters is quadratic only in (clusters + chunk) — the
-            # same bound the batch pipeline gets from bi-weekly slicing.
-            for lo in range(0, len(cell_stays), self.max_chunk):
-                shard.add_batch(cell_stays[lo:lo + self.max_chunk])
+                tokens[cell] = shard.clusters
+            shard.add_batch(cell_stays)
         self._staged = StagedBatch(stays=list(stays), tokens=tokens)
         return self._staged
 
@@ -150,14 +121,11 @@ class ShardedPoolMerger:
         """Undo the staged batch; returns the quarantined stays."""
         if self._staged is None:
             raise RuntimeError("no staged batch to roll back")
-        for cell, token in self._staged.tokens.items():
-            if token.clusters is None:
+        for cell, clusters in self._staged.tokens.items():
+            if clusters is None:
                 del self._shards[cell]
             else:
-                shard = self._shards[cell]
-                shard._clusters = token.clusters
-                shard._n_batches = token.n_batches
-                shard._n_points = token.n_points
+                self._shards[cell].clusters = clusters
         quarantined = self._staged.stays
         self._staged = None
         return quarantined
@@ -166,7 +134,7 @@ class ShardedPoolMerger:
     def all_clusters(self) -> list[Cluster]:
         out: list[Cluster] = []
         for shard in self._shards.values():
-            out.extend(shard._clusters)
+            out.extend(shard.clusters)
         return out
 
     def build_pool(self) -> CandidatePool:
@@ -175,21 +143,7 @@ class ShardedPoolMerger:
         Same id convention as :meth:`CandidatePoolBuilder.build`:
         west-to-east, so equal cluster sets produce equal pools.
         """
-        candidates = []
-        clusters = sorted(self.all_clusters(), key=lambda c: (c.x, c.y))
-        for i, cluster in enumerate(clusters):
-            lng, lat = self.projection.to_lnglat(cluster.x, cluster.y)
-            candidates.append(
-                LocationCandidate(
-                    candidate_id=i,
-                    x=cluster.x,
-                    y=cluster.y,
-                    lng=float(lng),
-                    lat=float(lat),
-                    weight=cluster.weight,
-                )
-            )
-        return CandidatePool(candidates, self.projection)
+        return CandidatePool.from_clusters(self.all_clusters(), self.projection)
 
     def snap_locations(
         self,

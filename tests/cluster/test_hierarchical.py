@@ -192,7 +192,7 @@ def oracle_cluster(
     def push_pairs(cid: int) -> None:
         x, y, _, _ = live[cid]
         for other in grid.query_radius(x, y, distance_threshold):
-            if other == cid:
+            if other == cid or other not in live:  # merged away
                 continue
             ox, oy, _, _ = live[other]
             d = math.hypot(ox - x, oy - y)
@@ -209,8 +209,6 @@ def oracle_cluster(
             continue
         xa, ya, wa, ma = live.pop(a)
         xb, yb, wb, mb = live.pop(b)
-        grid.remove(a)
-        grid.remove(b)
         wt = wa + wb
         nx = (xa * wa + xb * wb) / wt
         ny = (ya * wa + yb * wb) / wt

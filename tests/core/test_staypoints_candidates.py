@@ -95,6 +95,22 @@ class TestBuildCandidatePool:
         hits = pool.within(0.0, 0.0, 100.0)
         assert len(hits) == 1
 
+    def test_within_matches_inclusive_bruteforce_in_id_order(self):
+        rng = np.random.default_rng(9)
+        coords = np.vstack([rng.uniform(-300, 300, size=(200, 2)),
+                            [[30.0, 40.0], [-50.0, 0.0], [0.0, 50.0]]])  # |p| == 50
+        ids = rng.permutation(len(coords))
+        pool = pool_of(coords, ids)
+        for qx, qy, r in [(0.0, 0.0, 50.0), (120.0, -80.0, 75.0), (0.0, 0.0, 0.0)]:
+            expect = sorted(
+                int(i) for i, (x, y) in zip(ids, coords)
+                if (x - qx) ** 2 + (y - qy) ** 2 <= r * r
+            )
+            assert [c.candidate_id for c in pool.within(qx, qy, r)] == expect
+        on_circle = {int(ids[-3]), int(ids[-2]), int(ids[-1])}
+        assert on_circle <= {c.candidate_id for c in pool.within(0.0, 0.0, 50.0)}
+        assert pool_of([]).within(0.0, 0.0, 100.0) == []
+
     def test_lnglat_consistent_with_xy(self):
         pool = build_candidate_pool([sp(123, 456)], PROJ, 40.0)
         c = pool.candidates[0]

@@ -7,28 +7,11 @@ from tests.core.helpers import pool_of
 
 
 class TestGridIndexBasics:
-    def test_insert_and_len(self):
+    def test_insert_then_query(self):
         g = GridIndex(10.0)
         g.insert("a", 0.0, 0.0)
         g.insert("b", 5.0, 5.0)
-        assert len(g) == 2
-        assert "a" in g and "b" in g
-
-    def test_reinsert_moves(self):
-        g = GridIndex(10.0)
-        g.insert("a", 0.0, 0.0)
-        g.insert("a", 100.0, 100.0)
-        assert len(g) == 1
-        assert g.position("a") == (100.0, 100.0)
-        assert g.query_radius(0.0, 0.0, 1.0) == []
-
-    def test_remove(self):
-        g = GridIndex(10.0)
-        g.insert("a", 0.0, 0.0)
-        g.remove("a")
-        assert len(g) == 0
-        with pytest.raises(KeyError):
-            g.remove("a")
+        assert sorted(g.query_radius(0.0, 0.0, 10.0)) == ["a", "b"]
 
     def test_invalid_cell_size(self):
         with pytest.raises(ValueError):
@@ -94,11 +77,3 @@ class TestNearest:
         winner = pool_of(coords).nearest(3.0, 4.0).candidate_id
         d2 = [(x - 3.0) * (x - 3.0) + (y - 4.0) * (y - 4.0) for x, y in coords]
         assert winner == d2.index(min(d2))
-
-    def test_to_arrays(self):
-        g = GridIndex(10.0)
-        g.insert("a", 1.0, 2.0)
-        g.insert("b", 3.0, 4.0)
-        ids, coords = g.to_arrays()
-        assert set(ids) == {"a", "b"}
-        assert coords.shape == (2, 2)

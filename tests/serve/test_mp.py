@@ -252,10 +252,11 @@ class TestProcessRouter:
             # an idle one (geohash can route every shard elsewhere) stays
             # unmapped and honestly reports 0.
             for s in stats:
-                assert s["version"] == (store.version if s["n_requests"] else 0)
-            assert sum(s["n_requests"] for s in stats) >= len(
-                store.address_book
-            )
+                assert s["version"] == (
+                    store.version if s["snapshot_loads"] > 0 else 0
+                )
+            served = router.metrics().counter("serve_worker_requests_total")
+            assert served.total() >= len(store.address_book)
 
 
 class TestRefreshContract:
@@ -378,7 +379,7 @@ class TestWorkerDeath:
             serving = {
                 s["worker_id"]: s["pid"]
                 for s in router.worker_stats()
-                if s["n_requests"]
+                if s["snapshot_loads"] > 0
             }
             assert serving
             for worker in list(router._workers):
@@ -551,7 +552,7 @@ class TestFleetObservability:
             )
             serving = {
                 s["worker_id"] for s in router.worker_stats()
-                if s["n_requests"]
+                if s["snapshot_loads"] > 0
             }
             assert serving
             for worker in list(router._workers):
@@ -679,7 +680,7 @@ class TestRefreshChurn:
             while time.monotonic() < deadline:
                 router.query_batch(ids)
                 serving = [
-                    s for s in router.worker_stats() if s["n_requests"]
+                    s for s in router.worker_stats() if s["snapshot_loads"] > 0
                 ]
                 if serving and all(
                     s["version"] == store.version for s in serving

@@ -399,9 +399,9 @@ class TestProfileCommand:
         profile_out = tmp_path / "eval.speedscope.json"
         memory_out = tmp_path / "eval-memory.json"
         code = main([
+            "profile", "--out", str(profile_out), "--",
             "evaluate", "--data", str(data_dir),
-            "--methods", "MaxTC-ILC", "--fast",
-            "--profile", str(profile_out), "--memory", str(memory_out),
+            "--methods", "MaxTC-ILC", "--fast", "--memory", str(memory_out),
         ])
         assert code == 0
         assert json.loads(profile_out.read_text())["profiles"]
