@@ -26,9 +26,18 @@ class LocalProjection:
         self._cos_lat = math.cos(math.radians(origin.lat))
         self._m_per_deg_lat = math.pi * EARTH_RADIUS_M / 180.0
         self._m_per_deg_lng = self._m_per_deg_lat * self._cos_lat
+        self._lng0 = float(origin.lng)
+        self._lat0 = float(origin.lat)
 
     def to_xy(self, lng: ArrayLike, lat: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
         """Project lng/lat degrees to local x/y meters."""
+        if isinstance(lng, (float, int)) and isinstance(lat, (float, int)):
+            # The same two float64 operations as the array path, so the
+            # result is bit-identical, without converting to arrays.
+            return (
+                (float(lng) - self._lng0) * self._m_per_deg_lng,
+                (float(lat) - self._lat0) * self._m_per_deg_lat,
+            )
         x = (np.asarray(lng, dtype=float) - self.origin.lng) * self._m_per_deg_lng
         y = (np.asarray(lat, dtype=float) - self.origin.lat) * self._m_per_deg_lat
         if np.ndim(x) == 0:

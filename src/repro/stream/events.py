@@ -44,7 +44,8 @@ class IngestOutcome(enum.Enum):
 
         offered == accepted + duplicate + late + shed
 
-    holds at any quiescent point and *event loss* is precisely
+    holds once the consumer has finished the batch it took off the bus
+    (the ingestor idle or closed), and *event loss* is precisely
     ``late + shed`` (duplicates carry no information).
     """
 

@@ -18,8 +18,11 @@ Stays are emitted incrementally, per courier, by the batch kernel of
   :func:`~repro.trajectory.stay_spans` over them with ``final=False``:
   windows closed by a fix outside the radius are decided and emitted, the
   window still open at the end is kept, and the fixes before its anchor
-  are dropped.  Flush and eviction run the kernel with ``final=True``, as
-  a batch trajectory ending there.  Centroids come from the same
+  are dropped.  The open window's fixes are known to lie within the
+  radius of its anchor, so the next call resumes the anchor's scan after
+  them: each open fix is checked against its anchor once, not on every
+  release.  Flush and eviction run the kernel with ``final=True``, as a
+  batch trajectory ending there.  Centroids come from the same
   :func:`~repro.trajectory.stays_of_spans`, so replaying a finite stream
   reproduces :func:`detect_stay_points` bit for bit (the parity tests
   assert equality, not closeness).
@@ -86,7 +89,7 @@ class _CourierState:
 
     __slots__ = (
         "courier_id", "projection", "pending", "pending_ts",
-        "xs", "ys", "ts", "walls",
+        "xs", "ys", "ts", "walls", "scanned",
         "max_t", "last_flushed_t", "recent_flushed",
     )
 
@@ -102,6 +105,8 @@ class _CourierState:
         self.ys: list[float] = []
         self.ts: list[float] = []
         self.walls: list[float] = []
+        #: Open fixes before this index lie within d_max of the anchor.
+        self.scanned = 0
         self.max_t = float("-inf")
         self.last_flushed_t = float("-inf")
         #: Recently released event times, for duplicate-vs-late telling.
@@ -120,7 +125,6 @@ class OnlineStayExtractor:
         self.on_stay = on_stay
         self._states: dict[str, _CourierState] = {}
         self.n_evicted = 0
-        self.n_fixes_processed = 0
 
     # -- introspection ---------------------------------------------------
     @property
@@ -186,11 +190,14 @@ class OnlineStayExtractor:
             state.recent_flushed.append(fix.t)
             state.last_flushed_t = fix.t
         del state.pending[:k]
-        self.n_fixes_processed += k
 
         spans, resume = stay_spans(
-            state.xs, state.ys, state.ts, self.config.stay, final
+            state.xs, state.ys, state.ts, self.config.stay, final,
+            state.scanned,
         )
+        state.scanned = len(state.ts) - resume  # 0 after a final call
+        if not spans and not resume:
+            return []
         stays = stays_of_spans(
             spans, state.xs, state.ys, state.ts, state.projection,
             state.courier_id,

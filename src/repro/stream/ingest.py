@@ -13,21 +13,27 @@ exactly once under its terminal outcome —
 * not admitted by the bus, or displaced by ``SHED_OLDEST`` → ``shed``
   (counted at the offer edge, because only the producer sees it);
 * admitted and processed → ``accepted`` / ``duplicate`` / ``late``
-  (counted at the extractor edge).
+  (counted at the extractor edge, once per outcome for each batch the
+  consumer takes off the bus).
 
-so ``offered == accepted + duplicate + late + shed`` holds whenever the
-bus is empty, and the stream-bench's zero-loss gate is a simple counter
-identity, not a heuristic.
+so ``offered == accepted + duplicate + late + shed`` holds once the
+consumer has finished the batch it took — with the ingestor idle (bus
+empty, no batch in hand) or closed — and the stream-bench's zero-loss
+gate is a simple counter identity, not a heuristic.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter
 
 from repro.stream.bus import StreamBus
 from repro.stream.events import GpsFix, IngestOutcome
 from repro.stream.extractor import EmittedStay, OnlineStayExtractor
 from repro.stream.metrics import StreamMetrics
+
+#: Idle couriers are evicted once every this many consumed batches.
+EVICT_EVERY_N_BATCHES = 32
 
 
 class StreamIngestor:
@@ -39,13 +45,11 @@ class StreamIngestor:
         extractor: OnlineStayExtractor,
         metrics: StreamMetrics,
         record_fixes: bool = False,
-        evict_every_n: int = 32,
     ) -> None:
         self.bus = bus
         self.extractor = extractor
         self.metrics = metrics
         self.record_fixes = record_fixes
-        self.evict_every_n = max(1, evict_every_n)
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
         self._pending: list[EmittedStay] = []
@@ -90,16 +94,19 @@ class StreamIngestor:
 
     def _process(self, batch: list[GpsFix]) -> None:
         emitted: list[EmittedStay] = []
+        outcomes: Counter[IngestOutcome] = Counter()
         for fix in batch:
             outcome, stays = self.extractor.ingest(fix)
-            self.metrics.count_event(outcome)
+            outcomes[outcome] += 1
             if outcome is IngestOutcome.ACCEPTED:
                 self._max_event_t = max(self._max_event_t, fix.t)
                 if self.record_fixes:
                     self._recorded.append(fix)
             emitted.extend(stays)
+        for outcome, n in outcomes.items():
+            self.metrics.count_event(outcome, n)
         self._batches_since_evict += 1
-        if self._batches_since_evict >= self.evict_every_n:
+        if self._batches_since_evict >= EVICT_EVERY_N_BATCHES:
             self._batches_since_evict = 0
             before = self.extractor.n_evicted
             emitted.extend(self.extractor.evict_idle(self._max_event_t))

@@ -61,7 +61,7 @@ def stay_points_of(
 
 
 def stay_spans(
-    xs, ys, ts, config: StayPointConfig, final: bool
+    xs, ys, ts, config: StayPointConfig, final: bool, scanned: int = 0
 ) -> tuple[list[tuple[int, int]], int]:
     """The anchor loop of Definition 4 over projected fixes ``xs, ys, ts``.
 
@@ -75,14 +75,20 @@ def stay_spans(
     the loop stops there and ``resume`` is its anchor, where a later call
     over the same fixes plus newer ones picks up.  With ``final`` true the
     fixes are the whole trajectory and ``resume`` is ``len(ts)``.
+
+    ``scanned`` says the fixes before index ``scanned`` are already known
+    to lie within ``d_max_m`` of the first anchor, so its window is checked
+    from there on.  A caller that trims its fixes at ``resume`` after a
+    non-final call passes the old ``len(ts) - resume``; each fix of a
+    growing open window is then checked against its anchor once.
     """
     n = len(ts)
     d2_max = config.d_max_m * config.d_max_m
     spans: list[tuple[int, int]] = []
     i = 0
+    j = max(1, scanned)
     while i < n - 1:
         xi, yi = xs[i], ys[i]
-        j = i + 1
         while j < n:
             dx = xs[j] - xi
             dy = ys[j] - yi
@@ -97,6 +103,7 @@ def stay_spans(
             i = j
         else:
             i += 1
+        j = i + 1
     return spans, (n if final else i)
 
 

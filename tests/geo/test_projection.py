@@ -67,3 +67,35 @@ class TestLocalProjection:
         back = proj.unproject_point(x, y)
         assert back.lng == pytest.approx(p.lng, abs=1e-12)
         assert back.lat == pytest.approx(p.lat, abs=1e-12)
+
+
+class TestScalarArrayParity:
+    """A scalar ``to_xy`` is the array call's element, bit for bit."""
+
+    @pytest.mark.parametrize("origin", [BEIJING, Point(-58.38, -34.60), Point(151.2, -33.9),
+                                        Point(-122.4, 37.8)])
+    def test_scalar_equals_array_element(self, origin):
+        proj = LocalProjection(origin)
+        rng = np.random.default_rng(11)
+        lng = np.concatenate([origin.lng + rng.uniform(-0.5, 0.5, 200),
+                              rng.uniform(-180.0, 180.0, 50),
+                              np.trunc(rng.uniform(-180.0, 180.0, 10)), [np.nan, 0.0]])
+        lat = np.concatenate([origin.lat + rng.uniform(-0.5, 0.5, 200),
+                              rng.uniform(-90.0, 90.0, 50),
+                              np.trunc(rng.uniform(-90.0, 90.0, 10)), [1.0, np.nan]])
+        want_x, want_y = proj.to_xy(lng, lat)
+        as_ints = [(int(a), int(b)) for a, b in zip(lng[250:260], lat[250:260])]
+        cases = {
+            "float": list(zip(lng.tolist(), lat.tolist())),
+            "float64": list(zip(lng, lat)),
+            "int": as_ints,
+            "int-float": [(a, float(b)) for a, b in as_ints],
+        }
+        for kind, pairs in cases.items():
+            first = 250 if kind.startswith("int") else 0
+            got = [proj.to_xy(a, b) for a, b in pairs]
+            assert all(type(v) is float for xy in got for v in xy), kind
+            got_x, got_y = np.array(got).T
+            span = slice(first, first + len(pairs))
+            assert got_x.tobytes() == want_x[span].tobytes(), kind
+            assert got_y.tobytes() == want_y[span].tobytes(), kind

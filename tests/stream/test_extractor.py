@@ -10,7 +10,8 @@ from repro.stream import (
     OnlineExtractorConfig,
     OnlineStayExtractor,
 )
-from repro.trajectory import stay_points_of
+from repro.stream import extractor as extractor_mod
+from repro.trajectory import TrajPoint, Trajectory, detect_stay_points, stay_points_of
 
 
 def walk_fixes(courier="c0", seed=0, n_dwells=5):
@@ -123,6 +124,47 @@ class TestBatchParity:
         assert reference
         assert online == reference
         assert all(np.isfinite([e.stay.lng, e.stay.lat]).all() for e in emitted)
+
+
+class TestWorkBound:
+    """Each open fix is checked against its anchor once, not per release."""
+
+    def test_long_dwell_reads_each_fix_a_bounded_number_of_times(self, monkeypatch):
+        reads = [0]
+
+        class CountingColumn:
+            def __init__(self, column):
+                self.column = column
+
+            def __len__(self):
+                return len(self.column)
+
+            def __getitem__(self, k):
+                reads[0] += 1
+                return self.column[k]
+
+        kernel = extractor_mod.stay_spans
+        monkeypatch.setattr(
+            extractor_mod, "stay_spans",
+            lambda xs, *args: kernel(CountingColumn(xs), *args),
+        )
+        rng = np.random.default_rng(7)
+        proj = LocalProjection(Point(116.0, 39.9))
+        # 2,000 fixes within 8 m of the first (so within 20 m of each
+        # other), then a walk away in 100 m steps.
+        r, a = rng.uniform(0.0, 8.0, 2000), rng.uniform(0.0, 2 * np.pi, 2000)
+        xy = list(zip(r * np.cos(a), r * np.sin(a))) + [(100.0 * k, 0.0) for k in range(1, 51)]
+        fixes = []
+        for k, (x, y) in enumerate(xy):
+            lng, lat = proj.to_lnglat(float(x), float(y))
+            fixes.append(GpsFix("c0", float(lng), float(lat), float(k)))
+        _, outcomes, emitted = run_online(fixes)
+        assert all(o is IngestOutcome.ACCEPTED for o in outcomes)
+        assert reads[0] <= 4 * len(fixes)
+        trajectory = Trajectory("c0", [TrajPoint(f.lng, f.lat, f.t) for f in fixes])
+        reference = detect_stay_points(trajectory)
+        assert reference[0].n_points == 2000
+        assert [e.stay for e in emitted] == reference
 
 
 class TestLateAndDuplicate:

@@ -247,6 +247,36 @@ class TestResumeContract:
             tail, _ = stay_spans(xs[resume:], ys[resume:], ts[resume:], config, final=True)
             assert head + [(i + resume, j + resume) for i, j in tail] == full, k
 
+        # One fix at a time, as the online extractor feeds it: trim at
+        # ``resume`` and carry how far the open window is scanned.  After
+        # the walk, 1 km east: a dwell broken by a NaN fix, then a dwell
+        # whose second fix lies exactly d_max (20 m) from its anchor.
+        x0, t0 = float(round(xs[-1])) + 1000.0, ts[-1] + 10.0
+        extra = [(x0, 0.0), (x0 + 3.0, 1.0), (float("nan"), 0.0), (x0 - 2.0, 1.0),
+                 (x0, 0.0), (x0 + 20.0, 0.0), (x0 + 5.0, 4.0), (x0 - 3.0, -2.0),
+                 (x0 + 1.0, 1.0), (x0 + 500.0, 0.0)]
+        anchor = len(ts) + 4
+        xs += [p[0] for p in extra]
+        ys += [p[1] for p in extra]
+        ts += [t0 + 10.0 * k for k in range(len(extra))]
+        full, _ = stay_spans(xs, ys, ts, config, final=True)
+        assert (anchor, anchor + 5) in full  # the exact-d_max fix is inside
+        wx, wy, wt, scanned, offset, fed = [], [], [], 0, 0, []
+        for k in range(len(ts)):
+            wx.append(xs[k])
+            wy.append(ys[k])
+            wt.append(ts[k])
+            spans, resume = stay_spans(wx, wy, wt, config, False, scanned)
+            assert (spans, resume) == stay_spans(wx, wy, wt, config, False), k
+            fed += [(i + offset, j + offset) for i, j in spans]
+            for column in (wx, wy, wt):
+                del column[:resume]
+            offset += resume
+            scanned = len(wt)
+        tail, end = stay_spans(wx, wy, wt, config, True, scanned)
+        assert (tail, end) == stay_spans(wx, wy, wt, config, True)
+        assert fed + [(i + offset, j + offset) for i, j in tail] == full
+
 
 class TestExtractionParity:
     """``extract_trip_stay_points`` filters and detects on arrays only."""
