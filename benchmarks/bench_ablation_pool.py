@@ -11,7 +11,12 @@ DESIGN.md calls out two pool-construction choices to validate:
 
 import numpy as np
 
-from repro.core import CandidatePoolBuilder, build_candidate_pool, extract_trip_stay_points
+from repro.core import (
+    CandidatePoolBuilder,
+    build_candidate_pool,
+    extract_trip_stay_points,
+    project_stays,
+)
 from repro.eval import series_table
 
 
@@ -25,7 +30,7 @@ def test_ablation_pool_construction(dow_workload, write_result, benchmark):
     projection = workload.projection
 
     single_batch = CandidatePoolBuilder(projection, 40.0)
-    single_batch.add_batch(stay_points)
+    single_batch.add_batch(project_stays(stay_points, projection))
     one_shot = single_batch.build()
     biweekly = benchmark.pedantic(
         lambda: build_candidate_pool(stay_points, projection, 40.0),

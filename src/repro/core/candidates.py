@@ -161,20 +161,20 @@ class CandidatePoolBuilder:
         ]
         return builder
 
-    def add_batch(self, stay_points: list[StayPoint]) -> int:
-        """Cluster one batch and merge it into the pool.
+    def add_batch(self, xy: np.ndarray) -> int:
+        """Cluster one batch of stays and merge it into the pool.
 
-        Returns the current number of candidates; an empty batch changes
-        nothing.
+        ``xy`` holds the stays' projected meters, one ``(x, y)`` row each
+        (:func:`project_stays`).  Returns the current number of
+        candidates; an empty batch changes nothing.
         """
-        if stay_points:
-            coords = _project(stay_points, self.projection)
+        if len(xy):
             if self.clusters:
                 self.clusters = merge_weighted_clusters(
-                    self.clusters, coords, self.distance_threshold_m
+                    self.clusters, xy, self.distance_threshold_m
                 )
             else:
-                self.clusters = hierarchical_cluster(coords, self.distance_threshold_m)
+                self.clusters = hierarchical_cluster(xy, self.distance_threshold_m)
         return len(self.clusters)
 
     def build(self) -> CandidatePool:
@@ -199,20 +199,19 @@ def build_candidate_pool(
         raise ValueError(f"unknown pool construction method: {method!r}")
     if not stay_points:
         return CandidatePool([], projection)
+    xy = project_stays(stay_points, projection)
     if method == "grid":
-        clusters = grid_merge(_project(stay_points, projection), distance_threshold_m)
-        return CandidatePool.from_clusters(clusters, projection)
-    t0 = min(sp.t for sp in stay_points)
-    batches: dict[int, list[StayPoint]] = defaultdict(list)
-    for sp in stay_points:
-        batches[int((sp.t - t0) // BATCH_PERIOD_S)].append(sp)
+        return CandidatePool.from_clusters(grid_merge(xy, distance_threshold_m), projection)
+    t = np.array([sp.t for sp in stay_points])
+    periods = ((t - t.min()) // BATCH_PERIOD_S).astype(np.int64)
     builder = CandidatePoolBuilder(projection, distance_threshold_m)
-    for period in sorted(batches):
-        builder.add_batch(batches[period])
+    for period in np.unique(periods):
+        builder.add_batch(xy[periods == period])
     return builder.build()
 
 
-def _project(stay_points: list[StayPoint], projection: LocalProjection) -> np.ndarray:
+def project_stays(stay_points: list[StayPoint], projection: LocalProjection) -> np.ndarray:
+    """The stays' projected meters, one ``(x, y)`` row each."""
     lng = np.array([sp.lng for sp in stay_points])
     lat = np.array([sp.lat for sp in stay_points])
     x, y = projection.to_xy(lng, lat)
@@ -245,7 +244,7 @@ def assign_stay_points(
     """Nearest candidate id per stay point (None when the pool is empty)."""
     if len(pool) == 0:
         return [None] * len(stay_points)
-    return pool.nearest_ids(_project(stay_points, pool.projection)).tolist()
+    return pool.nearest_ids(project_stays(stay_points, pool.projection)).tolist()
 
 
 def build_profiles(

@@ -48,6 +48,38 @@ GRAD_NORM_BUCKETS = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0)
 MAX_SCORE_BATCH = 256
 
 
+def _length_chunks(counts: np.ndarray) -> list[np.ndarray]:
+    """Input positions of each scoring chunk, in ascending candidate count.
+
+    A chunk is padded to its own largest set, so its attention maps hold
+    ``rows x largest^2`` cells.  Sorted by count, a run of examples is cut
+    in two, at the cut that leaves the fewest cells, whenever that cut at
+    least halves the run's cells; both halves are then tried again.  A
+    long tail of large sets gets its own chunk, while evenly spread counts
+    are not cut into many small passes, each paying the pass's fixed
+    per-call cost.  Runs longer than ``MAX_SCORE_BATCH`` are then split
+    evenly.
+    """
+    order = np.argsort(counts, kind="stable")
+    sq = counts[order].astype(np.int64) ** 2
+    runs: list[np.ndarray] = []
+    pending = [(0, len(order))]
+    while pending:
+        lo, hi = pending.pop()
+        left = np.arange(1, hi - lo)  # rows before each possible cut
+        cells = left * sq[lo : hi - 1] + (hi - lo - left) * sq[hi - 1]
+        if len(cells) and 2 * cells.min() <= (hi - lo) * sq[hi - 1]:
+            cut = lo + 1 + int(cells.argmin())
+            pending += [(cut, hi), (lo, cut)]
+        else:
+            runs.append(order[lo:hi])
+    return [
+        piece
+        for run in runs
+        for piece in np.array_split(run, -(-len(run) // MAX_SCORE_BATCH))
+    ]
+
+
 @dataclass(frozen=True)
 class LocMatcherConfig:
     """Model + training hyperparameters.
@@ -348,21 +380,29 @@ class LocMatcherSelector:
         return self
 
     def _scored_chunks(self, examples: list[AddressExample]):
-        """Eval-mode ``(chunk, scores, mask, labels)``, ``MAX_SCORE_BATCH`` at a time."""
-        self.net.eval()
-        for start in range(0, len(examples), MAX_SCORE_BATCH):
-            chunk = examples[start : start + MAX_SCORE_BATCH]
+        """Eval-mode ``(positions, scores, mask, labels)`` per chunk.
+
+        ``positions`` index ``examples``; chunks come from
+        :func:`_length_chunks`, so each is padded only to its own largest
+        candidate set.  The mask keeps padding out of every real score,
+        so a score does not depend on its chunk.
+        """
+        if self.net.training:
+            self.net.eval()
+        counts = np.array([e.n_candidates for e in examples])
+        for positions in _length_chunks(counts):
+            chunk = [examples[i] for i in positions]
             scalars, hist, mask, poi, deliveries, labels = self._make_batch(chunk)
             scores, _ = numpy_pass.forward(
                 self.net, scalars, hist, mask, poi, deliveries, keep_tape=False
             )
-            yield chunk, scores, mask, labels
+            yield positions, scores, mask, labels
 
     def _evaluate_loss(self, examples: list[AddressExample]) -> float:
         """Mean cross-entropy per example."""
         total = 0.0
-        for chunk, scores, mask, labels in self._scored_chunks(examples):
-            total += numpy_pass.masked_cross_entropy(scores, mask, labels)[0] * len(chunk)
+        for positions, scores, mask, labels in self._scored_chunks(examples):
+            total += numpy_pass.masked_cross_entropy(scores, mask, labels)[0] * len(positions)
         return total / len(examples)
 
     # ------------------------------------------------------------------
@@ -371,20 +411,23 @@ class LocMatcherSelector:
         return self.scores_batch([example])[0]
 
     def scores_batch(self, examples: list[AddressExample]) -> list[np.ndarray]:
-        """Probabilities for many examples at once.
+        """Probabilities for many examples at once, in input order.
 
         Batched inference amortizes the per-call numpy overhead — this is
         how the deployed system reaches its offline throughput (Figure
-        13); scores match per-example calls (padding is fully masked).
+        13).  Examples are scored in chunks of similar candidate counts,
+        each padded only to its own largest set (padding is fully masked),
+        so scores match per-example calls.
         """
         if self.net is None:
             raise RuntimeError("selector is not fitted")
         if not examples:
             return []
-        out: list[np.ndarray] = []
-        for chunk, scores, mask, _ in self._scored_chunks(examples):
+        out: list[np.ndarray] = [None] * len(examples)
+        for positions, scores, mask, _ in self._scored_chunks(examples):
             probs = numpy_pass.masked_softmax(scores, mask)
-            out.extend(probs[row, : e.n_candidates] for row, e in enumerate(chunk))
+            for row, i in enumerate(positions):
+                out[i] = probs[row, : examples[i].n_candidates]
         return out
 
     def predict_index(self, example: AddressExample) -> int:

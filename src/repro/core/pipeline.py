@@ -28,6 +28,7 @@ from repro.core.candidates import (
     build_candidate_pool,
     build_profiles,
     candidate_id_map,
+    project_stays,
 )
 from repro.core.features import AddressExample, FeatureConfig, FeatureExtractor
 from repro.core.locmatcher import LocMatcherConfig, LocMatcherSelector
@@ -315,7 +316,7 @@ class DLInfMA:
             # Stage 2 — merge the new batch into the persistent pool builder.
             with ctx.stage("pool_construction"):
                 flat_new = _flatten(new_stays)
-                self._builder.add_batch(flat_new)
+                self._builder.add_batch(project_stays(flat_new, self._builder.projection))
                 pool = self._builder.build()
             ctx.count("pool_construction", "stay_points", len(flat_new))
             ctx.count("pool_construction", "candidates", len(pool))

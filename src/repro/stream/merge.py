@@ -29,13 +29,12 @@ incremental merge).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cluster import Cluster
-from repro.core.candidates import CandidatePool, CandidatePoolBuilder
+from repro.core.candidates import CandidatePool, CandidatePoolBuilder, project_stays
 from repro.geo import LocalProjection, Point
 from repro.trajectory import StayPoint
 
@@ -86,16 +85,12 @@ class ShardedPoolMerger:
         """
         if self._staged is not None:
             raise RuntimeError("a staged batch is already pending")
-        by_cell: dict[tuple[int, int], list[StayPoint]] = {}
-        if stays:
-            lng = [sp.lng for sp in stays]
-            lat = [sp.lat for sp in stays]
-            xs, ys = self.projection.to_xy(np.asarray(lng), np.asarray(lat))
-            for sp, x, y in zip(stays, np.atleast_1d(xs), np.atleast_1d(ys)):
-                cell = (math.floor(x / SHARD_CELL_M), math.floor(y / SHARD_CELL_M))
-                by_cell.setdefault(cell, []).append(sp)
+        xy = project_stays(stays, self.projection)
+        by_cell: dict[tuple[int, int], list[int]] = {}
+        for i, cell in enumerate(np.floor(xy / SHARD_CELL_M).astype(np.int64).tolist()):
+            by_cell.setdefault(tuple(cell), []).append(i)
         tokens: dict[tuple[int, int], list[Cluster] | None] = {}
-        for cell, cell_stays in by_cell.items():
+        for cell, rows in by_cell.items():
             shard = self._shards.get(cell)
             if shard is None:
                 tokens[cell] = None
@@ -104,7 +99,7 @@ class ShardedPoolMerger:
                 )
             else:
                 tokens[cell] = shard.clusters
-            shard.add_batch(cell_stays)
+            shard.add_batch(xy[rows])
         self._staged = StagedBatch(stays=list(stays), tokens=tokens)
         return self._staged
 

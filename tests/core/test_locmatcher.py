@@ -12,6 +12,7 @@ from repro.core import (
     COL_DIST,
 )
 from repro.core import locmatcher_numpy
+from repro.core.locmatcher import MAX_SCORE_BATCH
 from repro.nn.functional import cross_entropy, masked_softmax
 from repro.synth.city import N_POI_CATEGORIES
 
@@ -349,6 +350,60 @@ class TestBatchedScoring:
         np.testing.assert_allclose(alone, crowd, rtol=1e-5, atol=1e-6)
         assert alone.shape == (examples[0].n_candidates,)
         assert abs(float(alone.sum()) - 1.0) < 1e-5
+
+
+def corpus_like_counts(seed=0):
+    """Candidate counts shaped like a city's: most sets hold 1-12
+    candidates, and a tail reaches 40 (every count from 1 to 40 appears).
+    More than ``MAX_SCORE_BATCH`` of them, shuffled."""
+    rng = np.random.default_rng(seed)
+    counts = np.concatenate([np.arange(1, 41), rng.integers(1, 13, size=MAX_SCORE_BATCH)])
+    return rng.permutation(counts)
+
+
+class TestLengthSortedChunks:
+    """Scoring cuts the examples into chunks of similar candidate counts."""
+
+    @pytest.fixture(scope="class", params=["transformer", "lstm"])
+    def selector(self, request):
+        cfg = LocMatcherConfig(max_epochs=4, patience=4, encoder=request.param)
+        return LocMatcherSelector(config=cfg).fit(synthetic_examples(30, seed=20))
+
+    @pytest.fixture(scope="class")
+    def probe(self):
+        return [
+            synthetic_examples(1, seed=100 + i, n_cands=(k, k + 1))[0]
+            for i, k in enumerate(corpus_like_counts())
+        ]
+
+    def test_input_order_and_per_example_scores(self, selector, probe):
+        batched = selector.scores_batch(probe)
+        assert [len(s) for s in batched] == [e.n_candidates for e in probe]
+        for example, scores in zip(probe, batched):
+            np.testing.assert_allclose(
+                scores, selector.scores(example), rtol=1e-6, atol=1e-8
+            )
+
+    def test_batched_argmax_equals_per_example(self, selector, probe):
+        assert selector.predict_index_batch(probe) == [
+            selector.predict_index(e) for e in probe
+        ]
+
+    def test_chunks_are_capped_and_cut_padding(self, selector, probe, monkeypatch):
+        shapes = []
+        forward = locmatcher_numpy.forward
+
+        def spy(net, scalars, hist, mask, *args, **kwargs):
+            shapes.append(mask.shape)
+            return forward(net, scalars, hist, mask, *args, **kwargs)
+
+        monkeypatch.setattr(locmatcher_numpy, "forward", spy)
+        selector.scores_batch(probe)
+        assert sum(b for b, _ in shapes) == len(probe)
+        assert all(b <= MAX_SCORE_BATCH for b, _ in shapes)
+        attention_cells = sum(b * n * n for b, n in shapes)
+        one_batch = len(probe) * max(e.n_candidates for e in probe) ** 2
+        assert attention_cells <= one_batch / 2
 
 
 class TestPoiCategoryRange:

@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.cluster import hierarchical_cluster, merge_weighted_clusters
-from repro.core import CandidatePoolBuilder, build_candidate_pool
+from repro.core import CandidatePoolBuilder, build_candidate_pool, project_stays
+from repro.core import candidates
+from repro.core.candidates import BATCH_PERIOD_S
+from repro.geo import LocalProjection
 from repro.trajectory import StayPoint
 from tests.core.helpers import PROJ
 
@@ -10,6 +15,10 @@ from tests.core.helpers import PROJ
 def sp(x, y, t=0.0):
     lng, lat = PROJ.to_lnglat(x, y)
     return StayPoint(float(lng), float(lat), t, t + 60.0, "c1", n_points=4)
+
+
+def xy(stays):
+    return project_stays(stays, PROJ)
 
 
 class TestCandidatePoolBuilder:
@@ -22,7 +31,7 @@ class TestCandidatePoolBuilder:
     def test_single_batch_matches_direct_clustering(self):
         stays = [sp(0, 0), sp(6, 2, 50), sp(400, 0, 100)]
         builder = CandidatePoolBuilder(PROJ, 40.0)
-        builder.add_batch(stays)
+        builder.add_batch(xy(stays))
         streamed = builder.build()
         direct = build_candidate_pool(stays, PROJ, 40.0)
         assert len(streamed) == len(direct)
@@ -40,7 +49,7 @@ class TestCandidatePoolBuilder:
                 sp(float(x), float(y), t=batch * 1e5 + i)
                 for i, (x, y) in enumerate(rng.uniform(0, 600, size=(25, 2)))
             ]
-            builder.add_batch(stays)
+            builder.add_batch(xy(stays))
             pool = builder.build()
             coords = np.array([[c.x, c.y] for c in pool.candidates])
             for i in range(len(coords)):
@@ -59,7 +68,7 @@ class TestCandidatePoolBuilder:
         one_shot = build_candidate_pool(stays, PROJ, 40.0)
         builder = CandidatePoolBuilder(PROJ, 40.0)
         for start in range(0, len(stays), 40):
-            builder.add_batch(stays[start:start + 40])
+            builder.add_batch(xy(stays[start:start + 40]))
         streamed = builder.build()
         assert len(streamed) == pytest.approx(len(one_shot), rel=0.2)
         # Both cover the same total mass.
@@ -80,22 +89,22 @@ class TestCandidatePoolBuilder:
             for i, (x, y) in enumerate(rng.uniform(0, 600, size=(40, 2)))
         ]
         continuous = CandidatePoolBuilder(PROJ, 40.0)
-        continuous.add_batch(first)
+        continuous.add_batch(xy(first))
         checkpoint = continuous.build()
 
         resumed = CandidatePoolBuilder.from_pool(checkpoint, 40.0)
         assert len(resumed.build()) == len(checkpoint)
 
-        continuous.add_batch(second)
-        resumed.add_batch(second)
+        continuous.add_batch(xy(second))
+        resumed.add_batch(xy(second))
         ours = [(c.x, c.y, c.weight) for c in resumed.build().candidates]
         theirs = [(c.x, c.y, c.weight) for c in continuous.build().candidates]
         assert ours == pytest.approx(theirs)
 
     def test_weight_accumulates_across_batches(self):
         builder = CandidatePoolBuilder(PROJ, 40.0)
-        builder.add_batch([sp(0, 0), sp(3, 0, 10)])
-        builder.add_batch([sp(1, 1, 20)])
+        builder.add_batch(xy([sp(0, 0), sp(3, 0, 10)]))
+        builder.add_batch(xy([sp(1, 1, 20)]))
         pool = builder.build()
         assert len(pool) == 1
         assert pool.candidates[0].weight == pytest.approx(3.0)
@@ -103,7 +112,7 @@ class TestCandidatePoolBuilder:
     def test_empty_batch_is_harmless(self):
         builder = CandidatePoolBuilder(PROJ, 40.0)
         assert builder.add_batch([]) == 0
-        assert builder.add_batch([sp(0, 0)]) == 1
+        assert builder.add_batch(xy([sp(0, 0)])) == 1
         before = builder.clusters
         assert builder.add_batch([]) == 1
         assert builder.clusters is before
@@ -151,6 +160,45 @@ class TestBiweeklyParity:
         pool = build_candidate_pool(stays, tiny_workload.projection, 40.0)
         assert len(pool) > 0
         assert pool_rows(pool) == reference_pool_rows(stays, tiny_workload.projection)
+
+    def test_tiny_preset_stays_over_two_periods(self, tiny_artifacts, tiny_workload,
+                                                monkeypatch):
+        """The later half of the preset's stays, moved one period on in a
+        copy, reach the merge branch and still equal the reference."""
+        stays = sorted(
+            (s for trip in tiny_artifacts.stay_points_by_trip.values() for s in trip),
+            key=lambda s: s.t,
+        )
+        half = len(stays) // 2
+        shifted = stays[:half] + [
+            replace(s, t_arrive=s.t_arrive + BATCH_PERIOD_S, t_leave=s.t_leave + BATCH_PERIOD_S)
+            for s in stays[half:]
+        ]
+        t0 = shifted[0].t
+        assert {int((s.t - t0) // BATCH_PERIOD_S) for s in shifted} == {0, 1}
+        merges = []
+
+        def spy(*args, **kwargs):
+            merges.append(len(args[1]))
+            return merge_weighted_clusters(*args, **kwargs)
+
+        monkeypatch.setattr(candidates, "merge_weighted_clusters", spy)
+        pool = build_candidate_pool(shifted, tiny_workload.projection, 40.0)
+        assert merges == [len(stays) - half]
+        assert pool_rows(pool) == reference_pool_rows(shifted, tiny_workload.projection)
+
+    def test_each_stay_projected_once(self, monkeypatch):
+        projected = []
+        to_xy = LocalProjection.to_xy
+
+        def spy(self, lng, lat):
+            projected.append(np.size(lng))
+            return to_xy(self, lng, lat)
+
+        monkeypatch.setattr(LocalProjection, "to_xy", spy)
+        stays = [sp(float(i), 0.0, t=i * 86_400.0) for i in range(40)]
+        build_candidate_pool(stays, PROJ, 40.0)
+        assert sum(projected) == len(stays)
 
     def test_stays_spanning_several_periods(self):
         rng = np.random.default_rng(26)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import CandidatePoolBuilder
+from repro.core import CandidatePoolBuilder, project_stays
 from repro.geo import LocalProjection, Point
 from repro.stream import ShardedPoolMerger
 from repro.trajectory import StayPoint
@@ -133,6 +133,23 @@ class TestMaterialization:
         assert snapped == {}
 
 
+class TestProjection:
+    def test_each_staged_stay_projected_once(self, monkeypatch):
+        projected = []
+        to_xy = LocalProjection.to_xy
+
+        def spy(self, lng, lat):
+            projected.append(np.size(lng))
+            return to_xy(self, lng, lat)
+
+        monkeypatch.setattr(LocalProjection, "to_xy", spy)
+        stays = [stay_at(float(x), 10.0) for x in range(0, 3000, 100)]
+        merger = ShardedPoolMerger(PROJ)
+        merger.stage(stays)
+        assert merger.n_shards == 4
+        assert sum(projected) == len(stays)
+
+
 class TestBuilderParity:
     def test_one_cell_pool_equals_the_batch_builder(self):
         """One cell's stays, staged and committed, give the same pool as the
@@ -147,7 +164,7 @@ class TestBuilderParity:
         merger.commit()
         assert merger.n_shards == 1
         builder = CandidatePoolBuilder(PROJ, 40.0)
-        builder.add_batch(stays)
+        builder.add_batch(project_stays(stays, PROJ))
 
         def rows(pool):
             return [(c.candidate_id, c.x, c.y, c.lng, c.lat, c.weight)
