@@ -252,7 +252,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
     locations = model.predict(delivered)
     save_locations(locations, args.out)
     n_new = model.counters.get("stay_point_extraction.trips", len(new_trips))
-    counters = model.counters
+    n_examples = model.counters.get("feature_extraction.examples_built", 0)
     if args.json:
         payload = {
             "submitted": len(new_trips),
@@ -260,9 +260,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
             "total_trips": len(model.extractor.trips),
             "locations_out": str(args.out),
             "n_locations": len(locations),
-            "examples_refreshed": counters.get("feature_extraction.examples_refreshed", 0),
-            "examples_rebuilt": counters.get("feature_extraction.examples_rebuilt", 0),
-            "addresses_affected": counters.get("feature_extraction.addresses_affected", 0),
+            "examples": n_examples,
             "fit_stage_timings_s": [[s, t] for s, t in fit_rows],
             "update_stage_timings_s": [[s, t] for s, t in update_rows],
         }
@@ -276,10 +274,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
     else:
         print(f"absorbed {n_new} new trips of {len(new_trips)} submitted "
               f"({len(model.extractor.trips)} total) -> {args.out}")
-        print(f"refreshed {counters.get('feature_extraction.examples_refreshed', 0)}"
-              f" + rebuilt {counters.get('feature_extraction.examples_rebuilt', 0)}"
-              f" address examples "
-              f"({counters.get('feature_extraction.addresses_affected', 0)} affected)")
+        print(f"{n_examples} address examples")
         for report in drift_reports:
             print(report.render())
         if args.drift_out:

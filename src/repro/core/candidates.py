@@ -218,26 +218,6 @@ def project_stays(stay_points: list[StayPoint], projection: LocalProjection) -> 
     return np.column_stack([np.atleast_1d(x), np.atleast_1d(y)])
 
 
-def candidate_id_map(old_pool: CandidatePool, new_pool: CandidatePool) -> dict[int, int]:
-    """Old-id -> new-id for candidates whose centroid did not move.
-
-    Ids are reassigned west-to-east on every pool build, so incremental
-    merges invalidate raw ids even for untouched clusters; coordinates are
-    the stable identity (a merge recomputes a centroid, so any absorbed
-    cluster drops out of this map — exactly the candidates whose features
-    must be rebuilt rather than remapped).
-    """
-    by_coord = {
-        (round(c.x, 6), round(c.y, 6)): c.candidate_id for c in new_pool.candidates
-    }
-    out: dict[int, int] = {}
-    for c in old_pool.candidates:
-        new_id = by_coord.get((round(c.x, 6), round(c.y, 6)))
-        if new_id is not None:
-            out[c.candidate_id] = new_id
-    return out
-
-
 def assign_stay_points(
     stay_points: list[StayPoint], pool: CandidatePool
 ) -> list[int | None]:

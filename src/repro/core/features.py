@@ -234,82 +234,6 @@ class FeatureExtractor:
         return out
 
     # ------------------------------------------------------------------
-    # Incremental-update support (Section VI-A's periodic re-inference).
-    # ------------------------------------------------------------------
-    def visit_signature(self, trip_id: str) -> tuple:
-        """Geometry + time signature of a trip's candidate visits.
-
-        Candidate *ids* are not comparable across pools (they are reassigned
-        west-to-east on every build), so change detection between an old and
-        a new pool compares visit sequences by candidate coordinates.
-        """
-        return tuple(
-            (
-                round(self.pool.by_id[v.candidate_id].x, 6),
-                round(self.pool.by_id[v.candidate_id].y, 6),
-                v.t,
-                v.duration_s,
-            )
-            for v in self.visits_by_trip.get(trip_id, ())
-        )
-
-    def refresh_example(
-        self, old: AddressExample, id_map: dict[int, int]
-    ) -> AddressExample | None:
-        """Carry a structurally unchanged example over to this pool.
-
-        Valid only when the address gained no trips and none of its trips'
-        visit geometry changed.  Candidate ids are remapped through
-        ``id_map`` (old id -> new id at identical coordinates); the
-        commonality (LC) columns — whose denominators involve the *global*
-        trip count — and the profile columns are recomputed cheaply, while
-        trip coverage, distance and the address features are reused as-is.
-        Returns None when the example cannot be carried over (the caller
-        should fall back to a full :meth:`build_example`).
-        """
-        try:
-            candidate_ids = [id_map[cid] for cid in old.candidate_ids]
-        except KeyError:
-            return None
-        # Ids order candidates west-to-east in every pool, so identical
-        # coordinates must keep identical row order; bail out otherwise.
-        if any(b <= a for a, b in zip(candidate_ids, candidate_ids[1:])):
-            return None
-        address = self.addresses.get(old.address_id)
-        if address is None:
-            return None
-        involved = self.trips_by_address.get(old.address_id, [])
-        involved_set = set(involved)
-        building_trips = self.trips_by_building.get(address.building_id, set())
-        n_other_building = self.n_trips - len(building_trips)
-        n_other_address = self.n_trips - len(involved_set)
-        features = old.features.copy()
-        for row, cid in enumerate(candidate_ids):
-            trips_through = self.trips_by_candidate.get(cid, set())
-            features[row, COL_LC_BUILDING] = (
-                len(trips_through - building_trips) / n_other_building
-                if n_other_building > 0
-                else 0.0
-            )
-            features[row, COL_LC_ADDRESS] = (
-                len(trips_through - involved_set) / n_other_address
-                if n_other_address > 0
-                else 0.0
-            )
-            profile = self.profiles[cid]
-            features[row, COL_DURATION] = profile.avg_duration_s
-            features[row, COL_COURIERS] = profile.n_couriers
-            features[row, HIST_START:] = profile.time_hist
-        return AddressExample(
-            address_id=old.address_id,
-            candidate_ids=candidate_ids,
-            features=features,
-            n_deliveries=len(involved),
-            poi_category=old.poi_category,
-            label=old.label,
-        )
-
-    # ------------------------------------------------------------------
     def label_example(self, example: AddressExample, true_location: Point) -> None:
         """Set the positive label as the candidate nearest the ground truth
         (how the paper derives supervised labels, Section V-A)."""

@@ -7,15 +7,15 @@ candidate retrieval/feature extraction) and delivery location discovery
 :meth:`~repro.core.run.RunContext.stage`, which records the Section V-F
 per-stage wall-clock timings; the stages add their own item counters.
 
-Besides the one-shot :meth:`DLInfMA.fit`, the pipeline has a first-class
-incremental path: the deployed system builds candidate pools "in a
-bi-weekly manner and then merged with existing ones" and re-runs inference
-periodically as new trips land (Sections III-B, VI-A).
-:meth:`DLInfMA.update` extracts stay points only for the new trips, merges
-them into the pool via :class:`~repro.core.candidates.CandidatePoolBuilder`,
-rebuilds features only for the addresses whose candidate sets actually
-changed, and warm-starts the selector — so repeated batches cost O(new
-data), not O(all data).
+Besides the one-shot :meth:`DLInfMA.fit`, the pipeline has an incremental
+path: the deployed system builds candidate pools "in a bi-weekly manner and
+then merged with existing ones" and re-runs inference periodically as new
+trips land (Sections III-B, VI-A).  :meth:`DLInfMA.update` extracts stay
+points only for the new trips and merges them into the pool through a
+:class:`~repro.core.candidates.CandidatePoolBuilder`; the profile and
+feature stages then run over the union of trips exactly as in
+:func:`build_artifacts`, and the selector is warm-started.  An update
+costs new-trip extraction, one merge and a feature build over the union.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.core.candidates import (
     CandidatePoolBuilder,
     build_candidate_pool,
     build_profiles,
-    candidate_id_map,
     project_stays,
 )
 from repro.core.features import AddressExample, FeatureConfig, FeatureExtractor
@@ -88,13 +87,25 @@ def _extract_stays(
     return stays
 
 
-def _build_profiles(
-    ctx: RunContext, stay_points_by_trip: dict[str, list], pool: CandidatePool
-) -> dict:
+def _features(
+    ctx: RunContext,
+    trips: list[DeliveryTrip],
+    stays: dict[str, list],
+    pool: CandidatePool,
+    addresses: dict[str, Address],
+) -> tuple[FeatureExtractor, dict[str, AddressExample]]:
+    """Profile and feature stages: one example per delivered address."""
     with ctx.stage("profile_build"):
-        profiles = build_profiles(_flatten(stay_points_by_trip), pool)
+        profiles = build_profiles(_flatten(stays), pool)
     ctx.count("profile_build", "profiles", len(profiles))
-    return profiles
+
+    with ctx.stage("feature_extraction"):
+        extractor = FeatureExtractor(trips, stays, pool, profiles, addresses)
+        delivered = sorted({a for trip in trips for a in trip.address_ids})
+        examples = extractor.build_examples(delivered)
+    ctx.count("feature_extraction", "addresses", len(delivered))
+    ctx.count("feature_extraction", "examples_built", len(examples))
+    return extractor, examples
 
 
 def _labeled_examples(
@@ -173,14 +184,7 @@ def build_artifacts(
         ctx.count("pool_construction", "stay_points", len(all_stays))
         ctx.count("pool_construction", "candidates", len(pool))
 
-        profiles = _build_profiles(ctx, stays, pool)
-
-        with ctx.stage("feature_extraction"):
-            extractor = FeatureExtractor(trips, stays, pool, profiles, addresses)
-            delivered = sorted({a for trip in trips for a in trip.address_ids})
-            examples = extractor.build_examples(delivered)
-        ctx.count("feature_extraction", "addresses", len(delivered))
-        ctx.count("feature_extraction", "examples_built", len(examples))
+        extractor, examples = _features(ctx, trips, stays, pool, addresses)
     return PipelineArtifacts(pool, extractor, examples, stays, ctx)
 
 
@@ -195,9 +199,7 @@ class DLInfMA:
         self.examples: dict[str, AddressExample] = {}
         self.addresses: dict[str, Address] = {}
         self.context: RunContext | None = None
-        self._builder: CandidatePoolBuilder | None = None
         self._stays_by_trip: dict[str, list] = {}
-        self._projection: LocalProjection | None = None
 
     @property
     def timings(self) -> dict[str, float]:
@@ -230,7 +232,6 @@ class DLInfMA:
         if projection is None:
             first = next(iter(addresses.values()))
             projection = LocalProjection(first.geocode)
-        self._projection = projection
         ctx = RunContext("fit")
         with obs_span(
             "dlinfma.fit", selector=self.config.selector, n_trips=len(trips)
@@ -248,11 +249,6 @@ class DLInfMA:
             self.extractor = artifacts.extractor
             self.examples = artifacts.examples
             self._stays_by_trip = dict(artifacts.stay_points_by_trip)
-            self._builder = (
-                CandidatePoolBuilder.from_pool(self.pool, self.config.cluster_distance_m)
-                if self.config.pool_method == "hierarchical"
-                else None
-            )
             self.selector = _train(
                 ctx, self.config, self.extractor, self.examples,
                 ground_truth, train_ids, val_ids,
@@ -273,111 +269,66 @@ class DLInfMA:
         train_ids: list[str] | None = None,
         val_ids: list[str] | None = None,
     ) -> "DLInfMA":
-        """Incrementally absorb a batch of new trips (Section VI-A).
+        """Absorb a batch of new trips (Section VI-A).
 
-        Stay points are extracted *only* for the new trips; the candidate
-        pool is merged forward through the persistent
-        :class:`CandidatePoolBuilder` (so all centroids stay >= D apart);
-        address examples are rebuilt only where the candidate sets actually
-        changed (everything else is remapped + cheaply refreshed); and the
-        selector is warm-started on the union of labels when
-        ``ground_truth``/``train_ids`` are given (otherwise the current
-        selector keeps serving).
+        Stay points are extracted *only* for the new trips.  A hierarchical
+        pool is merged forward with one
+        :class:`~repro.core.candidates.CandidatePoolBuilder` batch seeded
+        from the current pool (so all centroids stay >= D apart); a grid
+        pool has no incremental merge and is binned again from all stays.
+        The profile and feature stages then run over the union of trips,
+        as in :func:`build_artifacts`.  The selector is warm-started on the
+        union of labels when ``ground_truth``/``train_ids`` are given;
+        otherwise the current selector keeps serving.
 
         Trips whose ids are already known are ignored, so callers may pass
-        overlapping batches.  Pool methods without an incremental merge
-        (``grid``) fall back to a full refit on the union.
+        overlapping batches.
         """
         if self.extractor is None or self.pool is None:
             raise RuntimeError("pipeline is not fitted; call fit() before update()")
         known = self.extractor.trips
         new_trips = [t for t in new_trips if t.trip_id not in known]
-        if self._builder is None:
-            # No incremental merge for this pool method: full refit on union.
-            all_trips = list(known.values()) + new_trips
-            return self.fit(
-                all_trips,
-                self.addresses,
-                ground_truth or {},
-                list(train_ids or []),
-                val_ids,
-                projection=self._projection,
-            )
-
+        all_trips = list(known.values()) + new_trips
+        cfg = self.config
         ctx = RunContext("update")
-        old_pool = self.pool
-        old_extractor = self.extractor
-        old_examples = self.examples
-
         with obs_span("dlinfma.update", n_new_trips=len(new_trips)):
-            # Stage 1 — extraction over the new trips only.
-            new_stays = _extract_stays(ctx, new_trips, self.config.extraction)
-
-            # Stage 2 — merge the new batch into the persistent pool builder.
-            with ctx.stage("pool_construction"):
-                flat_new = _flatten(new_stays)
-                self._builder.add_batch(project_stays(flat_new, self._builder.projection))
-                pool = self._builder.build()
-            ctx.count("pool_construction", "stay_points", len(flat_new))
-            ctx.count("pool_construction", "candidates", len(pool))
+            new_stays = _extract_stays(ctx, new_trips, cfg.extraction)
             self._stays_by_trip.update(new_stays)
 
-            # Stage 3 — profiles over all stays (cheap aggregation, no GPS work).
-            profiles = _build_profiles(ctx, self._stays_by_trip, pool)
+            with ctx.stage("pool_construction"):
+                if cfg.pool_method == "grid":
+                    clustered = _flatten(self._stays_by_trip)
+                    pool = build_candidate_pool(
+                        clustered, self.pool.projection,
+                        distance_threshold_m=cfg.cluster_distance_m, method="grid",
+                    )
+                else:
+                    clustered = _flatten(new_stays)
+                    builder = CandidatePoolBuilder.from_pool(
+                        self.pool, cfg.cluster_distance_m
+                    )
+                    builder.add_batch(project_stays(clustered, self.pool.projection))
+                    pool = builder.build()
+            ctx.count("pool_construction", "stay_points", len(clustered))
+            ctx.count("pool_construction", "candidates", len(pool))
 
-            # Stage 4 — selective feature refresh.
-            with ctx.stage("feature_extraction"):
-                all_trips = list(known.values()) + new_trips
-                extractor = FeatureExtractor(
-                    all_trips, self._stays_by_trip, pool, profiles, self.addresses
-                )
-                changed_trips = {t.trip_id for t in new_trips}
-                for trip_id in known:
-                    if old_extractor.visit_signature(trip_id) != extractor.visit_signature(
-                        trip_id
-                    ):
-                        changed_trips.add(trip_id)
-                affected = {
-                    a
-                    for trip_id in changed_trips
-                    for a in extractor.trips[trip_id].address_ids
-                }
-                id_map = candidate_id_map(old_pool, pool)
-                delivered = sorted({a for trip in all_trips for a in trip.address_ids})
-                examples: dict[str, AddressExample] = {}
-                rebuilt = refreshed = 0
-                for address_id in delivered:
-                    old_example = old_examples.get(address_id)
-                    if address_id not in affected and old_example is not None:
-                        carried = extractor.refresh_example(old_example, id_map)
-                        if carried is not None:
-                            examples[address_id] = carried
-                            refreshed += 1
-                            continue
-                    example = extractor.build_example(address_id)
-                    if example is not None:
-                        examples[address_id] = example
-                        rebuilt += 1
-            ctx.count("feature_extraction", "addresses", len(delivered))
-            ctx.count("feature_extraction", "addresses_affected", len(affected))
-            ctx.count("feature_extraction", "examples_rebuilt", rebuilt)
-            ctx.count("feature_extraction", "examples_refreshed", refreshed)
-
+            extractor, examples = _features(
+                ctx, all_trips, self._stays_by_trip, pool, self.addresses
+            )
             self.context = ctx
             self.pool = pool
             self.extractor = extractor
             self.examples = examples
 
-            # Stage 5 — warm-start the selector on the union of labels.
             if ground_truth is not None and train_ids:
                 self.selector = _train(
-                    ctx, self.config, extractor, examples,
+                    ctx, cfg, extractor, examples,
                     ground_truth, train_ids, val_ids, self.selector,
                 )
         event(
             "dlinfma.update.complete", component="pipeline",
-            n_new_trips=len(new_trips), examples_rebuilt=rebuilt,
-            examples_refreshed=refreshed, n_candidates=len(pool),
+            n_new_trips=len(new_trips), n_candidates=len(pool),
+            n_examples=len(examples),
         )
         return self
 

@@ -6,8 +6,8 @@ runs inside :meth:`RunContext.stage`, which does all the per-stage
 bookkeeping in one place: the tracing span, the ``engine_stage_seconds``
 histogram, the opt-in ``--memory`` snapshot, the ``stage.complete`` debug
 event and one :class:`StageRecord`.  ``counters`` holds
-``"<stage>.<metric>"`` item counts, the evidence that an incremental run
-is O(new data).
+``"<stage>.<metric>"`` item counts, e.g. how many trips an update
+extracted and how many examples it built.
 """
 
 from __future__ import annotations

@@ -157,6 +157,7 @@ class TestUpdate:
         assert payload["submitted"] == len(trips) - half
         assert payload["absorbed"] == len(trips) - half
         assert payload["total_trips"] == len(trips)
+        assert 0 < payload["examples"] <= payload["n_locations"]
         fit_stages = [s for s, _ in payload["fit_stage_timings_s"]]
         assert fit_stages[0] == "stay_point_extraction"
         update_stages = [s for s, _ in payload["update_stage_timings_s"]]
