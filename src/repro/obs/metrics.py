@@ -152,9 +152,17 @@ class Histogram(_Metric):
         self.observe_key(_label_key(labels), value, exemplar)
 
     def observe_key(
-        self, key: LabelKey, value: float, exemplar: Exemplar | None = None
+        self, key: LabelKey, value: float, exemplar: Exemplar | None = None,
+        n: int = 1,
     ) -> None:
-        """:meth:`observe` with the label key already built."""
+        """:meth:`observe` with the label key already built.
+
+        ``n`` records ``n`` observations of the same ``value`` at once:
+        the same buckets, count and sum as ``n`` single calls, with
+        ``exemplar`` standing for the newest of them.
+        """
+        if n < 1:
+            raise ValueError(f"observation count must be >= 1: {n}")
         idx = bisect.bisect_left(self.bounds, value)
         with self._lock:
             counts = self._counts.get(key)
@@ -162,9 +170,9 @@ class Histogram(_Metric):
                 counts = self._counts[key] = [0] * (len(self.bounds) + 1)
                 self._sums[key] = 0.0
                 self._totals[key] = 0
-            counts[idx] += 1
-            self._sums[key] += float(value)
-            self._totals[key] += 1
+            counts[idx] += n
+            self._sums[key] += float(value) * n
+            self._totals[key] += n
             if exemplar is not None:
                 slots = self._exemplars.get(key)
                 if slots is None:

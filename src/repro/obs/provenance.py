@@ -15,6 +15,12 @@ deterministic: a :class:`ProvenanceRing` holds
   runs over the same stream keep the same sample and replaying a run
   reproduces its forensics exactly.
 
+:meth:`ProvenanceRing.mint` keys the answer and decides its retention
+from the key and the answer's fields before it builds a record, and
+returns the key: most routine answers are dropped by the reservoir, and
+each of those costs one key format and one CRC.  Read the kept records
+back with :meth:`ProvenanceRing.records` or :meth:`ProvenanceRing.find`.
+
 Each worker process persists its ring to
 ``<snapshot-dir>/obs/provenance-<origin>.jsonl`` on snapshot rotation
 and shutdown; :func:`merge_provenance` folds those files (tolerating a
@@ -143,52 +149,48 @@ class ProvenanceRing:
     # ------------------------------------------------------------------
     # Minting / retention
     # ------------------------------------------------------------------
-    def mint(self, address_id: str, status: str, **fields: Any) -> ProvenanceRecord:
-        """Build a record with a fresh key and retain it per policy."""
+    def mint(self, address_id: str, status: str, **fields: Any) -> str:
+        """Key one served answer, retain its record per policy; returns the key.
 
+        Retention is decided from the key and the fields before a record
+        exists, so a routine answer the reservoir drops costs one key
+        format and one CRC, and no record is built for it.
+        """
+        status = str(status)
+        confidence = fields.get("confidence")
+        keep = bool(
+            status != "ok" or fields.get("error")
+            or (confidence is not None and confidence < self.low_confidence)
+        )
         with self._lock:
             seq = self._seq
             self._seq += 1
-        record = ProvenanceRecord(
-            key=f"{self.origin}:{seq:08d}",
-            address_id=str(address_id),
-            status=str(status),
-            origin=self.origin,
-            ts_unix=time.time(),
-            **fields,
-        )
-        self.add(record)
-        return record
-
-    def _always_keep(self, record: ProvenanceRecord) -> bool:
-        if record.status != "ok" or record.error:
-            return True
-        if record.confidence is not None and record.confidence < self.low_confidence:
-            return True
-        return False
-
-    def add(self, record: ProvenanceRecord) -> bool:
-        """Retain ``record``; returns whether it was kept right now."""
-
-        with self._lock:
-            return self._retain(record)
-
-    def _retain(self, record: ProvenanceRecord) -> bool:
-        if self._always_keep(record):
-            self._kept.append(record)
-            return True
-        i = self._seen
-        self._seen += 1
-        if len(self._reservoir) < self.capacity:
-            self._reservoir.append(record)
-            return True
-        # Algorithm R with a deterministic draw: same stream of keys
-        # -> same retained sample, run after run.
-        j = zlib.crc32(record.key.encode("utf-8")) % (i + 1)
-        if j < self.capacity:
-            self._reservoir[j] = record
-            return True
-        return False
+            key = f"{self.origin}:{seq:08d}"
+            slot = -1  # -1: append to the reservoir while it is filling
+            if not keep:
+                i = self._seen
+                self._seen += 1
+                if len(self._reservoir) >= self.capacity:
+                    # Algorithm R with a deterministic draw: same stream
+                    # of keys -> same retained sample, run after run.
+                    slot = zlib.crc32(key.encode("utf-8")) % (i + 1)
+                    if slot >= self.capacity:
+                        return key
+            record = ProvenanceRecord(
+                key=key,
+                address_id=str(address_id),
+                status=status,
+                origin=self.origin,
+                ts_unix=time.time(),
+                **fields,
+            )
+            if keep:
+                self._kept.append(record)
+            elif slot < 0:
+                self._reservoir.append(record)
+            else:
+                self._reservoir[slot] = record
+        return key
 
     # ------------------------------------------------------------------
     # Retrieval

@@ -365,8 +365,12 @@ class MetricsPlane:
             self._commit(offset, epoch)
 
     def observe(
-        self, index: int, value: float, exemplar: "Exemplar | None" = None
+        self, index: int, value: float, exemplar: "Exemplar | None" = None,
+        n: int = 1,
     ) -> None:
+        """Histogram observe; ``n`` same-valued observations in one write."""
+        if n < 1:
+            raise ValueError(f"observation count must be >= 1: {n}")
         spec = self.specs[index]
         if spec.kind != HISTOGRAM:
             raise TypeError(f"slot {index} ({spec.name}) is not a histogram")
@@ -379,12 +383,12 @@ class MetricsPlane:
         with self._lock:
             epoch = self._begin(offset)
             (count,) = struct.unpack_from("<Q", self._mm, base + 8 * bucket)
-            struct.pack_into("<Q", self._mm, base + 8 * bucket, count + 1)
+            struct.pack_into("<Q", self._mm, base + 8 * bucket, count + n)
             sum_off = base + 8 * (len(bounds) + 1)
             (total,) = struct.unpack_from("<d", self._mm, sum_off)
-            struct.pack_into("<d", self._mm, sum_off, total + float(value))
-            (n,) = struct.unpack_from("<Q", self._mm, sum_off + 8)
-            struct.pack_into("<Q", self._mm, sum_off + 8, n + 1)
+            struct.pack_into("<d", self._mm, sum_off, total + float(value) * n)
+            (seen,) = struct.unpack_from("<Q", self._mm, sum_off + 8)
+            struct.pack_into("<Q", self._mm, sum_off + 8, seen + n)
             if spec.exemplars and exemplar is not None:
                 # Same epoch guards the exemplar bytes: a reader either
                 # sees the whole (counts + exemplar) update or retries.
@@ -604,13 +608,14 @@ class TierMetrics:
 
     def observe(
         self, name: str, value: float, exemplar: Exemplar | None = None,
-        **labels: str,
+        n: int = 1, **labels: str,
     ) -> None:
+        """``n`` observations of ``value``; ``exemplar`` is the newest."""
         key = tuple(sorted(labels.items()))
         family, index = self._series[(name, key)]
-        family.observe_key(key, value, exemplar)
+        family.observe_key(key, value, exemplar, n)
         if self.plane is not None:
-            self.plane.observe(index, value, exemplar)
+            self.plane.observe(index, value, exemplar, n)
 
 
 __all__ = [

@@ -66,6 +66,10 @@ _ALIGN = 64
 DEFAULT_SPATIAL_PRECISION = 6
 
 
+#: Answering tier by the code :meth:`ColumnarSnapshot.resolve_batch` picks.
+_TIERS = (QuerySource.ADDRESS, QuerySource.BUILDING, QuerySource.GEOCODE)
+
+
 def _id_hash(address_id: str) -> int:
     """Stable 64-bit hash of an address id (blake2b, 8-byte digest)."""
     return int.from_bytes(
@@ -269,9 +273,12 @@ def write_snapshot(
 class ColumnarSnapshot:
     """Zero-copy read view over one snapshot file.
 
-    All array attributes are ``np.memmap`` slices — opening a snapshot
-    touches only the header page; data pages fault in on first use and
-    are shared between every process that maps the same file.
+    All array attributes are plain ``ndarray`` views of one ``np.memmap``
+    — opening a snapshot touches only the header page; data pages fault
+    in on first use and are shared between every process that maps the
+    same file.  The views drop the ``memmap`` subclass, whose Python-level
+    array hooks would cost about a microsecond per numpy call on the
+    query path.
     """
 
     def __init__(self, path: str, header: dict, arrays: dict[str, np.ndarray]):
@@ -350,40 +357,42 @@ class ColumnarSnapshot:
         self, address_ids: list[str]
     ) -> dict[str, QueryResult | UnknownAddressError]:
         """Vectorized three-tier resolution (contract:
-        :meth:`repro.serve.shard.ShardedLocationStore.resolve_batch`)."""
+        :meth:`repro.serve.shard.ShardedLocationStore.resolve_batch`).
+
+        Each column is gathered once for the whole batch, the tier is
+        picked per id with ``np.where``, and the answers are built from
+        the plain floats of one ``tolist`` per column.
+        """
         rows = self.lookup_rows(address_ids)
+        known = rows >= 0
+        if not known.any():
+            return {a: UnknownAddressError(a) for a in address_ids}
         a = self._a
+        # Unknown ids read row 0 here; the loop below never uses it.
         safe = np.maximum(rows, 0)
-        loc_ok = np.isfinite(a["loc_lng"][safe]) & (rows >= 0)
+        loc_lng = a["loc_lng"][safe]
+        loc_ok = np.isfinite(loc_lng)
         bld_rows = a["building_row"][safe]
-        bld_ok = (
-            (rows >= 0)
-            & ~loc_ok
-            & np.isfinite(a["bld_lng"][np.maximum(bld_rows, 0)])
-            & (bld_rows >= 0)
-        )
+        bld_lng = a["bld_lng"][bld_rows]
+        bld_ok = np.isfinite(bld_lng)
+        tier = np.where(loc_ok, 0, np.where(bld_ok, 1, 2))
+        lng = np.where(loc_ok, loc_lng,
+                       np.where(bld_ok, bld_lng, a["geo_lng"][safe]))
+        lat = np.where(loc_ok, a["loc_lat"][safe],
+                       np.where(bld_ok, a["bld_lat"][bld_rows],
+                                a["geo_lat"][safe]))
+        # Confidence belongs to the address tier only; NaN reads as None.
+        conf = np.where(loc_ok, a["confidence"][safe], np.nan)
         out: dict[str, QueryResult | UnknownAddressError] = {}
-        for i, address_id in enumerate(address_ids):
-            row = int(rows[i])
-            if row < 0:
+        for address_id, ok, t, x, y, c in zip(
+            address_ids, known.tolist(), tier.tolist(), lng.tolist(),
+            lat.tolist(), conf.tolist(),
+        ):
+            if not ok:
                 out[address_id] = UnknownAddressError(address_id)
-            elif loc_ok[i]:
-                conf = float(a["confidence"][row])
-                out[address_id] = QueryResult(
-                    Point(float(a["loc_lng"][row]), float(a["loc_lat"][row])),
-                    QuerySource.ADDRESS,
-                    confidence=conf if np.isfinite(conf) else None,
-                )
-            elif bld_ok[i]:
-                b = int(bld_rows[i])
-                out[address_id] = QueryResult(
-                    Point(float(a["bld_lng"][b]), float(a["bld_lat"][b])),
-                    QuerySource.BUILDING,
-                )
             else:
                 out[address_id] = QueryResult(
-                    Point(float(a["geo_lng"][row]), float(a["geo_lat"][row])),
-                    QuerySource.GEOCODE,
+                    Point(x, y), _TIERS[t], confidence=c if c == c else None
                 )
         return out
 
@@ -444,6 +453,7 @@ def load_snapshot(
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SnapshotCorruptError(f"unreadable snapshot header: {path}") from exc
     data_start = (header_end + _ALIGN - 1) // _ALIGN * _ALIGN
+    raw = raw.view(np.ndarray)  # same mapping, without the subclass hooks
     arrays: dict[str, np.ndarray] = {}
     for name, spec in header["arrays"].items():
         if spec["nbytes"] == 0:  # no payload to map (or to corrupt)

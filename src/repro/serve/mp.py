@@ -504,19 +504,30 @@ def _worker_main(
 
     def record_rows(rows: list[tuple], elapsed: float,
                     trace_id: str = "") -> None:
-        """Mint provenance and account one answered sub-batch."""
+        """Mint provenance and account one answered sub-batch.
+
+        Every row of a sub-batch took the same ``elapsed``, so the
+        latency histogram takes one observation per cache label with
+        that label's OK row count, its exemplar keyed by the label's
+        last minted row; the request counter one add per status.
+        """
         version = snap.version if snap is not None else None
         ok = ServeStatus.OK.value
+        n_ok: dict[str, int] = {}
+        last_key: dict[str, str] = {}
         for row in rows:
-            record = mint_row(ring, row, version, trace_id)
+            key = mint_row(ring, row, version, trace_id)
             if row[1] == ok:
-                metrics.observe(
-                    "serve_worker_request_latency_seconds", elapsed,
-                    Exemplar.now(elapsed, trace_id=trace_id,
-                                 provenance_key=record.key),
-                    cache=row[6], worker=w,
-                )
-        # One count per status per sub-batch, not per row.
+                cache = row[6]
+                n_ok[cache] = n_ok.get(cache, 0) + 1
+                last_key[cache] = key
+        for cache, n in n_ok.items():
+            metrics.observe(
+                "serve_worker_request_latency_seconds", elapsed,
+                Exemplar.now(elapsed, trace_id=trace_id,
+                             provenance_key=last_key[cache]),
+                n, cache=cache, worker=w,
+            )
         for status, n in Counter(row[1] for row in rows).items():
             metrics.inc("serve_worker_requests_total", n, status=status,
                         worker=w)
@@ -938,9 +949,6 @@ class ProcessRouter:
             return worker
 
     # -- query path ------------------------------------------------------
-    def _count(self, response: ServeResponse) -> None:
-        account_response(self.telemetry, response)
-
     def _set_depth(self, depth: int) -> None:
         self.telemetry.set("serve_queue_depth", depth)
         self.health.note_queue_depth(depth)
@@ -953,6 +961,8 @@ class ProcessRouter:
         Each worker gets the sub-batch of its shards; a dead worker is
         restarted and its sub-batch retried once within the deadline; a
         sub-batch that outlives the deadline comes back ``TIMED_OUT``.
+        The caller gets every answer at once, so every response carries
+        the batch's latency, and the batch is accounted in one call.
         """
         if not self._started:
             raise RuntimeError("router is not running (call start())")
@@ -989,22 +999,23 @@ class ProcessRouter:
                     sent.append((index, ids,
                                  self._dispatch(index, ids, deadline_epoch,
                                                 traceparent)))
-                by_id: dict[str, ServeResponse] = {}
+                row_of: dict[str, tuple] = {}
                 for index, ids, reply in sent:
-                    rows = self._await_group(index, ids, reply, deadline_mono,
-                                             deadline_epoch, traceparent)
-                    for row in rows:
-                        by_id[row[0]] = response_from_row(
-                            row, time.monotonic() - t0
-                        )
+                    for row in self._await_group(index, ids, reply,
+                                                 deadline_mono, deadline_epoch,
+                                                 traceparent):
+                        row_of[row[0]] = row
+                latency_s = time.monotonic() - t0
+                # A repeated id has one row per copy, all alike: decode once.
+                by_id = {a: response_from_row(row, latency_s)
+                         for a, row in row_of.items()}
                 responses = [by_id[a] for a in address_ids]
             finally:
                 with self._inflight_lock:
                     self._inflight -= len(groups)
                     depth = self._inflight
                 self._set_depth(depth)
-        for response in responses:
-            self._count(response)
+        account_response(self.telemetry, responses)
         return responses
 
     def _dispatch(

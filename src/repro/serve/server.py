@@ -23,7 +23,7 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.apps.store import QueryResult, QuerySource, UnknownAddressError
 from repro.geo import Point
@@ -31,11 +31,7 @@ from repro.obs import current_span, event, get_registry
 from repro.obs import span as obs_span
 from repro.obs.exemplar import Exemplar
 from repro.obs.health import SLO, HealthReport, QueueDepthSeries, evaluate_slos
-from repro.obs.provenance import (
-    ProvenanceRecord,
-    ProvenanceRing,
-    get_provenance_ring,
-)
+from repro.obs.provenance import ProvenanceRing, get_provenance_ring
 from repro.obs.shm import SlotSpec, TierMetrics
 from repro.serve.router import CACHE_STATES, QueryRouter
 from repro.serve.shard import ShardedLocationStore
@@ -112,21 +108,42 @@ def serve_specs() -> list[SlotSpec]:
 
 def account_response(
     metrics: TierMetrics,
-    response: ServeResponse,
+    responses: Sequence[ServeResponse],
     exemplar: Exemplar | None = None,
 ) -> None:
-    """Count one terminal response at a serving front end.
+    """Count the terminal responses of one call at a serving front end.
 
-    Every response counts by status; an answered one also observes the
-    latency histogram by answering tier and cache state, with
-    ``exemplar`` attached when given.
+    The thread server passes its one response, the process router a
+    whole batch.  Every response counts by status; the answered ones
+    observe the latency histogram by answering tier and cache state,
+    one observation per ``(source, cache, latency)`` group carrying the
+    group's count, with ``exemplar`` attached when given.  A batch's
+    responses share one latency, so a batch costs one counter write per
+    status and one observation per tier and cache state.
     """
-    metrics.inc("serve_requests_total", status=response.status.value)
-    if response.result is not None:
-        metrics.observe(
-            "serve_request_latency_seconds", response.latency_s, exemplar,
-            source=response.result.source.value, cache=response.cache_state,
-        )
+    if len(responses) == 1:  # the thread server and one-id batches
+        (response,) = responses
+        metrics.inc("serve_requests_total", status=response.status.value)
+        if response.result is not None:
+            metrics.observe(
+                "serve_request_latency_seconds", response.latency_s, exemplar,
+                source=response.result.source.value,
+                cache=response.cache_state,
+            )
+        return
+    by_status: dict[ServeStatus, int] = {}
+    by_series: dict[tuple[QuerySource, str | None, float], int] = {}
+    for response in responses:
+        by_status[response.status] = by_status.get(response.status, 0) + 1
+        if response.result is not None:
+            series = (response.result.source, response.cache_state,
+                      response.latency_s)
+            by_series[series] = by_series.get(series, 0) + 1
+    for status, n in by_status.items():
+        metrics.inc("serve_requests_total", n, status=status.value)
+    for (source, cache, latency_s), n in by_series.items():
+        metrics.observe("serve_request_latency_seconds", latency_s, exemplar,
+                        n, source=source.value, cache=cache)
 
 
 def response_row(
@@ -148,17 +165,22 @@ def response_row(
             cache_state, error)
 
 
+_STATUS_OF = {status.value: status for status in ServeStatus}
+_SOURCE_OF = {source.value: source for source in QuerySource}
+
+
 def response_from_row(row: tuple, latency_s: float) -> ServeResponse:
     """Decode a :func:`response_row`."""
     (address_id, status, lng, lat, source, confidence, cache_state,
      error) = row
+    status = _STATUS_OF[status]
     result = None
-    if status == ServeStatus.OK.value:
+    if status is ServeStatus.OK:
         result = QueryResult(
-            Point(lng, lat), QuerySource(source), confidence=confidence
+            Point(lng, lat), _SOURCE_OF[source], confidence=confidence
         )
-    return ServeResponse(address_id, ServeStatus(status), result, cache_state,
-                         latency_s, error=error)
+    return ServeResponse(address_id, status, result, cache_state, latency_s,
+                         error=error)
 
 
 def mint_row(
@@ -166,8 +188,9 @@ def mint_row(
     row: tuple,
     snapshot_version: int | None,
     trace_id: str,
-) -> ProvenanceRecord:
-    """Mint the provenance record of one :func:`response_row` into ``ring``.
+) -> str:
+    """Mint the provenance of one :func:`response_row` into ``ring``;
+    returns its key.
 
     The one mapping from a served answer to :meth:`ProvenanceRing.mint`,
     shared by the thread server and every process worker.
@@ -330,19 +353,18 @@ class QueryServer:
         """Count the one terminal response of a request.
 
         A response a worker evaluated (``trace_id`` is not None) first
-        mints its provenance record; its latency exemplar points at that
-        record.  Then :func:`account_response` counts it.
+        mints its provenance; its latency exemplar carries that key.
+        Then :func:`account_response` counts it.
         """
         exemplar = None
         if trace_id is not None:
             row = response_row(response.address_id, response.status,
                                response.result, response.cache_state,
                                response.error)
-            record = mint_row(self.provenance, row, self.store.version,
-                              trace_id)
+            key = mint_row(self.provenance, row, self.store.version, trace_id)
             exemplar = Exemplar.now(response.latency_s, trace_id=trace_id,
-                                    provenance_key=record.key)
-        account_response(self.telemetry, response, exemplar)
+                                    provenance_key=key)
+        account_response(self.telemetry, [response], exemplar)
 
     def _note_depth(self) -> None:
         depth = self._queue.qsize()

@@ -68,7 +68,7 @@ class TestRingRetention:
         shaky = ring.mint("shaky", "ok", confidence=0.05)
         unknown = ring.mint("nope", "unknown_address")
         keys = {r.key for r in ring.records()}
-        assert {bad.key, shaky.key, unknown.key} <= keys
+        assert {bad, shaky, unknown} <= keys
 
     def test_reservoir_is_deterministic(self):
         def run():
@@ -89,7 +89,7 @@ class TestRingRetention:
         first = ring.mint("dup", "ok", confidence=0.9, snapshot_version=1)
         second = ring.mint("dup", "ok", confidence=0.9, snapshot_version=2)
         found = ring.find("dup")
-        assert [r.key for r in found] == [second.key, first.key]
+        assert [r.key for r in found] == [second, first]
 
 
 class TestPersistence:
@@ -99,7 +99,7 @@ class TestPersistence:
         path = ring.write_jsonl(tmp_path / "provenance-w0.jsonl")
         records, n_torn = read_provenance(path)
         assert n_torn == 0
-        assert {r.key for r in records} == {m.key for m in minted}
+        assert {r.key for r in records} == set(minted)
 
     def test_torn_tail_is_skipped_and_counted(self, tmp_path):
         ring = ProvenanceRing(capacity=16)
@@ -115,7 +115,9 @@ class TestPersistence:
         ring = ProvenanceRing(capacity=16)
         _fill(ring, 2)
         path = ring.write_jsonl(tmp_path / "p.jsonl")
-        doc = _fill(ProvenanceRing(capacity=4), 1)[0].to_dict()
+        other = ProvenanceRing(capacity=4)
+        _fill(other, 1)
+        doc = other.records()[0].to_dict()
         doc["version"] = PROVENANCE_VERSION + 1
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(doc) + "\n")

@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.apps import QuerySource, UnknownAddressError
+from repro.apps import QueryResult, QuerySource, UnknownAddressError
+from repro.geo import Point
 from repro.serve import (
     GeohashShardStrategy,
     HashShardStrategy,
@@ -181,6 +182,82 @@ class TestRoundTrip:
         snap = load_snapshot(path, verify=True)
         assert snap.n_rows == 0
         assert snap.resolve_batch([]) == {}
+
+
+def reference_resolve(snap, address_ids):
+    """Per-id resolution with scalar column reads, kept as the reference
+    for the vectorised :meth:`ColumnarSnapshot.resolve_batch`."""
+    rows = snap.lookup_rows(address_ids)
+    a = snap._a
+    safe = np.maximum(rows, 0)
+    loc_ok = np.isfinite(a["loc_lng"][safe]) & (rows >= 0)
+    bld_rows = a["building_row"][safe]
+    bld_ok = (
+        (rows >= 0)
+        & ~loc_ok
+        & np.isfinite(a["bld_lng"][np.maximum(bld_rows, 0)])
+        & (bld_rows >= 0)
+    )
+    out = {}
+    for i, address_id in enumerate(address_ids):
+        row = int(rows[i])
+        if row < 0:
+            out[address_id] = UnknownAddressError(address_id)
+        elif loc_ok[i]:
+            conf = float(a["confidence"][row])
+            out[address_id] = QueryResult(
+                Point(float(a["loc_lng"][row]), float(a["loc_lat"][row])),
+                QuerySource.ADDRESS,
+                confidence=conf if np.isfinite(conf) else None,
+            )
+        elif bld_ok[i]:
+            b = int(bld_rows[i])
+            out[address_id] = QueryResult(
+                Point(float(a["bld_lng"][b]), float(a["bld_lat"][b])),
+                QuerySource.BUILDING,
+            )
+        else:
+            out[address_id] = QueryResult(
+                Point(float(a["geo_lng"][row]), float(a["geo_lat"][row])),
+                QuerySource.GEOCODE,
+            )
+    return out
+
+
+class TestVectorisedResolve:
+    def test_equals_the_per_id_reference(self, tmp_path):
+        addresses, locations = make_world(n=300, seed=11)
+        for i in range(4):  # a building with no located address: geocodes
+            aid = f"g{i}"
+            addresses[aid] = make_address(aid, "b-empty", (3000.0 + 10 * i, 0.0))
+        rng = random.Random(5)
+        # Half the located ids get a confidence; the rest stay NaN.
+        confidences = {a: rng.random() for a in sorted(locations) if rng.random() < 0.5}
+        store = ShardedLocationStore(locations, addresses, n_shards=4)
+        path = str(tmp_path / "snap.rsnap")
+        write_snapshot(path, store, confidences=confidences)
+        snap = load_snapshot(path)
+        ids = sorted(addresses) + ["missing-1", "missing-2"]
+        batches = [ids, ids[::-1], [ids[0]], ["missing-1"], []]
+        batches += [[rng.choice(ids) for _ in range(64)] for _ in range(20)]
+        for batch in batches:
+            got = snap.resolve_batch(batch)
+            want = reference_resolve(snap, batch)
+            assert list(got) == list(want)
+            for aid in batch:
+                g, w = got[aid], want[aid]
+                if isinstance(w, UnknownAddressError):
+                    assert isinstance(g, UnknownAddressError)
+                    assert str(g) == str(w)
+                else:
+                    assert g == w, aid
+        answers = reference_resolve(snap, ids)
+        sources = {r.source for r in answers.values() if isinstance(r, QueryResult)}
+        assert sources == {QuerySource.ADDRESS, QuerySource.BUILDING, QuerySource.GEOCODE}
+        address_tier = [r for r in answers.values()
+                        if isinstance(r, QueryResult) and r.source == QuerySource.ADDRESS]
+        assert any(r.confidence is None for r in address_tier)
+        assert any(r.confidence is not None for r in address_tier)
 
 
 class TestLegacySpatialArrays:

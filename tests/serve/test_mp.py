@@ -8,9 +8,11 @@ torn snapshot.
 """
 
 import os
+import random
 import struct
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -257,6 +259,82 @@ class TestProcessRouter:
                 )
             served = router.metrics().counter("serve_worker_requests_total")
             assert served.total() >= len(store.address_book)
+
+
+class TestBatchAccounting:
+    """A batch is accounted per status and per label, not per id, and the
+    counts still equal the per-id totals on both sides of the pipe."""
+
+    def test_counts_equal_per_id_totals(self, tmp_path):
+        rng = random.Random(7)
+        addresses = {
+            f"p{i:03d}": make_address(f"p{i:03d}", f"b{i % 12}",
+                                      (i * 25.0, (i % 5) * 30.0))
+            for i in range(120)
+        }
+        # Buildings b0..b8 get located addresses; b9..b11 answer by geocode.
+        locations = {
+            a: point_at(i * 25.0 + 4.0, 2.0)
+            for i, a in enumerate(sorted(addresses))
+            if i % 12 < 9 and rng.random() < 0.6
+        }
+        store = ShardedLocationStore(
+            locations, addresses, strategy=GeohashShardStrategy(4, precision=6)
+        )
+        batch = [rng.choice(sorted(addresses)) for _ in range(509)]
+        for missing in ("nope-1", "nope-2", "nope-3"):
+            batch.insert(rng.randrange(len(batch) + 1), missing)
+        assert len(batch) == 512 and len(set(batch)) < 509
+
+        want_status: Counter = Counter()
+        want_latency: Counter = Counter()  # (source, cache) -> OK ids
+        want_worker: Counter = Counter()  # (worker, status) -> rows
+        want_worker_ok: Counter = Counter()  # (worker, cache) -> OK rows
+        with ProcessRouter.from_store(
+            store, str(tmp_path), n_workers=2, config=CONFIG
+        ) as router:
+            worker_of = {a: router.worker_for_shard(router.shard_for(a))
+                         for a in batch}
+            assert set(worker_of.values()) == {0, 1}
+            for _ in range(2):  # the first pass misses the cache, the second hits
+                responses = router.query_batch(batch)
+                assert [r.address_id for r in responses] == batch
+                assert len({r.latency_s for r in responses}) == 1
+                for r in responses:
+                    want_status[r.status.value] += 1
+                    want_worker[(worker_of[r.address_id], r.status.value)] += 1
+                    if r.ok:
+                        want_latency[(r.result.source.value, r.cache_state)] += 1
+                        want_worker_ok[(worker_of[r.address_id], r.cache_state)] += 1
+            requests = router.telemetry.family("serve_requests_total")
+            latency = router.telemetry.family("serve_request_latency_seconds")
+            for status in ServeStatus:
+                assert requests.value(status=status.value) == want_status[status.value]
+            for (source, cache), n in want_latency.items():
+                assert latency.count(source=source, cache=cache) == n
+            assert sum(s["count"] for s in latency.samples()) == sum(
+                want_latency.values())
+            router.stop()  # flush worker planes before the final scrape
+            registry = router.metrics()
+        assert want_status == {"ok": 1018, "unknown_address": 6}
+        assert {c for _, c in want_latency} == {"hit", "miss"}
+        assert {s for s, _ in want_latency} == {"address", "building", "geocode"}
+
+        worker_requests = registry.counter("serve_worker_requests_total")
+        worker_latency = registry.histogram("serve_worker_request_latency_seconds")
+        for w in (0, 1):
+            for status in ("ok", "unknown_address", "timed_out", "error"):
+                assert worker_requests.value(status=status, worker=str(w)) == (
+                    want_worker[(w, status)])
+            for cache in ("hit", "miss", "bypass"):
+                n = worker_latency.count(cache=cache, worker=str(w))
+                assert n == want_worker_ok[(w, cache)], (w, cache)
+                if n:
+                    # The exemplar is the key of one of this worker's rows.
+                    keys = [e.provenance_key for e in
+                            worker_latency.exemplars(cache=cache, worker=str(w))
+                            if e is not None]
+                    assert keys and all(k.startswith(f"w{w}:") for k in keys)
 
 
 class TestRefreshContract:
