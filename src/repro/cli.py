@@ -248,7 +248,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
             if base.kind in current
         ]
         save_drift_report(drift_reports, args.drift_out)
-    delivered = sorted(model.extractor.trips_by_address)
+    delivered = model.extractor.delivered
     locations = model.predict(delivered)
     save_locations(locations, args.out)
     n_new = model.counters.get("stay_point_extraction.trips", len(new_trips))

@@ -5,14 +5,15 @@ clustering (``D = 40 m`` by default); each cluster centroid becomes a
 *location candidate*.  For efficiency the pool is built in bi-weekly
 batches and merged incrementally, exactly as Section III-B describes.
 
-Each candidate also gets a *profile* from the stay points assigned to it:
-average stay duration, number of distinct couriers, and a 24-bin
-hour-of-day visit distribution (Section III-B's three profiles).
+Each candidate also gets a *profile* (:class:`LocationProfile`) from the
+stay points assigned to it: average stay duration, number of distinct
+couriers, and a 24-bin hour-of-day visit distribution (Section III-B's
+three profiles).  :class:`~repro.core.features.FeatureExtractor` assigns
+the stays and computes the profiles.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,11 +66,12 @@ class CandidatePool:
         self.candidates = list(candidates)
         self.projection = projection
         self.by_id = {c.candidate_id: c for c in self.candidates}
-        # Sorted by id, so argmin's first minimum is the lowest id on a tie.
+        # Columns sorted by id, so argmin's first minimum is the lowest id
+        # on a tie; an index into them is a candidate's row position.
         ordered = sorted(self.candidates, key=lambda c: c.candidate_id)
-        self._ids = np.array([c.candidate_id for c in ordered], dtype=np.int64)
-        self._x = np.array([c.x for c in ordered], dtype=float)
-        self._y = np.array([c.y for c in ordered], dtype=float)
+        self.ids = np.array([c.candidate_id for c in ordered], dtype=np.int64)
+        self.x = np.array([c.x for c in ordered], dtype=float)
+        self.y = np.array([c.y for c in ordered], dtype=float)
 
     @classmethod
     def from_clusters(
@@ -105,12 +107,12 @@ class CandidatePool:
             raise ValueError("an empty pool has no nearest candidate")
         xy = np.asarray(xy, dtype=float).reshape(-1, 2)
         out = np.empty(len(xy), dtype=np.int64)
-        step = max(1, NEAREST_BLOCK // len(self._ids))
+        step = max(1, NEAREST_BLOCK // len(self.ids))
         for lo in range(0, len(xy), step):
             px = xy[lo:lo + step, 0:1]
             py = xy[lo:lo + step, 1:2]
-            d2 = (self._x - px) ** 2 + (self._y - py) ** 2
-            out[lo:lo + step] = self._ids[d2.argmin(axis=1)]
+            d2 = (self.x - px) ** 2 + (self.y - py) ** 2
+            out[lo:lo + step] = self.ids[d2.argmin(axis=1)]
         return out
 
     def nearest(self, x: float, y: float) -> LocationCandidate | None:
@@ -121,8 +123,8 @@ class CandidatePool:
 
     def within(self, x: float, y: float, radius_m: float) -> list[LocationCandidate]:
         """Candidates within ``radius_m`` (inclusive) of (x, y), by id."""
-        inside = (self._x - x) ** 2 + (self._y - y) ** 2 <= radius_m * radius_m
-        return [self.by_id[int(cid)] for cid in self._ids[inside]]
+        inside = (self.x - x) ** 2 + (self.y - y) ** 2 <= radius_m * radius_m
+        return [self.by_id[int(cid)] for cid in self.ids[inside]]
 
 
 class CandidatePoolBuilder:
@@ -216,40 +218,3 @@ def project_stays(stay_points: list[StayPoint], projection: LocalProjection) -> 
     lat = np.array([sp.lat for sp in stay_points])
     x, y = projection.to_xy(lng, lat)
     return np.column_stack([np.atleast_1d(x), np.atleast_1d(y)])
-
-
-def assign_stay_points(
-    stay_points: list[StayPoint], pool: CandidatePool
-) -> list[int | None]:
-    """Nearest candidate id per stay point (None when the pool is empty)."""
-    if len(pool) == 0:
-        return [None] * len(stay_points)
-    return pool.nearest_ids(project_stays(stay_points, pool.projection)).tolist()
-
-
-def build_profiles(
-    stay_points: list[StayPoint], pool: CandidatePool
-) -> dict[int, LocationProfile]:
-    """Compute the three location profiles per candidate (Section III-B)."""
-    durations: dict[int, list[float]] = defaultdict(list)
-    couriers: dict[int, set[str]] = defaultdict(set)
-    hists: dict[int, np.ndarray] = defaultdict(lambda: np.zeros(TIME_BINS))
-    for sp, cid in zip(stay_points, assign_stay_points(stay_points, pool)):
-        if cid is None:
-            continue
-        durations[cid].append(sp.duration_s)
-        couriers[cid].add(sp.courier_id)
-        hour = int((sp.t % 86_400.0) // 3_600.0) % TIME_BINS
-        hists[cid][hour] += 1.0
-    profiles: dict[int, LocationProfile] = {}
-    for candidate in pool.candidates:
-        cid = candidate.candidate_id
-        ds = durations.get(cid, [])
-        hist = hists[cid] if cid in hists else np.zeros(TIME_BINS)
-        total = hist.sum()
-        profiles[cid] = LocationProfile(
-            avg_duration_s=float(np.mean(ds)) if ds else 0.0,
-            n_couriers=len(couriers.get(cid, ())),
-            time_hist=hist / total if total > 0 else hist,
-        )
-    return profiles

@@ -26,7 +26,6 @@ from repro.core.candidates import (
     CandidatePool,
     CandidatePoolBuilder,
     build_candidate_pool,
-    build_profiles,
     project_stays,
 )
 from repro.core.features import AddressExample, FeatureConfig, FeatureExtractor
@@ -94,14 +93,17 @@ def _features(
     pool: CandidatePool,
     addresses: dict[str, Address],
 ) -> tuple[FeatureExtractor, dict[str, AddressExample]]:
-    """Profile and feature stages: one example per delivered address."""
+    """Profile and feature stages: one example per delivered address.
+
+    The extractor assigns every stay to its nearest candidate (the one
+    ``nearest_ids`` call of the run) and computes the profiles from it.
+    """
     with ctx.stage("profile_build"):
-        profiles = build_profiles(_flatten(stays), pool)
-    ctx.count("profile_build", "profiles", len(profiles))
+        extractor = FeatureExtractor(trips, stays, pool, addresses)
+    ctx.count("profile_build", "profiles", len(extractor.profiles))
 
     with ctx.stage("feature_extraction"):
-        extractor = FeatureExtractor(trips, stays, pool, profiles, addresses)
-        delivered = sorted({a for trip in trips for a in trip.address_ids})
+        delivered = extractor.delivered
         examples = extractor.build_examples(delivered)
     ctx.count("feature_extraction", "addresses", len(delivered))
     ctx.count("feature_extraction", "examples_built", len(examples))

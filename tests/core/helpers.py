@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import CandidatePool, LocationCandidate
+from repro.core import CandidatePool, FeatureExtractor, LocationCandidate
 from repro.geo import LocalProjection, Point
 from repro.trajectory import Address, DeliveryTrip, TrajPoint, Trajectory, Waybill
 
@@ -94,3 +94,14 @@ def pool_of(coords, ids=None) -> CandidatePool:
          for i, (x, y) in zip(ids, coords)],
         PROJ,
     )
+
+
+def profiles_of(stay_points, pool):
+    """Location profiles of ``pool`` from stays of one (untracked) trip."""
+    return FeatureExtractor([], {"stays": list(stay_points)}, pool, {}).profiles
+
+
+def retrieved(extractor, address_id):
+    """An address's retrieved candidate ids ([] when it has no example)."""
+    example = extractor.build_examples([address_id]).get(address_id)
+    return example.candidate_ids if example is not None else []

@@ -4,13 +4,10 @@ import pytest
 from repro.core import (
     BUILDING_PREFIX,
     HeuristicSelector,
-    build_building_example,
-    building_members,
     infer_building_locations,
-    retrieve_building_candidates,
 )
-from repro.core import build_candidate_pool, build_profiles, extract_trip_stay_points
-from repro.core.features import COL_TC, FeatureExtractor
+from repro.core import build_candidate_pool, extract_trip_stay_points
+from repro.core.features import COL_DIST, COL_TC, FeatureExtractor
 from tests.core.helpers import PROJ, make_address, make_trip
 
 A = (0.0, 0.0)
@@ -35,32 +32,42 @@ def extractor():
     stays = extract_trip_stay_points(trips)
     all_stays = [sp for v in stays.values() for sp in v]
     pool = build_candidate_pool(all_stays, PROJ, 40.0)
-    profiles = build_profiles(all_stays, pool)
-    return FeatureExtractor(trips, stays, pool, profiles, addresses)
+    return FeatureExtractor(trips, stays, pool, addresses)
+
+
+def building_example(extractor, building_id):
+    return extractor.build_building_examples([building_id]).get(building_id)
 
 
 class TestBuildingMembers:
     def test_members_listed(self, extractor):
-        assert building_members(extractor, "bldA") == ["a1", "a2"]
-        assert building_members(extractor, "bldB") == ["b1"]
+        """Distances are to the centroid of the delivered members' geocodes."""
+        for building_id, (cx, cy) in (("bldA", (10.0, 0.0)), ("bldB", (310.0, 0.0))):
+            example = building_example(extractor, building_id)
+            pool = extractor.pool
+            expected = [
+                np.hypot(pool.by_id[cid].x - cx, pool.by_id[cid].y - cy)
+                for cid in example.candidate_ids
+            ]
+            np.testing.assert_allclose(example.features[:, COL_DIST], expected, atol=1e-6)
 
     def test_unknown_building(self, extractor):
-        assert building_members(extractor, "nope") == []
+        assert extractor.build_building_examples(["nope"]) == {}
 
 
 class TestBuildingRetrieval:
     def test_union_with_per_trip_bounds(self, extractor):
         """t1's bound (250) excludes the locker; t2's (560) includes it."""
-        cids = retrieve_building_candidates(extractor, "bldA")
+        cids = building_example(extractor, "bldA").candidate_ids
         assert len(cids) == 2  # doorstep A from both trips + locker from t2
 
     def test_unknown_building_empty(self, extractor):
-        assert retrieve_building_candidates(extractor, "nope") == []
+        assert building_example(extractor, "nope") is None
 
 
 class TestBuildingExample:
     def test_example_structure(self, extractor):
-        example = build_building_example(extractor, "bldA")
+        example = building_example(extractor, "bldA")
         assert example is not None
         assert example.address_id == f"{BUILDING_PREFIX}bldA"
         assert example.n_deliveries == 2  # two trips involve bldA
@@ -68,7 +75,7 @@ class TestBuildingExample:
         assert example.features.shape[0] == example.n_candidates
 
     def test_tc_computed_over_building_trips(self, extractor):
-        example = build_building_example(extractor, "bldA")
+        example = building_example(extractor, "bldA")
         pool = extractor.pool
         door = pool.nearest(*A).candidate_id
         locker = pool.nearest(*L).candidate_id
@@ -78,7 +85,7 @@ class TestBuildingExample:
         assert tc[idx[locker]] == pytest.approx(1.0)  # both trips pass L too
 
     def test_none_for_unknown_building(self, extractor):
-        assert build_building_example(extractor, "nope") is None
+        assert building_example(extractor, "nope") is None
 
 
 class TestInferBuildingLocations:

@@ -16,10 +16,9 @@ from repro.core import (
     HIST_START,
     N_FEATURES,
     build_candidate_pool,
-    build_profiles,
     extract_trip_stay_points,
 )
-from tests.core.helpers import PROJ, make_address, make_trip, point_at
+from tests.core.helpers import PROJ, make_address, make_trip, point_at, retrieved
 
 # Spots: A = doorstep of building b1, L = shared locker, C = doorstep of b2.
 A = (0.0, 0.0)
@@ -54,10 +53,7 @@ def scenario():
     pool = build_candidate_pool(
         [sp for stays in stay_points.values() for sp in stays], PROJ, 40.0
     )
-    profiles = build_profiles(
-        [sp for stays in stay_points.values() for sp in stays], pool
-    )
-    extractor = FeatureExtractor(trips, stay_points, pool, profiles, addresses)
+    extractor = FeatureExtractor(trips, stay_points, pool, addresses)
     return extractor, pool
 
 
@@ -76,25 +72,23 @@ class TestRetrieval:
         """a1's t1 confirmation (250 s) excludes the locker stay (~460 s),
         but t2's late confirmation includes it."""
         extractor, pool = scenario
-        cids = extractor.retrieve_candidates("a1")
+        cids = retrieved(extractor, "a1")
         expected = {candidate_near(pool, A), candidate_near(pool, L)}
         assert set(cids) == expected
         assert candidate_near(pool, C) not in cids
 
     def test_union_over_trips(self, scenario):
         extractor, pool = scenario
-        cids = set(extractor.retrieve_candidates("a2"))
+        cids = set(retrieved(extractor, "a2"))
         assert cids == {candidate_near(pool, A), candidate_near(pool, L), candidate_near(pool, C)}
 
     def test_unknown_address(self, scenario):
         extractor, _ = scenario
-        assert extractor.retrieve_candidates("nope") == []
+        assert retrieved(extractor, "nope") == []
 
     def test_multiple_waybills_use_latest_bound(self):
         """Two parcels to one address in the same trip: the later recorded
         time is the temporal bound (any earlier stay could be the drop)."""
-        from repro.core import build_candidate_pool, build_profiles, extract_trip_stay_points
-
         trip = make_trip(
             "t1", "c1",
             stops=[(*A, 100.0, 120.0), (*L, 400.0, 120.0)],
@@ -114,10 +108,9 @@ class TestRetrieval:
         all_stays = [sp for v in stays.values() for sp in v]
         pool = build_candidate_pool(all_stays, PROJ, 40.0)
         extractor = FeatureExtractor(
-            [trip], stays, pool, build_profiles(all_stays, pool),
-            {"a1": make_address("a1", "b1", (5.0, 0.0))},
+            [trip], stays, pool, {"a1": make_address("a1", "b1", (5.0, 0.0))}
         )
-        cids = extractor.retrieve_candidates("a1")
+        cids = retrieved(extractor, "a1")
         # Bound 560 includes the locker stay (~460); bound 250 alone wouldn't.
         assert len(cids) == 2
 
@@ -126,7 +119,7 @@ class TestMatchingFeatures:
     def test_trip_coverage_eq1(self, scenario):
         """TC per Eq. 1 on the handcrafted trips."""
         extractor, pool = scenario
-        example = extractor.build_example("a2")
+        example = extractor.build_examples(["a2"])["a2"]
         idx = {cid: i for i, cid in enumerate(example.candidate_ids)}
         tc = example.features[:, COL_TC]
         assert tc[idx[candidate_near(pool, A)]] == pytest.approx(0.5)  # t1 only
@@ -136,7 +129,7 @@ class TestMatchingFeatures:
     def test_location_commonality_eq2(self, scenario):
         """LC per Eq. 2: share of non-building trips passing the spot."""
         extractor, pool = scenario
-        example = extractor.build_example("a1")
+        example = extractor.build_examples(["a1"])["a1"]
         idx = {cid: i for i, cid in enumerate(example.candidate_ids)}
         lc = example.features[:, COL_LC_BUILDING]
         # Trips not involving b1: only t3, which visits L and C.
@@ -146,7 +139,7 @@ class TestMatchingFeatures:
     def test_lc_address_mode_differs(self, scenario):
         """Address-level LC uses trips not involving the address."""
         extractor, pool = scenario
-        example = extractor.build_example("a1")
+        example = extractor.build_examples(["a1"])["a1"]
         idx = {cid: i for i, cid in enumerate(example.candidate_ids)}
         lca = example.features[:, COL_LC_ADDRESS]
         # Trips not involving a1: only t3 here, so matches building LC.
@@ -155,7 +148,7 @@ class TestMatchingFeatures:
 
     def test_distance_feature(self, scenario):
         extractor, pool = scenario
-        example = extractor.build_example("a1")
+        example = extractor.build_examples(["a1"])["a1"]
         idx = {cid: i for i, cid in enumerate(example.candidate_ids)}
         dist = example.features[:, COL_DIST]
         assert dist[idx[candidate_near(pool, A)]] == pytest.approx(10.0, abs=5.0)
@@ -163,7 +156,7 @@ class TestMatchingFeatures:
 
     def test_profile_features_present(self, scenario):
         extractor, _ = scenario
-        example = extractor.build_example("a1")
+        example = extractor.build_examples(["a1"])["a1"]
         assert (example.features[:, COL_DURATION] > 60.0).all()
         assert (example.features[:, COL_COURIERS] == 1).all()
         hist = example.features[:, HIST_START:]
@@ -171,14 +164,14 @@ class TestMatchingFeatures:
 
     def test_address_features(self, scenario):
         extractor, _ = scenario
-        e1 = extractor.build_example("a1")
+        e1 = extractor.build_examples(["a1"])["a1"]
         assert e1.n_deliveries == 2
         assert e1.poi_category == 2
         assert e1.features.shape == (2, N_FEATURES)
 
     def test_label_example_nearest_candidate(self, scenario):
         extractor, pool = scenario
-        example = extractor.build_example("a1")
+        example = extractor.build_examples(["a1"])["a1"]
         extractor.label_example(example, point_at(*A))
         assert example.candidate_ids[example.label] == candidate_near(pool, A)
         extractor.label_example(example, point_at(290.0, 5.0))

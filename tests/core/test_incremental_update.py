@@ -16,7 +16,6 @@ from repro.core import (
     DLInfMAConfig,
     FeatureExtractor,
     LocMatcherConfig,
-    build_profiles,
     extract_trip_stay_points,
     project_stays,
 )
@@ -204,12 +203,7 @@ def time_split_updates():
         ))
         union = trips[:cut]
         union_stays = {t.trip_id: stays[t.trip_id] for t in union}
-        profiles = build_profiles(
-            [sp for v in union_stays.values() for sp in v], model.pool
-        )
-        extractor = FeatureExtractor(
-            union, union_stays, model.pool, profiles, workload.addresses
-        )
+        extractor = FeatureExtractor(union, union_stays, model.pool, workload.addresses)
         delivered = sorted({a for t in union for a in t.address_ids})
         steps.append((
             cut,

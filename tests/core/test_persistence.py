@@ -14,11 +14,10 @@ from repro.core import (
     save_locmatcher,
     save_profiles,
     build_candidate_pool,
-    build_profiles,
 )
 from repro.geo import Point
 from repro.trajectory import StayPoint
-from tests.core.helpers import PROJ
+from tests.core.helpers import PROJ, profiles_of
 from tests.core.test_locmatcher import synthetic_examples
 
 
@@ -47,7 +46,7 @@ class TestProfilesRoundtrip:
     def test_roundtrip(self, tmp_path):
         stays = make_stays()
         pool = build_candidate_pool(stays, PROJ, 40.0)
-        profiles = build_profiles(stays, pool)
+        profiles = profiles_of(stays, pool)
         path = tmp_path / "profiles.npz"
         save_profiles(profiles, path)
         loaded = load_profiles(path)

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 import repro.core.candidates as candidates_mod
-import repro.core.features as features_mod
 from repro.core import (
+    CandidatePool,
     DLInfMAConfig,
     build_artifacts,
     build_candidate_pool,
-    build_profiles,
-    assign_stay_points,
     extract_trip_stay_points,
+    project_stays,
 )
 from repro.trajectory import StayPoint
-from tests.core.helpers import PROJ, make_trip, pool_of
+from tests.core.helpers import PROJ, make_trip, pool_of, profiles_of
 
 
 class TestExtractTripStayPoints:
@@ -123,20 +122,20 @@ class TestProfiles:
     def test_average_duration(self):
         stays = [sp(0, 0, t=100, dur=60), sp(2, 0, t=200, dur=120)]
         pool = build_candidate_pool(stays, PROJ, 40.0)
-        profiles = build_profiles(stays, pool)
+        profiles = profiles_of(stays, pool)
         assert profiles[0].avg_duration_s == pytest.approx(90.0)
 
     def test_courier_count(self):
         stays = [sp(0, 0, courier="c1"), sp(2, 0, t=100, courier="c2"), sp(3, 0, t=200, courier="c1")]
         pool = build_candidate_pool(stays, PROJ, 40.0)
-        profiles = build_profiles(stays, pool)
+        profiles = profiles_of(stays, pool)
         assert profiles[0].n_couriers == 2
 
     def test_time_histogram(self):
         # Visits at 08:30 and 14:30 (day seconds).
         stays = [sp(0, 0, t=8.5 * 3600), sp(2, 0, t=14.5 * 3600 + 86_400)]
         pool = build_candidate_pool(stays, PROJ, 40.0)
-        hist = build_profiles(stays, pool)[0].time_hist
+        hist = profiles_of(stays, pool)[0].time_hist
         assert hist.sum() == pytest.approx(1.0)
         assert hist[8] == pytest.approx(0.5)
         assert hist[14] == pytest.approx(0.5)
@@ -147,13 +146,13 @@ class TestProfiles:
         # the all-candidates contract instead).
         stays = [sp(0, 0), sp(500, 0, t=100)]
         pool = build_candidate_pool(stays, PROJ, 40.0)
-        profiles = build_profiles(stays, pool)
+        profiles = profiles_of(stays, pool)
         assert set(profiles) == {0, 1}
 
     def test_profile_vector_layout(self):
         stays = [sp(0, 0, t=8.5 * 3600, dur=80)]
         pool = build_candidate_pool(stays, PROJ, 40.0)
-        vec = build_profiles(stays, pool)[0].as_vector()
+        vec = profiles_of(stays, pool)[0].as_vector()
         assert vec.shape == (26,)
         assert vec[0] == pytest.approx(80.0)
         assert vec[1] == 1.0
@@ -161,27 +160,39 @@ class TestProfiles:
     def test_assign_stay_points(self):
         stays = [sp(0, 0), sp(500, 0, t=100)]
         pool = build_candidate_pool(stays, PROJ, 40.0)
-        assignment = assign_stay_points([sp(3, 0), sp(497, 1)], pool)
+        assignment = assign([sp(3, 0), sp(497, 1)], pool)
         a0 = pool.by_id[assignment[0]]
         a1 = pool.by_id[assignment[1]]
         assert a0.x == pytest.approx(0.0, abs=1.0)
         assert a1.x == pytest.approx(500.0, abs=1.0)
 
     def test_assign_empty_pool(self):
+        """With no candidate a stay is assigned nowhere: no profiles."""
         pool = build_candidate_pool([], PROJ)
-        assert assign_stay_points([sp(0, 0)], pool) == [None]
+        assert profiles_of([sp(0, 0)], pool) == {}
+
+
+def assign(stay_points, pool):
+    """Nearest candidate id per stay, as the feature extractor assigns them."""
+    return pool.nearest_ids(project_stays(stay_points, pool.projection)).tolist()
 
 
 def oracle_assign(stay_points, pool):
-    """Pure-Python nearest candidate: lowest id on an exact tie.
+    """Pure-Python nearest candidate per stay (None for an empty pool)."""
+    xy = [pool.projection.to_xy(stay.lng, stay.lat) for stay in stay_points]
+    return oracle_nearest(xy, pool)
+
+
+def oracle_nearest(xy, pool):
+    """Pure-Python nearest candidate per (x, y): lowest id on an exact tie.
 
     ``dx * dx`` is the float64 product numpy's ``** 2`` computes; Python's
     ``float ** 2`` goes through libm ``pow``, which can be one ulp off.
     """
     ordered = sorted(pool.candidates, key=lambda c: c.candidate_id)
     out = []
-    for stay in stay_points:
-        x, y = pool.projection.to_xy(stay.lng, stay.lat)
+    for x, y in xy:
+        x, y = float(x), float(y)
         best, best_d2 = None, float("inf")
         for c in ordered:
             dx, dy = c.x - x, c.y - y
@@ -214,37 +225,39 @@ class TestAssignmentParity:
         rng = np.random.default_rng(seed)
         pool = pool_of(rng.uniform(-2000, 2000, size=(int(rng.integers(2, 300)), 2)))
         stays = stays_at(rng.uniform(-2500, 2500, size=(400, 2)))
-        assert assign_stay_points(stays, pool) == oracle_assign(stays, pool)
+        assert assign(stays, pool) == oracle_assign(stays, pool)
 
     def test_more_points_than_one_block(self):
         rng = np.random.default_rng(9)
         pool = pool_of(rng.uniform(-2000, 2000, size=(1000, 2)))
         stays = stays_at(rng.uniform(-2000, 2000, size=(100, 2)))
         assert len(stays) * len(pool) > candidates_mod.NEAREST_BLOCK
-        assert assign_stay_points(stays, pool) == oracle_assign(stays, pool)
+        assert assign(stays, pool) == oracle_assign(stays, pool)
 
     def test_empty_pool(self):
         stays, pool = stays_at([(0.0, 0.0), (5.0, 5.0)]), pool_of([])
-        assert assign_stay_points(stays, pool) == oracle_assign(stays, pool) == [None, None]
+        assert oracle_assign(stays, pool) == [None, None]
+        # The extractor asks an empty pool nothing (nearest_ids would raise).
+        assert profiles_of(stays, pool) == {}
 
     def test_one_candidate(self):
         pool = pool_of([(40.0, -30.0)], ids=[7])
         stays = stays_at([(0.0, 0.0), (1e4, 1e4), (40.0, -30.0)])
-        assert assign_stay_points(stays, pool) == oracle_assign(stays, pool) == [7, 7, 7]
+        assert assign(stays, pool) == oracle_assign(stays, pool) == [7, 7, 7]
 
     def test_exact_tie_goes_to_lowest_id(self):
         # Listed highest id first: the winner is the lowest id, not the
         # first candidate in the list.
         pool = pool_of([(10.0, 0.0), (-10.0, 0.0), (0.0, 10.0)], ids=[5, 2, 3])
         stays = stays_at([(0.0, 0.0)])
-        assert assign_stay_points(stays, pool) == [2] == oracle_assign(stays, pool)
+        assert assign(stays, pool) == [2] == oracle_assign(stays, pool)
 
     def test_stays_far_outside_the_pool(self):
         rng = np.random.default_rng(4)
         pool = pool_of(rng.uniform(-300, 300, size=(50, 2)))
         far = [(1e5, 0.0), (-1e5, -1e5), (0.0, 3e5), (2e5, -7e4)]
         stays = stays_at(far)
-        assert assign_stay_points(stays, pool) == oracle_assign(stays, pool)
+        assert assign(stays, pool) == oracle_assign(stays, pool)
 
     def test_artifacts_equal_with_oracle_assignment(self, tiny_workload, monkeypatch):
         def build():
@@ -252,10 +265,10 @@ class TestAssignmentParity:
                                    tiny_workload.projection, DLInfMAConfig())
 
         built = build()
-        # build_profiles reads the candidates module's name, the extractor
-        # its own import.
-        monkeypatch.setattr(candidates_mod, "assign_stay_points", oracle_assign)
-        monkeypatch.setattr(features_mod, "assign_stay_points", oracle_assign)
+        monkeypatch.setattr(
+            CandidatePool, "nearest_ids",
+            lambda pool, xy: np.array(oracle_nearest(xy, pool), dtype=np.int64),
+        )
         oracle = build()
 
         def profile_bytes(artifacts):

@@ -63,7 +63,7 @@ def _fit(workload, trips=None):
 
 def _served_store(workload):
     model = _fit(workload)
-    inferred = model.predict(sorted(model.extractor.trips_by_address))
+    inferred = model.predict(model.extractor.delivered)
     return ShardedLocationStore(inferred, workload.addresses)
 
 
