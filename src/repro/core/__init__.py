@@ -1,36 +1,21 @@
-"""The paper's primary contribution: the DLInfMA pipeline and LocMatcher."""
+"""The paper's primary contribution: the DLInfMA pipeline and LocMatcher.
 
-from repro.core.staypoints import ExtractionConfig, extract_trip_stay_points
+This package exports what the CLI, the applications, the examples and the
+benchmarks import; everything else is reached through its defining module
+(``repro.core.features``, ``repro.core.locmatcher``, ...).
+"""
+
+from repro.core.staypoints import extract_trip_stay_points
 from repro.core.candidates import (
     CandidatePool,
     CandidatePoolBuilder,
-    LocationCandidate,
     LocationProfile,
-    TIME_BINS,
     build_candidate_pool,
     project_stays,
 )
-from repro.core.features import (
-    AddressExample,
-    BUILDING_PREFIX,
-    FeatureConfig,
-    FeatureExtractor,
-    COL_TC,
-    COL_LC_BUILDING,
-    COL_LC_ADDRESS,
-    COL_DIST,
-    COL_DURATION,
-    COL_COURIERS,
-    HIST_START,
-    N_FEATURES,
-)
-from repro.core.locmatcher import LocMatcherConfig, LocMatcherNet, LocMatcherSelector
-from repro.core.selectors import (
-    ClassifierSelector,
-    HeuristicSelector,
-    RankingSelector,
-    make_variant_selector,
-)
+from repro.core.features import AddressExample, FeatureConfig
+from repro.core.locmatcher import LocMatcherConfig
+from repro.core.selectors import make_variant_selector
 from repro.core.pipeline import (
     DLInfMA,
     DLInfMAConfig,
@@ -38,61 +23,24 @@ from repro.core.pipeline import (
     build_artifacts,
 )
 from repro.core.building import infer_building_locations
-from repro.core.persistence import (
-    load_candidate_pool,
-    load_locations,
-    load_locmatcher_into,
-    load_profiles,
-    load_stay_points,
-    save_candidate_pool,
-    save_locations,
-    save_locmatcher,
-    save_profiles,
-    save_stay_points,
-)
+from repro.core.persistence import load_locations, save_locations
 
 __all__ = [
-    "ExtractionConfig",
     "extract_trip_stay_points",
     "CandidatePool",
-    "LocationCandidate",
     "LocationProfile",
-    "TIME_BINS",
     "build_candidate_pool",
     "AddressExample",
     "FeatureConfig",
-    "FeatureExtractor",
-    "COL_TC",
-    "COL_LC_BUILDING",
-    "COL_LC_ADDRESS",
-    "COL_DIST",
-    "COL_DURATION",
-    "COL_COURIERS",
-    "HIST_START",
-    "N_FEATURES",
     "LocMatcherConfig",
-    "LocMatcherNet",
-    "LocMatcherSelector",
-    "ClassifierSelector",
-    "HeuristicSelector",
-    "RankingSelector",
     "make_variant_selector",
     "DLInfMA",
     "DLInfMAConfig",
     "PipelineArtifacts",
     "build_artifacts",
     "project_stays",
-    "load_candidate_pool",
     "load_locations",
-    "load_locmatcher_into",
-    "load_profiles",
-    "load_stay_points",
-    "save_candidate_pool",
     "save_locations",
-    "save_locmatcher",
-    "save_profiles",
-    "save_stay_points",
-    "BUILDING_PREFIX",
     "infer_building_locations",
     "CandidatePoolBuilder",
 ]

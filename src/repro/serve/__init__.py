@@ -13,9 +13,9 @@ system (the online half of the paper's Figure 14 deployment):
   queue (explicit ``REJECTED`` backpressure), per-request deadlines, and
   full :mod:`repro.obs` instrumentation.
 * :class:`TTLLRUCache` / :class:`QueryRouter` — the one serving core
-  under both backends: a recency cache, then the lookup (store or
-  columnar snapshot) on a cold miss — ``resolve`` per request on
-  the thread tier, ``resolve_batch`` per sub-batch in a worker process.
+  under both backends: a recency cache, then the lookup on a cold miss —
+  ``resolve`` per request over the store on the thread tier, ``rows_of``
+  per sub-batch over the columnar snapshot in a worker process.
 * :class:`LoadGenerator` — seeded closed-loop and open-loop (Poisson)
   workloads producing p50/p95/p99 + throughput + rejection reports
   (``repro serve-bench``).
@@ -24,8 +24,10 @@ system (the online half of the paper's Figure 14 deployment):
   snapshot files loaded zero-copy via ``np.memmap``, an append-only
   update log with crash recovery (:meth:`ShardedLocationStore.restore`),
   and a shard-routed worker-process pool with heartbeat + restart
-  (``repro serve-bench --backend process``).  Both servers take a
-  refresh as ``apply_refresh(locations) -> version``.
+  (``repro serve-bench --backend process``).  The router hashes each id
+  once and sends the hashes; a worker finds its rows by hash and replies
+  in columns, and the router decodes each distinct id once.  Both
+  servers take a refresh as ``apply_refresh(locations) -> version``.
 """
 
 from repro.serve.cache import CacheStats, TTLLRUCache
@@ -53,7 +55,7 @@ from repro.serve.loadgen import (
     percentile,
     poisson_schedule,
 )
-from repro.serve.router import QueryRouter, RoutedResult
+from repro.serve.router import QueryRouter
 from repro.serve.server import (
     PendingQuery,
     QueryServer,
@@ -91,7 +93,6 @@ __all__ = [
     "percentile",
     "poisson_schedule",
     "QueryRouter",
-    "RoutedResult",
     "PendingQuery",
     "QueryServer",
     "ServeResponse",

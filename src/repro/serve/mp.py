@@ -15,21 +15,27 @@ across process boundaries:
   a crash separated from their snapshot.
 * N worker processes (:func:`_worker_main`) each ``np.memmap`` the
   current snapshot read-only — one page-cache copy serves the whole
-  pool — and answer through the same serving core as the thread tier: a
-  :class:`~repro.serve.router.QueryRouter` (TTL+LRU cache, then one
-  ``resolve_batch`` call on the snapshot for the misses) under the
-  existing deadline semantics (:class:`~repro.serve.server.ServerConfig`,
-  :class:`~repro.serve.server.ServeStatus`).  Between requests a worker
-  polls the version counter and, when it flips, remaps the new file and
-  points its router at it: readers never block on a refresh, exactly
-  like the in-process snapshot swap.
-* A front-end :class:`ProcessRouter` dispatches by shard key over pipes
-  (shard → ``shard % n_workers``, so the worker count never changes
-  *shard* assignment), answers a single query as a one-id batch,
-  heartbeats the pool, and restarts dead workers automatically.  Every
-  worker maps the *full* snapshot, so shard routing is a cache-locality
-  policy, not a correctness requirement — a stale routing table
-  misroutes to a worker that still answers correctly.  A router built
+  pool — and answer through the same serving core as the thread tier, a
+  :class:`~repro.serve.router.QueryRouter` (TTL+LRU cache of rows, then
+  one ``rows_of`` lookup for the misses), under the same deadline
+  semantics (:class:`~repro.serve.server.ServerConfig`).  Between
+  requests a worker polls the version counter and, when it flips, remaps
+  the new file and points its router at it: readers never block on a
+  refresh, exactly like the in-process snapshot swap.
+* A front-end :class:`ProcessRouter` hashes each id of a batch once
+  (:func:`~repro.serve.columnar.hash_ids`) and dispatches by shard key
+  over pipes (shard → ``shard % n_workers``, so the worker count never
+  changes *shard* assignment), sending each worker its ids with their
+  hashes.  The worker finds the rows by hash in its own snapshot, so
+  routing needs no version hand-shake: every worker maps the *full*
+  snapshot, and a stale routing table misroutes to a worker that still
+  answers correctly.  The worker gathers the rows' columns and replies
+  with one fixed-width row per id (an outcome code — status, answering
+  tier, cache state — plus lng, lat, confidence) as bytes, and error
+  text for the ids not answered; the router counts the outcomes from the
+  codes and builds each distinct id's response once.  It answers a
+  single query as a one-id batch, heartbeats the pool, and restarts
+  dead workers automatically.  A router built
   with :meth:`ProcessRouter.from_store` keeps the store it published and
   refreshes it durably through :meth:`ProcessRouter.apply_refresh`, the
   same refresh call the thread server takes.
@@ -53,12 +59,13 @@ import struct
 import threading
 import time
 import zlib
-from collections import Counter
 from concurrent.futures import Future, ThreadPoolExecutor
 from multiprocessing import get_context
 from typing import Any, Sequence
 
-from repro.apps.store import UnknownAddressError
+import numpy as np
+
+from repro.apps.store import QueryResult, UnknownAddressError
 from repro.durable import append_record, atomic_write
 from repro.geo import Point
 from repro.obs import MetricsRegistry, get_registry
@@ -90,9 +97,11 @@ from repro.obs.trace import (
     tracing_enabled,
 )
 from repro.serve.columnar import (
+    TIERS,
     ColumnarSnapshot,
     SnapshotCorruptError,
     SnapshotInfo,
+    hash_ids,
     load_snapshot,
     write_snapshot,
 )
@@ -103,9 +112,7 @@ from repro.serve.server import (
     ServerConfig,
     ServeStatus,
     account_response,
-    mint_row,
-    response_from_row,
-    response_row,
+    mint_answer,
     serve_specs,
 )
 from repro.serve.shard import ShardedLocationStore, _stable_hash
@@ -120,6 +127,37 @@ _GRACE_S = 0.050
 _OBS_DIR = "obs"
 #: Statuses a worker can emit (admission rejects never cross the pipe).
 _WORKER_STATUSES = ("ok", "unknown_address", "timed_out", "error")
+
+#: Every way a served id can end: ``(status, answering tier, cache
+#: state)``, the last two ``None`` without an answer.  A reply row
+#: carries its index here as ``code``.
+_OUTCOMES = [(status, None, None) for status in ServeStatus] + [
+    (ServeStatus.OK, tier, cache) for tier in TIERS for cache in CACHE_STATES
+]
+#: Code of ``(OK, TIERS[0], CACHE_STATES[0])``; tier ``t`` with cache
+#: state ``c`` is ``_ANSWERED + t * len(CACHE_STATES) + c``.
+_ANSWERED = len(ServeStatus)
+_UNKNOWN = _OUTCOMES.index((ServeStatus.UNKNOWN_ADDRESS, None, None))
+#: One row per id of a worker's reply (``lng``, ``lat`` and
+#: ``confidence`` mean nothing without an answer); the rows cross the pipe
+#: as bytes.
+_REPLY_ROW = np.dtype([("code", "i1"), ("lng", "<f8"), ("lat", "<f8"),
+                       ("confidence", "<f4")])
+#: A worker's reply to a sub-batch: its rows, and ``{position: error
+#: text}`` for the ids not answered.
+_SubReply = tuple[np.ndarray, dict[int, str]]
+
+
+def _failed_reply(n: int, status: ServeStatus, error: str) -> _SubReply:
+    """The reply to a sub-batch of ``n`` ids none of which was answered."""
+    rows = np.zeros(n, _REPLY_ROW)
+    rows["code"] = _OUTCOMES.index((status, None, None))
+    return rows, dict.fromkeys(range(n), error)
+
+
+def _columns(rows: np.ndarray) -> list[list]:
+    """Each :data:`_REPLY_ROW` column of reply rows as a plain list."""
+    return [rows[name].tolist() for name in _REPLY_ROW.names]
 
 
 def worker_plane_specs(worker_id: int) -> list[SlotSpec]:
@@ -502,7 +540,7 @@ def _worker_main(
             return router
         raise FileNotFoundError(f"no loadable snapshot in {directory!r}")
 
-    def record_rows(rows: list[tuple], elapsed: float,
+    def record_rows(ids: list[str], reply: _SubReply, elapsed: float,
                     trace_id: str = "") -> None:
         """Mint provenance and account one answered sub-batch.
 
@@ -512,15 +550,25 @@ def _worker_main(
         last minted row; the request counter one add per status.
         """
         version = snap.version if snap is not None else None
-        ok = ServeStatus.OK.value
+        errors = reply[1]
+        n_status: dict[ServeStatus, int] = {}
         n_ok: dict[str, int] = {}
         last_key: dict[str, str] = {}
-        for row in rows:
-            key = mint_row(ring, row, version, trace_id)
-            if row[1] == ok:
-                cache = row[6]
-                n_ok[cache] = n_ok.get(cache, 0) + 1
-                last_key[cache] = key
+        for i, (address_id, code, lng, lat, conf) in enumerate(
+            zip(ids, *_columns(reply[0]))
+        ):
+            status, source, cache = _OUTCOMES[code]
+            n_status[status] = n_status.get(status, 0) + 1
+            if source is None:
+                mint_answer(ring, address_id, status.value, None, None,
+                            errors[i], version, trace_id)
+                continue
+            last_key[cache] = mint_answer(
+                ring, address_id, "ok",
+                (lng, lat, source.value, conf if conf == conf else None),
+                cache, None, version, trace_id,
+            )
+            n_ok[cache] = n_ok.get(cache, 0) + 1
         for cache, n in n_ok.items():
             metrics.observe(
                 "serve_worker_request_latency_seconds", elapsed,
@@ -528,34 +576,32 @@ def _worker_main(
                              provenance_key=last_key[cache]),
                 n, cache=cache, worker=w,
             )
-        for status, n in Counter(row[1] for row in rows).items():
-            metrics.inc("serve_worker_requests_total", n, status=status,
+        for status, n in n_status.items():
+            metrics.inc("serve_worker_requests_total", n, status=status.value,
                         worker=w)
 
-    def resolve(ids: list[str], deadline: float | None) -> list[tuple]:
+    def resolve(ids: list[str], hashes: bytes,
+                deadline: float | None) -> _SubReply:
+        """Find the ids' rows by their hashes and gather their columns."""
         if deadline is not None and time.time() >= deadline:
-            return [
-                response_row(a, ServeStatus.TIMED_OUT,
-                             error="deadline exceeded before evaluation")
-                for a in ids
-            ]
-        rows = []
-        for routed in ensure_snapshot().resolve_batch(ids):
-            if isinstance(routed.result, UnknownAddressError):
-                rows.append(response_row(
-                    routed.address_id, ServeStatus.UNKNOWN_ADDRESS,
-                    error=str(routed.result),
-                ))
-            else:
-                rows.append(response_row(
-                    routed.address_id, ServeStatus.OK, routed.result,
-                    routed.cache_state,
-                ))
-        return rows
+            return _failed_reply(len(ids), ServeStatus.TIMED_OUT,
+                                 "deadline exceeded before evaluation")
+        router = ensure_snapshot()
+        rows, cache = router.rows_of(ids, np.frombuffer(hashes, "<u8"))
+        known = rows >= 0
+        tier, lng, lat, conf = router.store.answers(rows)
+        out = np.empty(len(ids), _REPLY_ROW)
+        out["code"] = np.where(
+            known, tier * len(CACHE_STATES) + (_ANSWERED + cache), _UNKNOWN)
+        out["lng"], out["lat"], out["confidence"] = lng, lat, conf
+        errors = {i: str(UnknownAddressError(ids[i]))
+                  for i in np.flatnonzero(~known).tolist()}
+        return out, errors
 
     def handle_query(
-        ids: list[str], deadline: float | None, traceparent: Any
-    ) -> list[tuple]:
+        ids: list[str], hashes: bytes, deadline: float | None,
+        traceparent: Any,
+    ) -> tuple[bytes, dict[int, str]]:
         """Resolve one sub-batch under a (possibly remote-parented) span."""
         t0 = time.perf_counter()
         parent = parse_traceparent(traceparent)
@@ -572,15 +618,12 @@ def _worker_main(
                       n_ids=len(ids), pid=os.getpid(), **sampled) as sp:
                 if sp is not None:
                     trace_id = sp.trace_id
-                rows = resolve(ids, deadline)
+                reply = resolve(ids, hashes, deadline)
         except Exception as exc:  # noqa: BLE001 — keep the worker alive
-            rows = [
-                response_row(a, ServeStatus.ERROR,
-                             error=f"{type(exc).__name__}: {exc}")
-                for a in ids
-            ]
-        record_rows(rows, time.perf_counter() - t0, trace_id)
-        return rows
+            reply = _failed_reply(len(ids), ServeStatus.ERROR,
+                                  f"{type(exc).__name__}: {exc}")
+        record_rows(ids, reply, time.perf_counter() - t0, trace_id)
+        return reply[0].tobytes(), reply[1]
 
     try:
         while True:
@@ -594,9 +637,7 @@ def _worker_main(
             req_id = msg[1]
             try:
                 if kind == "q":
-                    payload: Any = handle_query(
-                        msg[2], msg[3], msg[4] if len(msg) > 4 else None
-                    )
+                    payload: Any = handle_query(*msg[2:])
                 elif kind == "ping":
                     publish_lag()
                     payload = {
@@ -635,6 +676,41 @@ def _worker_main(
 # ---------------------------------------------------------------------------
 # Front end
 # ---------------------------------------------------------------------------
+def _decode(
+    ids: list[str], replies: list[tuple[list[str], _SubReply]], latency_s: float,
+) -> list[ServeResponse]:
+    """One response per id of a batch from its sub-batches' replies.
+
+    A repeated id has one row per copy, all alike, so each distinct id
+    is decoded once.
+    """
+    by_id: dict[str, ServeResponse] = {}
+    for sub, reply in replies:
+        errors = reply[1]
+        for i, (address_id, code, lng, lat, conf) in enumerate(
+            zip(sub, *_columns(reply[0]))
+        ):
+            if address_id in by_id:
+                continue
+            status, source, cache = _OUTCOMES[code]
+            by_id[address_id] = ServeResponse(
+                address_id, status, None, None, latency_s, errors[i],
+            ) if source is None else ServeResponse(
+                address_id, status,
+                QueryResult(Point(lng, lat), source, conf if conf == conf else None),
+                cache, latency_s,
+            )
+    return [by_id[a] for a in ids]
+
+
+def _counts(replies: list[tuple[list[str], _SubReply]]) -> dict[tuple, int]:
+    """``(status, source, cache state) -> responses`` of a batch, counted
+    from its replies' code columns (see :func:`account_response`)."""
+    codes = [rows["code"] for _, (rows, _) in replies]
+    n = np.bincount(np.concatenate(codes)).tolist() if codes else []
+    return {_OUTCOMES[code]: k for code, k in enumerate(n) if k}
+
+
 class WorkerDiedError(RuntimeError):
     """The worker's pipe broke while a request was outstanding."""
 
@@ -958,11 +1034,14 @@ class ProcessRouter:
     ) -> list[ServeResponse]:
         """Resolve a batch across the pool; one response per input id.
 
-        Each worker gets the sub-batch of its shards; a dead worker is
-        restarted and its sub-batch retried once within the deadline; a
-        sub-batch that outlives the deadline comes back ``TIMED_OUT``.
-        The caller gets every answer at once, so every response carries
-        the batch's latency, and the batch is accounted in one call.
+        Each id is hashed once; the hashes route it and travel with it,
+        so each worker finds its sub-batch's rows in its own snapshot.
+        A dead worker is restarted and its sub-batch retried once within
+        the deadline; a sub-batch that outlives the deadline comes back
+        ``TIMED_OUT``.  The caller gets every answer at once, so every
+        response carries the batch's latency; the batch is accounted in
+        one call from the replies' code columns, and each distinct id is
+        decoded once.
         """
         if not self._started:
             raise RuntimeError("router is not running (call start())")
@@ -972,73 +1051,77 @@ class ProcessRouter:
         t0 = time.monotonic()
         deadline_mono = t0 + timeout
         deadline_epoch = time.time() + timeout
+        ids = list(address_ids)
         # Every route is head-sampled; the flag rides the traceparent to
         # the workers, and the tail-based collector honors it.
-        with span("serve.route", n_ids=len(address_ids),
-                  sampled=True) as route_span:
+        with span("serve.route", n_ids=len(ids), sampled=True) as route_span:
             traceparent = (
                 make_traceparent(route_span)
                 if route_span is not None else None
             )
-            routing = self._ensure_routing()
-            shards = routing.shards_for_ids(list(address_ids))
-            groups: dict[int, list[str]] = {}
-            for address_id, shard in zip(address_ids, shards):
-                if shard < 0:
-                    shard = _stable_hash(address_id) % routing.n_shards
-                groups.setdefault(
-                    self.worker_for_shard(int(shard)), []
-                ).append(address_id)
+            groups = self._route(ids, hash_ids(ids))
             with self._inflight_lock:
                 self._inflight += len(groups)
                 depth = self._inflight
             self._set_depth(depth)
             try:
-                sent: list[tuple[int, list[str], Any]] = []
-                for index, ids in groups.items():
-                    sent.append((index, ids,
-                                 self._dispatch(index, ids, deadline_epoch,
-                                                traceparent)))
-                row_of: dict[str, tuple] = {}
-                for index, ids, reply in sent:
-                    for row in self._await_group(index, ids, reply,
-                                                 deadline_mono, deadline_epoch,
-                                                 traceparent):
-                        row_of[row[0]] = row
+                sent = [(group, self._dispatch(group, deadline_epoch, traceparent))
+                        for group in groups]
+                replies = [(group[1], self._await_group(group, reply, deadline_mono,
+                                                        deadline_epoch, traceparent))
+                           for group, reply in sent]
                 latency_s = time.monotonic() - t0
-                # A repeated id has one row per copy, all alike: decode once.
-                by_id = {a: response_from_row(row, latency_s)
-                         for a, row in row_of.items()}
-                responses = [by_id[a] for a in address_ids]
+                responses = _decode(ids, replies, latency_s)
             finally:
                 with self._inflight_lock:
                     self._inflight -= len(groups)
                     depth = self._inflight
                 self._set_depth(depth)
-        account_response(self.telemetry, responses)
+        account_response(self.telemetry, latency_s, _counts(replies))
         return responses
 
+    def _route(
+        self, ids: list[str], hashes: np.ndarray
+    ) -> list[tuple[int, list[str], bytes]]:
+        """``(worker, ids, their hashes)`` for each worker with a share of
+        the batch; one worker takes it all without a lookup."""
+        if self.n_workers == 1:
+            return [(0, ids, hashes.tobytes())] if ids else []
+        routing = self._ensure_routing()
+        shards = routing.shards_of(routing.rows_of(ids, hashes))
+        for i in np.flatnonzero(shards < 0).tolist():
+            shards[i] = _stable_hash(ids[i]) % routing.n_shards
+        workers = shards % self.n_workers
+        groups = []
+        for index in np.flatnonzero(np.bincount(workers)).tolist():
+            at = np.flatnonzero(workers == index)
+            groups.append((index, [ids[i] for i in at.tolist()],
+                           hashes[at].tobytes()))
+        return groups
+
     def _dispatch(
-        self, index: int, ids: list[str], deadline_epoch: float,
+        self, group: tuple[int, list[str], bytes], deadline_epoch: float,
         traceparent: str | None = None,
     ) -> Any:
-        """Send a sub-batch; a reply handle, or an error marker row set."""
+        """Send a ``(worker, ids, hashes)`` sub-batch; a reply handle, or
+        None if the worker is dead."""
+        index, ids, hashes = group
         try:
-            return self._worker(index).send("q", ids, deadline_epoch,
+            return self._worker(index).send("q", ids, hashes, deadline_epoch,
                                             traceparent)
         except WorkerDiedError:
             return None
 
     def _await_group(
         self,
-        index: int,
-        ids: list[str],
+        group: tuple[int, list[str], bytes],
         reply: Any,
         deadline_mono: float,
         deadline_epoch: float,
         traceparent: str | None = None,
-    ) -> list[tuple]:
+    ) -> _SubReply:
         """Wait a sub-batch out, retrying once through a fresh worker."""
+        index, ids, _ = group
         for attempt in range(2):
             if reply is not None:
                 worker = self._workers[index]
@@ -1049,21 +1132,14 @@ class ProcessRouter:
                     else None
                 )
                 if payload is not None:
-                    return payload
+                    return np.frombuffer(payload[0], _REPLY_ROW), payload[1]
                 if time.monotonic() >= deadline_mono:
-                    return [
-                        response_row(a, ServeStatus.TIMED_OUT,
-                                     error="deadline exceeded while waiting")
-                        for a in ids
-                    ]
+                    return _failed_reply(len(ids), ServeStatus.TIMED_OUT,
+                                         "deadline exceeded while waiting")
             if attempt == 0:
-                reply = self._dispatch(index, ids, deadline_epoch,
-                                       traceparent)
-        return [
-            response_row(a, ServeStatus.ERROR,
-                         error=f"worker {index} died and retry failed")
-            for a in ids
-        ]
+                reply = self._dispatch(group, deadline_epoch, traceparent)
+        return _failed_reply(len(ids), ServeStatus.ERROR,
+                             f"worker {index} died and retry failed")
 
     def query(
         self, address_id: str, timeout_s: float | None = None

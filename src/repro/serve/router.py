@@ -1,22 +1,24 @@
 """Request routing: cache in front, a lookup behind.
 
 The router is the one resolution core under both serving backends: check
-the LRU+TTL cache, and on a cold miss ask the lookup — the location
-store or a worker's columnar snapshot.
-Thread workers call :meth:`QueryRouter.resolve` per request, process
-workers :meth:`QueryRouter.resolve_batch` per sub-batch.  Every answer
-is tagged with its cache state, which the servers fold into the latency
-histogram labels — cache hits and fallback tiers have very different
-latency floors and must not share a bucket family.  The router itself
-counts nothing: the cache's :class:`CacheStats` holds its hits and misses.
+the LRU+TTL cache, and on a cold miss ask the lookup.  Thread workers
+call :meth:`QueryRouter.resolve` per request over the location store;
+process workers call :meth:`QueryRouter.rows_of` per sub-batch over
+their columnar snapshot, whose rows they then gather as columns.  Every
+answer is tagged with its cache state, which the servers fold into the
+latency histogram labels — cache hits and fallback tiers have very
+different latency floors and must not share a bucket family.  The router
+itself counts nothing: the cache's :class:`CacheStats` holds its hits
+and misses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.apps.store import QueryResult, UnknownAddressError
+import numpy as np
+
+from repro.apps.store import QueryResult
 from repro.serve.cache import CacheStats, TTLLRUCache
 from repro.serve.shard import ShardedLocationStore
 
@@ -25,27 +27,16 @@ CACHE_HIT = "hit"
 CACHE_MISS = "miss"
 CACHE_BYPASS = "bypass"  # router configured without a cache
 CACHE_STATES = (CACHE_HIT, CACHE_MISS, CACHE_BYPASS)
-
-
-@dataclass(frozen=True)
-class RoutedResult:
-    """A resolved query plus how the serving tier answered it
-    (:meth:`QueryRouter.resolve_batch` returns unknown ids as errors)."""
-
-    address_id: str
-    result: QueryResult | UnknownAddressError
-    cache_state: str
+_HIT, _MISS, _BYPASS = range(len(CACHE_STATES))
 
 
 class QueryRouter:
     """Cache → lookup resolution chain.
 
-    ``store`` is anything with ``query_id(address_id) -> QueryResult``
-    (raising :class:`UnknownAddressError` on a bad id) and the batch
-    contract of :meth:`ShardedLocationStore.resolve_batch`: a
-    :class:`ShardedLocationStore` or a
-    :class:`~repro.serve.columnar.ColumnarSnapshot`.  Swap ``store`` and
-    call :meth:`on_refresh` to serve a new generation.
+    ``store`` is a :class:`ShardedLocationStore` (``query_id``, for
+    :meth:`resolve`) or a :class:`~repro.serve.columnar.ColumnarSnapshot`
+    (``rows_of``, for :meth:`rows_of`).  Swap ``store`` and call
+    :meth:`on_refresh` to serve a new generation.
     """
 
     def __init__(
@@ -69,51 +60,45 @@ class QueryRouter:
         )
         return cls(store, cache=cache)
 
-    def resolve(self, address_id: str) -> RoutedResult:
-        """Resolve one id; raises :class:`UnknownAddressError` on bad ids."""
+    def resolve(self, address_id: str) -> tuple[QueryResult, str]:
+        """``(answer, cache state)`` of one id; raises
+        :class:`~repro.apps.store.UnknownAddressError` on bad ids."""
         if self.cache is not None:
             cached = self.cache.get(address_id)
             if cached is not None:
-                return RoutedResult(address_id, cached, CACHE_HIT)
+                return cached, CACHE_HIT
         result = self.store.query_id(address_id)
         if self.cache is not None:
             self.cache.put(address_id, result)
-            state = CACHE_MISS
-        else:
-            state = CACHE_BYPASS
-        return RoutedResult(address_id, result, state)
+            return result, CACHE_MISS
+        return result, CACHE_BYPASS
 
-    def resolve_batch(self, address_ids: Sequence[str]) -> list[RoutedResult]:
-        """Resolve many ids: one answer per input id, in order.
+    def rows_of(
+        self, address_ids: Sequence[str], hashes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray | int]:
+        """Snapshot row of every id (``-1`` unknown) and its cache-state
+        code, an index into ``CACHE_STATES`` (one code for the whole batch
+        without a cache).
 
-        Each id probes the cache once; the misses go to the store in one
-        ``resolve_batch`` call (each distinct id once), and the known ones
-        fill the cache.  An unknown id comes back with an
-        :class:`UnknownAddressError` as its result instead of raising, so
-        it cannot fail its batch-mates.
+        ``hashes`` are the ids' :func:`~repro.serve.columnar.hash_ids`.
+        The cache holds rows of the current snapshot.  Each id probes it
+        once; the misses go to the snapshot in one ``rows_of`` call (each
+        distinct id once), and the known ones fill the cache.
         """
         cache = self.cache
         if cache is None:
-            resolved = self.store.resolve_batch(list(dict.fromkeys(address_ids)))
-            return [RoutedResult(a, resolved[a], CACHE_BYPASS) for a in address_ids]
-        hits = {}
-        for address_id in address_ids:
-            cached = cache.get(address_id)
-            if cached is not None:
-                hits[address_id] = cached
-        resolved = self.store.resolve_batch(
-            [a for a in dict.fromkeys(address_ids) if a not in hits]
-        )
-        out = []
-        for address_id in address_ids:
-            if address_id in hits:
-                out.append(RoutedResult(address_id, hits[address_id], CACHE_HIT))
-                continue
-            result = resolved[address_id]
-            if not isinstance(result, UnknownAddressError):
-                cache.put(address_id, result)
-            out.append(RoutedResult(address_id, result, CACHE_MISS))
-        return out
+            return self.store.rows_of(address_ids, hashes), _BYPASS
+        rows = [cache.get(a) for a in address_ids]
+        missed = {a: i for i, (a, row) in enumerate(zip(address_ids, rows)) if row is None}
+        found = dict(zip(missed, self.store.rows_of(
+            list(missed), hashes[list(missed.values())]).tolist()))
+        states = [_MISS if row is None else _HIT for row in rows]
+        for i, address_id in enumerate(address_ids):
+            if rows[i] is None:
+                rows[i] = found[address_id]
+                if rows[i] >= 0:  # unknown ids are never cached
+                    cache.put(address_id, rows[i])
+        return np.array(rows, dtype=np.int64), np.array(states, dtype=np.int8)
 
     def on_refresh(self) -> int:
         """Drop cached answers after a store swap; returns entries dropped."""

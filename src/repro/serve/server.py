@@ -23,7 +23,7 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping
 
 from repro.apps.store import QueryResult, QuerySource, UnknownAddressError
 from repro.geo import Point
@@ -108,107 +108,41 @@ def serve_specs() -> list[SlotSpec]:
 
 def account_response(
     metrics: TierMetrics,
-    responses: Sequence[ServeResponse],
+    latency_s: float,
+    counts: Mapping[tuple[ServeStatus, QuerySource | None, str | None], int],
     exemplar: Exemplar | None = None,
 ) -> None:
     """Count the terminal responses of one call at a serving front end.
 
-    The thread server passes its one response, the process router a
-    whole batch.  Every response counts by status; the answered ones
-    observe the latency histogram by answering tier and cache state,
-    one observation per ``(source, cache, latency)`` group carrying the
-    group's count, with ``exemplar`` attached when given.  A batch's
-    responses share one latency, so a batch costs one counter write per
-    status and one observation per tier and cache state.
+    ``counts`` maps ``(status, source, cache state)`` to how many of the
+    call's responses ended so (source and cache state ``None`` without an
+    answer): the thread server passes its one response, the process
+    router a batch, whose responses share ``latency_s``.  Each group is
+    one counter add and, if answered, one latency observation by tier
+    and cache state carrying the group's count and ``exemplar``.
     """
-    if len(responses) == 1:  # the thread server and one-id batches
-        (response,) = responses
-        metrics.inc("serve_requests_total", status=response.status.value)
-        if response.result is not None:
-            metrics.observe(
-                "serve_request_latency_seconds", response.latency_s, exemplar,
-                source=response.result.source.value,
-                cache=response.cache_state,
-            )
-        return
-    by_status: dict[ServeStatus, int] = {}
-    by_series: dict[tuple[QuerySource, str | None, float], int] = {}
-    for response in responses:
-        by_status[response.status] = by_status.get(response.status, 0) + 1
-        if response.result is not None:
-            series = (response.result.source, response.cache_state,
-                      response.latency_s)
-            by_series[series] = by_series.get(series, 0) + 1
-    for status, n in by_status.items():
+    for (status, source, cache), n in counts.items():
         metrics.inc("serve_requests_total", n, status=status.value)
-    for (source, cache, latency_s), n in by_series.items():
-        metrics.observe("serve_request_latency_seconds", latency_s, exemplar,
-                        n, source=source.value, cache=cache)
+        if source is not None:
+            metrics.observe("serve_request_latency_seconds", latency_s,
+                            exemplar, n, source=source.value, cache=cache)
 
 
-def response_row(
-    address_id: str,
-    status: ServeStatus,
-    result: QueryResult | None = None,
-    cache_state: str | None = None,
-    error: str | None = None,
-) -> tuple:
-    """The flat form of one terminal response, the row a process worker
-    sends over its pipe and every provenance record is minted from:
-    ``(address_id, status, lng, lat, source, confidence, cache_state,
-    error)``."""
-    if result is None:
-        return (address_id, status.value, None, None, None, None, cache_state,
-                error)
-    return (address_id, status.value, result.location.lng,
-            result.location.lat, result.source.value, result.confidence,
-            cache_state, error)
-
-
-_STATUS_OF = {status.value: status for status in ServeStatus}
-_SOURCE_OF = {source.value: source for source in QuerySource}
-
-
-def response_from_row(row: tuple, latency_s: float) -> ServeResponse:
-    """Decode a :func:`response_row`."""
-    (address_id, status, lng, lat, source, confidence, cache_state,
-     error) = row
-    status = _STATUS_OF[status]
-    result = None
-    if status is ServeStatus.OK:
-        result = QueryResult(
-            Point(lng, lat), _SOURCE_OF[source], confidence=confidence
-        )
-    return ServeResponse(address_id, status, result, cache_state, latency_s,
-                         error=error)
-
-
-def mint_row(
-    ring: ProvenanceRing,
-    row: tuple,
-    snapshot_version: int | None,
-    trace_id: str,
-) -> str:
-    """Mint the provenance of one :func:`response_row` into ``ring``;
-    returns its key.
+def mint_answer(ring: ProvenanceRing, address_id: str, status: str,
+                answer: tuple | None, cache_state: str | None, error: str | None,
+                snapshot_version: int | None, trace_id: str) -> str:
+    """Mint the provenance of one terminal response into ``ring``;
+    returns its key.  ``answer`` is ``(lng, lat, source, confidence)``,
+    ``None`` for an id not answered.
 
     The one mapping from a served answer to :meth:`ProvenanceRing.mint`,
     shared by the thread server and every process worker.
     """
-    (address_id, status, lng, lat, source, confidence, cache_state,
-     error) = row
-    return ring.mint(
-        address_id,
-        status,
-        lng=lng,
-        lat=lat,
-        source=source or "",
-        cache_state=cache_state or "",
-        confidence=confidence,
-        snapshot_version=snapshot_version,
-        trace_id=trace_id,
-        error=error or "",
-    )
+    lng, lat, source, confidence = answer or (None, None, "", None)
+    return ring.mint(address_id, status, lng=lng, lat=lat, source=source,
+                     cache_state=cache_state or "", confidence=confidence,
+                     snapshot_version=snapshot_version, trace_id=trace_id,
+                     error=error or "")
 
 
 class PendingQuery:
@@ -356,15 +290,22 @@ class QueryServer:
         mints its provenance; its latency exemplar carries that key.
         Then :func:`account_response` counts it.
         """
+        result = response.result
         exemplar = None
         if trace_id is not None:
-            row = response_row(response.address_id, response.status,
-                               response.result, response.cache_state,
-                               response.error)
-            key = mint_row(self.provenance, row, self.store.version, trace_id)
+            answer = None if result is None else (
+                result.location.lng, result.location.lat, result.source.value,
+                result.confidence)
+            key = mint_answer(self.provenance, response.address_id,
+                              response.status.value, answer,
+                              response.cache_state, response.error,
+                              self.store.version, trace_id)
             exemplar = Exemplar.now(response.latency_s, trace_id=trace_id,
                                     provenance_key=key)
-        account_response(self.telemetry, [response], exemplar)
+        source = None if result is None else result.source
+        account_response(
+            self.telemetry, response.latency_s,
+            {(response.status, source, response.cache_state): 1}, exemplar)
 
     def _note_depth(self) -> None:
         depth = self._queue.qsize()
@@ -448,7 +389,8 @@ class QueryServer:
             ) as sp:
                 trace_id = sp.trace_id if sp is not None else ""
                 try:
-                    routed = self.router.resolve(pending.address_id)
+                    result, cache_state = self.router.resolve(
+                        pending.address_id)
                 except UnknownAddressError as exc:
                     response = ServeResponse(
                         pending.address_id, ServeStatus.UNKNOWN_ADDRESS, None,
@@ -463,9 +405,8 @@ class QueryServer:
                     )
                 else:
                     response = ServeResponse(
-                        pending.address_id, ServeStatus.OK, routed.result,
-                        routed.cache_state,
-                        time.monotonic() - pending.t_submit,
+                        pending.address_id, ServeStatus.OK, result,
+                        cache_state, time.monotonic() - pending.t_submit,
                     )
                 if sp is not None:
                     sp.set("status", response.status.value)

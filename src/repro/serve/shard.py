@@ -132,9 +132,9 @@ class StoreSnapshot:
 class ShardedLocationStore:
     """The in-process delivery-location store.
 
-    Query contract: ``query`` / ``query_id`` / ``resolve_batch`` with the
-    three-tier fallback and :class:`UnknownAddressError` for ids outside
-    the address book.  Reads are lock-free against an immutable
+    Query contract: ``query`` / ``query_id`` with the three-tier fallback
+    and :class:`UnknownAddressError` for ids outside the address book.
+    Reads are lock-free against an immutable
     :class:`StoreSnapshot`; ``update`` and ``replace`` build the next
     generation off to the side and swap one reference.  The
     :class:`ShardStrategy` does not partition the tables: it is the key
@@ -206,27 +206,6 @@ class ShardedLocationStore:
         if address is None:
             raise UnknownAddressError(address_id)
         return self._snapshot.resolve(address)
-
-    def resolve_batch(
-        self, address_ids: list[str]
-    ) -> dict[str, QueryResult | UnknownAddressError]:
-        """Resolve many ids in one pass over a single snapshot.
-
-        The batch-lookup contract every serving lookup shares (this store
-        and :class:`~repro.serve.columnar.ColumnarSnapshot`): every id in the
-        batch is answered from the *same* generation, keyed by id, and
-        unknown ids come back as :class:`UnknownAddressError` values (not
-        raises) so one bad id cannot fail its batch-mates.
-        """
-        snapshot = self._snapshot
-        out: dict[str, QueryResult | UnknownAddressError] = {}
-        for address_id in address_ids:
-            address = self._addresses.get(address_id)
-            if address is None:
-                out[address_id] = UnknownAddressError(address_id)
-            else:
-                out[address_id] = snapshot.resolve(address)
-        return out
 
     # ------------------------------------------------------------------
     # Durability (columnar snapshot + update log)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import CandidatePool, FeatureExtractor, LocationCandidate
+from repro.core import CandidatePool
+from repro.core.candidates import LocationCandidate
+from repro.core.features import FeatureExtractor
 from repro.geo import LocalProjection, Point
 from repro.trajectory import Address, DeliveryTrip, TrajPoint, Trajectory, Waybill
 

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    BUILDING_PREFIX,
-    HeuristicSelector,
+    build_candidate_pool,
+    extract_trip_stay_points,
     infer_building_locations,
 )
-from repro.core import build_candidate_pool, extract_trip_stay_points
+from repro.core.features import BUILDING_PREFIX
+from repro.core.selectors import HeuristicSelector
 from repro.core.features import COL_DIST, COL_TC, FeatureExtractor
 from tests.core.helpers import PROJ, make_address, make_trip
 

@@ -8,11 +8,11 @@ from repro.core import (
     CandidatePool,
     DLInfMA,
     DLInfMAConfig,
-    FeatureExtractor,
     build_artifacts,
     build_candidate_pool,
     extract_trip_stay_points,
 )
+from repro.core.features import FeatureExtractor
 from repro.trajectory import DeliveryTrip, StayPoint, Trajectory, Waybill
 from tests.core.feature_reference import (
     build_profiles,

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    FeatureConfig,
+    build_candidate_pool,
+    extract_trip_stay_points,
+)
+from repro.core.features import (
     COL_DIST,
     COL_LC_ADDRESS,
     COL_LC_BUILDING,
     COL_TC,
     COL_DURATION,
     COL_COURIERS,
-    FeatureConfig,
     FeatureExtractor,
     HIST_START,
     N_FEATURES,
-    build_candidate_pool,
-    extract_trip_stay_points,
 )
 from tests.core.helpers import PROJ, make_address, make_trip, point_at, retrieved
 

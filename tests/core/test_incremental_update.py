@@ -14,11 +14,11 @@ from repro.core import (
     CandidatePoolBuilder,
     DLInfMA,
     DLInfMAConfig,
-    FeatureExtractor,
     LocMatcherConfig,
     extract_trip_stay_points,
     project_stays,
 )
+from repro.core.features import FeatureExtractor
 from repro.eval import Workload, evaluate
 from repro.synth import downbj_config, generate_dataset
 from tests.core.helpers import PROJ, make_address, make_trip, point_at

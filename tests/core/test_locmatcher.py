@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    AddressExample,
-    FeatureConfig,
-    LocMatcherConfig,
-    LocMatcherNet,
-    LocMatcherSelector,
-    N_FEATURES,
-    COL_TC,
-    COL_DIST,
-)
+from repro.core import AddressExample, FeatureConfig, LocMatcherConfig
+from repro.core.features import COL_DIST, COL_TC, N_FEATURES
+from repro.core.locmatcher import LocMatcherNet, LocMatcherSelector
 from repro.core import locmatcher_numpy
 from repro.core.locmatcher import MAX_SCORE_BATCH
 from repro.nn.functional import cross_entropy, masked_softmax

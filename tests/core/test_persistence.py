@@ -4,16 +4,18 @@ import pytest
 from repro.core import (
     FeatureConfig,
     LocMatcherConfig,
-    LocMatcherSelector,
-    load_candidate_pool,
     load_locations,
+    save_locations,
+    build_candidate_pool,
+)
+from repro.core.locmatcher import LocMatcherSelector
+from repro.core.persistence import (
+    load_candidate_pool,
     load_locmatcher_into,
     load_profiles,
     save_candidate_pool,
-    save_locations,
     save_locmatcher,
     save_profiles,
-    build_candidate_pool,
 )
 from repro.geo import Point
 from repro.trajectory import StayPoint

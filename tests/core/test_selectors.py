@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    AddressExample,
-    COL_DIST,
-    COL_LC_BUILDING,
-    COL_TC,
-    HeuristicSelector,
-    N_FEATURES,
-    make_variant_selector,
-)
+from repro.core import AddressExample, make_variant_selector
+from repro.core.features import COL_DIST, COL_LC_BUILDING, COL_TC, N_FEATURES
+from repro.core.selectors import HeuristicSelector
 from tests.core.test_locmatcher import synthetic_examples
 
 

@@ -13,13 +13,15 @@ from repro.core import (
     DLInfMAConfig,
     FeatureConfig,
     LocMatcherConfig,
-    LocMatcherSelector,
-    load_candidate_pool,
     load_locations,
+    save_locations,
+)
+from repro.core.locmatcher import LocMatcherSelector
+from repro.core.persistence import (
+    load_candidate_pool,
     load_locmatcher_into,
     load_profiles,
     save_candidate_pool,
-    save_locations,
     save_locmatcher,
     save_profiles,
 )

@@ -9,7 +9,8 @@ they adopt the other operand's dtype instead of promoting to float64.
 import numpy as np
 import pytest
 
-from repro.core import LocMatcherConfig, LocMatcherNet, LocMatcherSelector
+from repro.core import LocMatcherConfig
+from repro.core.locmatcher import LocMatcherNet, LocMatcherSelector
 from repro.nn import DEFAULT_DTYPE, Adam, Linear, Tensor, clip_grad_norm
 from repro.nn.functional import cross_entropy, softmax
 from tests.core.test_locmatcher import synthetic_examples

@@ -10,7 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core import LocMatcherConfig, LocMatcherSelector
+from repro.core import LocMatcherConfig
+from repro.core.locmatcher import LocMatcherSelector
 from repro.nn import Adam, load_optimizer, save_optimizer
 from tests.core.test_locmatcher import synthetic_examples
 

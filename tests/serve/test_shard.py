@@ -85,14 +85,6 @@ class TestQueryParity:
         with pytest.raises(KeyError):  # back-compat contract
             store.query_id("missing")
 
-    def test_batch_resolution_mixes_results_and_errors(self, world):
-        addresses, locations = world
-        store = ShardedLocationStore(locations, addresses)
-        out = store.resolve_batch(["a1", "missing", "a4"])
-        assert out["a1"].source == QuerySource.ADDRESS
-        assert isinstance(out["missing"], UnknownAddressError)
-        assert out["a4"].source == QuerySource.GEOCODE
-
 
 class TestCopyOnWrite:
     def test_update_swaps_snapshot_and_bumps_version(self, world):

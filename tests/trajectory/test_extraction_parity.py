@@ -11,7 +11,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import ExtractionConfig, extract_trip_stay_points
+from repro.core import extract_trip_stay_points
+from repro.core.staypoints import ExtractionConfig
 from repro.geo import LocalProjection, Point, haversine_m
 from repro.trajectory import (
     NoiseFilterConfig,
