@@ -18,8 +18,11 @@ deterministic: a :class:`ProvenanceRing` holds
 :meth:`ProvenanceRing.mint` keys the answer and decides its retention
 from the key and the answer's fields before it builds a record, and
 returns the key: most routine answers are dropped by the reservoir, and
-each of those costs one key format and one CRC.  Read the kept records
-back with :meth:`ProvenanceRing.records` or :meth:`ProvenanceRing.find`.
+each of those costs one key format and one CRC.
+:meth:`ProvenanceRing.mint_rows` does the same for a batch given as
+columns, under one lock and through the same retention decision.  Read
+the kept records back with :meth:`ProvenanceRing.records` or
+:meth:`ProvenanceRing.find`.
 
 Each worker process persists its ring to
 ``<snapshot-dir>/obs/provenance-<origin>.jsonl`` on snapshot rotation
@@ -49,6 +52,9 @@ PROVENANCE_VERSION = 2
 
 #: Confidence below which a record is always kept (the interesting ones).
 DEFAULT_LOW_CONFIDENCE = 0.2
+
+#: Retention decisions other than a reservoir slot (``ProvenanceRing._slot``).
+_KEEP, _APPEND = -2, -1
 
 __all__ = [
     "PROVENANCE_VERSION",
@@ -120,6 +126,11 @@ class ProvenanceRecord:
         )
 
 
+def _number(x: Optional[float]) -> Optional[float]:
+    """``x``, or ``None`` for a NaN."""
+    return x if x == x else None
+
+
 class ProvenanceRing:
     """Bounded retention for provenance records.
 
@@ -140,6 +151,8 @@ class ProvenanceRing:
         self.capacity = int(capacity)
         self.low_confidence = float(low_confidence)
         self.origin = str(origin)
+        #: A record's key: its origin and its mint sequence number.
+        self._key_format = self.origin.replace("%", "%%") + ":%08d"
         self._lock = threading.Lock()
         self._reservoir: list[ProvenanceRecord] = []
         self._seen = 0  # routine records offered to the reservoir
@@ -149,6 +162,33 @@ class ProvenanceRing:
     # ------------------------------------------------------------------
     # Minting / retention
     # ------------------------------------------------------------------
+    def _slot(self, key: str, status: str, error: Any,
+              confidence: Any) -> Optional[int]:
+        """The retention policy, decided for one answer under the lock
+        before its record exists: :data:`_KEEP` for the always-keep
+        deque (errors, unknown ids, low-confidence answers),
+        :data:`_APPEND` while the reservoir fills, the reservoir slot the
+        record replaces, or ``None`` to drop it unbuilt."""
+        if status != "ok" or error or (
+                confidence is not None and confidence < self.low_confidence):
+            return _KEEP
+        i = self._seen
+        self._seen = i + 1
+        if i < self.capacity:  # the reservoir holds one record per offer
+            return _APPEND
+        # Algorithm R with a deterministic draw: same stream of keys ->
+        # same retained sample, run after run.
+        slot = zlib.crc32(key.encode("utf-8")) % (i + 1)
+        return slot if slot < self.capacity else None
+
+    def _place(self, record: ProvenanceRecord, slot: int) -> None:
+        if slot == _KEEP:
+            self._kept.append(record)
+        elif slot == _APPEND:
+            self._reservoir.append(record)
+        else:
+            self._reservoir[slot] = record
+
     def mint(self, address_id: str, status: str, **fields: Any) -> str:
         """Key one served answer, retain its record per policy; returns the key.
 
@@ -157,40 +197,63 @@ class ProvenanceRing:
         format and one CRC, and no record is built for it.
         """
         status = str(status)
-        confidence = fields.get("confidence")
-        keep = bool(
-            status != "ok" or fields.get("error")
-            or (confidence is not None and confidence < self.low_confidence)
-        )
+        with self._lock:
+            key = self._key_format % self._seq
+            self._seq += 1
+            slot = self._slot(key, status, fields.get("error"),
+                              fields.get("confidence"))
+            if slot is not None:
+                self._place(ProvenanceRecord(
+                    key=key,
+                    address_id=str(address_id),
+                    status=status,
+                    origin=self.origin,
+                    ts_unix=time.time(),
+                    **fields,
+                ), slot)
+        return key
+
+    def mint_rows(
+        self,
+        address_ids: Sequence[str],
+        statuses: Sequence[str],
+        lng: Sequence[Optional[float]],
+        lat: Sequence[Optional[float]],
+        sources: Sequence[str],
+        cache_states: Sequence[str],
+        confidences: Sequence[Optional[float]],
+        errors: Mapping[int, str],
+        snapshot_version: Optional[int] = None,
+        trace_id: str = "",
+    ) -> list[str]:
+        """:meth:`mint` a batch of answers given as columns; returns their keys.
+
+        Row ``i`` is what ``mint(address_ids[i], statuses[i], lng=lng[i],
+        ..., error=errors.get(i, ""))`` would mint, with the batch's
+        ``snapshot_version`` and ``trace_id``: the same key, the same
+        retention decision, the same record.  A NaN in ``lng``, ``lat``
+        or ``confidences`` is recorded as ``None``.  The lock is taken
+        once, the keys are formatted in one pass, and a record is built
+        only for a row that is kept; the batch's records share one
+        ``ts_unix``.
+        """
+        n = len(address_ids)
+        now = time.time()
         with self._lock:
             seq = self._seq
-            self._seq += 1
-            key = f"{self.origin}:{seq:08d}"
-            slot = -1  # -1: append to the reservoir while it is filling
-            if not keep:
-                i = self._seen
-                self._seen += 1
-                if len(self._reservoir) >= self.capacity:
-                    # Algorithm R with a deterministic draw: same stream
-                    # of keys -> same retained sample, run after run.
-                    slot = zlib.crc32(key.encode("utf-8")) % (i + 1)
-                    if slot >= self.capacity:
-                        return key
-            record = ProvenanceRecord(
-                key=key,
-                address_id=str(address_id),
-                status=status,
-                origin=self.origin,
-                ts_unix=time.time(),
-                **fields,
-            )
-            if keep:
-                self._kept.append(record)
-            elif slot < 0:
-                self._reservoir.append(record)
-            else:
-                self._reservoir[slot] = record
-        return key
+            self._seq += n
+            keys = [self._key_format % s for s in range(seq, seq + n)]
+            for i, key in enumerate(keys):
+                error = errors.get(i, "")
+                slot = self._slot(key, statuses[i], error, confidences[i])
+                if slot is not None:
+                    self._place(ProvenanceRecord(
+                        key, str(address_ids[i]), statuses[i],
+                        _number(lng[i]), _number(lat[i]), sources[i],
+                        cache_states[i], _number(confidences[i]),
+                        snapshot_version, trace_id, self.origin, now, error,
+                    ), slot)
+        return keys
 
     # ------------------------------------------------------------------
     # Retrieval

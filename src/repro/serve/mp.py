@@ -32,8 +32,10 @@ across process boundaries:
   answers correctly.  The worker gathers the rows' columns and replies
   with one fixed-width row per id (an outcome code — status, answering
   tier, cache state — plus lng, lat, confidence) as bytes, and error
-  text for the ids not answered; the router counts the outcomes from the
-  codes and builds each distinct id's response once.  It answers a
+  text for the ids not answered; it mints the provenance of the whole
+  sub-batch in one :meth:`~repro.obs.provenance.ProvenanceRing.mint_rows`
+  call.  The router counts the outcomes from the codes and builds each
+  distinct id's response once.  It answers a
   single query as a one-id batch, heartbeats the pool, and restarts
   dead workers automatically.  A router built
   with :meth:`ProcessRouter.from_store` keeps the store it published and
@@ -112,7 +114,6 @@ from repro.serve.server import (
     ServerConfig,
     ServeStatus,
     account_response,
-    mint_answer,
     serve_specs,
 )
 from repro.serve.shard import ShardedLocationStore, _stable_hash
@@ -138,20 +139,30 @@ _OUTCOMES = [(status, None, None) for status in ServeStatus] + [
 #: state ``c`` is ``_ANSWERED + t * len(CACHE_STATES) + c``.
 _ANSWERED = len(ServeStatus)
 _UNKNOWN = _OUTCOMES.index((ServeStatus.UNKNOWN_ADDRESS, None, None))
+#: Each outcome's provenance strings by code: a row of statuses, one of
+#: answering tiers and one of cache states ("" where there is no answer),
+#: so a sub-batch's three string columns are one gather.
+_STRINGS_OF = np.array([
+    [s.value for s, _, _ in _OUTCOMES],
+    [t.value if t else "" for _, t, _ in _OUTCOMES],
+    [c or "" for _, _, c in _OUTCOMES],
+], dtype=object)
 #: One row per id of a worker's reply (``lng``, ``lat`` and
-#: ``confidence`` mean nothing without an answer); the rows cross the pipe
-#: as bytes.
+#: ``confidence`` NaN where there is none); the rows cross the pipe as
+#: bytes.
 _REPLY_ROW = np.dtype([("code", "i1"), ("lng", "<f8"), ("lat", "<f8"),
                        ("confidence", "<f4")])
 #: A worker's reply to a sub-batch: its rows, and ``{position: error
 #: text}`` for the ids not answered.
 _SubReply = tuple[np.ndarray, dict[int, str]]
+#: ``(lng, lat, confidence)`` of a reply row without an answer.
+_NO_ANSWER = (np.nan, np.nan, np.nan)
 
 
 def _failed_reply(n: int, status: ServeStatus, error: str) -> _SubReply:
     """The reply to a sub-batch of ``n`` ids none of which was answered."""
-    rows = np.zeros(n, _REPLY_ROW)
-    rows["code"] = _OUTCOMES.index((status, None, None))
+    rows = np.empty(n, _REPLY_ROW)
+    rows[:] = (_OUTCOMES.index((status, None, None)),) + _NO_ANSWER
     return rows, dict.fromkeys(range(n), error)
 
 
@@ -542,38 +553,41 @@ def _worker_main(
 
     def record_rows(ids: list[str], reply: _SubReply, elapsed: float,
                     trace_id: str = "") -> None:
-        """Mint provenance and account one answered sub-batch.
+        """Mint provenance and account one sub-batch, answered or not.
 
-        Every row of a sub-batch took the same ``elapsed``, so the
-        latency histogram takes one observation per cache label with
-        that label's OK row count, its exemplar keyed by the label's
-        last minted row; the request counter one add per status.
+        The ring mints the sub-batch's rows in one call.  Every row took
+        the same ``elapsed``, so the latency histogram takes one
+        observation per cache label with that label's OK row count, its
+        exemplar keyed by the label's last row; the request counter one
+        add per status.
         """
-        version = snap.version if snap is not None else None
-        errors = reply[1]
+        rows, errors = reply
+        codes = rows["code"]
+        statuses, sources, caches = _STRINGS_OF.take(codes, axis=1).tolist()
+        keys = ring.mint_rows(
+            ids, statuses, rows["lng"].tolist(), rows["lat"].tolist(),
+            sources, caches, rows["confidence"].tolist(), errors,
+            snap.version if snap is not None else None, trace_id,
+        )
         n_status: dict[ServeStatus, int] = {}
         n_ok: dict[str, int] = {}
-        last_key: dict[str, str] = {}
-        for i, (address_id, code, lng, lat, conf) in enumerate(
-            zip(ids, *_columns(reply[0]))
-        ):
-            status, source, cache = _OUTCOMES[code]
-            n_status[status] = n_status.get(status, 0) + 1
-            if source is None:
-                mint_answer(ring, address_id, status.value, None, None,
-                            errors[i], version, trace_id)
+        last: dict[str, int] = {}
+        backwards = codes[::-1].tolist()
+        for code, n in enumerate(np.bincount(codes).tolist()):
+            if not n:
                 continue
-            last_key[cache] = mint_answer(
-                ring, address_id, "ok",
-                (lng, lat, source.value, conf if conf == conf else None),
-                cache, None, version, trace_id,
-            )
-            n_ok[cache] = n_ok.get(cache, 0) + 1
+            status, _, cache = _OUTCOMES[code]
+            n_status[status] = n_status.get(status, 0) + n
+            if cache is not None:
+                n_ok[cache] = n_ok.get(cache, 0) + n
+                # The code's last row, found by a C-level scan.
+                at = len(keys) - 1 - backwards.index(code)
+                last[cache] = max(last.get(cache, at), at)
         for cache, n in n_ok.items():
             metrics.observe(
                 "serve_worker_request_latency_seconds", elapsed,
                 Exemplar.now(elapsed, trace_id=trace_id,
-                             provenance_key=last_key[cache]),
+                             provenance_key=keys[last[cache]]),
                 n, cache=cache, worker=w,
             )
         for status, n in n_status.items():
@@ -588,14 +602,15 @@ def _worker_main(
                                  "deadline exceeded before evaluation")
         router = ensure_snapshot()
         rows, cache = router.rows_of(ids, np.frombuffer(hashes, "<u8"))
-        known = rows >= 0
         tier, lng, lat, conf = router.store.answers(rows)
         out = np.empty(len(ids), _REPLY_ROW)
-        out["code"] = np.where(
-            known, tier * len(CACHE_STATES) + (_ANSWERED + cache), _UNKNOWN)
+        out["code"] = tier * len(CACHE_STATES) + (_ANSWERED + cache)
         out["lng"], out["lat"], out["confidence"] = lng, lat, conf
+        unknown = np.flatnonzero(rows < 0)
+        if len(unknown):  # a structured assignment costs µs, even empty
+            out[unknown] = (_UNKNOWN,) + _NO_ANSWER
         errors = {i: str(UnknownAddressError(ids[i]))
-                  for i in np.flatnonzero(~known).tolist()}
+                  for i in unknown.tolist()}
         return out, errors
 
     def handle_query(
@@ -922,8 +937,10 @@ class ProcessRouter:
         return self
 
     def stop(self) -> None:
-        """Stop the pool and close the publisher (both idempotent)."""
+        """Stop the pool, unmap the router's plane and close the publisher
+        (all idempotent), whether or not :meth:`start` ran or succeeded."""
         if not self._started:
+            self.telemetry.close()
             self.publisher.close()
             return
         self._started = False

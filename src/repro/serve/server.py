@@ -135,8 +135,9 @@ def mint_answer(ring: ProvenanceRing, address_id: str, status: str,
     returns its key.  ``answer`` is ``(lng, lat, source, confidence)``,
     ``None`` for an id not answered.
 
-    The one mapping from a served answer to :meth:`ProvenanceRing.mint`,
-    shared by the thread server and every process worker.
+    The thread server's mapping from a served answer to
+    :meth:`ProvenanceRing.mint`; a process worker mints its sub-batch's
+    rows as columns with :meth:`ProvenanceRing.mint_rows`.
     """
     lng, lat, source, confidence = answer or (None, None, "", None)
     return ring.mint(address_id, status, lng=lng, lat=lat, source=source,

@@ -36,6 +36,7 @@ class ReferenceRing:
         self._seen = 0
         self._seq = 0
         self._kept = deque(maxlen=keep_capacity)
+        self.placed = []  # keys of the records retained when minted
 
     def mint(self, address_id, status, **fields):
         seq = self._seq
@@ -60,15 +61,18 @@ class ReferenceRing:
     def _retain(self, record):
         if self._always_keep(record):
             self._kept.append(record)
+            self.placed.append(record.key)
             return
         i = self._seen
         self._seen += 1
         if len(self._reservoir) < self.capacity:
             self._reservoir.append(record)
+            self.placed.append(record.key)
             return
         j = zlib.crc32(record.key.encode("utf-8")) % (i + 1)
         if j < self.capacity:
             self._reservoir[j] = record
+            self.placed.append(record.key)
 
     def records(self):
         merged = {r.key: r for r in self._reservoir}
@@ -203,3 +207,157 @@ def test_concurrent_mints_keep_what_a_sequential_replay_keeps():
     got = sorted((without_ts(r) for r in ring.records()), key=lambda d: d["key"])
     want = sorted((without_ts(r) for r in reference.records()), key=lambda d: d["key"])
     assert got == want
+
+
+# ----------------------------------------------------------------------
+# Batch mint: ``mint_rows`` over columns keeps what ``mint`` keeps.
+# ----------------------------------------------------------------------
+def seeded_batches(seed, n=5000, sizes=(1, 2, 7, 64, 300)):
+    """``seeded_mints`` cut into batches of mixed sizes; every row of a
+    batch carries that batch's snapshot version and trace id."""
+    rng = random.Random(seed + 1000)
+    draws = list(seeded_mints(seed, n))
+    i = 0
+    while i < len(draws):
+        batch = draws[i:i + rng.choice(sizes)]
+        i += len(batch)
+        version, trace_id = rng.randrange(1, 5), f"{rng.getrandbits(64):016x}"
+        for _, _, fields in batch:
+            fields.update(snapshot_version=version, trace_id=trace_id)
+        yield batch
+
+
+def mint_batch(ring, batch, nan_for_none=True):
+    """``ring.mint_rows`` over ``batch``'s draws as columns.  A missing
+    number goes in as NaN (a reply row's form) or as ``None``."""
+    def number(x):
+        return float("nan") if x is None and nan_for_none else x
+
+    fields = [f for _, _, f in batch]
+    return ring.mint_rows(
+        [a for a, _, _ in batch], [s for _, s, _ in batch],
+        [number(f["lng"]) for f in fields], [number(f["lat"]) for f in fields],
+        [f["source"] for f in fields], [f["cache_state"] for f in fields],
+        [number(f.get("confidence")) for f in fields],
+        {i: f["error"] for i, f in enumerate(fields) if f.get("error")},
+        fields[0]["snapshot_version"], fields[0]["trace_id"],
+    )
+
+
+def same_records(ring, reference):
+    assert len(ring) == len(reference)
+    got = sorted((without_ts(r) for r in ring.records()), key=lambda d: d["key"])
+    want = sorted((without_ts(r) for r in reference.records()),
+                  key=lambda d: d["key"])
+    assert got == want
+
+
+@pytest.mark.parametrize("capacity,keep_capacity,seed,nan_for_none", [
+    (1, 1, 10, True),
+    (16, 8, 11, False),
+    (256, 128, 12, True),
+    (512, 64, 13, True),
+])
+def test_batch_mint_keeps_the_reference_records(capacity, keep_capacity, seed,
+                                                nan_for_none):
+    ring = ProvenanceRing(capacity=capacity, keep_capacity=keep_capacity,
+                          origin="w1")
+    reference = ReferenceRing(capacity, keep_capacity, origin="w1")
+    statuses = set()
+    for batch in seeded_batches(seed):
+        want = [reference.mint(a, s, **f).key for a, s, f in batch]
+        assert mint_batch(ring, batch, nan_for_none) == want
+        statuses.update(s for _, s, _ in batch)
+    assert statuses == {"ok", "error", "unknown_address"}
+    assert len(ring) == capacity + keep_capacity  # both bounds overflowed
+    same_records(ring, reference)
+
+
+def test_reservoir_fills_partway_through_a_batch():
+    ring = ProvenanceRing(capacity=10, keep_capacity=4, origin="w0")
+    reference = ReferenceRing(10, 4, origin="w0")
+    draws = [d for d in seeded_mints(20, n=400)
+             if d[1] == "ok" and d[2]["confidence"] is None]
+    keep = [d for d in seeded_mints(21, n=400) if d[1] != "ok"]
+    # 7 routine answers, then a batch whose routine rows fill the last
+    # 3 slots and go on into the draw, with always-keep rows between.
+    first, batch = draws[:7], draws[7:20]
+    batch[1:1] = keep[:2]
+    batch[6:6] = keep[2:3]
+    for rows in (first[:4], first[4:], batch):
+        for a, s, f in rows:
+            f.update(snapshot_version=1, trace_id="t")
+            reference.mint(a, s, **f)
+        mint_batch(ring, rows)
+    assert ring._seen == 20 and len(ring._reservoir) == 10
+    same_records(ring, reference)
+
+
+def test_single_and_batch_mints_interleave():
+    ring = ProvenanceRing(capacity=32, keep_capacity=8, origin="w2")
+    reference = ReferenceRing(32, 8, origin="w2")
+    for k, batch in enumerate(seeded_batches(30, n=3000)):
+        want = [reference.mint(a, s, **f).key for a, s, f in batch]
+        if k % 2:
+            got = mint_batch(ring, batch)
+        else:
+            got = [ring.mint(a, s, **f) for a, s, f in batch]
+        assert got == want
+    same_records(ring, reference)
+
+
+def test_batch_mint_builds_no_record_for_a_dropped_row(monkeypatch):
+    built = []
+
+    class SpyRecord(ProvenanceRecord):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.key)
+
+    monkeypatch.setattr(provenance, "ProvenanceRecord", SpyRecord)
+    ring = ProvenanceRing(capacity=8)
+    reference = ReferenceRing(8, 128)
+    routine = [(f"a{i}", "ok", {"lng": 116.4, "lat": 39.9, "source": "address",
+                                "cache_state": "miss", "confidence": 0.9,
+                                "snapshot_version": 1, "trace_id": "t"})
+               for i in range(64)]
+    for _ in range(30):
+        for a, s, f in routine:
+            reference.mint(a, s, **f)
+        mint_batch(ring, routine)
+        # A record is built for each row the reservoir took when it was
+        # minted (a later row of the batch may replace it), and no other.
+        assert built == reference.placed
+    assert len(built) < 30 * 64 / 10
+
+
+def test_concurrent_batch_mints_keep_what_a_sequential_replay_keeps():
+    """Threads minting batches at once: each batch's keys are one run, and
+    replaying every row in key order through the reference keeps exactly
+    the ring's records."""
+    ring = ProvenanceRing(capacity=64, keep_capacity=16, origin="t")
+    minted = [[] for _ in range(6)]
+
+    def worker(k):
+        for batch in seeded_batches(200 + k, n=1500, sizes=(1, 3, 17, 40)):
+            keys = mint_batch(ring, batch)
+            minted[k].extend(zip(keys, batch))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(previous)
+    rows = sorted((m for per_thread in minted for m in per_thread),
+                  key=lambda m: m[0])
+    assert [key for key, _ in rows] == [f"t:{i:08d}" for i in range(6 * 1500)]
+    reference = ReferenceRing(64, 16, origin="t")
+    for _key, (address_id, status, fields) in rows:
+        reference.mint(address_id, status, **fields)
+    same_records(ring, reference)

@@ -61,6 +61,13 @@ def small_world():
     return addresses, locations
 
 
+def publish_once(store, directory):
+    """Publish ``store`` into ``directory`` and close the publisher."""
+    publisher = SnapshotPublisher(str(directory))
+    publisher.publish(store)
+    publisher.close()
+
+
 @pytest.fixture()
 def store():
     addresses, locations = small_world()
@@ -102,7 +109,8 @@ class TestUpdateLog:
         path = str(tmp_path / "updates.log")
         append_log_record(path, 2, {"a": Point(1.0, 2.0)})
         append_log_record(path, 3, {"b": Point(5.0, 6.0)})
-        blob = open(path, "rb").read()
+        with open(path, "rb") as f:
+            blob = f.read()
         # Chop the last record mid-payload: writer died mid-append.
         with open(path, "wb") as f:
             f.write(blob[:-5])
@@ -113,7 +121,8 @@ class TestUpdateLog:
         path = str(tmp_path / "updates.log")
         append_log_record(path, 2, {"a": Point(1.0, 2.0)})
         append_log_record(path, 3, {"b": Point(5.0, 6.0)})
-        blob = bytearray(open(path, "rb").read())
+        with open(path, "rb") as f:
+            blob = bytearray(f.read())
         length = struct.unpack_from("<I", blob, 0)[0]
         blob[8 + length + 8] ^= 0xFF  # first payload byte of record two
         with open(path, "wb") as f:
@@ -147,6 +156,7 @@ class TestCrashRecovery:
         publisher.log_update(moved, good_version + 1)
         with open(publisher.path_for(good_version + 1), "wb") as f:
             f.write(b"RSNAP001" + os.urandom(64))
+        publisher.close()
         restored = ShardedLocationStore.restore(str(tmp_path))
         # Recovery: newest *intact* snapshot, then the log suffix replays
         # the batch the crash separated from its snapshot.
@@ -160,7 +170,7 @@ class TestCrashRecovery:
             ShardedLocationStore.restore(str(tmp_path))
 
     def test_restore_preserves_strategy_and_answers(self, store, tmp_path):
-        SnapshotPublisher(str(tmp_path)).publish(store)
+        publish_once(store, tmp_path)
         restored = ShardedLocationStore.restore(str(tmp_path))
         assert isinstance(restored.strategy, GeohashShardStrategy)
         assert restored.version == store.version
@@ -255,6 +265,10 @@ class TestProcessRouter:
         router = ProcessRouter(str(tmp_path / "empty"), n_workers=1)
         with pytest.raises(FileNotFoundError):
             router.start()
+        # Stopping the router whose start raised unmaps its metrics plane.
+        assert router.telemetry.plane is not None
+        router.stop()
+        assert router.telemetry.plane is None
 
     def test_worker_stats_report_version_and_requests(self, store, tmp_path):
         with ProcessRouter.from_store(
@@ -340,15 +354,49 @@ class TestBatchAccounting:
             for status in ("ok", "unknown_address", "timed_out", "error"):
                 assert worker_requests.value(status=status, worker=str(w)) == (
                     want_worker[(w, status)])
+            # A worker keys its rows in the order it got them: its share
+            # of the first pass (every known id a miss), then of the
+            # second (every known id a hit).  Each label is observed once,
+            # and its exemplar is the key of the label's last row.
+            share = [a for a in batch if worker_of[a] == w]
+            last = max(i for i, a in enumerate(share) if a in addresses)
+            for p, cache in enumerate(("miss", "hit")):
+                keys = [e.provenance_key for e in
+                        worker_latency.exemplars(cache=cache, worker=str(w))
+                        if e is not None]
+                assert keys == [f"w{w}:{p * len(share) + last:08d}"], (w, cache)
             for cache in ("hit", "miss", "bypass"):
                 n = worker_latency.count(cache=cache, worker=str(w))
                 assert n == want_worker_ok[(w, cache)], (w, cache)
-                if n:
-                    # The exemplar is the key of one of this worker's rows.
-                    keys = [e.provenance_key for e in
-                            worker_latency.exemplars(cache=cache, worker=str(w))
-                            if e is not None]
-                    assert keys and all(k.startswith(f"w{w}:") for k in keys)
+
+    def test_exemplar_is_the_key_of_each_labels_last_row(self, store, tmp_path):
+        """In a sub-batch that mixes cache states and answering tiers, each
+        label's newest exemplar keys that label's last row, whatever its
+        tier."""
+        first = ["m0", "m1"]  # keys w0:00000000-01, cached after
+        mixed = ["m8", "m0", "m2", "m9", "m1", "m3", "nope", "m0"]
+        #         miss  hit   miss  miss  hit   miss  -      hit
+        with ProcessRouter.from_store(
+            store, str(tmp_path), n_workers=1, config=CONFIG
+        ) as router:
+            router.query_batch(first)
+            responses = router.query_batch(mixed)
+            router.stop()  # flush the worker plane before the scrape
+            registry = router.metrics()
+        assert [r.result.source for r in responses[:4]] == [
+            QuerySource.BUILDING, QuerySource.ADDRESS, QuerySource.ADDRESS,
+            QuerySource.BUILDING]
+        latency = registry.histogram("serve_worker_request_latency_seconds")
+        newest = {
+            cache: max((e for e in latency.exemplars(cache=cache, worker="0")
+                        if e is not None), key=lambda e: e.ts_unix)
+            for cache in ("hit", "miss")
+        }
+        # The mixed batch's row i is key 2 + i.
+        assert newest["miss"].provenance_key == "w0:00000007"  # m3
+        assert newest["hit"].provenance_key == "w0:00000009"  # m0 again
+        assert latency.count(cache="miss", worker="0") == 2 + 4
+        assert latency.count(cache="hit", worker="0") == 3
 
 
 class TestRefreshContract:
@@ -371,12 +419,13 @@ class TestRefreshContract:
         assert [v for v, _ in read_log_records(router.publisher.log_path)] == [2]
 
     def test_router_over_a_bare_directory_cannot_refresh(self, store, tmp_path):
-        SnapshotPublisher(str(tmp_path)).publish(store)
+        publish_once(store, tmp_path)
         router = ProcessRouter(str(tmp_path), n_workers=1)
         assert router.store is None
         with pytest.raises(RuntimeError, match="from_store"):
             router.apply_refresh({"m0": point_at(1.0, 1.0)})
         router.stop()
+        assert router.telemetry.plane is None  # never started, still unmapped
 
     def test_stop_closes_the_publisher(self, store, tmp_path):
         router = ProcessRouter.from_store(
@@ -931,4 +980,5 @@ class TestRefreshChurn:
             )
             # The serving workers really did remap at least once mid-run.
             assert all(s["snapshot_loads"] >= 2 for s in serving)
+        publisher.close()
         assert store.version > 1
