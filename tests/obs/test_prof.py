@@ -70,8 +70,12 @@ class TestStackProfile:
 
 class TestSamplingProfiler:
     def test_captures_busy_function(self):
+        # Spin until the sampler has ticked enough: a sampler thread starved
+        # by other load on the host ticks late, not never.
+        deadline = time.perf_counter() + 5.0
         with profile_block(hz=250) as profiler:
-            _spin(0.25)
+            while profiler.profile().n_ticks < 10 and time.perf_counter() < deadline:
+                _spin(0.05)
         profile = profiler.profile()
         assert profile.n_ticks >= 10
         leaves = " ".join(
