@@ -36,26 +36,28 @@ def position_at(trip: DeliveryTrip, t: float, projection: LocalProjection) -> tu
     Clamped to the trajectory's endpoints: a confirmation after the trip
     ended annotates the courier's final position (often the station).
     """
-    lng, lat, times = trip.trajectory.to_arrays()
-    if len(times) == 0:
+    traj = trip.trajectory
+    if len(traj) == 0:
         raise ValueError(f"trip {trip.trip_id!r} has an empty trajectory")
-    x, y = projection.to_xy(lng, lat)
-    x = np.atleast_1d(np.asarray(x))
-    y = np.atleast_1d(np.asarray(y))
-    return float(np.interp(t, times, x)), float(np.interp(t, times, y))
+    x, y = projection.to_xy(traj.lng, traj.lat)
+    return float(np.interp(t, traj.t, x)), float(np.interp(t, traj.t, y))
 
 
 def annotated_locations(
     trips: list[DeliveryTrip], projection: LocalProjection
 ) -> dict[str, list[AnnotatedLocation]]:
-    """Annotation events per address, from all trips."""
+    """Annotation events per address, from all trips: each trip is
+    projected once and every waybill read off it (:func:`position_at`)."""
     out: dict[str, list[AnnotatedLocation]] = defaultdict(list)
     for trip in trips:
-        if len(trip.trajectory) == 0:
+        traj = trip.trajectory
+        if len(traj) == 0:
             continue
-        for waybill in trip.waybills:
-            x, y = position_at(trip, waybill.t_delivered, projection)
+        x, y = projection.to_xy(traj.lng, traj.lat)
+        times = [w.t_delivered for w in trip.waybills]
+        xs, ys = np.interp(times, traj.t, x).tolist(), np.interp(times, traj.t, y).tolist()
+        for waybill, wx, wy in zip(trip.waybills, xs, ys):
             out[waybill.address_id].append(
-                AnnotatedLocation(x=x, y=y, t=waybill.t_delivered, trip_id=trip.trip_id)
+                AnnotatedLocation(x=wx, y=wy, t=waybill.t_delivered, trip_id=trip.trip_id)
             )
     return dict(out)

@@ -27,7 +27,7 @@ class ExtractionConfig:
 
 
 def _extract_one(trip: DeliveryTrip, config: ExtractionConfig) -> list[StayPoint]:
-    lng, lat, t = trip.trajectory.to_arrays()
+    lng, lat, t = trip.trajectory.lng, trip.trajectory.lat, trip.trajectory.t
     kept = noise_kept(lng, lat, t, config.noise)
     return stay_points_of(lng[kept], lat[kept], t[kept], trip.trajectory.courier_id, config.stay)
 

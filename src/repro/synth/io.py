@@ -1,7 +1,9 @@
 """Dataset serialization: trips, addresses and ground truth as JSON lines.
 
 Lets generated worlds be shared between processes (e.g. the CLI's
-``generate`` then ``evaluate`` commands) without re-simulating.  Every
+``generate`` then ``evaluate`` commands) without re-simulating.  A trip's
+fixes are written as ``[[lng, lat, t], ...]`` and read straight back into
+the trajectory's arrays, so save -> load -> save is byte-identical.  Every
 writer replaces its file atomically (:mod:`repro.durable`), so a crash
 mid-save leaves the previous file, never a truncated one.
 """
@@ -12,21 +14,24 @@ import json
 import pathlib
 from typing import Union
 
+import numpy as np
+
 from repro.durable import atomic_write, write_text
 from repro.geo import Point
-from repro.trajectory import Address, DeliveryTrip, TrajPoint, Trajectory, Waybill
+from repro.trajectory import Address, DeliveryTrip, Trajectory, Waybill
 
 PathLike = Union[str, pathlib.Path]
 
 
 def trip_to_dict(trip: DeliveryTrip) -> dict:
     """JSON-serializable form of a delivery trip."""
+    traj = trip.trajectory
     return {
         "trip_id": trip.trip_id,
         "courier_id": trip.courier_id,
         "t_start": trip.t_start,
         "t_end": trip.t_end,
-        "trajectory": [[p.lng, p.lat, p.t] for p in trip.trajectory],
+        "trajectory": np.stack((traj.lng, traj.lat, traj.t), axis=1).tolist(),
         "waybills": [
             [w.waybill_id, w.address_id, w.t_received, w.t_delivered]
             for w in trip.waybills
@@ -36,10 +41,7 @@ def trip_to_dict(trip: DeliveryTrip) -> dict:
 
 def trip_from_dict(payload: dict) -> DeliveryTrip:
     """Inverse of :func:`trip_to_dict`."""
-    trajectory = Trajectory(
-        payload["courier_id"],
-        [TrajPoint(lng, lat, t) for lng, lat, t in payload["trajectory"]],
-    )
+    trajectory = Trajectory(payload["courier_id"], payload["trajectory"])
     waybills = [
         Waybill(wid, aid, t_rec, t_del)
         for wid, aid, t_rec, t_del in payload["waybills"]

@@ -205,7 +205,7 @@ class TripSimulator:
             trip_id=trip_id,
             courier_id=courier_id,
             t_start=t0,
-            t_end=trajectory.points[-1].t,
+            t_end=float(trajectory.t[-1]),
             trajectory=trajectory,
             waybills=waybills,
         )
@@ -304,7 +304,7 @@ class TripSimulator:
             t += cfg.sampling_s * float(rng.uniform(0.75, 1.25))
         times = np.array(times)
         if len(times) < 2:
-            return Trajectory(courier_id, [])
+            return Trajectory(courier_id)
         xs = np.interp(times, anchors_t, anchors_x)
         ys = np.interp(times, anchors_t, anchors_y)
         xs = xs + rng.normal(0, cfg.gps_sigma_m, size=len(times))

@@ -12,6 +12,10 @@ the *arrival* domain: an unbounded, seeded generator of individual
 arrival and duplicated fixes — the honest input shape for the
 ``repro.stream`` ingest path.  :func:`build_day_streams` itself is
 untouched: the disorder lives entirely in the event generator.
+
+Day streams and the per-courier event templates are trajectories, so both
+are assembled from ``(lng, lat, t)`` arrays; only the station fixes are
+drawn one at a time, to keep the generator's draw order.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from repro.stream.events import GpsFix
 from repro.synth.city import City
 from repro.synth.simulate import SimulatedTrip
-from repro.trajectory import TrajPoint, Trajectory
+from repro.trajectory import Trajectory
 
 
 def build_day_streams(
@@ -52,32 +56,31 @@ def build_day_streams(
         day = int(sim.trip.t_start // 86_400.0)
         by_day[(sim.trip.courier_id, day)].append(sim)
 
-    def station_fixes(t_from: float, t_to: float) -> list[TrajPoint]:
-        points = []
+    def station_fixes(t_from: float, t_to: float) -> list[np.ndarray]:
+        xs, ys, ts = [], [], []
         t = t_from
         while t < t_to:
-            x = sx + float(rng.normal(0, gps_sigma_m))
-            y = sy + float(rng.normal(0, gps_sigma_m))
-            lng, lat = city.projection.to_lnglat(x, y)
-            points.append(TrajPoint(float(lng), float(lat), t))
+            xs.append(sx + float(rng.normal(0, gps_sigma_m)))
+            ys.append(sy + float(rng.normal(0, gps_sigma_m)))
+            ts.append(t)
             t += sampling_s * float(rng.uniform(0.8, 1.2))
-        return points
+        lng, lat = city.projection.to_lnglat(np.array(xs), np.array(ys))
+        return [lng, lat, np.array(ts)]
 
     streams: dict[tuple[str, int], Trajectory] = {}
     for key, sims in by_day.items():
         sims = sorted(sims, key=lambda s: s.trip.t_start)
-        points: list[TrajPoint] = []
-        first_start = sims[0].trip.trajectory.points[0].t
-        points.extend(station_fixes(first_start - station_dwell_s, first_start - 1.0))
+        first_start = float(sims[0].trip.trajectory.t[0])
+        fixes = station_fixes(first_start - station_dwell_s, first_start - 1.0)
         for sim in sims:
-            trip_points = sim.trip.trajectory.points
-            # Guard monotonicity at the seam.
-            while points and trip_points and points[-1].t >= trip_points[0].t:
-                points.pop()
-            points.extend(trip_points)
-        last_end = points[-1].t if points else first_start
-        points.extend(station_fixes(last_end + 1.0, last_end + station_dwell_s))
-        streams[key] = Trajectory(key[0], points)
+            trip = sim.trip.trajectory
+            # Guard monotonicity at the seam: drop the fixes so far that
+            # are not older than the trip's first fix.
+            n = np.searchsorted(fixes[2], trip.t[0]) if len(trip) else len(fixes[2])
+            fixes = [np.concatenate((a[:n], b)) for a, b in zip(fixes, (trip.lng, trip.lat, trip.t))]
+        last_end = float(fixes[2][-1]) if len(fixes[2]) else first_start
+        tail = station_fixes(last_end + 1.0, last_end + station_dwell_s)
+        streams[key] = Trajectory.from_arrays(key[0], *map(np.concatenate, zip(fixes, tail)))
     return streams
 
 
@@ -147,19 +150,19 @@ class FixEventStream:
             day_streams.items(), key=lambda kv: (kv[0][0], kv[0][1])
         ):
             by_courier[courier_id].append(traj)
-        self.templates: dict[str, list[TrajPoint]] = {}
+        self.templates: dict[str, Trajectory] = {}
         for courier_id, trajs in by_courier.items():
-            points: list[TrajPoint] = []
-            for traj in trajs:
-                for p in traj.points:
-                    if points and p.t <= points[-1].t:
-                        continue  # seam guard: drop non-monotone overlap
-                    points.append(p)
-            if points:
-                self.templates[courier_id] = points
-        all_t = [p.t for pts in self.templates.values() for p in pts]
-        self.t_min = min(all_t)
-        self.t_max = max(all_t)
+            lng, lat, t = (np.concatenate(c) for c in zip(*((s.lng, s.lat, s.t) for s in trajs)))
+            # Seam guard: drop non-monotone overlap, each fix not later
+            # than every fix before it.
+            keep = np.ones(len(t), dtype=bool)
+            keep[1:] = t[1:] > np.maximum.accumulate(t)[:-1]
+            if keep.any():
+                self.templates[courier_id] = Trajectory.from_arrays(
+                    courier_id, lng[keep], lat[keep], t[keep]
+                )
+        self.t_min = min(float(tpl.t[0]) for tpl in self.templates.values())
+        self.t_max = max(float(tpl.t[-1]) for tpl in self.templates.values())
         self.period_s = (self.t_max - self.t_min) + self.config.cycle_gap_s
 
     @property
@@ -168,7 +171,7 @@ class FixEventStream:
 
     def events_per_cycle(self) -> int:
         """Template fixes per cycle (duplicates come on top)."""
-        return sum(len(pts) for pts in self.templates.values())
+        return sum(len(tpl) for tpl in self.templates.values())
 
     # -- generation ------------------------------------------------------
     def events_for_cycle(self, cycle: int) -> list[GpsFix]:
@@ -177,9 +180,11 @@ class FixEventStream:
         rng = np.random.default_rng([self.seed, int(cycle)])
         shift = cycle * self.period_s
         flat: list[GpsFix] = []
-        for courier_id, points in self.templates.items():
-            for p in points:
-                flat.append(GpsFix(courier_id, p.lng, p.lat, p.t + shift))
+        for courier_id, tpl in self.templates.items():
+            flat.extend(
+                GpsFix(courier_id, lng, lat, t)
+                for lng, lat, t in zip(tpl.lng.tolist(), tpl.lat.tolist(), (tpl.t + shift).tolist())
+            )
         # Event-time order first, then bounded arrival jitter: sorting by
         # t + U(0, disorder_s) can demote a fix past at most disorder_s
         # of newer event time.
@@ -223,14 +228,12 @@ class FixEventStream:
     def expected_trajectory(self, courier_id: str, n_cycles: int) -> Trajectory:
         """The deduplicated, event-time-ordered trajectory after
         ``n_cycles`` full cycles — the batch-parity reference."""
-        points: list[TrajPoint] = []
-        template = self.templates[courier_id]
-        for cycle in range(n_cycles):
-            shift = cycle * self.period_s
-            points.extend(
-                TrajPoint(p.lng, p.lat, p.t + shift) for p in template
-            )
-        return Trajectory(courier_id, points)
+        tpl = self.templates[courier_id]
+        shifts = np.arange(n_cycles)[:, None] * self.period_s
+        return Trajectory.from_arrays(
+            courier_id, np.tile(tpl.lng, n_cycles), np.tile(tpl.lat, n_cycles),
+            (tpl.t + shifts).ravel(),
+        )
 
     def expected_trajectories(self, n_cycles: int) -> dict[str, Trajectory]:
         return {

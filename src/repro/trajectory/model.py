@@ -1,20 +1,22 @@
-"""Core trajectory types: points, trajectories, stay points.
+"""Core trajectory types: fixes, trajectories, stay points.
 
+A trajectory is its courier and three contiguous, read-only float64
+arrays ``lng``, ``lat`` and ``t`` (Definition 3), from the simulator and
+the trips file through noise filtering, segmentation and stay detection.
 Timestamps throughout are POSIX seconds as floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.geo import Point
 
 
-@dataclass(frozen=True)
-class TrajPoint:
+class TrajPoint(NamedTuple):
     """A single GPS fix: location plus timestamp."""
 
     lng: float
@@ -27,55 +29,46 @@ class TrajPoint:
         return Point(self.lng, self.lat)
 
 
-@dataclass
 class Trajectory:
     """A chronologically ordered GPS track of one courier.
 
-    Construction validates chronological order (Definition 3 of the paper:
-    ``p_i.t < p_j.t`` for ``i < j``); equal timestamps are rejected too.
+    ``points`` is any sequence of ``(lng, lat, t)`` triples.  Construction
+    validates chronological order (Definition 3 of the paper: ``p_i.t <
+    p_j.t`` for ``i < j``); equal timestamps are rejected too.
     """
 
-    courier_id: str
-    points: list[TrajPoint] = field(default_factory=list)
+    __slots__ = ("courier_id", "lng", "lat", "t")
 
-    def __post_init__(self) -> None:
-        for prev, cur in zip(self.points, self.points[1:]):
-            if cur.t <= prev.t:
-                raise ValueError(
-                    f"trajectory of courier {self.courier_id!r} is not "
-                    f"strictly chronological at t={cur.t}"
-                )
+    def __init__(self, courier_id: str, points: Sequence[Sequence[float]] = ()) -> None:
+        fixes = np.array(points, dtype=float)
+        if fixes.size == 0:
+            fixes = fixes.reshape(0, 3)
+        if fixes.ndim != 2 or fixes.shape[1] != 3:
+            raise ValueError("trajectory points must be (lng, lat, t) triples")
+        self._adopt(courier_id, fixes.T.copy())
+
+    def _adopt(self, courier_id: str, columns: np.ndarray) -> None:
+        """Take a ``(3, n)`` C-contiguous array of its own as the columns."""
+        columns.flags.writeable = False
+        self.courier_id = courier_id
+        self.lng, self.lat, self.t = columns
+        t = self.t
+        late = np.flatnonzero(t[1:] <= t[:-1])
+        if late.size:
+            raise ValueError(
+                f"trajectory of courier {courier_id!r} is not "
+                f"strictly chronological at t={float(t[late[0] + 1])}"
+            )
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self) -> Iterator[TrajPoint]:
-        return iter(self.points)
-
-    def __getitem__(self, idx: int) -> TrajPoint:
-        return self.points[idx]
+        return len(self.t)
 
     @property
     def duration_s(self) -> float:
         """Elapsed time between first and last fix (0 for < 2 points)."""
-        if len(self.points) < 2:
+        if len(self.t) < 2:
             return 0.0
-        return self.points[-1].t - self.points[0].t
-
-    def slice_time(self, t_start: float, t_end: float) -> "Trajectory":
-        """The sub-trajectory with timestamps in ``[t_start, t_end]``."""
-        pts = [p for p in self.points if t_start <= p.t <= t_end]
-        return Trajectory(self.courier_id, pts)
-
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(lng, lat, t)`` arrays, one entry per fix."""
-        if not self.points:
-            empty = np.empty(0, dtype=float)
-            return empty, empty.copy(), empty.copy()
-        lng = np.array([p.lng for p in self.points], dtype=float)
-        lat = np.array([p.lat for p in self.points], dtype=float)
-        t = np.array([p.t for p in self.points], dtype=float)
-        return lng, lat, t
+        return float(self.t[-1] - self.t[0])
 
     @classmethod
     def from_arrays(
@@ -88,8 +81,9 @@ class Trajectory:
         """Build a trajectory from parallel coordinate/time sequences."""
         if not (len(lng) == len(lat) == len(t)):
             raise ValueError("lng/lat/t must have equal lengths")
-        pts = [TrajPoint(float(a), float(b), float(c)) for a, b, c in zip(lng, lat, t)]
-        return cls(courier_id, pts)
+        trajectory = cls.__new__(cls)
+        trajectory._adopt(courier_id, np.array((lng, lat, t), dtype=float))
+        return trajectory
 
 
 @dataclass(frozen=True)

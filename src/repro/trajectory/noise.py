@@ -98,7 +98,6 @@ def filter_noise(
     The first fix is always kept; each subsequent fix is kept only when the
     speed from the last kept fix is at most ``config.max_speed_mps``.
     """
-    kept = noise_kept(*trajectory.to_arrays(), config)
-    return Trajectory(
-        trajectory.courier_id, [p for p, keep in zip(trajectory.points, kept.tolist()) if keep]
-    )
+    lng, lat, t = trajectory.lng, trajectory.lat, trajectory.t
+    kept = noise_kept(lng, lat, t, config)
+    return Trajectory.from_arrays(trajectory.courier_id, lng[kept], lat[kept], t[kept])

@@ -10,8 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.geo import Point, haversine_m
+import numpy as np
+
+from repro.geo import Point, haversine_m, haversine_m_vec
 from repro.trajectory.model import Trajectory
+
+#: Relative band around ``station_radius_m`` inside which a vectorised
+#: distance is re-checked with the scalar :func:`haversine_m` (as in
+#: :mod:`repro.trajectory.noise`).
+_RADIUS_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,55 +50,41 @@ def segment_trips(
     too short (points or duration) are dropped.
     """
     config = config or SegmentationConfig()
-    points = trajectory.points
-    if not points:
+    lng, lat, t = trajectory.lng, trajectory.lat, trajectory.t
+    n = len(t)
+    if not n:
         return []
 
-    cut_after: set[int] = set()
-    for i in range(len(points) - 1):
-        if points[i + 1].t - points[i].t > config.max_gap_s:
-            cut_after.add(i)
-
-    dwell_ranges: list[tuple[int, int]] = []
+    # cut[i]: a trip ends at fix i.
+    cut = np.zeros(n, dtype=bool)
+    cut[:-1] = np.diff(t) > config.max_gap_s
+    cut[-1] = True
+    dwell_starts = dwell_ends = np.empty(0, dtype=np.intp)
     if config.station is not None:
-        at_station = [
-            haversine_m(p.lng, p.lat, config.station.lng, config.station.lat)
-            <= config.station_radius_m
-            for p in points
-        ]
-        i = 0
-        while i < len(points):
-            if not at_station[i]:
-                i += 1
-                continue
-            j = i
-            while j + 1 < len(points) and at_station[j + 1]:
-                j += 1
-            if points[j].t - points[i].t >= config.min_station_dwell_s:
-                # End the previous trip before the dwell and start the next
-                # one after it: cut on both sides of the dwell run, and
-                # remember the run so it is not emitted as a trip itself.
-                if i > 0:
-                    cut_after.add(i - 1)
-                cut_after.add(j)
-                dwell_ranges.append((i, j))
-            i = j + 1
+        slng, slat, radius = config.station.lng, config.station.lat, config.station_radius_m
+        dist = haversine_m_vec(lng, lat, slng, slat)
+        at_station = dist <= radius
+        for k in np.flatnonzero(np.abs(dist - radius) <= radius * _RADIUS_RTOL).tolist():
+            at_station[k] = haversine_m(lng[k], lat[k], slng, slat) <= radius
+        # Maximal runs of fixes at the station, [first, last].
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], at_station.view(np.int8), [0]))))
+        first, last = edges[0::2], edges[1::2] - 1
+        dwell = t[last] - t[first] >= config.min_station_dwell_s
+        dwell_starts, dwell_ends = first[dwell], last[dwell]
+        # End the previous trip before a dwell and start the next one after
+        # it; a segment inside a dwell run is not a trip.
+        cut[dwell_starts[dwell_starts > 0] - 1] = True
+        cut[dwell_ends] = True
 
-    def inside_dwell(start: int, stop: int) -> bool:
-        return any(ds <= start and stop <= de for ds, de in dwell_ranges)
-
-    segments: list[Trajectory] = []
-    start = 0
-    boundaries = sorted(cut_after) + [len(points) - 1]
-    for boundary in boundaries:
-        chunk = points[start : boundary + 1]
-        chunk_range = (start, boundary)
-        start = boundary + 1
-        if len(chunk) < config.min_trip_points:
-            continue
-        if chunk[-1].t - chunk[0].t < config.min_trip_duration_s:
-            continue
-        if inside_dwell(*chunk_range):
-            continue
-        segments.append(Trajectory(trajectory.courier_id, list(chunk)))
-    return segments
+    ends = np.flatnonzero(cut)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    keep = (ends - starts + 1 >= config.min_trip_points) & ~(
+        t[ends] - t[starts] < config.min_trip_duration_s
+    )
+    if dwell_starts.size:
+        k = np.searchsorted(dwell_starts, starts, side="right") - 1
+        keep &= ~((k >= 0) & (ends <= dwell_ends[np.maximum(k, 0)]))
+    return [
+        Trajectory.from_arrays(trajectory.courier_id, lng[a : b + 1], lat[a : b + 1], t[a : b + 1])
+        for a, b in zip(starts[keep].tolist(), ends[keep].tolist())
+    ]

@@ -33,7 +33,9 @@ def detect_stay_points(
     trajectory: Trajectory, config: StayPointConfig | None = None
 ) -> list[StayPoint]:
     """Extract stay points from a single trajectory (see :func:`stay_points_of`)."""
-    return stay_points_of(*trajectory.to_arrays(), trajectory.courier_id, config)
+    return stay_points_of(
+        trajectory.lng, trajectory.lat, trajectory.t, trajectory.courier_id, config
+    )
 
 
 def stay_points_of(

@@ -21,7 +21,7 @@ class TestPositionAt:
     def test_clamped_after_trip_end(self):
         trip = make_trip("t1", "c1", stops=[(100.0, 0.0, 60.0, 120.0)], waybills=[("a1", 100.0)])
         x_end, _ = position_at(trip, 1e9, PROJ)
-        lng, lat, _ = trip.trajectory.to_arrays()
+        lng, lat = trip.trajectory.lng, trip.trajectory.lat
         x_last, _ = PROJ.to_xy(float(lng[-1]), float(lat[-1]))
         assert x_end == pytest.approx(x_last)
 
@@ -53,3 +53,18 @@ class TestAnnotatedLocations:
         ]
         annos = annotated_locations(trips, PROJ)
         assert len(annos["a1"]) == 3
+
+    def test_bit_equal_to_position_at_on_tiny_preset(self, tiny_workload):
+        annos = annotated_locations(tiny_workload.trips, tiny_workload.projection)
+        expected = {}
+        for trip in tiny_workload.trips:
+            for w in trip.waybills:
+                x, y = position_at(trip, w.t_delivered, tiny_workload.projection)
+                expected.setdefault(w.address_id, []).append((x, y, w.t_delivered, trip.trip_id))
+        got = {a: [(e.x, e.y, e.t, e.trip_id) for e in events] for a, events in annos.items()}
+        assert sum(map(len, got.values())) > 100
+        hexed = {a: [(x.hex(), y.hex(), t, i) for x, y, t, i in rows] for a, rows in got.items()}
+        assert hexed == {
+            a: [(x.hex(), y.hex(), t, i) for x, y, t, i in rows] for a, rows in expected.items()
+        }
+        assert all(type(e.x) is float and type(e.y) is float for v in annos.values() for e in v)

@@ -8,7 +8,7 @@ from repro.core import CandidatePool
 from repro.core.candidates import LocationCandidate
 from repro.core.features import FeatureExtractor
 from repro.geo import LocalProjection, Point
-from repro.trajectory import Address, DeliveryTrip, TrajPoint, Trajectory, Waybill
+from repro.trajectory import Address, DeliveryTrip, Trajectory, Waybill
 
 ORIGIN = Point(116.40, 39.90)
 PROJ = LocalProjection(ORIGIN)
@@ -47,10 +47,7 @@ def make_trip(
     xs = np.interp(times, anchors_t, anchors_x)
     ys = np.interp(times, anchors_t, anchors_y)
     lng, lat = PROJ.to_lnglat(xs, ys)
-    trajectory = Trajectory(
-        courier_id,
-        [TrajPoint(float(a), float(b), float(t)) for a, b, t in zip(np.atleast_1d(lng), np.atleast_1d(lat), times)],
-    )
+    trajectory = Trajectory.from_arrays(courier_id, lng, lat, times)
     wb = [
         Waybill(f"{trip_id}-{addr}", addr, t_received=t_start - 3600.0, t_delivered=t_rec)
         for addr, t_rec in waybills

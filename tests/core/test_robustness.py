@@ -25,7 +25,9 @@ class TestFailureInjection:
             "fast", "c1", stops=[(2000.0, 0.0, 400.0, 120.0)], waybills=[("a1", 450.0)]
         )
         # Strip the dwell by slicing the trajectory to the moving prefix.
-        prefix = moving.trajectory.slice_time(0.0, 300.0)
+        lng, lat, t = moving.trajectory.lng, moving.trajectory.lat, moving.trajectory.t
+        head = (t >= 0.0) & (t <= 300.0)
+        prefix = Trajectory.from_arrays("c1", lng[head], lat[head], t[head])
         trip = DeliveryTrip("fast", "c1", 0.0, 300.0, prefix, moving.waybills)
         stays = extract_trip_stay_points([trip])
         assert stays["fast"] == []

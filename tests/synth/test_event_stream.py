@@ -118,7 +118,7 @@ class TestGroundTruth:
              if f.courier_id == courier},
             key=lambda row: row[2],
         )
-        assert [(p.lng, p.lat, p.t) for p in expected.points] == got
+        assert list(zip(expected.lng.tolist(), expected.lat.tolist(), expected.t.tolist())) == got
 
     def test_ground_truth_contains_stays(self, day_streams):
         """The reference trajectories must exercise the detector."""

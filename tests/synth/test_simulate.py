@@ -30,7 +30,7 @@ class TestTripSimulator:
             trip = sim_trip.trip
             assert trip.t_start <= trip.t_end
             assert len(trip.trajectory) >= 2
-            assert trip.trajectory.points[0].t >= trip.t_start - 1e-9
+            assert trip.trajectory.t[0] >= trip.t_start - 1e-9
             for waybill in trip.waybills:
                 assert waybill.t_received < trip.t_start
                 actual = sim_trip.actual_delivery_time[waybill.waybill_id]
@@ -53,7 +53,7 @@ class TestTripSimulator:
         _, _, trips = world
         deltas = []
         for sim_trip in trips[:10]:
-            _, _, t = sim_trip.trip.trajectory.to_arrays()
+            t = sim_trip.trip.trajectory.t
             deltas.extend(np.diff(t))
         assert 11.0 < np.mean(deltas) < 16.0
 
@@ -81,7 +81,8 @@ class TestTripSimulator:
     def test_gps_noise_present(self, world):
         city, _, trips = world
         sim_trip = trips[0]
-        lng, lat, t = sim_trip.trip.trajectory.to_arrays()
+        traj = sim_trip.trip.trajectory
+        lng, lat, t = traj.lng, traj.lat, traj.t
         x, y = city.projection.to_xy(lng, lat)
         # During the first delivery dwell, positions scatter (not constant).
         stop = next(s for s in sim_trip.stops if s.spot_id is not None)

@@ -28,11 +28,11 @@ class TestBuildDayStreams:
         streams = build_day_streams(sim_trips, city, rng=np.random.default_rng(1))
         sx, sy = city.station_xy
         for stream in streams.values():
-            times = [p.t for p in stream.points]
+            times = stream.t.tolist()
             assert times == sorted(times)
             # First and last fixes near the station.
-            for p in (stream.points[0], stream.points[-1]):
-                x, y = city.projection.to_xy(p.lng, p.lat)
+            for k in (0, -1):
+                x, y = city.projection.to_xy(float(stream.lng[k]), float(stream.lat[k]))
                 assert np.hypot(x - sx, y - sy) < 40.0
 
     def test_segmentation_recovers_trips(self, world):
@@ -60,8 +60,8 @@ class TestBuildDayStreams:
                     and int(s.trip.t_start // 86_400.0) == day
                 )
                 seg = segments[0]
-                overlap_start = max(seg.points[0].t, original.trip.trajectory.points[0].t)
-                overlap_end = min(seg.points[-1].t, original.trip.trajectory.points[-1].t)
+                overlap_start = max(seg.t[0], original.trip.trajectory.t[0])
+                overlap_end = min(seg.t[-1], original.trip.trajectory.t[-1])
                 # The recovered segment covers most of the original trip.
                 span = original.trip.trajectory.duration_s
                 assert (overlap_end - overlap_start) > 0.8 * span

@@ -80,5 +80,5 @@ class TestSegmentTrips:
         traj = stream([(600, 0, 0), (600, 500, 0), (600, 1000, 0)])
         for segment in segment_trips(traj):
             assert segment.courier_id == "c1"
-            times = [p.t for p in segment.points]
+            times = segment.t.tolist()
             assert times == sorted(times)
