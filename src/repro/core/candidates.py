@@ -153,8 +153,7 @@ class CandidatePoolBuilder:
         """Resume incremental building from a materialized pool.
 
         Merging only ever consults centroids and weights, so a pool
-        round-tripped through :func:`~repro.core.persistence.save_candidate_pool`
-        (or produced by a previous builder) seeds a builder that behaves
+        produced by a previous builder seeds a builder that behaves
         exactly like the one that created it.
         """
         builder = cls(pool.projection, distance_threshold_m)

@@ -5,8 +5,7 @@ scores through :func:`forward`, :func:`masked_cross_entropy` and
 :func:`backward`; :meth:`LocMatcherNet.forward` (autograd) is the
 reference they are tested against.  The pass reads the net's parameter
 arrays (``p.data``) and writes ``p.grad``, so the optimizer, gradient
-clipping, ``state_dict`` and model persistence see the same tensors
-either way.
+clipping and ``state_dict`` see the same tensors either way.
 
 Covered: the time-histogram dense, the input dense, the transformer
 (post-norm blocks of multi-head self-attention and a ReLU FFN) or LSTM

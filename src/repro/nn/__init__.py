@@ -26,12 +26,6 @@ from repro.nn.recurrent import GRU, LSTM
 from repro.nn.conv import Conv2d, MaxPool2d, conv2d, max_pool2d, pad2d, upsample_nearest
 from repro.nn.optim import Optimizer, SGD, Adam, StepLR
 from repro.nn.clip import clip_grad_norm, clip_grad_value
-from repro.nn.serialize import (
-    load_optimizer,
-    load_optimizer_state,
-    optimizer_state,
-    save_optimizer,
-)
 from repro.nn import functional
 from repro.nn import init
 
@@ -57,10 +51,6 @@ __all__ = [
     "LSTM",
     "clip_grad_norm",
     "clip_grad_value",
-    "load_optimizer",
-    "load_optimizer_state",
-    "optimizer_state",
-    "save_optimizer",
     "Conv2d",
     "MaxPool2d",
     "conv2d",

@@ -8,8 +8,9 @@ Three primitives, one switchboard:
 * :func:`get_registry` — a process-global :class:`MetricsRegistry` of
   counters, gauges, and fixed-bucket histograms, exportable as JSON or
   Prometheus text format (:func:`export_metrics`).
-* :func:`event` — leveled structured events, JSON-lines-sinked and bridged
-  through stdlib :mod:`logging` (:func:`configure_events`).
+* :func:`event` — leveled structured events, bridged through stdlib
+  :mod:`logging` and kept in the flight recorder ring
+  (:func:`get_recorder`).
 
 The pipeline's :meth:`~repro.core.run.RunContext.stage` consumes the span
 API, so per-stage timings, trace spans, and exported metrics all share one
@@ -25,14 +26,7 @@ from repro.obs.drift import (
     psi,
     save_drift_report,
 )
-from repro.obs.events import (
-    ANOMALY_EVENTS,
-    EventLog,
-    configure_events,
-    event,
-    get_event_log,
-    read_events,
-)
+from repro.obs.events import ANOMALY_EVENTS, event
 from repro.obs.exemplar import Exemplar
 from repro.obs.health import (
     SLO,
@@ -42,7 +36,7 @@ from repro.obs.health import (
     histogram_quantile,
     load_slo_file,
     parse_slos,
-    quantile_from_export,
+    percentile,
 )
 from repro.obs.meta import git_sha, run_metadata
 from repro.obs.metrics import (
@@ -65,7 +59,6 @@ from repro.obs.prof import (
     active_memory_profiler,
     configure_memory_profiling,
     disable_memory_profiling,
-    profile_block,
 )
 from repro.obs.provenance import (
     PROVENANCE_VERSION,
@@ -130,20 +123,15 @@ __all__ = [
     "histogram_quantile",
     "load_slo_file",
     "parse_slos",
-    "quantile_from_export",
+    "percentile",
     "MemoryProfiler",
     "SamplingProfiler",
     "StackProfile",
     "active_memory_profiler",
     "configure_memory_profiling",
     "disable_memory_profiling",
-    "profile_block",
     "ANOMALY_EVENTS",
-    "EventLog",
-    "configure_events",
     "event",
-    "get_event_log",
-    "read_events",
     "Exemplar",
     "PROVENANCE_VERSION",
     "ProvenanceRecord",

@@ -1,4 +1,4 @@
-"""Declarative SLOs and histogram quantiles over a metrics export.
+"""Declarative SLOs and quantiles over a metrics export or raw values.
 
 An :class:`SLO` states an objective over one metric family — "p95 of
 ``serve_request_latency_seconds`` stays under 250 ms", "the fraction of
@@ -10,6 +10,8 @@ promotion gate all run this one engine.  Violations become structured
 ``slo_violation`` events and a nonzero exit code, turning the telemetry
 into a verdict a CI job or an operator can act on.
 
+:func:`percentile` is the one nearest-rank percentile over raw values
+(load reports, snapshot loads, trace tail sampling, stream freshness).
 :class:`QueueDepthSeries` keeps the one signal no registry family
 holds: the admission queue's depth over time, as a bounded series.
 """
@@ -268,7 +270,7 @@ def _parse_mini_yaml(text: str) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Histogram quantile math
+# Quantile math
 # ----------------------------------------------------------------------
 def histogram_quantile(
     bounds: Sequence[float], cumulative: Sequence[float], q: float
@@ -306,6 +308,20 @@ def histogram_quantile(
     return lower + (upper - lower) * (rank - below) / in_bucket
 
 
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of raw ``values`` (``q`` in [0, 100]).
+
+    The smallest value with at least ``q`` percent of the values at or
+    below it; 0.0 for no values.  Histograms, which keep buckets rather
+    than values, go through :func:`histogram_quantile` instead.
+    """
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
 def _merge_histogram_samples(
     samples: Iterable[Mapping[str, Any]],
 ) -> tuple[list[float], list[float]] | None:
@@ -328,37 +344,6 @@ def _merge_histogram_samples(
     if bounds is None or merged is None:
         return None
     return bounds, merged
-
-
-def quantile_from_export(
-    payload: Mapping[str, Any],
-    metric: str,
-    q: float,
-    labels: Mapping[str, str] | None = None,
-) -> float | None:
-    """Quantile of a histogram family in an exported metrics document.
-
-    Pools every sample of ``metric`` whose labels are a superset of
-    ``labels`` (all samples when ``labels`` is None) by summing their
-    cumulative buckets first — so a quantile over a merged multi-worker
-    export equals the quantile of the pooled observations, not an
-    average of per-worker quantiles.  Returns ``None`` when the family
-    is absent or empty.
-    """
-    family = _find_family(payload, metric)
-    if family is None:
-        return None
-    wanted = {str(k): str(v) for k, v in (labels or {}).items()}
-    samples = [
-        s for s in family.get("samples", [])
-        if isinstance(s, Mapping) and all(
-            (s.get("labels") or {}).get(k) == v for k, v in wanted.items()
-        )
-    ]
-    merged = _merge_histogram_samples(samples) if samples else None
-    if merged is None:
-        return None
-    return histogram_quantile(merged[0], merged[1], q)
 
 
 # ----------------------------------------------------------------------

@@ -27,9 +27,8 @@ import sys
 import threading
 import time
 import tracemalloc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Union
+from typing import Any, Union
 
 from repro.durable import write_text
 
@@ -238,17 +237,6 @@ class SamplingProfiler:
             stack.reverse()
             key = tuple(stack)
             self._counts[key] = self._counts.get(key, 0) + 1
-
-
-@contextmanager
-def profile_block(hz: float = DEFAULT_HZ) -> Iterator[SamplingProfiler]:
-    """Profile a block; read ``.profile()`` on the yielded profiler after."""
-    profiler = SamplingProfiler(hz=hz).start()
-    try:
-        yield profiler
-    finally:
-        if profiler.running:
-            profiler.stop()
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from typing import Any, Iterable, Iterator, Union
 
 from repro.durable import LineAppender, read_jsonl, to_jsonable, write_jsonl
 
+from .health import percentile
 from .recorder import get_recorder
 
 PathLike = Union[str, pathlib.Path]
@@ -325,19 +326,16 @@ def merge_traces(
     for sp in spans:
         by_trace.setdefault(str(sp.get("trace_id")), []).append(sp)
 
-    root_durations = sorted(
+    root_durations = [
         float(sp.get("duration_s") or 0.0)
         for group in by_trace.values()
         for sp in group
         if sp.get("parent_id") is None
-    )
+    ]
     if p99_hint is not None:
         p99 = float(p99_hint)
     elif root_durations:
-        # Nearest-rank p99 over root spans, matching repro.obs.health.
-        rank = max(0, min(len(root_durations) - 1,
-                          int(0.99 * len(root_durations) + 0.5) - 1))
-        p99 = root_durations[rank]
+        p99 = percentile(root_durations, 99.0)
     else:
         p99 = float("inf")
 

@@ -52,7 +52,6 @@ from repro.serve.loadgen import (
     ScheduledRequest,
     build_report,
     closed_sequences,
-    percentile,
     poisson_schedule,
 )
 from repro.serve.router import QueryRouter
@@ -90,7 +89,6 @@ __all__ = [
     "ScheduledRequest",
     "build_report",
     "closed_sequences",
-    "percentile",
     "poisson_schedule",
     "QueryRouter",
     "PendingQuery",

@@ -20,13 +20,13 @@ only the measured timings differ.
 
 from __future__ import annotations
 
-import math
 import random
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.obs.health import percentile
 from repro.serve.server import QueryServer, ServeResponse, ServeStatus
 
 
@@ -75,15 +75,6 @@ def closed_sequences(
         [address_ids[rng.randrange(len(address_ids))] for _ in range(length)]
         for _ in range(n_clients)
     ]
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of ``values`` (``q`` in [0, 100])."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 @dataclass(frozen=True)

@@ -72,12 +72,14 @@ from repro.durable import append_record, atomic_write
 from repro.geo import Point
 from repro.obs import MetricsRegistry, get_registry
 from repro.obs.exemplar import Exemplar
-from repro.obs.health import SLO, HealthReport, QueueDepthSeries, evaluate_slos
-from repro.obs.provenance import (
-    ProvenanceRing,
-    get_provenance_ring,
-    merge_provenance,
+from repro.obs.health import (
+    SLO,
+    HealthReport,
+    QueueDepthSeries,
+    evaluate_slos,
+    percentile,
 )
+from repro.obs.provenance import ProvenanceRing
 from repro.obs.recorder import get_recorder
 from repro.obs.shm import (
     PlaneSchemaError,
@@ -107,7 +109,6 @@ from repro.serve.columnar import (
     load_snapshot,
     write_snapshot,
 )
-from repro.serve.loadgen import percentile
 from repro.serve.router import CACHE_STATES, QueryRouter
 from repro.serve.server import (
     ServeResponse,
@@ -504,7 +505,7 @@ def _worker_main(
     load_seconds: list[float] = []
     # Provenance is minted worker-side (the worker is where the answer is
     # actually resolved); the ring is persisted on snapshot rotation and at
-    # shutdown so the router can merge `provenance-worker-*.jsonl` files
+    # shutdown so `repro explain` can merge `provenance-*.jsonl` files
     # exactly like trace files.
     ring = ProvenanceRing(capacity=256, origin=f"w{worker_id}")
 
@@ -1252,26 +1253,6 @@ class ProcessRouter:
             os.path.join(self.obs_dir, "trace-worker-*.jsonl")
         )))
         return merge_traces(paths, out, p99_hint=p99_hint)
-
-    def provenance_dump(
-        self, out: str | None = None, include_local: bool = True
-    ) -> tuple[list, dict[str, Any]]:
-        """Merge per-worker provenance JSONL files (plus the router's own
-        ring) into one newest-wins record list.
-
-        Workers persist their rings on snapshot rotation and shutdown;
-        this merges whatever has landed so far, torn tails tolerated.
-        Returns ``(records, stats)`` — see
-        :func:`repro.obs.provenance.merge_provenance`.
-        """
-        if include_local:
-            get_provenance_ring().persist(
-                os.path.join(self.obs_dir, "provenance-router.jsonl")
-            )
-        paths = sorted(_glob.glob(
-            os.path.join(self.obs_dir, "provenance-*.jsonl")
-        ))
-        return merge_provenance(paths, out=out)
 
     # -- introspection ---------------------------------------------------
     def worker_stats(self, timeout_s: float = 1.0) -> list[dict[str, Any]]:

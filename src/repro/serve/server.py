@@ -341,18 +341,13 @@ class QueryServer:
     # ------------------------------------------------------------------
     # Refresh seam
     # ------------------------------------------------------------------
-    def apply_refresh(
-        self, address_locations: dict[str, Point], replace: bool = False
-    ) -> int:
-        """Swap a refresh batch into the store and invalidate the cache.
+    def apply_refresh(self, address_locations: dict[str, Point]) -> int:
+        """Merge a refresh batch into the store and invalidate the cache.
 
         Queries in flight keep reading the old snapshot; the next request
         sees the new one.  Returns the new store version.
         """
-        if replace:
-            snapshot = self.store.replace(address_locations)
-        else:
-            snapshot = self.store.update(address_locations)
+        snapshot = self.store.update(address_locations)
         dropped = self.router.on_refresh()
         event(
             "serve.refresh", component="serve", version=snapshot.version,

@@ -135,8 +135,8 @@ class ShardedLocationStore:
     Query contract: ``query`` / ``query_id`` with the three-tier fallback
     and :class:`UnknownAddressError` for ids outside the address book.
     Reads are lock-free against an immutable
-    :class:`StoreSnapshot`; ``update`` and ``replace`` build the next
-    generation off to the side and swap one reference.  The
+    :class:`StoreSnapshot`; ``update`` builds the next generation off
+    to the side and swaps one reference.  The
     :class:`ShardStrategy` does not partition the tables: it is the key
     that groups columnar snapshot rows and routes ids to worker processes.
     """
@@ -178,14 +178,6 @@ class ShardedLocationStore:
             old = self._snapshot
             self._snapshot = self._generation(
                 {**old.by_address, **address_locations}, old.version + 1
-            )
-            return self._snapshot
-
-    def replace(self, address_locations: dict[str, Point]) -> StoreSnapshot:
-        """Rebuild both tables from scratch and swap (full refresh)."""
-        with self._write_lock:
-            self._snapshot = self._generation(
-                dict(address_locations), self._snapshot.version + 1
             )
             return self._snapshot
 

@@ -31,7 +31,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.obs import SLO
+from repro.obs import SLO, percentile
 from repro.stream.bus import OverflowPolicy, StreamBus
 from repro.stream.events import GpsFix
 from repro.stream.extractor import (
@@ -263,7 +263,6 @@ def run_stream_bench(
     ingestor.start()
     scheduler.start()
     producer = threading.Thread(target=produce, name="stream-producer")
-    t_run0 = time.perf_counter()
     producer.start()
     serve_report = None
     if cfg.serve_rate_rps > 0:
@@ -283,7 +282,6 @@ def run_stream_bench(
     # Stop the background loop and promote the in-order tail before the
     # poison probe, so the probe's rejection verdict is unambiguous.
     scheduler.stop(final_tick=True)
-    ingest_wall = time.perf_counter() - t_run0
 
     poison_result = None
     if cfg.poison:
@@ -337,7 +335,6 @@ def run_stream_bench(
         }
 
     counts = metrics.event_counts()
-    fr = np.array(freshness_samples) if freshness_samples else np.array([])
     promo_counts = {
         outcome: sum(1 for r in scheduler.records if r.outcome == outcome)
         for outcome in {r.outcome for r in scheduler.records}
@@ -356,10 +353,10 @@ def run_stream_bench(
             "courier_states_evicted": extractor.n_evicted,
         },
         "freshness": {
-            "n_samples": int(fr.size),
-            "p50_s": float(np.percentile(fr, 50)) if fr.size else None,
-            "p95_s": float(np.percentile(fr, 95)) if fr.size else None,
-            "max_s": float(fr.max()) if fr.size else None,
+            "n_samples": len(freshness_samples),
+            "p50_s": percentile(freshness_samples, 50.0) if freshness_samples else None,
+            "p95_s": percentile(freshness_samples, 95.0) if freshness_samples else None,
+            "max_s": max(freshness_samples) if freshness_samples else None,
         },
         "promotions": {
             "n_promoted": scheduler.n_promoted,

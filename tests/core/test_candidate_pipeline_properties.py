@@ -1,6 +1,5 @@
 """Cross-stage property tests: dataset -> pipeline invariants."""
 
-import numpy as np
 import pytest
 
 from repro.core import DLInfMA, DLInfMAConfig

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from repro.eval import cross_validate, rotated_splits

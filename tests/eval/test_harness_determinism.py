@@ -1,8 +1,6 @@
 """Determinism guarantees of the experiment harness."""
 
-import numpy as np
-
-from repro.eval import Workload, run_methods
+from repro.eval import run_methods
 
 
 class TestHarnessDeterminism:

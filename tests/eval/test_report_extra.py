@@ -21,7 +21,7 @@ class TestSeriesTable:
 class TestHistogramText:
     def test_zero_count_rows_have_no_bar(self):
         text = histogram_text({1: 0, 2: 10})
-        line_for_one = next(l for l in text.splitlines() if l.strip().startswith("1"))
+        line_for_one = next(ln for ln in text.splitlines() if ln.strip().startswith("1"))
         assert "#" not in line_for_one
 
     def test_sorted_by_key(self):

@@ -1,7 +1,6 @@
 """Randomized autograd fuzzing: random op DAGs vs finite differences."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.nn import Tensor, cat, stack

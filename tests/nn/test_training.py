@@ -1,7 +1,6 @@
 """End-to-end training sanity checks for the NN framework."""
 
 import numpy as np
-import pytest
 
 from repro.nn import (
     Adam,

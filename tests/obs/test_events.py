@@ -1,65 +1,46 @@
-"""Structured event log: JSON-lines sink, level gating, stdlib bridge."""
+"""Structured events: the stdlib logging bridge and the flight-recorder ring."""
 
 import logging
 
 import pytest
 
-from repro.obs import configure_events, event, read_events
+from repro.obs import event
+from repro.obs.recorder import configure_recorder, load_blackbox, reset_recorder
 
 
 @pytest.fixture
-def event_file(tmp_path):
-    path = tmp_path / "events.jsonl"
-    configure_events(path, level="debug")
-    yield path
-    configure_events(None)
+def recorder(tmp_path):
+    yield configure_recorder(capacity=16, dump_dir=tmp_path)
+    reset_recorder()
 
 
 class TestEventSink:
-    def test_event_written_as_json_line(self, event_file):
+    def test_event_noted_in_flight_recorder(self, recorder):
         event("refresh.complete", component="service", n_trips=10, incremental=True)
-        (rec,) = read_events(event_file)
-        assert rec["event"] == "refresh.complete"
-        assert rec["component"] == "service"
-        assert rec["level"] == "info"
-        assert rec["n_trips"] == 10
-        assert rec["incremental"] is True
-        assert rec["ts_unix"] > 0
+        (entry,) = recorder.entries()
+        assert entry["kind"] == "event"
+        assert entry["name"] == "refresh.complete"
+        assert entry["level"] == "info"
+        assert entry["fields"] == {"n_trips": 10, "incremental": True}
+        assert entry["ts_unix"] > 0
 
-    def test_level_gates_file_sink(self, tmp_path):
-        path = tmp_path / "e.jsonl"
-        configure_events(path, level="warning")
-        try:
-            event("quiet", level="debug")
-            event("loud", level="error")
-        finally:
-            configure_events(None)
-        events = read_events(path)
-        assert [e["event"] for e in events] == ["loud"]
-
-    def test_non_jsonable_fields_degrade_to_repr(self, event_file):
+    def test_non_jsonable_fields_degrade_to_repr(self, recorder, tmp_path):
         class Widget:
             def __repr__(self):
                 return "<widget>"
 
-        event("made", widget=Widget())
-        (rec,) = read_events(event_file)
-        assert rec["widget"] == "<widget>"
+        event("slo_violation", level="warning", widget=Widget())
+        (dump,) = tmp_path.glob("blackbox-slo_violation-*.json")
+        payload = load_blackbox(dump)
+        assert payload["context"]["widget"] == "<widget>"
+        assert payload["ring"][0]["fields"]["widget"] == "<widget>"
 
     def test_no_sink_is_silent(self):
-        configure_events(None)
         event("into.the.void", n=1)  # must not raise
-
-    def test_torn_tail_is_skipped(self, event_file):
-        event("first", n=1)
-        event("second", n=2)
-        with open(event_file, "a", encoding="utf-8") as fh:
-            fh.write('{"ts_unix": 1.0, "level": "in')  # killed mid-line
-        assert [r["event"] for r in read_events(event_file)] == ["first", "second"]
 
 
 class TestStdlibBridge:
-    def test_events_forward_to_stdlib_logging(self, event_file, caplog):
+    def test_events_forward_to_stdlib_logging(self, recorder, caplog):
         with caplog.at_level(logging.INFO, logger="repro.service"):
             event("refresh.complete", component="service", n_trips=3)
         assert any(
@@ -67,10 +48,16 @@ class TestStdlibBridge:
             for rec in caplog.records
         )
 
-    def test_levels_map_to_stdlib_levels(self, event_file, caplog):
+    def test_levels_map_to_stdlib_levels(self, recorder, caplog):
         with caplog.at_level(logging.DEBUG, logger="repro.pipeline"):
             event("stage.complete", level="debug", component="pipeline")
+            event("stage.slow", level="warning", component="pipeline")
             event("stage.fail", level="error", component="pipeline")
         levels = {rec.getMessage().split()[0]: rec.levelno for rec in caplog.records}
-        assert levels["stage.complete"] == logging.DEBUG
+        # Nothing below info reaches stdlib logging; the ring keeps it.
+        assert "stage.complete" not in levels
+        assert levels["stage.slow"] == logging.WARNING
         assert levels["stage.fail"] == logging.ERROR
+        assert [e["name"] for e in recorder.entries()] == [
+            "stage.complete", "stage.slow", "stage.fail"
+        ]

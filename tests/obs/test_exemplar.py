@@ -68,7 +68,7 @@ class TestHistogramExemplars:
         h = registry.histogram("lat_seconds", "latency", buckets=(0.1, 1.0))
         h.observe(0.05, exemplar=Exemplar(0.05, "tr", "pk", ts_unix=3.0))
         text = registry.to_prometheus(exemplars=True)
-        lines = [l for l in text.splitlines() if "# {" in l]
+        lines = [ln for ln in text.splitlines() if "# {" in ln]
         assert lines, text
         assert 'trace_id="tr"' in lines[0]
         plain = registry.to_prometheus()

@@ -1,6 +1,7 @@
 """SLO parsing, histogram quantile math, payload evaluation, queue-depth series."""
 
 import json
+import logging
 import pathlib
 import sys
 import threading
@@ -9,7 +10,6 @@ import types
 import pytest
 
 from repro.obs import MetricsRegistry, set_registry
-from repro.obs.events import configure_events, read_events
 from repro.obs.health import (
     SLO,
     QueueDepthSeries,
@@ -18,8 +18,8 @@ from repro.obs.health import (
     histogram_quantile,
     load_slo_file,
     parse_slos,
-    quantile_from_export,
 )
+from repro.obs.recorder import configure_recorder, reset_recorder
 from repro.obs.shm import MetricsPlane, SlotSpec, merge_snapshots
 
 SPEC_TEXT = """\
@@ -191,7 +191,8 @@ class TestHistogramQuantile:
 
 
 class TestMergedExportQuantile:
-    """Quantiles over a multi-worker merged export == pooled observations."""
+    """A quantile SLO over a multi-worker merged export judges the pooled
+    observations, not an average of per-worker quantiles."""
 
     BUCKETS = (0.05, 0.1, 0.5, 1.0)
     PER_WORKER = {
@@ -227,6 +228,13 @@ class TestMergedExportQuantile:
         return ([sample["buckets"][str(b)] for b in self.BUCKETS]
                 + [sample["buckets"]["+Inf"]])
 
+    @staticmethod
+    def _observed(payload, metric, q, labels=()):
+        slo = SLO(name="lat", metric=metric, objective=1e9, kind="quantile",
+                  quantile=q, labels=labels)
+        (result,) = evaluate_slos(payload, [slo], emit_events=False).results
+        return result.observed
+
     def test_quantile_equals_pooled_observations(self, tmp_path):
         payload = self._merged_payload(tmp_path)
         pooled = self._pooled_cumulative(
@@ -234,23 +242,23 @@ class TestMergedExportQuantile:
         )
         for q in (0.5, 0.9, 0.95, 0.99):
             expected = histogram_quantile(list(self.BUCKETS), pooled, q)
-            assert quantile_from_export(payload, "lat_seconds", q) == \
+            assert self._observed(payload, "lat_seconds", q) == \
                 pytest.approx(expected), q
 
     def test_label_filter_selects_one_worker(self, tmp_path):
         payload = self._merged_payload(tmp_path)
         pooled = self._pooled_cumulative(self.PER_WORKER["1"])
         expected = histogram_quantile(list(self.BUCKETS), pooled, 0.5)
-        observed = quantile_from_export(
-            payload, "lat_seconds", 0.5, labels={"worker": "1"}
+        observed = self._observed(
+            payload, "lat_seconds", 0.5, labels=(("worker", "1"),)
         )
         assert observed == pytest.approx(expected)
 
     def test_absent_family_returns_none(self, tmp_path):
         payload = self._merged_payload(tmp_path)
-        assert quantile_from_export(payload, "nope_seconds", 0.5) is None
-        assert quantile_from_export(
-            payload, "lat_seconds", 0.5, labels={"worker": "9"}
+        assert self._observed(payload, "nope_seconds", 0.5) is None
+        assert self._observed(
+            payload, "lat_seconds", 0.5, labels=(("worker", "9"),)
         ) is None
 
 
@@ -315,15 +323,18 @@ class TestEvaluateAgainstPayload:
                   labels=(("tier", "hot"),))
         assert evaluate_slos(_payload(registry), [slo], emit_events=False).ok
 
-    def test_violation_emits_event(self, tmp_path):
-        configure_events(tmp_path / "events.jsonl")
+    def test_violation_emits_event(self, tmp_path, caplog):
+        recorder = configure_recorder(dump_dir=tmp_path)
         try:
-            evaluate_slos({"metrics": []}, [self._slo_latency()])
+            with caplog.at_level(logging.WARNING, logger="repro.health"):
+                evaluate_slos({"metrics": []}, [self._slo_latency()])
         finally:
-            configure_events(None)
-        rows = read_events(tmp_path / "events.jsonl")
-        names = [r["event"] for r in rows]
+            reset_recorder()
+        names = [e["name"] for e in recorder.entries()]
         assert "slo_violation" in names
+        assert any(rec.getMessage().startswith("slo_violation ")
+                   for rec in caplog.records)
+        assert list(tmp_path.glob("blackbox-slo_violation-*.json"))
 
     def test_render_mentions_verdict(self):
         report = evaluate_slos({"metrics": []}, [self._slo_latency()],

@@ -12,7 +12,6 @@ from repro.obs.prof import (
     active_memory_profiler,
     configure_memory_profiling,
     disable_memory_profiling,
-    profile_block,
 )
 
 
@@ -73,7 +72,7 @@ class TestSamplingProfiler:
         # Spin until the sampler has ticked enough: a sampler thread starved
         # by other load on the host ticks late, not never.
         deadline = time.perf_counter() + 5.0
-        with profile_block(hz=250) as profiler:
+        with SamplingProfiler(hz=250) as profiler:
             while profiler.profile().n_ticks < 10 and time.perf_counter() < deadline:
                 _spin(0.05)
         profile = profiler.profile()
@@ -84,7 +83,7 @@ class TestSamplingProfiler:
         assert "_spin" in leaves
 
     def test_excludes_its_own_sampler_thread(self):
-        with profile_block(hz=200) as profiler:
+        with SamplingProfiler(hz=200) as profiler:
             _spin(0.1)
         for stack in profiler.profile().samples:
             assert all("_run" != frame.split(":")[-1] or "prof.py" not in frame

@@ -1,7 +1,5 @@
 """Flight recorder: bounded ring, anomaly triggers, black-box dumps."""
 
-import json
-
 import pytest
 
 from repro.obs import events as events_mod

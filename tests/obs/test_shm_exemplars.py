@@ -6,12 +6,10 @@ have to scrape new planes' non-exemplar slots, and a torn exemplar write
 must be caught by the same seqlock that guards the bucket counts.
 """
 
-import json
 import struct
 
 from repro.obs.exemplar import Exemplar
 from repro.obs.shm import (
-    MAGIC,
     MetricsPlane,
     SlotSpec,
     merge_snapshots,

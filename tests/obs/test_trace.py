@@ -269,6 +269,19 @@ class TestMergeTraces:
         (kept,) = {s["trace_id"] for s in read_trace(tmp_path / "out.jsonl")},
         assert kept == {"a"}
 
+    def test_p99_is_nearest_rank(self, tmp_path):
+        # 60 roots of 1..60 s: the nearest-rank p99 (rank ceil(0.99 * 60)
+        # = 60) is 60 s, so only the slowest trace clears the threshold.
+        path = tmp_path / "t.jsonl"
+        _write_spans(path, [
+            _span("req", f"t{i}", f"s{i}", duration_s=float(i))
+            for i in range(1, 61)
+        ])
+        stats = merge_traces([path], tmp_path / "out.jsonl")
+        assert stats["p99_threshold_s"] == 60.0
+        assert stats["kept_by_reason"] == {"error": 0, "slow": 1, "sampled": 0}
+        assert {s["trace_id"] for s in read_trace(tmp_path / "out.jsonl")} == {"t60"}
+
     def test_output_sorted_by_start_time(self, tmp_path):
         path = tmp_path / "t.jsonl"
         _write_spans(path, [

@@ -131,7 +131,7 @@ class TestRoundTrip:
 
         kept = dict(sorted(locations.items())[::2])
         dropped = [a for a in locations if a not in kept]
-        store.replace(kept)
+        store = ShardedLocationStore(kept, addresses, strategy=strategy)
         sources, after_replace = check("replace")
         assert sources == {
             QuerySource.ADDRESS, QuerySource.BUILDING, QuerySource.GEOCODE

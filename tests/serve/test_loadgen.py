@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.apps.store import QueryResult, QuerySource
+from repro.obs.health import percentile
 from repro.serve import (
     LoadGenerator,
     QueryServer,
@@ -13,7 +14,6 @@ from repro.serve import (
     ServerConfig,
     build_report,
     closed_sequences,
-    percentile,
     poisson_schedule,
 )
 from tests.core.helpers import point_at

@@ -7,7 +7,6 @@ import pytest
 from repro.obs.provenance import (
     ProvenanceRing,
     merge_provenance,
-    read_provenance,
     reset_provenance_ring,
     set_provenance_ring,
 )
@@ -96,15 +95,6 @@ class TestProcessBackendProvenance:
         ok = [r for r in records if r.status == "ok"]
         assert ok and all(r.key.startswith("w") for r in ok)
         assert all(r.snapshot_version is not None for r in ok)
-
-    def test_provenance_dump_merges_fleet(self, snapshot_dir, fresh_ring):
-        with ProcessRouter(snapshot_dir, n_workers=2) as router:
-            for i in range(8):
-                router.query(f"a{i}")
-        # Router object survives stop(); dump after workers persisted.
-        records, stats = router.provenance_dump()
-        assert stats["n_files"] >= 1
-        assert records
 
     def test_fleet_verdict_refuses_empty_obs_dir(self, tmp_path):
         router = ProcessRouter(str(tmp_path), n_workers=1)

@@ -182,8 +182,7 @@ class TestRefresh:
             def churn():
                 flip = False
                 while not stop.wait(0.0005):
-                    server.apply_refresh(moved if flip else locations,
-                                         replace=flip)
+                    server.apply_refresh(moved if flip else locations)
                     flip = not flip
 
             churner = threading.Thread(target=churn)

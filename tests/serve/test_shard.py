@@ -108,9 +108,9 @@ class TestCopyOnWrite:
         assert store.snapshot() is before
 
     def test_replace_rebuilds_everything(self, world):
-        addresses, locations = world
-        store = ShardedLocationStore(locations, addresses)
-        store.replace({"a4": point_at(510.0, 0.0)})
+        # A full refresh is a fresh store: nothing of the old table stays.
+        addresses, _ = world
+        store = ShardedLocationStore({"a4": point_at(510.0, 0.0)}, addresses)
         assert len(store) == 1
         assert store.query_id("a1").source != QuerySource.ADDRESS
 
@@ -189,11 +189,13 @@ class TestAtomicSwapUnderLoad:
             )
             for i in range(n_addresses)
         }
-        # Generation A (``replace(base)``): even ids below 60 located; odd
+        # Generation A (the store as built): even ids below 60 located; odd
         # ids fall back to their building's vote, and "b-cold" members to
         # the geocode.  Generation B (``update(moved)`` on top of A): every
         # id located, at a different spot — so ids move between tiers on
-        # each swap.
+        # the first swap.  Generation C (``update(base)`` on top of B): the
+        # even ids below 60 back at A's spots, every other id still at B's;
+        # the swaps after the first alternate B and C.
         base = {f"a{i}": point_at(float(i), 10.0) for i in range(0, 60, 2)}
         moved = {f"a{i}": point_at(float(i), 90.0) for i in range(n_addresses)}
         store = ShardedLocationStore(base, addresses, n_shards=4)
@@ -209,6 +211,11 @@ class TestAtomicSwapUnderLoad:
             (QuerySource.GEOCODE, QuerySource.ADDRESS),
         }
         assert all(gen_a[a] != gen_b[a] for a in addresses)
+        gen_c = {
+            aid: ShardedLocationStore({**moved, **base}, addresses).query_id(aid)
+            for aid in addresses
+        }
+        assert gen_c != gen_b
 
         ids = list(addresses)
         errors: list[BaseException] = []
@@ -223,8 +230,8 @@ class TestAtomicSwapUnderLoad:
                         result = store.query(addresses[aid])
                     else:
                         result = store.query_id(aid)
-                    # Either generation is fine; a torn one is not.
-                    assert result in (gen_a[aid], gen_b[aid]), (aid, result)
+                    # Any whole generation is fine; a torn one is not.
+                    assert result in (gen_a[aid], gen_b[aid], gen_c[aid]), (aid, result)
                 except BaseException as exc:  # noqa: BLE001
                     errors.append(exc)
                     return
@@ -239,11 +246,11 @@ class TestAtomicSwapUnderLoad:
             if round_no % 2 == 0:
                 store.update(moved)
             else:
-                store.replace(base)
+                store.update(base)
             time.sleep(0.0002)  # let readers run between swaps
         stop.set()
         for thread in readers:
             thread.join()
         assert errors == []
         assert store.version == 201
-        assert {aid: store.query_id(aid) for aid in ids} == gen_a
+        assert {aid: store.query_id(aid) for aid in ids} == gen_c

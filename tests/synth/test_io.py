@@ -1,5 +1,3 @@
-import pytest
-
 from repro.synth.io import (
     load_addresses,
     load_ground_truth,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.geo import LocalProjection, haversine_m
+from repro.geo import haversine_m
 from repro.synth import City, CityConfig, SimulationConfig, TripSimulator
 from repro.trajectory import StayPointConfig, detect_stay_points, filter_noise
 

@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from repro import durable
-from repro.core.candidates import TIME_BINS, LocationProfile
-from repro.core.persistence import load_locations, load_profiles, save_locations, save_profiles
+from repro.core.persistence import load_locations, save_locations
 from repro.durable import (
     LineAppender,
     append_record,
@@ -363,15 +362,17 @@ def _trace_kind(tmp_path):
 
 
 def _profiles_kind(tmp_path):
-    # No suffix given: the file written is profiles.npz, as numpy names it.
+    # An .npz of id-keyed rows.  No suffix given: the file written is
+    # profiles.npz, as numpy names it.
     path = tmp_path / "profiles"
 
     def write(generation):
-        profile = LocationProfile(30.0, 1, np.full(TIME_BINS, 1.0 / TIME_BINS))
-        save_profiles({i: profile for i in range(2 * generation)}, path)
+        n = 2 * generation
+        write_npz(path, {"ids": np.arange(n), "data": np.full((n, 26), 0.5)})
 
     def read():
-        return len(load_profiles(tmp_path / "profiles.npz"))
+        with np.load(tmp_path / "profiles.npz") as archive:
+            return len(archive["ids"])
 
     return write, read, 2, 4
 
