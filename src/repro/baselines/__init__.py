@@ -6,7 +6,7 @@ pipelines with heuristic selectors — build them via
 with ``selector="mindist" | "maxtc" | "maxtc-ilc"``.
 """
 
-from repro.baselines.annotations import AnnotatedLocation, annotated_locations, position_at
+from repro.baselines.annotations import AnnotatedLocation, annotated_locations
 from repro.baselines.simple import AnnotationBaseline, GeoCloudBaseline, GeocodingBaseline
 from repro.baselines.georank import GeoRankBaseline
 from repro.baselines.unet import UNetBaseline
@@ -14,7 +14,6 @@ from repro.baselines.unet import UNetBaseline
 __all__ = [
     "AnnotatedLocation",
     "annotated_locations",
-    "position_at",
     "AnnotationBaseline",
     "GeoCloudBaseline",
     "GeocodingBaseline",

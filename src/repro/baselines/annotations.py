@@ -30,24 +30,16 @@ class AnnotatedLocation:
     trip_id: str
 
 
-def position_at(trip: DeliveryTrip, t: float, projection: LocalProjection) -> tuple[float, float]:
-    """The courier's interpolated position (meters) at time ``t``.
-
-    Clamped to the trajectory's endpoints: a confirmation after the trip
-    ended annotates the courier's final position (often the station).
-    """
-    traj = trip.trajectory
-    if len(traj) == 0:
-        raise ValueError(f"trip {trip.trip_id!r} has an empty trajectory")
-    x, y = projection.to_xy(traj.lng, traj.lat)
-    return float(np.interp(t, traj.t, x)), float(np.interp(t, traj.t, y))
-
-
 def annotated_locations(
     trips: list[DeliveryTrip], projection: LocalProjection
 ) -> dict[str, list[AnnotatedLocation]]:
-    """Annotation events per address, from all trips: each trip is
-    projected once and every waybill read off it (:func:`position_at`)."""
+    """Annotation events per address, from all trips.
+
+    Each trip is projected once, and every waybill takes the courier's
+    position at its delivery time, interpolated linearly between fixes and
+    clamped to the trajectory's endpoints: a confirmation after the trip
+    ended annotates the courier's final position (often the station).
+    """
     out: dict[str, list[AnnotatedLocation]] = defaultdict(list)
     for trip in trips:
         traj = trip.trajectory

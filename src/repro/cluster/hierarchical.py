@@ -6,22 +6,35 @@ centroids until no two centroids are within ``distance_threshold``.  The
 centroid of each final cluster becomes a location candidate.
 
 The implementation is exact but avoids the O(n^2) distance matrix.  A pair
-farther apart than the threshold can never be merged, so only the close
-pairs enter a global min-heap of ``(distance, a, b)`` keys:
+farther apart than the threshold can never be merged, so only close pairs
+are kept, and merges follow the total order on ``(distance, lower id,
+higher id)``.  Ids are never reused: a merge retires both ids and makes a
+fresh, higher one.
 
-* **Seeding.**  Every initial pair closer than the threshold is found once
-  (``a < b``) by a blocked numpy sweep over points sorted along their wider
-  axis, then keyed with ``math.hypot`` and heapified in one call.
-* **Merging.**  The closest live pair merges into a fresh id, whose pairs
-  come from the 3 x 3 block of threshold-sized grid cells around its
-  centroid.  Ids are never reused, so a heap entry is stale exactly when
-  either endpoint is no longer alive, and is skipped when popped.
+* **Owner lists.**  Each close pair belongs to its younger cluster, the
+  one with the higher id, which keeps its partners in a list sorted by
+  ``(distance, partner id)``.  The seed points' pairs come from one blocked
+  numpy sweep (:func:`close_pairs`) keyed with ``math.hypot``; a merged
+  cluster's come from the 3 x 3 block of threshold-sized grid cells
+  around its centroid, which hold only live clusters, all older.
+* **One heap entry per cluster.**  The heap holds only the head
+  ``(distance, partner, owner)`` of each live owner's list.  A popped head
+  whose owner has merged is dropped; one whose partner has merged makes
+  the owner walk its list past dead partners and offer its next head;
+  otherwise the pair merges.
+* **Why the order is exact.**  Every live pair sits at or after its
+  owner's head, so the heap's minimum is never above any live pair's key,
+  and a head whose ends are both live is the smallest live pair.
+
+Clusters live in flat per-id lists; the output lists the live ids in
+increasing order.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from itertools import compress
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,8 +44,6 @@ from repro.cluster.types import Cluster
 #: Candidate pairs examined per block of the seeding sweep: its scratch
 #: arrays stay near 400 KB however many points are clustered.
 PAIR_BLOCK = 1 << 12
-
-_EMPTY_CELL: dict[int, tuple[float, float]] = {}
 
 
 def close_pairs(
@@ -49,7 +60,8 @@ def close_pairs(
     n = len(coords)
     if n < 2:
         return
-    axis = 0 if np.ptp(coords[:, 0]) >= np.ptp(coords[:, 1]) else 1
+    span = coords.max(axis=0) - coords.min(axis=0)
+    axis = 0 if span[0] >= span[1] else 1
     order = np.argsort(coords[:, axis], kind="stable")
     u = coords[order, axis]
     v = coords[order, 1 - axis]
@@ -89,69 +101,107 @@ def hierarchical_cluster(
         raise ValueError(f"coords must be (n, 2), got shape {coords.shape}")
     n = len(coords)
     if weights is None:
-        w = np.ones(n, dtype=float)
+        ws = [1.0] * n
     else:
         w = np.asarray(weights, dtype=float)
         if w.shape != (n,):
             raise ValueError("weights must align with coords")
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
+        ws = w.tolist()
     if distance_threshold <= 0:
         raise ValueError("distance_threshold must be positive")
     if n == 0:
         return []
 
+    # Per id: centroid, weight, member indices, whether it is live, the
+    # grid cell it sits in, and its owner list, kept in descending order so
+    # that its head is the last entry.
     xs = coords[:, 0].tolist()
     ys = coords[:, 1].tolist()
-    # Live clusters: id -> (x, y, weight, member indices).
-    live: dict[int, tuple[float, float, float, list[int]]] = {
-        i: (xs[i], ys[i], wi, [i]) for i, wi in enumerate(w.tolist())
-    }
-    # Threshold-sized grid cells: cell -> {live id: (x, y)}.
+    members = [[i] for i in range(n)]
+    alive = bytearray(b"\x01") * n
     cell_m = float(distance_threshold)
     cells: dict[tuple[int, int], dict[int, tuple[float, float]]] = {}
+    home: list[dict[int, tuple[float, float]]] = []
     for i, (x, y) in enumerate(zip(xs, ys)):
-        cells.setdefault((math.floor(x / cell_m), math.floor(y / cell_m)), {})[i] = (x, y)
-
-    heap: list[tuple[float, int, int]] = []
+        bucket = cells.setdefault((math.floor(x / cell_m), math.floor(y / cell_m)), {})
+        bucket[i] = (x, y)
+        home.append(bucket)
+    owned: list[list[tuple[float, int]] | None] = [[] for _ in range(n)]
     for block_a, block_b in close_pairs(coords, distance_threshold):
         for a, b in zip(block_a.tolist(), block_b.tolist()):
             d = math.hypot(xs[b] - xs[a], ys[b] - ys[a])
             if d < distance_threshold:
-                heap.append((d, a, b))
+                owned[b].append((d, a))
+    heap: list[tuple[float, int, int]] = []
+    for b, pairs in enumerate(owned):
+        if pairs:
+            pairs.sort(reverse=True)
+            d, a = pairs[-1]
+            heap.append((d, a, b))
     heapq.heapify(heap)
 
-    next_id = n
+    heappop, heapreplace = heapq.heappop, heapq.heapreplace
     while heap:
-        d, a, b = heapq.heappop(heap)
-        if a not in live or b not in live:
+        d, a, b = heap[0]
+        if not alive[b]:
+            heappop(heap)
             continue
-        xa, ya, wa, ma = live.pop(a)
-        xb, yb, wb, mb = live.pop(b)
-        for cid, x, y in ((a, xa, ya), (b, xb, yb)):
-            key = (math.floor(x / cell_m), math.floor(y / cell_m))
-            bucket = cells[key]
-            del bucket[cid]
-            if not bucket:
-                del cells[key]
+        if not alive[a]:
+            pairs = owned[b]
+            pairs.pop()
+            while pairs and not alive[pairs[-1][1]]:
+                pairs.pop()
+            if pairs:
+                d, a = pairs[-1]
+                heapreplace(heap, (d, a, b))
+            else:
+                heappop(heap)
+            continue
+
+        alive[a] = alive[b] = 0
+        owned[a] = owned[b] = None
+        del home[a][a]
+        del home[b][b]
+        wa, wb = ws[a], ws[b]
         wt = wa + wb
-        nx = (xa * wa + xb * wb) / wt
-        ny = (ya * wa + yb * wb) / wt
-        cid = next_id
-        next_id += 1
+        nx = (xs[a] * wa + xs[b] * wb) / wt
+        ny = (ys[a] * wa + ys[b] * wb) / wt
+        merged, smaller = members[a], members[b]
+        if len(merged) < len(smaller):
+            merged, smaller = smaller, merged
+        merged.extend(smaller)
+        cid = len(xs)
         gx, gy = math.floor(nx / cell_m), math.floor(ny / cell_m)
+        pairs = []
         for ox in (gx - 1, gx, gx + 1):
             for oy in (gy - 1, gy, gy + 1):
-                for other, (px, py) in cells.get((ox, oy), _EMPTY_CELL).items():
-                    d = math.hypot(px - nx, py - ny)
-                    if d < distance_threshold:
-                        heapq.heappush(heap, (d, other, cid))
-        live[cid] = (nx, ny, wt, ma + mb)
-        cells.setdefault((gx, gy), {})[cid] = (nx, ny)
+                bucket = cells.get((ox, oy))
+                if bucket:
+                    for other, (px, py) in bucket.items():
+                        d = math.hypot(px - nx, py - ny)
+                        if d < distance_threshold:
+                            pairs.append((d, other))
+        xs.append(nx)
+        ys.append(ny)
+        ws.append(wt)
+        members.append(merged)
+        alive.append(1)
+        bucket = cells.setdefault((gx, gy), {})
+        bucket[cid] = (nx, ny)
+        home.append(bucket)
+        owned.append(pairs)
+        if pairs:
+            pairs.sort(reverse=True)
+            d, a = pairs[-1]
+            heapreplace(heap, (d, a, cid))
+        else:
+            heappop(heap)
 
     return [
-        Cluster(x=x, y=y, weight=wt, members=sorted(members))
-        for x, y, wt, members in live.values()
+        Cluster(xs[i], ys[i], ws[i], sorted(members[i]))
+        for i in compress(range(len(alive)), alive)
     ]
 
 

@@ -1,8 +1,24 @@
 import numpy as np
 import pytest
 
-from repro.baselines import annotated_locations, position_at
+from repro.baselines import annotated_locations
+from repro.geo import LocalProjection
+from repro.trajectory import DeliveryTrip
 from tests.core.helpers import PROJ, make_trip
+
+
+def position_at(trip: DeliveryTrip, t: float, projection: LocalProjection) -> tuple[float, float]:
+    """Reference: the courier's interpolated position (meters) at time ``t``.
+
+    One waybill at a time, the way ``annotated_locations`` once read each
+    one.  Clamped to the trajectory's endpoints: a confirmation after the
+    trip ended annotates the courier's final position (often the station).
+    """
+    traj = trip.trajectory
+    if len(traj) == 0:
+        raise ValueError(f"trip {trip.trip_id!r} has an empty trajectory")
+    x, y = projection.to_xy(traj.lng, traj.lat)
+    return float(np.interp(t, traj.t, x)), float(np.interp(t, traj.t, y))
 
 
 class TestPositionAt:

@@ -12,6 +12,7 @@ from repro.cluster import Cluster, hierarchical_cluster, merge_weighted_clusters
 from repro.cluster.hierarchical import close_pairs
 from repro.core import DLInfMAConfig, build_artifacts
 from repro.geo import GridIndex
+from tests.cluster import hierarchical_reference as reference
 
 
 class TestHierarchicalCluster:
@@ -342,6 +343,98 @@ class TestClusteringParity:
             other = oracle.examples[address_id]
             assert example.candidate_ids == other.candidate_ids
             assert example.features.tobytes() == other.features.tobytes()
+
+
+
+# ----------------------------------------------------------------------
+# Owner lists against the one-heap loop they replaced
+# ----------------------------------------------------------------------
+def assert_matches_reference(pts, threshold, weights=None):
+    out = hierarchical_cluster(pts, threshold, weights)
+    assert as_rows(out) == as_rows(reference.hierarchical_cluster(pts, threshold, weights))
+    return out
+
+
+class TestOwnerListsMatchReference:
+    """Edge cases of the one-head-per-cluster loop, each against the reference."""
+
+    def test_duplicate_points_give_zero_distances(self):
+        # Exact duplicates tie at distance 0, so the ids alone order them.
+        rng = np.random.default_rng(3)
+        spots = rng.uniform(0, 300, size=(12, 2))
+        pts = np.vstack([np.repeat(spots, 4, axis=0), spots[::-1]])
+        out = assert_matches_reference(pts, 40.0)
+        assert sum(c.size for c in out) == len(pts)
+        assert_matches_reference(pts, 40.0, rng.uniform(0.5, 5.0, size=len(pts)))
+        assert_matches_reference(np.zeros((7, 2)), 40.0)
+
+    def test_heads_whose_partners_merged_first(self):
+        # The centre point comes last, so it owns its pairs with all four
+        # spokes (10 to 13 m out).  Three spokes have a twin 1 m further out
+        # and merge with it first, so the head of the centre's list names a
+        # dead partner, several times in a row, while the centre lives.
+        angles = np.deg2rad([0.0, 90.0, 180.0, 270.0])
+        radii = np.array([10.0, 11.0, 12.0, 13.0])
+        spokes = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+        twins = spokes[:3] * (1.0 + 1.0 / radii[:3, None])
+        pts = np.vstack([spokes, twins, [[0.0, 0.0]]])
+        out = assert_matches_reference(pts, 40.0)
+        assert len(out) == 1
+        # At 40 m the walk stops at a live partner; at 13.5 m, and at 12.5 m
+        # without the fourth spoke, it runs off the end of the list.
+        assert_matches_reference(pts, 13.5)
+        assert_matches_reference(pts[[0, 1, 2, 4, 5, 6, 7]], 12.5)
+
+    def test_owners_without_partners(self):
+        # Seeds 0 and 1 own nothing; the cluster of 0 and 2 finds no one
+        # within the cutoff, so no head replaces the one it merged from.
+        pts = np.array([[0.0, 0.0], [1000.0, 0.0], [5.0, 0.0], [1500.0, 9.0]])
+        out = assert_matches_reference(pts, 40.0)
+        assert [c.members for c in out] == [[1], [3], [0, 2]]
+
+    def test_three_chained_weighted_batches(self):
+        rng = np.random.default_rng(12)
+        first = hotspot_cloud(rng, 200)
+        ours = assert_matches_reference(first, 40.0)
+        pool = reference.hierarchical_cluster(first, 40.0)
+        for size in (150, 90, 240):
+            batch = hotspot_cloud(rng, size)
+            pool = reference.merge_weighted_clusters(pool, batch, 40.0)
+            ours = merge_weighted_clusters(ours, batch, 40.0)
+            assert as_rows(ours) == as_rows(pool)
+        assert len({c.weight for c in ours}) > 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0, max_value=200, allow_subnormal=False),
+                st.floats(min_value=0, max_value=200, allow_subnormal=False),
+                st.floats(min_value=0.25, max_value=50.0),
+            ),
+            min_size=1,
+            max_size=50,
+        ),
+        st.sampled_from([15.0, 40.0]),
+    )
+    def test_weighted_clouds_property(self, rows, threshold):
+        pts = np.array([(x, y) for x, y, _ in rows], dtype=float)
+        weights = np.array([w for _, _, w in rows], dtype=float)
+        assert_matches_reference(pts, threshold, weights)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=80
+        ),
+        st.sampled_from([7.5, 10.0, 15.0, 25.0]),
+        st.booleans(),
+    )
+    def test_integer_lattice_property(self, cells, threshold, weighted):
+        # Lattice points tie often, at 0 too when a cell repeats.
+        pts = np.array(cells, dtype=float) * 5.0
+        weights = (np.arange(len(pts)) % 3 + 1.0) if weighted else None
+        assert_matches_reference(pts, threshold, weights)
 
 
 def test_close_pairs_memory_is_blocked():

@@ -25,7 +25,6 @@ from repro.durable import (
     read_jsonl,
     to_jsonable,
     write_jsonl,
-    write_npz,
 )
 from repro.obs.provenance import ProvenanceRing, read_provenance
 from repro.obs.recorder import FlightRecorder, load_blackbox
@@ -76,19 +75,6 @@ class TestAtomicWrite:
         path.write_bytes(b"old old old")
         atomic_write(path, lambda fh: fh.write(b"new"))
         assert path.read_bytes() == b"new"
-
-
-class TestWriteNpz:
-    def test_appends_the_suffix_like_numpy(self, tmp_path):
-        arrays = {"a": np.arange(3), "b": np.eye(2)}
-        written = write_npz(tmp_path / "plain", arrays)
-        np.savez_compressed(tmp_path / "by_numpy", **arrays)
-        assert written == tmp_path / "plain.npz"
-        assert sorted(os.listdir(tmp_path)) == ["by_numpy.npz", "plain.npz"]
-        assert write_npz(tmp_path / "kept.npz", arrays) == tmp_path / "kept.npz"
-        with np.load(written) as archive:
-            assert archive.files == ["a", "b"]
-            assert np.array_equal(archive["b"], np.eye(2))
 
 
 class TestAppenders:
@@ -361,22 +347,6 @@ def _trace_kind(tmp_path):
     return write, read, 1, 2
 
 
-def _profiles_kind(tmp_path):
-    # An .npz of id-keyed rows.  No suffix given: the file written is
-    # profiles.npz, as numpy names it.
-    path = tmp_path / "profiles"
-
-    def write(generation):
-        n = 2 * generation
-        write_npz(path, {"ids": np.arange(n), "data": np.full((n, 26), 0.5)})
-
-    def read():
-        with np.load(tmp_path / "profiles.npz") as archive:
-            return len(archive["ids"])
-
-    return write, read, 2, 4
-
-
 KINDS = {
     "snapshot": _snapshot_kind,
     "version_counter": _counter_kind,
@@ -386,7 +356,6 @@ KINDS = {
     "merged_trace": _trace_kind,
     "locations": _locations_kind,
     "trips": _trips_kind,
-    "profiles_npz": _profiles_kind,
 }
 
 
