@@ -1,4 +1,8 @@
-"""DBSCAN over 2-D meter coordinates (used by the GeoCloud baseline)."""
+"""DBSCAN over 2-D meter coordinates (used by the GeoCloud baseline).
+
+Neighbourhoods (inclusive, each point its own neighbour) come from one
+:func:`repro.geo.grid.pairs_within` query, held as CSR offsets.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.geo import GridIndex
+from repro.geo.grid import pairs_within
 
 NOISE = -1
 
@@ -26,42 +30,35 @@ def dbscan(coords: np.ndarray, eps_m: float, min_pts: int) -> np.ndarray:
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     n = len(coords)
-    labels = np.full(n, NOISE, dtype=int)
-    if n == 0:
-        return labels
+    # Point i's neighbours are neighbours[offsets[i]:offsets[i + 1]].
+    near = [np.arange(n)] * 2
+    for a, b in pairs_within(coords, eps_m):
+        near += [a, b, b, a]
+    src = np.concatenate(near[0::2])
+    offsets = [0, *np.cumsum(np.bincount(src, minlength=n)).tolist()]
+    neighbours = np.concatenate(near[1::2])[np.argsort(src, kind="stable")].tolist()
 
-    grid = GridIndex(cell_size_m=eps_m)
-    for i, (x, y) in enumerate(coords):
-        grid.insert(i, float(x), float(y))
-
-    neighbors_cache: dict[int, list[int]] = {}
-
-    def neighbors(i: int) -> list[int]:
-        if i not in neighbors_cache:
-            x, y = coords[i]
-            neighbors_cache[i] = grid.query_radius(float(x), float(y), eps_m)
-        return neighbors_cache[i]
-
+    labels = [NOISE] * n
+    visited = bytearray(n)
     cluster_id = 0
-    visited = np.zeros(n, dtype=bool)
     for seed in range(n):
         if visited[seed]:
             continue
-        visited[seed] = True
-        seed_neighbors = neighbors(seed)
-        if len(seed_neighbors) < min_pts:
+        visited[seed] = 1
+        lo, hi = offsets[seed], offsets[seed + 1]
+        if hi - lo < min_pts:
             continue  # stays noise unless claimed as a border point later
         labels[seed] = cluster_id
-        queue = deque(seed_neighbors)
+        queue = deque(neighbours[lo:hi])
         while queue:
             j = queue.popleft()
             if labels[j] == NOISE:
                 labels[j] = cluster_id  # border or core of this cluster
             if visited[j]:
                 continue
-            visited[j] = True
-            j_neighbors = neighbors(j)
-            if len(j_neighbors) >= min_pts:
-                queue.extend(j_neighbors)
+            visited[j] = 1
+            lo, hi = offsets[j], offsets[j + 1]
+            if hi - lo >= min_pts:
+                queue.extend(neighbours[lo:hi])
         cluster_id += 1
-    return labels
+    return np.array(labels, dtype=int)

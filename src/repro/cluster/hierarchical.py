@@ -13,10 +13,11 @@ fresh, higher one.
 
 * **Owner lists.**  Each close pair belongs to its younger cluster, the
   one with the higher id, which keeps its partners in a list sorted by
-  ``(distance, partner id)``.  The seed points' pairs come from one blocked
-  numpy sweep (:func:`close_pairs`) keyed with ``math.hypot``; a merged
-  cluster's come from the 3 x 3 block of threshold-sized grid cells
-  around its centroid, which hold only live clusters, all older.
+  ``(distance, partner id)``.  The seed points' pairs come from the static
+  cell grid (:func:`repro.geo.grid.pairs_within`) keyed with
+  ``math.hypot``; a merged cluster's come from the 3 x 3 block of
+  threshold-sized cells around its centroid in a dict that changes on
+  every merge and holds only live clusters, all older.
 * **One heap entry per cluster.**  The heap holds only the head
   ``(distance, partner, owner)`` of each live owner's list.  A popped head
   whose owner has merged is dropped; one whose partner has merged makes
@@ -35,53 +36,12 @@ from __future__ import annotations
 import heapq
 import math
 from itertools import compress
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.cluster.types import Cluster
-
-#: Candidate pairs examined per block of the seeding sweep: its scratch
-#: arrays stay near 400 KB however many points are clustered.
-PAIR_BLOCK = 1 << 12
-
-
-def close_pairs(
-    coords: np.ndarray, distance_threshold: float
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of row pairs ``(a, b)``, ``a < b``, that may be closer than the cutoff.
-
-    A superset of the pairs ``math.hypot`` puts below ``distance_threshold``,
-    each pair once: points sorted along the axis of larger extent pair with
-    the later points within the threshold along it, and a float64
-    squared-distance check with a relative slack of 1e-9 drops the far
-    ones.  Each block covers about ``PAIR_BLOCK`` such candidates.
-    """
-    n = len(coords)
-    if n < 2:
-        return
-    span = coords.max(axis=0) - coords.min(axis=0)
-    axis = 0 if span[0] >= span[1] else 1
-    order = np.argsort(coords[:, axis], kind="stable")
-    u = coords[order, axis]
-    v = coords[order, 1 - axis]
-    counts = np.searchsorted(u, u + distance_threshold, side="right") - np.arange(1, n + 1)
-    ends = np.cumsum(counts)
-    limit = distance_threshold * distance_threshold * (1.0 + 1e-9)
-    lo = 0
-    while lo < n:
-        done = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + PAIR_BLOCK, side="right")))
-        c = counts[lo:hi]
-        rows = np.repeat(np.arange(lo, hi), c)
-        cols = rows + 1 + np.arange(len(rows)) - np.repeat(ends[lo:hi] - done - c, c)
-        du = u[cols] - u[rows]
-        dv = v[cols] - v[rows]
-        near = du * du + dv * dv <= limit
-        a = order[rows[near]]
-        b = order[cols[near]]
-        yield np.minimum(a, b), np.maximum(a, b)
-        lo = hi
+from repro.geo.grid import pairs_within
 
 
 def hierarchical_cluster(
@@ -129,7 +89,9 @@ def hierarchical_cluster(
         bucket[i] = (x, y)
         home.append(bucket)
     owned: list[list[tuple[float, int]] | None] = [[] for _ in range(n)]
-    for block_a, block_b in close_pairs(coords, distance_threshold):
+    # A radius of D (1 + 1e-9) squares to at least D^2 (1 + 1e-9), so the
+    # grid's pairs include every pair ``math.hypot`` puts below D.
+    for block_a, block_b in pairs_within(coords, distance_threshold * (1.0 + 1e-9)):
         for a, b in zip(block_a.tolist(), block_b.tolist()):
             d = math.hypot(xs[b] - xs[a], ys[b] - ys[a])
             if d < distance_threshold:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster import Cluster, grid_merge, hierarchical_cluster, merge_weighted_clusters
+from repro.cluster import Cluster, grid_merge, merge_weighted_clusters
 from repro.geo import LocalProjection
 from repro.trajectory import StayPoint
 
@@ -170,12 +170,7 @@ class CandidatePoolBuilder:
         candidates; an empty batch changes nothing.
         """
         if len(xy):
-            if self.clusters:
-                self.clusters = merge_weighted_clusters(
-                    self.clusters, xy, self.distance_threshold_m
-                )
-            else:
-                self.clusters = hierarchical_cluster(xy, self.distance_threshold_m)
+            self.clusters = merge_weighted_clusters(self.clusters, xy, self.distance_threshold_m)
         return len(self.clusters)
 
     def build(self) -> CandidatePool:

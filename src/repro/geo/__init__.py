@@ -1,4 +1,4 @@
-"""Geospatial primitives: points, distances, projections, GeoHash, grid index.
+"""Geospatial primitives: points, distances, projections, GeoHash, cell grid.
 
 All distances are in meters.  Coordinates are WGS84 longitude/latitude in
 degrees unless a function name says otherwise.  City-scale algorithms work in
@@ -16,7 +16,6 @@ from repro.geo.distance import (
 )
 from repro.geo.projection import LocalProjection
 from repro.geo.geohash import geohash_encode, geohash_decode, geohash_bbox
-from repro.geo.grid import GridIndex
 
 __all__ = [
     "Point",
@@ -29,5 +28,4 @@ __all__ = [
     "geohash_encode",
     "geohash_decode",
     "geohash_bbox",
-    "GridIndex",
 ]

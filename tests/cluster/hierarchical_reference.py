@@ -11,9 +11,16 @@ Run as a script for the large-corpus check (not part of tier 1)::
 
     PYTHONPATH=src:. python -m tests.cluster.hierarchical_reference --scale 3
 
-It clusters every bi-weekly batch of a DowBJ-like and a SubBJ-like corpus
-through both, the way ``build_candidate_pool`` does, and prints each
-side's seconds and heap operations.
+On a DowBJ-like and a SubBJ-like corpus it checks the three callers of the
+static cell grid (``repro.geo.grid``) against references, and prints each
+side's seconds:
+
+* every bi-weekly batch clustered through both loops, the way
+  ``build_candidate_pool`` does (also each side's heap operations);
+* DLInfMA-Grid's pool of all stays: ``grid_merge`` against the dict
+  binning of ``tests/cluster/oracles.py``;
+* GeoCloud's DBSCAN labels for every address's annotations against the
+  brute-force oracle of ``tests/cluster/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import argparse
 import heapq
 import math
 import time
+from functools import partial
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -240,6 +248,18 @@ def as_rows(clusters):
     return [(c.x, c.y, c.weight, c.members) for c in clusters]
 
 
+def timed_sides(sides, repeats=3):
+    """Each side's result and best seconds over ``repeats`` runs, alternating."""
+    results, seconds = {}, {}
+    for _ in range(repeats):
+        for side, run in sides.items():
+            t0 = time.perf_counter()
+            results[side] = run()
+            elapsed = time.perf_counter() - t0
+            seconds[side] = min(seconds.get(side, elapsed), elapsed)
+    return results, seconds
+
+
 def compare_batches(batches, distance_threshold, repeats=3):
     """Both sides over the same batches.
 
@@ -254,13 +274,11 @@ def compare_batches(batches, distance_threshold, repeats=3):
         "reference": (hierarchical_cluster, merge_weighted_clusters, globals()),
         "library": (library.hierarchical_cluster, library.merge_weighted_clusters, vars(library)),
     }
-    pools, seconds, tallies = {}, {}, {}
-    for _ in range(repeats):
-        for side, (cluster, merge, _) in sides.items():
-            t0 = time.perf_counter()
-            pools[side] = build_pools(batches, distance_threshold, cluster, merge)
-            elapsed = time.perf_counter() - t0
-            seconds[side] = min(seconds.get(side, elapsed), elapsed)
+    pools, seconds = timed_sides({
+        side: partial(build_pools, batches, distance_threshold, cluster, merge)
+        for side, (cluster, merge, _) in sides.items()
+    }, repeats)
+    tallies = {}
     for side, (cluster, merge, module) in sides.items():
         tally = module["heapq"] = CountingHeapq()
         try:
@@ -275,8 +293,48 @@ def compare_batches(batches, distance_threshold, repeats=3):
     return mismatches, seconds, tallies
 
 
+def compare_grid_pool(xy, cell_m):
+    """DLInfMA-Grid's binning of all stays: whether both sides' clusters are
+    equal (x, y, weight, members, order), and each side's seconds."""
+    from repro.cluster import grid_merge
+    from tests.cluster.oracles import dict_grid_merge
+
+    results, seconds = timed_sides({
+        "reference": lambda: dict_grid_merge(xy, cell_m),
+        "library": lambda: grid_merge(xy, cell_m),
+    })
+    return as_rows(results["reference"]) == as_rows(results["library"]), seconds
+
+
+def compare_geocloud(workload):
+    """GeoCloud's DBSCAN labels for every address's annotations: the
+    addresses whose labels differ from the oracle's, the number compared,
+    and each side's seconds."""
+    from repro.baselines import GeoCloudBaseline, annotated_locations
+    from repro.cluster import dbscan
+    from tests.cluster.oracles import dbscan_oracle
+
+    geocloud = GeoCloudBaseline()
+    annotations = annotated_locations(workload.trips, workload.projection)
+    coords = {
+        address_id: np.array([[e.x, e.y] for e in events])
+        for address_id, events in annotations.items() if events
+    }
+
+    def labels(fn):
+        return {a: fn(xy, geocloud.eps_m, geocloud.min_pts).tolist() for a, xy in coords.items()}
+
+    results, seconds = timed_sides({
+        "reference": lambda: labels(dbscan_oracle),
+        "library": lambda: labels(dbscan),
+    })
+    mismatches = [a for a in coords if results["reference"][a] != results["library"][a]]
+    return mismatches, len(coords), seconds
+
+
 def main(argv=None) -> int:
     from repro.core import DLInfMAConfig, extract_trip_stay_points
+    from repro.core.candidates import project_stays
     from repro.eval import Workload
     from repro.synth import downbj_config, generate_dataset, subbj_config
 
@@ -288,9 +346,8 @@ def main(argv=None) -> int:
     for name, make in (("DowBJ-like", downbj_config), ("SubBJ-like", subbj_config)):
         workload = Workload.from_dataset(generate_dataset(make(scale=args.scale)))
         stays = extract_trip_stay_points(workload.trips)
-        batches = batch_coords(
-            [sp for trip_stays in stays.values() for sp in trip_stays], workload.projection
-        )
+        all_stays = [sp for trip_stays in stays.values() for sp in trip_stays]
+        batches = batch_coords(all_stays, workload.projection)
         mismatches, seconds, tallies = compare_batches(batches, distance_threshold)
         label = f"{name} scale {args.scale:g}"
         for side in ("reference", "library"):
@@ -301,6 +358,20 @@ def main(argv=None) -> int:
         print(f"{label}: {len(batches)} batches of {sum(len(b) for b in batches):,} stays, "
               f"library / reference {seconds['library'] / seconds['reference']:.2f}x, "
               f"clusters {status}")
+        failed |= bool(mismatches)
+
+        equal, seconds = compare_grid_pool(
+            project_stays(all_stays, workload.projection), distance_threshold
+        )
+        print(f"{label} grid pool of {len(all_stays):,} stays: reference "
+              f"{seconds['reference']:.3f} s, library {seconds['library']:.3f} s, "
+              f"clusters {'bit-equal' if equal else 'MISMATCH'}")
+        failed |= not equal
+
+        mismatches, n_addresses, seconds = compare_geocloud(workload)
+        status = "equal" if not mismatches else f"MISMATCH at {len(mismatches)} addresses"
+        print(f"{label} GeoCloud DBSCAN of {n_addresses:,} addresses: reference "
+              f"{seconds['reference']:.3f} s, library {seconds['library']:.3f} s, labels {status}")
         failed |= bool(mismatches)
     return 1 if failed else 0
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import dbscan
 from repro.cluster.dbscan import NOISE
+from tests.cluster.oracles import dbscan_oracle
 
 
 class TestDBSCAN:
@@ -64,3 +66,18 @@ class TestDBSCAN:
         clusters = sorted(set(labels) - {NOISE})
         assert clusters == list(range(len(clusters)))
         assert len(clusters) == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), max_size=50),
+        st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)), max_size=20),
+        st.sampled_from([2.5, 5.0, 10.0]),
+        st.integers(1, 4),
+    )
+    def test_labels_match_bruteforce_oracle_property(self, lattice, floats, eps, min_pts):
+        # Lattice steps of eps / 5 repeat points and put pairs exactly eps
+        # apart (5 steps, or a 3-4-5 triangle).
+        step = eps / 5.0
+        pts = np.array([(i * step, j * step) for i, j in lattice] + floats).reshape(-1, 2)
+        expect = dbscan_oracle(pts, eps, min_pts)
+        assert dbscan(pts, eps_m=eps, min_pts=min_pts).tolist() == expect.tolist()

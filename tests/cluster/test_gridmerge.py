@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cluster import grid_merge
+from tests.cluster.oracles import dict_grid_merge
+
+
+def as_rows(clusters):
+    return [(c.x, c.y, c.weight, c.members) for c in clusters]
 
 
 class TestGridMerge:
@@ -50,3 +56,13 @@ class TestGridMerge:
             grid_merge(np.zeros((2, 3)), 40.0)
         with pytest.raises(ValueError):
             grid_merge(np.zeros((2, 2)), 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)), max_size=40),
+        st.lists(st.tuples(st.floats(-500.0, 500.0), st.floats(-500.0, 500.0)), max_size=40),
+    )
+    def test_matches_dict_binning_property(self, lattice, floats):
+        # 10 m lattice points sit on 40 m cell edges, and repeat.
+        pts = np.array([(i * 10.0, j * 10.0) for i, j in lattice] + floats).reshape(-1, 2)
+        assert as_rows(grid_merge(pts, 40.0)) == as_rows(dict_grid_merge(pts, 40.0))

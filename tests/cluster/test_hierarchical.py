@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.cluster.hierarchical as hierarchical_mod
-import repro.core.candidates as candidates_mod
+import repro.geo.grid as grid_mod
 from repro.cluster import Cluster, hierarchical_cluster, merge_weighted_clusters
-from repro.cluster.hierarchical import close_pairs
 from repro.core import DLInfMAConfig, build_artifacts
-from repro.geo import GridIndex
+from repro.geo.grid import pairs_within
 from tests.cluster import hierarchical_reference as reference
 
 
@@ -40,6 +39,12 @@ class TestHierarchicalCluster:
         # Exactly at the threshold: "smaller than D" means no merge.
         out = hierarchical_cluster(np.array([[0.0, 0.0], [40.0, 0.0]]), 40.0)
         assert len(out) == 2
+
+    def test_pair_one_ulp_below_threshold_merges(self):
+        # The seed pair search must reach D itself, not stop short of it.
+        below = math.nextafter(40.0, 0.0)
+        for pts in ([[0.0, 0.0], [below, 0.0]], [[-7.0, 3.0], [-7.0, 3.0 - below]]):
+            assert len(hierarchical_cluster(np.array(pts), 40.0)) == 1
 
     def test_three_groups(self):
         rng = np.random.default_rng(0)
@@ -156,6 +161,35 @@ class TestMergeWeightedClusters:
 # ----------------------------------------------------------------------
 # Parity with the lazy-heap implementation the pair sweep replaced
 # ----------------------------------------------------------------------
+class DictGrid:
+    """The oracle's dynamic grid: a dict of lists of ids, cells ``cell_m`` wide."""
+
+    def __init__(self, cell_m: float) -> None:
+        self.cell_m = cell_m
+        self.cells: dict[tuple[int, int], list[int]] = {}
+        self.coords: dict[int, tuple[float, float]] = {}
+
+    def cell_of(self, x: float, y: float) -> tuple[int, int]:
+        return (math.floor(x / self.cell_m), math.floor(y / self.cell_m))
+
+    def insert(self, item: int, x: float, y: float) -> None:
+        self.coords[item] = (x, y)
+        self.cells.setdefault(self.cell_of(x, y), []).append(item)
+
+    def query_radius(self, x: float, y: float, radius: float) -> list[int]:
+        """All items within ``radius`` (inclusive) of (x, y)."""
+        ring = math.ceil(radius / self.cell_m)
+        cx, cy = self.cell_of(x, y)
+        found = []
+        for gx in range(cx - ring, cx + ring + 1):
+            for gy in range(cy - ring, cy + ring + 1):
+                for item in self.cells.get((gx, gy), ()):
+                    px, py = self.coords[item]
+                    if (px - x) ** 2 + (py - y) ** 2 <= radius * radius:
+                        found.append(item)
+        return found
+
+
 def oracle_cluster(
     coords: np.ndarray,
     distance_threshold: float,
@@ -184,7 +218,7 @@ def oracle_cluster(
         i: (float(coords[i, 0]), float(coords[i, 1]), float(w[i]), [i]) for i in range(n)
     }
     next_id = n
-    grid = GridIndex(cell_size_m=distance_threshold)
+    grid = DictGrid(distance_threshold)
     for cid, (x, y, _, _) in live.items():
         grid.insert(cid, x, y)
 
@@ -287,7 +321,7 @@ class TestClusteringParity:
     @pytest.mark.parametrize("block", [1, 97, 1000])
     def test_more_than_one_sweep_block(self, block, monkeypatch):
         # A block smaller than one row's candidates still takes that row.
-        monkeypatch.setattr(hierarchical_mod, "PAIR_BLOCK", block)
+        monkeypatch.setattr(grid_mod, "CANDIDATE_BLOCK", block)
         pts = hotspot_cloud(np.random.default_rng(7), 800)
         assert as_rows(hierarchical_cluster(pts, 40.0)) == as_rows(oracle_cluster(pts, 40.0))
 
@@ -300,11 +334,12 @@ class TestClusteringParity:
     def test_zero_and_one_point(self, pts):
         assert as_rows(hierarchical_cluster(pts, 40.0)) == as_rows(oracle_cluster(pts, 40.0))
 
-    def test_close_pairs_are_exactly_the_pairs_below_the_cutoff(self):
+    def test_grid_pairs_are_the_pairs_below_cutoff(self):
+        # The radius hierarchical_cluster seeds with.
         rng = np.random.default_rng(11)
         pts = hotspot_cloud(rng, 500)
-        found = {(a, b) for block in close_pairs(pts, 40.0) for a, b in zip(*block)
-                 if math.hypot(*(pts[b] - pts[a])) < 40.0}
+        found = {(a, b) for block in pairs_within(pts, 40.0 * (1.0 + 1e-9))
+                 for a, b in zip(*block) if math.hypot(*(pts[b] - pts[a])) < 40.0}
         brute = {(a, b) for a in range(len(pts)) for b in range(a + 1, len(pts))
                  if math.hypot(*(pts[b] - pts[a])) < 40.0}
         assert found == brute
@@ -321,9 +356,8 @@ class TestClusteringParity:
             calls.append(1)
             return oracle_cluster(*args, **kwargs)
 
-        # build_candidate_pool reads the candidates module's name,
-        # merge_weighted_clusters its own module's.
-        monkeypatch.setattr(candidates_mod, "hierarchical_cluster", counted)
+        # Every pool batch goes through merge_weighted_clusters, which
+        # reads its own module's name.
         monkeypatch.setattr(hierarchical_mod, "hierarchical_cluster", counted)
         oracle = build()
         assert calls
@@ -437,16 +471,16 @@ class TestOwnerListsMatchReference:
         assert_matches_reference(pts, threshold, weights)
 
 
-def test_close_pairs_memory_is_blocked():
+def test_pair_search_memory_is_blocked():
     """50k points along a 10 km line, about ten neighbours within the cutoff
-    each: an unblocked sweep would hold all 500k candidate pairs at once."""
+    each: an unblocked search would hold all 500k candidate pairs at once."""
     rng = np.random.default_rng(0)
     pts = np.column_stack([rng.uniform(0, 10_000, 50_000), rng.uniform(0, 1.0, 50_000)])
     tracemalloc.start()
     try:
-        n_pairs = sum(len(a) for a, _ in close_pairs(pts, 2.0))
+        n_pairs = sum(len(a) for a, _ in pairs_within(pts, 2.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert n_pairs > 10 * hierarchical_mod.PAIR_BLOCK
+    assert n_pairs > 10 * grid_mod.CANDIDATE_BLOCK
     assert peak < 4 * 1024 * 1024, f"peak {peak / 1e6:.1f} MB"

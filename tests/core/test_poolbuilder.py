@@ -164,7 +164,8 @@ class TestBiweeklyParity:
     def test_tiny_preset_stays_over_two_periods(self, tiny_artifacts, tiny_workload,
                                                 monkeypatch):
         """The later half of the preset's stays, moved one period on in a
-        copy, reach the merge branch and still equal the reference."""
+        copy, merge into the first half's pool and still equal the
+        reference; each batch goes through one merge call."""
         stays = sorted(
             (s for trip in tiny_artifacts.stay_points_by_trip.values() for s in trip),
             key=lambda s: s.t,
@@ -184,7 +185,7 @@ class TestBiweeklyParity:
 
         monkeypatch.setattr(candidates, "merge_weighted_clusters", spy)
         pool = build_candidate_pool(shifted, tiny_workload.projection, 40.0)
-        assert merges == [len(stays) - half]
+        assert merges == [half, len(stays) - half]
         assert pool_rows(pool) == reference_pool_rows(shifted, tiny_workload.projection)
 
     def test_each_stay_projected_once(self, monkeypatch):
